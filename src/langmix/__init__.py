@@ -8,6 +8,7 @@ from .model import (
     ModelSpec,
     check_assumption_DF,
     check_assumption_main,
+    drift_matrix,
     force_from_config,
     make_gradient_force,
     make_linear_force,
@@ -36,7 +37,6 @@ from .matrix_eq import (
 from .gaussian_tv import Gaussian, TVResult, tv_gaussian, tv_reduce, tv_unit
 from .covflow import (
     CovariancePath,
-    drift_matrix,
     integrate_covariance,
     short_time_covariance,
     stationary_gap,

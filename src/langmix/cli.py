@@ -26,7 +26,7 @@ from .harness import (
     write_csv,
 )
 from .linear_stability import classify_linear
-from .matrix_eq import sigma_solution
+from .matrix_eq import sigma_matrix, sigma_solution
 from .simulate import integrate_sde
 
 
@@ -72,8 +72,6 @@ def _cmd_cov_flow(args) -> int:
     cfg = load_config(args.config)
     spec = spec_from_model_config(cfg.model, cfg.epsilons[0] if cfg.epsilons else 1e-2)
     x0 = _parse_vector(args.x0)
-    from .matrix_eq import sigma_matrix
-
     sigma = sigma_matrix(spec)
     path = integrate_covariance(spec, x0, args.t_end, args.dt, store_every=args.store_every)
     n = 2 * spec.dim

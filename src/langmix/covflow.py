@@ -16,29 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .linear_stability import rk4_step
-from .model import ModelSpec
+from .linear_stability import BLOWUP, rk4_step
+from .matrix_eq import sigma_matrix
+from .model import ModelSpec, drift_matrix, noise_matrix
 
 log = logging.getLogger(__name__)
-
-
-def drift_matrix(spec: ModelSpec, q) -> np.ndarray:
-    """Linearization A(q) = [[0, I], [-DF(q), -gamma I]] of the flow at position q."""
-    d = spec.dim
-    q = np.asarray(q, dtype=float)
-    DF = np.asarray(spec.force.eval_DF(q), dtype=float).reshape(d, d)
-    A = np.zeros((2 * d, 2 * d))
-    A[:d, d:] = np.eye(d)
-    A[d:, :d] = -DF
-    A[d:, d:] = -spec.gamma * np.eye(d)
-    return A
-
-
-def noise_matrix(dim: int) -> np.ndarray:
-    """Momentum-block diffusion matrix J = diag(0, I)."""
-    J = np.zeros((2 * dim, 2 * dim))
-    J[dim:, dim:] = np.eye(dim)
-    return J
 
 
 @dataclass
@@ -59,9 +41,6 @@ class CovariancePath:
         x = (1 - w) * self.states[i] + w * self.states[i + 1]
         c = (1 - w) * self.covs[i] + w * self.covs[i + 1]
         return x, c
-
-
-_BLOWUP = 1e12
 
 
 def integrate_covariance(
@@ -99,7 +78,7 @@ def integrate_covariance(
     clamp_events = 0
     for k in range(1, n_steps + 1):
         y = rk4_step(rhs, y, dt)
-        if not np.all(np.isfinite(y)) or np.linalg.norm(y[:n]) > _BLOWUP:
+        if not np.all(np.isfinite(y)) or np.linalg.norm(y[:n]) > BLOWUP:
             raise DivergenceError("zero-noise flow diverged", t=k * dt, last_state=states[-1])
         S = y[n:].reshape(n, n)
         S = 0.5 * (S + S.T)
@@ -161,8 +140,6 @@ def stationary_gap(spec: ModelSpec, x0, horizon: float, dt: float = 0.01) -> Sta
     gap over the second half of the horizon.  A non-decaying tail is reported
     as inconsistent rather than raised.
     """
-    from .matrix_eq import sigma_matrix
-
     sigma = sigma_matrix(spec)
     path = integrate_covariance(spec, x0, horizon, dt)
     gaps = np.linalg.norm(path.covs - sigma, axis=(1, 2))

@@ -16,10 +16,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import erf
 
 from .errors import DomainError, StabilityError
+from .gaussian_tv import tv_unit
 from .linear_stability import flow_zero_noise
-from .model import ModelSpec
+from .matrix_eq import drift_metric_delta, sigma_matrix
+from .model import ModelSpec, drift_matrix
 
 #: relative tolerance for rank decisions in the staircase algorithm
 RANK_TOL = 1e-8
@@ -165,8 +168,6 @@ class SpectralData:
 def _linearization_radius(spec: ModelSpec) -> float:
     if spec.delta_nbhd is not None:
         return spec.delta_nbhd
-    from .matrix_eq import drift_metric_delta
-
     return drift_metric_delta(spec)
 
 
@@ -188,8 +189,6 @@ def spectral_data(
     those at rate eta, and the limiting vectors collect the top Jordan
     contribution of each retained chain at that rate and order.
     """
-    from .covflow import drift_matrix
-
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0.0:
         raise DomainError("the decay constants are undefined at the equilibrium x = 0")
@@ -284,8 +283,6 @@ def oscillating_sum(sd: SpectralData, s) -> np.ndarray:
 
 def profile_vector(spec: ModelSpec, sd: SpectralData, t: float) -> np.ndarray:
     """Profile direction v(t, x) = (t-tau)^nu exp(-eta (t-tau)) Sigma^{-1/2} (oscillating sum)."""
-    from .matrix_eq import sigma_matrix
-
     if t < sd.tau:
         raise DomainError(f"profile is defined for t >= tau = {sd.tau}")
     sigma = sigma_matrix(spec)
@@ -298,8 +295,6 @@ def profile_vector(spec: ModelSpec, sd: SpectralData, t: float) -> np.ndarray:
 
 def profile_D(spec: ModelSpec, sd: SpectralData, t: float, epsilon: float) -> float:
     """Gaussian shift profile D_eps(t) = tv_unit(v(t, x) / sqrt(2 eps))."""
-    from .gaussian_tv import tv_unit
-
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     v = profile_vector(spec, sd, t)
@@ -307,12 +302,11 @@ def profile_D(spec: ModelSpec, sd: SpectralData, t: float, epsilon: float) -> fl
 
 
 def profile_lambda(sd: SpectralData, w) -> np.ndarray:
-    """Printed cut-off profile 2 int_0^{sqrt(2) (1/2eta)^nu exp(-w eta)} phi(t) dt."""
-    from scipy.special import erf as _erf
+    """Printed cut-off profile 2 int_0^{sqrt(2) (1/2eta)^nu exp(-w eta)} phi(t) dt.
 
-    w = np.asarray(w, dtype=float)
-    z = math.sqrt(2.0) * (1.0 / (2.0 * sd.eta)) ** sd.nu * np.exp(-w * sd.eta)
-    return _erf(z / math.sqrt(2.0))
+    This is profile_lambda_alt at r = 2 sqrt(2).
+    """
+    return profile_lambda_alt(sd, w, 2.0 * math.sqrt(2.0))
 
 
 def profile_lambda_alt(sd: SpectralData, w, r: float) -> np.ndarray:
@@ -322,11 +316,9 @@ def profile_lambda_alt(sd: SpectralData, w, r: float) -> np.ndarray:
     oscillation limit r exists; the two profiles coincide exactly when
     r = 2 sqrt(2).
     """
-    from scipy.special import erf as _erf
-
     w = np.asarray(w, dtype=float)
     z = (r / 2.0) * (1.0 / (2.0 * sd.eta)) ** sd.nu * np.exp(-w * sd.eta)
-    return _erf(z / math.sqrt(2.0))
+    return erf(z / math.sqrt(2.0))
 
 
 @dataclass
@@ -346,8 +338,6 @@ def profile_limit_r(
     limit is declared to exist when the oscillation of the tail half stays
     below tol relative to its mean.
     """
-    from .matrix_eq import sigma_matrix
-
     sigma = sigma_matrix(spec)
     eigs, vecs = np.linalg.eigh(sigma)
     inv_sqrt = (vecs / np.sqrt(eigs)) @ vecs.T

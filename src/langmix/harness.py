@@ -12,16 +12,21 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg as sla
+from scipy.stats import chi2_contingency
 
 from . import __version__
 from .covflow import integrate_covariance
 from .cutoff import (
+    jordan_chains,
     mixing_time,
+    oscillating_sum,
     profile_D,
     profile_lambda,
     profile_lambda_alt,
@@ -44,7 +49,14 @@ from .matrix_eq import (
     sigma_matrix,
     solve_lyapunov_stable,
 )
-from .model import ModelSpec, check_assumption_main, force_from_config
+from .model import (
+    ModelSpec,
+    central_difference_jacobian,
+    check_assumption_main,
+    drift_matrix,
+    force_from_config,
+    noise_matrix,
+)
 from .simulate import empirical_tv, integrate_sde
 
 SCHEMA_VERSION = 1
@@ -64,7 +76,7 @@ _TOP_KEYS = {
     "out_dir",
     "tolerances",
 }
-_MODEL_KEYS = {"force", "gamma", "alpha", "beta", "theta_exp", "assumption_radius"}
+_MODEL_KEYS = {"force", "gamma", "alpha", "beta", "assumption_radius"}
 _WGRID_KEYS = {"min", "max", "step"}
 
 
@@ -161,7 +173,6 @@ def spec_from_model_config(model: dict, epsilon: float) -> ModelSpec:
         epsilon=epsilon,
         alpha=float(model["alpha"]),
         beta=float(model["beta"]),
-        theta_exp=float(model.get("theta_exp", 0.25)),
     )
 
 
@@ -202,10 +213,10 @@ class RunManifest:
             fh.write("\n")
         os.replace(tmp, self.path())
 
-    def finalize(self, passed: bool, summary: Optional[dict] = None):
+    def finalize(self, passed: bool, summary: Optional[dict] = None, status: str = "done"):
         self.finished_at = time.time()
         self.wall_clock = self.finished_at - self.started_at
-        self.status = "done"
+        self.status = status
         self.passed = passed
         if summary is not None:
             self.summary.update(summary)
@@ -220,6 +231,21 @@ def _start_manifest(cfg: ExperimentConfig) -> RunManifest:
         out_dir=cfg.out_dir,
     )
     manifest.write()
+    return manifest
+
+
+def _run_pipeline(cfg: ExperimentConfig, body: Callable) -> RunManifest:
+    """Run body(cfg, manifest); an exception finalizes the manifest as failed and propagates."""
+    manifest = _start_manifest(cfg)
+    try:
+        body(cfg, manifest)
+    except Exception as exc:
+        manifest.finalize(
+            passed=False,
+            summary={"error": {"type": type(exc).__name__, "message": str(exc)}},
+            status="failed",
+        )
+        raise
     return manifest
 
 
@@ -282,9 +308,13 @@ def run_cutoff_experiment(cfg: ExperimentConfig) -> RunManifest:
     total-variation curve t -> d_TV(N(X_t, 2 eps Sigma_t), N(0, 2 eps Sigma))
     on the window grid t = t_mix + w (clipped to t > 0), the shift profile
     D_eps, and both cut-off profiles.  One CSV per (x0, epsilon) plus a JSON
-    summary holding the sup-differences.
+    summary holding the sup-differences.  A failed run leaves its manifest
+    with status "failed" and the error.
     """
-    manifest = _start_manifest(cfg)
+    return _run_pipeline(cfg, _cutoff_experiment)
+
+
+def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
     if not cfg.epsilons or not cfg.x0:
         raise ParameterError("cutoff experiment needs 'epsilons' and 'x0'")
     spec = spec_from_model_config(cfg.model, cfg.epsilons[0])
@@ -375,7 +405,6 @@ def run_cutoff_experiment(cfg: ExperimentConfig) -> RunManifest:
         fh.write("\n")
     manifest.artifacts.append(summary_path)
     manifest.finalize(passed=ok, summary=summary)
-    return manifest
 
 
 def run_stationary_check(cfg: ExperimentConfig) -> RunManifest:
@@ -385,8 +414,12 @@ def run_stationary_check(cfg: ExperimentConfig) -> RunManifest:
     samples of N(0, 2 eps Sigma) (moment-matched TV plus a classifier
     estimate), and record E|x|^2 / eps.  Emits one CSV table and a summary
     with the decay verdict and the stability of the fitted variance constant.
+    A failed run leaves its manifest with status "failed" and the error.
     """
-    manifest = _start_manifest(cfg)
+    return _run_pipeline(cfg, _stationary_check)
+
+
+def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
     if not cfg.epsilons or not cfg.x0:
         raise ParameterError("stationary check needs 'epsilons' and 'x0'")
     x0 = np.asarray(cfg.x0[0], dtype=float)
@@ -435,7 +468,6 @@ def run_stationary_check(cfg: ExperimentConfig) -> RunManifest:
             "c_ratio": c_ratio,
         },
     )
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +520,6 @@ class CheckResult:
 
 
 def _check_fd_convergence() -> CheckResult:
-    from .model import central_difference_jacobian
-
     spec = corpus_spec("quartic")
     q = np.array([0.7])
     exact = np.asarray(spec.force.eval_DF(q)).reshape(1, 1)
@@ -503,8 +533,6 @@ def _check_fd_convergence() -> CheckResult:
 
 def _random_real_normal(rng: np.random.Generator, d: int) -> np.ndarray:
     """Random real normal matrix: orthogonal conjugation of 2x2 rotation blocks."""
-    import scipy.linalg as sla
-
     blocks = []
     k = d
     while k >= 2:
@@ -627,11 +655,8 @@ def _check_lyapunov_decay() -> CheckResult:
 
 def _check_solver_uniqueness() -> CheckResult:
     spec = corpus_spec("lin2d_rot")
-    from .covflow import drift_matrix as dmat
-
-    A = dmat(spec, np.zeros(spec.dim))
-    J = np.zeros((4, 4))
-    J[2:, 2:] = np.eye(2)
+    A = drift_matrix(spec, np.zeros(spec.dim))
+    J = noise_matrix(spec.dim)
     sols = [
         solve_lyapunov_stable(A, J, orientation="right", ordering=o).X
         for o in ("none", "ascending_real", "descending_real")
@@ -655,11 +680,8 @@ def _check_spd_corpus() -> CheckResult:
 
 def _check_quadrature_decay() -> CheckResult:
     spec = corpus_spec("lin1d_real")
-    from .covflow import drift_matrix as dmat
-
-    A = dmat(spec, np.zeros(1))
-    J = np.zeros((2, 2))
-    J[1:, 1:] = np.eye(1)
+    A = drift_matrix(spec, np.zeros(1))
+    J = noise_matrix(1)
     X = solve_lyapunov_stable(A, J, orientation="right").X
     eta = -float(np.max(np.linalg.eigvals(A).real))
     Ts = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
@@ -706,16 +728,11 @@ def _check_tv_reduce_idempotent() -> CheckResult:
 
 def _check_covflow_psd_and_oracle() -> CheckResult:
     spec = corpus_spec("lin1d_complex")
-    import scipy.linalg as sla
-
-    from .covflow import drift_matrix as dmat
-
     path = integrate_covariance(spec, np.array([0.6, 0.2]), 6.0, 0.002)
     if path.clamp_events > 0:
         return CheckResult("covflow.psd_clamp_free", False, float(path.clamp_events), "clamps happened")
-    A = dmat(spec, np.zeros(1))
-    J = np.zeros((2, 2))
-    J[1, 1] = 1.0
+    A = drift_matrix(spec, np.zeros(1))
+    J = noise_matrix(1)
     worst = 0.0
     for t in (1.0, 3.0, 6.0):
         Xq = lyapunov_quadrature(A, J, t, orientation="right", n_intervals=2000)
@@ -735,16 +752,11 @@ def _check_covflow_order() -> CheckResult:
 
 
 def _check_cutoff_linearized_decay() -> CheckResult:
-    import scipy.linalg as sla
-
-    from .covflow import drift_matrix as dmat
-    from .cutoff import oscillating_sum
-
     worst_final = 0.0
     for name in ("lin1d_real", "lin1d_critical", "lin2d_rot"):
         spec = corpus_spec(name)
         sd = spectral_data(spec, np.full(2 * spec.dim, 0.5))
-        A = dmat(spec, np.zeros(spec.dim))
+        A = drift_matrix(spec, np.zeros(spec.dim))
         x = sd.expansion_point
         errs = []
         for t in (20.0, 40.0, 80.0):
@@ -775,17 +787,13 @@ def _check_cutoff_profile_cauchy() -> CheckResult:
 
 
 def _check_jordan_robustness() -> CheckResult:
-    from .covflow import drift_matrix as dmat
-
     rng = np.random.default_rng(30)
     for name in ("lin1d_real", "lin1d_complex", "lin2d_rot"):
         spec = corpus_spec(name)
         sd = spectral_data(spec, np.full(2 * spec.dim, 0.5))
-        A = dmat(spec, np.zeros(spec.dim))
+        A = drift_matrix(spec, np.zeros(spec.dim))
         for _ in range(3):
             E = rng.standard_normal(A.shape) * 1e-12
-            from .cutoff import jordan_chains
-
             chains, _ = jordan_chains(A + E)
             eta2 = min(-c.eigenvalue.real for c in chains)
             if abs(eta2 - sd.eta) > 1e-8:
@@ -810,14 +818,10 @@ def _check_coupling_and_seed() -> CheckResult:
 
 
 def _check_weak_order() -> CheckResult:
-    import scipy.linalg as sla
-
-    from .covflow import drift_matrix as dmat
-
     # small noise level keeps the Monte Carlo floor below the finest-step bias
     spec = corpus_spec("lin1d_complex", epsilon=1e-6)
     x0 = np.array([0.8, 0.0])
-    A = dmat(spec, np.zeros(1))
+    A = drift_matrix(spec, np.zeros(1))
     ref = sla.expm(A * 1.0) @ x0
     rates = {}
     for scheme in ("euler_maruyama", "baoab"):
@@ -838,8 +842,6 @@ def _check_weak_order() -> CheckResult:
 
 
 def _check_gibbs_stationarity() -> CheckResult:
-    from scipy.stats import chi2_contingency
-
     spec = corpus_spec("quartic", epsilon=0.05)
     n = 40000
     batch = integrate_sde(spec, np.array([0.3, 0.0]), 25.0, 0.01, n, seed=9, scheme="baoab",
@@ -921,8 +923,6 @@ def verify_suite(cfg: Optional[ExperimentConfig] = None, out_dir: Optional[str] 
     Check failures are report entries, not exceptions.  Returns a manifest
     whose summary lists each check with its pass flag and margin.
     """
-    import tempfile
-
     out = out_dir or (cfg.out_dir if cfg else "langmix_verify")
     manifest = RunManifest(
         config_hash=cfg.config_hash if cfg else "builtin",

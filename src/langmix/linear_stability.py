@@ -182,7 +182,6 @@ def make_spec(
     epsilon: float,
     alpha: float,
     beta: float,
-    theta_exp: float = 0.25,
 ) -> ModelSpec:
     """Assemble a ModelSpec with lam, kappa0, kappa derived from (alpha, beta, gamma)."""
     lam = select_lambda(alpha, beta, gamma)
@@ -196,7 +195,6 @@ def make_spec(
         lam=lam,
         kappa0=k0,
         kappa=k0**2,
-        theta_exp=theta_exp,
     )
 
 
@@ -233,7 +231,8 @@ class FlowPath:
     states: np.ndarray  # (n_times, 2d)
 
 
-_BLOWUP = 1e12
+#: state norm beyond which a path counts as diverged
+BLOWUP = 1e12
 
 
 def _flow_rhs(force: ForceField, gamma: float, x: np.ndarray) -> np.ndarray:
@@ -271,7 +270,7 @@ def flow_zero_noise(
     states = [x.copy()]
     for k in range(1, n_steps + 1):
         x = rk4_step(f, x, dt)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _BLOWUP:
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > BLOWUP:
             raise DivergenceError("zero-noise flow diverged", t=k * dt, last_state=states[-1])
         if k % store_every == 0:
             grid.append(k * dt)

@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     StabilityError,
 )
-from .model import ModelSpec, sample_ball
+from .model import ModelSpec, drift_matrix, noise_matrix, sample_ball
 
 log = logging.getLogger(__name__)
 
@@ -253,12 +253,6 @@ def gamma_matrix(A) -> DriftMetric:
     return DriftMetric(gamma_matrix=sol.X, xi=xi, solution=sol)
 
 
-def drift_matrix_at_zero(spec: ModelSpec) -> np.ndarray:
-    from .covflow import drift_matrix
-
-    return drift_matrix(spec, np.zeros(spec.dim))
-
-
 _cache_lock = threading.Lock()
 _spec_cache: "weakref.WeakKeyDictionary[ModelSpec, dict]" = weakref.WeakKeyDictionary()
 
@@ -279,7 +273,7 @@ def sigma_matrix(spec: ModelSpec) -> np.ndarray:
     with _cache_lock:
         if "sigma" in cache:
             return cache["sigma"]
-    A = drift_matrix_at_zero(spec)
+    A = drift_matrix(spec, np.zeros(spec.dim))
     d = spec.dim
     DF0 = np.asarray(spec.force.eval_DF(np.zeros(d)), dtype=float).reshape(d, d)
     if np.any(np.linalg.eigvals(DF0).real <= 0):
@@ -287,9 +281,7 @@ def sigma_matrix(spec: ModelSpec) -> np.ndarray:
             "DF(0) has an eigenvalue with non-positive real part; "
             "the model fails the linear stability verdict at the origin"
         )
-    J = np.zeros((2 * d, 2 * d))
-    J[d:, d:] = np.eye(d)
-    sol = solve_lyapunov_stable(A, J, orientation="right")
+    sol = solve_lyapunov_stable(A, noise_matrix(d), orientation="right")
     with _cache_lock:
         cache["sigma"] = sol.X
         cache["sigma_solution"] = sol
@@ -306,7 +298,7 @@ def drift_metric(spec: ModelSpec) -> DriftMetric:
     with _cache_lock:
         if "drift_metric" in cache:
             return cache["drift_metric"]
-    dm = gamma_matrix(drift_matrix_at_zero(spec))
+    dm = gamma_matrix(drift_matrix(spec, np.zeros(spec.dim)))
     with _cache_lock:
         cache["drift_metric"] = dm
     return dm
@@ -326,11 +318,9 @@ def drift_metric_delta(
     (A(q) - A)^T Gamma + Gamma (A(q) - A) has operator norm at most 1/2.  The
     result is stored on the spec as delta_nbhd.  Failure even at 1e-8 raises.
     """
-    from .covflow import drift_matrix
-
     dm = drift_metric(spec)
     G = dm.gamma_matrix
-    A0 = drift_matrix_at_zero(spec)
+    A0 = drift_matrix(spec, np.zeros(spec.dim))
     dirs = sample_ball(spec.dim, 1.0, n_directions + 1)[1:]
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = dirs / np.maximum(norms, 1e-300)
@@ -368,8 +358,6 @@ def drift_metric_delta(
 
 def _spot_check_drift(spec: ModelSpec, delta: float, dm: DriftMetric, n: int = 16):
     """Spot-verify 2 <y, Gamma A(q) y> <= -(xi/2) <y, Gamma y> at |q| = delta."""
-    from .covflow import drift_matrix
-
     rng = np.random.default_rng(7)
     G, xi = dm.gamma_matrix, dm.xi
     for _ in range(n):

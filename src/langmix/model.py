@@ -107,8 +107,7 @@ class ModelSpec:
 
     lam is the exponential decay rate of the Lyapunov function; kappa0 the
     norm-equivalence constant; kappa = kappa0**2 the stability constant;
-    delta_nbhd the drift-metric radius (None until computed); theta_exp the
-    time-horizon exponent in (0, 1/3).
+    delta_nbhd the drift-metric radius (None until computed).
     """
 
     force: ForceField
@@ -120,7 +119,6 @@ class ModelSpec:
     kappa0: float
     kappa: float
     delta_nbhd: Optional[float] = None
-    theta_exp: float = 0.25
 
     def __post_init__(self):
         g, a, b, lam = self.gamma, self.alpha, self.beta, self.lam
@@ -132,8 +130,6 @@ class ModelSpec:
             raise ParameterError("coercivity alpha must be positive")
         if not (0.0 < b < g):
             raise ParameterError("beta must lie strictly inside (0, gamma)")
-        if not (0.0 < self.theta_exp < 1.0 / 3.0):
-            raise ParameterError("theta_exp must lie strictly inside (0, 1/3)")
         if lam <= 0 or lam >= g:
             raise ParameterError("lam must lie in (0, gamma)")
         ok = (
@@ -147,6 +143,25 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         return self.force.dim
+
+
+def drift_matrix(spec: ModelSpec, q) -> np.ndarray:
+    """Linearization A(q) = [[0, I], [-DF(q), -gamma I]] of the flow at position q."""
+    d = spec.dim
+    q = np.asarray(q, dtype=float)
+    DF = np.asarray(spec.force.eval_DF(q), dtype=float).reshape(d, d)
+    A = np.zeros((2 * d, 2 * d))
+    A[:d, d:] = np.eye(d)
+    A[d:, :d] = -DF
+    A[d:, d:] = -spec.gamma * np.eye(d)
+    return A
+
+
+def noise_matrix(dim: int) -> np.ndarray:
+    """Momentum-block diffusion matrix J = diag(0, I)."""
+    J = np.zeros((2 * dim, 2 * dim))
+    J[dim:, dim:] = np.eye(dim)
+    return J
 
 
 def make_linear_force(M) -> ForceField:

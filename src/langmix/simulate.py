@@ -1,9 +1,11 @@
 """Stochastic simulation of the noisy dynamics and its Gaussian surrogate.
 
-Ensembles are integrated in fixed blocks of paths, each block drawing its
-noise from a counter-based generator keyed by (seed, block index), so results
-are bitwise reproducible and independent of how blocks are scheduled.  Noise
-enters the momentum equation only.
+Every ensemble (the noisy process X, the Gaussian fluctuation Y, the coupled
+X/Y/Z run and the Pinsker bound) runs through one kernel, _run_ensemble.  It
+integrates fixed blocks of paths, each block drawing its noise from a
+counter-based generator keyed by (seed, block index), so results are bitwise
+reproducible and independent of how blocks are scheduled.  Noise enters the
+momentum equation only.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.spatial import cKDTree
 
-from .covflow import drift_matrix
 from .errors import MethodError, ParameterError
-from .linear_stability import flow_zero_noise, lyapunov_H
-from .model import ModelSpec
+from .gaussian_tv import Gaussian, tv_gaussian
+from .linear_stability import BLOWUP, flow_zero_noise, lyapunov_H
+from .model import ModelSpec, drift_matrix, noise_matrix
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +63,110 @@ class TrajectoryBatch:
     coupled: Optional[dict] = None
 
 
-_BLOWUP = 1e12
+def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, guard=False):
+    """The one Monte Carlo loop: n_paths paths, n_steps steps, BLOCK paths at a time.
+
+    start(m) gives the state of m paths as a tuple of arrays with m rows, and
+    step(k, state, xi) advances it over step k with xi = _block_normals(...,
+    width).  At the i-th index of store_idx (ascending, starting at 0) each
+    state[j] with j < len(outs) is written to outs[j][rows, i].  With guard,
+    state starts with (q, p), and paths that turn non-finite or leave the
+    ball of radius BLOWUP are zeroed there.  Returns the mask of paths that
+    never did.
+    """
+    alive = np.ones(n_paths, dtype=bool)
+    for b in range((n_paths + BLOCK - 1) // BLOCK):
+        lo, hi = b * BLOCK, min((b + 1) * BLOCK, n_paths)
+        m = hi - lo
+        rng = _block_rng(seed, b)
+        state = start(m)
+        for out, a in zip(outs, state):
+            out[lo:hi, 0] = a
+        si = 1
+        for k in range(1, n_steps + 1):
+            state = step(k, state, _block_normals(rng, m, width))
+            if guard:
+                q, p = state[0], state[1]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    bad = ~(
+                        np.all(np.isfinite(q), axis=1)
+                        & np.all(np.isfinite(p), axis=1)
+                        & (np.sum(q * q, axis=1) + np.sum(p * p, axis=1) < BLOWUP**2)
+                    )
+                if np.any(bad):
+                    alive[lo:hi] &= ~bad
+                    q[bad] = 0.0
+                    p[bad] = 0.0
+            if si < len(store_idx) and k == store_idx[si]:
+                for out, a in zip(outs, state):
+                    out[lo:hi, si] = a
+                si += 1
+    return alive
+
+
+def _langevin_step(spec: ModelSpec, dt: float, scheme: str):
+    """One step (q, p) -> (q, p) of the noisy dynamics, driven by d standard normals."""
+    F = spec.force.eval_F
+    g = spec.gamma
+    eps = spec.epsilon
+    h = 0.5 * dt
+    if scheme == "baoab":
+        c_ou = math.exp(-g * dt)
+        sig_ou = math.sqrt(max(eps / g * (1.0 - c_ou**2), 0.0))
+
+        def step(k, s, xi):
+            q, p = s
+            p = p - h * np.asarray(F(q), dtype=float)
+            q = q + h * p
+            p = c_ou * p + sig_ou * xi
+            q = q + h * p
+            p = p - h * np.asarray(F(q), dtype=float)
+            return q, p
+
+        return step
+
+    sqrt2eps_dt = math.sqrt(2.0 * eps * dt)
+
+    def step(k, s, xi):
+        q, p = s
+        dp = dt * (-np.asarray(F(q), dtype=float) - g * p) + sqrt2eps_dt * xi
+        return q + dt * p, p + dp
+
+    return step
+
+
+def _fluctuation_step(spec: ModelSpec, ode_states: np.ndarray, dt: float, method: str):
+    """One step (y,) -> (y,) of dY = A(q_t) Y dt + J dB along the zero-noise path.
+
+    Returns the step and the number of normals it consumes per path.
+    """
+    d = spec.dim
+    n_steps = len(ode_states) - 1
+    if method == "em":
+        A_list = [drift_matrix(spec, ode_states[k][:d]) for k in range(n_steps)]
+        sqrt_dt = math.sqrt(dt)
+
+        def step(k, s, xi):
+            dy = dt * (s[0] @ A_list[k - 1].T)
+            dy[:, d:] += sqrt_dt * xi
+            return (s[0] + dy,)
+
+        return step, d
+
+    J = noise_matrix(d)
+    if spec.force.kind == "linear":
+        steps = [_vanloan_step_noise(drift_matrix(spec, ode_states[0][:d]), dt, J)] * n_steps
+    else:
+        steps = [
+            _vanloan_step_noise(drift_matrix(spec, ode_states[k][:d]), dt, J)
+            for k in range(n_steps)
+        ]
+
+    def step(k, s, xi):
+        E, L = steps[k - 1]
+        return (s[0] @ E.T + xi @ L.T,)
+
+    return step, 2 * d
 
 
 def integrate_sde(
@@ -83,7 +188,8 @@ def integrate_sde(
     integrators of the zero-noise flow at their respective orders.  Paths that
     leave [-1e12, 1e12] or produce non-finite values are excluded and counted.
     With couple_fluctuation (Euler-Maruyama only) the Gaussian fluctuation Y
-    and the surrogate Z share the Brownian increments of the main ensemble.
+    and the surrogate Z share the Brownian increments of the main ensemble;
+    Y is then exactly integrate_fluctuation(..., method="em") for the same seed.
     """
     if scheme not in ("euler_maruyama", "baoab"):
         raise ParameterError(f"unknown scheme {scheme!r}")
@@ -103,83 +209,34 @@ def integrate_sde(
         store_idx = np.unique(np.concatenate([[0], np.asarray(store_indices, dtype=int)]))
         if store_idx[0] < 0 or store_idx[-1] > n_steps:
             raise ParameterError("store_indices must lie in [0, n_steps]")
-    grid = store_idx * dt
-    n_stored = len(store_idx)
 
-    ode_path = None
-    A_ode = None
+    def start(m):
+        return np.tile(x0[:d], (m, 1)), np.tile(x0[d:], (m, 1))
+
+    step = _langevin_step(spec, dt, scheme)
+    states = np.empty((n_paths, len(store_idx), 2 * d))
+    outs = (states[:, :, :d], states[:, :, d:])
     if couple_fluctuation:
-        ode = flow_zero_noise(spec, x0, t_end, dt)
-        ode_path = ode.states  # (n_steps+1, 2d)
-        A_ode = [drift_matrix(spec, ode_path[k][:d]) for k in range(n_steps + 1)]
+        ode_path = flow_zero_noise(spec, x0, t_end, dt).states
+        x_start, x_step = start, step
+        y_step, _ = _fluctuation_step(spec, ode_path, dt, "em")
+        y_states = np.empty_like(states)
+        outs += (y_states,)
 
-    F = spec.force.eval_F
-    g = spec.gamma
-    c_ou = math.exp(-g * dt)
-    sig_ou = math.sqrt(max(eps / g * (1.0 - c_ou**2), 0.0))
-    sqrt2eps_dt = math.sqrt(2.0 * eps * dt)
+        def start(m):
+            return x_start(m) + (np.zeros((m, 2 * d)),)
 
-    states = np.empty((n_paths, n_stored, 2 * d))
-    y_states = np.empty((n_paths, n_stored, 2 * d)) if couple_fluctuation else None
-    alive_all = np.ones(n_paths, dtype=bool)
+        def step(k, s, xi):
+            return x_step(k, s[:2], xi) + y_step(k, s[2:], xi)
 
-    n_blocks = (n_paths + BLOCK - 1) // BLOCK
-    for b in range(n_blocks):
-        lo, hi = b * BLOCK, min((b + 1) * BLOCK, n_paths)
-        m = hi - lo
-        rng = _block_rng(seed, b)
-        q = np.tile(x0[:d], (m, 1))
-        p = np.tile(x0[d:], (m, 1))
-        y = np.zeros((m, 2 * d)) if couple_fluctuation else None
-        alive = np.ones(m, dtype=bool)
-        states[lo:hi, 0, :d] = q
-        states[lo:hi, 0, d:] = p
-        if couple_fluctuation:
-            y_states[lo:hi, 0] = 0.0
-        si = 1
-        for k in range(1, n_steps + 1):
-            xi = _block_normals(rng, m, d)
-            if scheme == "baoab":
-                p = p - (0.5 * dt) * np.asarray(F(q), dtype=float)
-                q = q + (0.5 * dt) * p
-                p = c_ou * p + sig_ou * xi
-                q = q + (0.5 * dt) * p
-                p = p - (0.5 * dt) * np.asarray(F(q), dtype=float)
-            else:
-                fq = np.asarray(F(q), dtype=float)
-                dq = dt * p
-                dp = dt * (-fq - g * p) + sqrt2eps_dt * xi
-                if couple_fluctuation:
-                    A = A_ode[k - 1]
-                    dy = dt * (y @ A.T)
-                    dy[:, d:] += math.sqrt(dt) * xi
-                    y = y + dy
-                q = q + dq
-                p = p + dp
-            with np.errstate(over="ignore", invalid="ignore"):
-                bad = ~(
-                    np.all(np.isfinite(q), axis=1)
-                    & np.all(np.isfinite(p), axis=1)
-                    & (np.sum(q * q, axis=1) + np.sum(p * p, axis=1) < _BLOWUP**2)
-                )
-            if np.any(bad):
-                alive &= ~bad
-                q[bad] = 0.0
-                p[bad] = 0.0
-            if si < n_stored and k == store_idx[si]:
-                states[lo:hi, si, :d] = q
-                states[lo:hi, si, d:] = p
-                if couple_fluctuation:
-                    y_states[lo:hi, si] = y
-                si += 1
-        alive_all[lo:hi] = alive
+    alive = _run_ensemble(n_paths, seed, n_steps, d, start, step, store_idx, outs, guard=True)
 
-    excluded = int(np.sum(~alive_all))
+    excluded = int(np.sum(~alive))
     if excluded:
         log.warning("excluded %d exploded paths out of %d", excluded, n_paths)
-        states = states[alive_all]
+        states = states[alive]
         if couple_fluctuation:
-            y_states = y_states[alive_all]
+            y_states = y_states[alive]
 
     coupled = None
     if couple_fluctuation:
@@ -187,7 +244,7 @@ def integrate_sde(
         z = ode_stored[None, :, :] + math.sqrt(2.0 * eps) * y_states
         coupled = {"ode": ode_stored, "Y": y_states, "Z": z}
     return TrajectoryBatch(
-        grid=grid,
+        grid=store_idx * dt,
         states=states,
         seed=seed,
         scheme=scheme,
@@ -242,49 +299,13 @@ def integrate_fluctuation(
     ode = flow_zero_noise(spec, x0, t_end, dt)
     n_steps = len(ode.grid) - 1
     store_idx = np.arange(0, n_steps + 1, store_every)
-    grid = store_idx * dt
-    n_stored = len(store_idx)
-    J = np.zeros((2 * d, 2 * d))
-    J[d:, d:] = np.eye(d)
-
-    constant_A = spec.force.kind == "linear"
-    if method == "exact":
-        if constant_A:
-            E0, L0 = _vanloan_step_noise(drift_matrix(spec, ode.states[0][:d]), dt, J)
-            steps = [(E0, L0)] * n_steps
-        else:
-            steps = [
-                _vanloan_step_noise(drift_matrix(spec, ode.states[k][:d]), dt, J)
-                for k in range(n_steps)
-            ]
-    else:
-        A_list = [drift_matrix(spec, ode.states[k][:d]) for k in range(n_steps)]
-
-    states = np.empty((n_paths, n_stored, 2 * d))
-    n_blocks = (n_paths + BLOCK - 1) // BLOCK
-    sqrt_dt = math.sqrt(dt)
-    for b in range(n_blocks):
-        lo, hi = b * BLOCK, min((b + 1) * BLOCK, n_paths)
-        m = hi - lo
-        rng = _block_rng(seed, b)
-        y = np.zeros((m, 2 * d))
-        states[lo:hi, 0] = 0.0
-        si = 1
-        for k in range(1, n_steps + 1):
-            if method == "exact":
-                E, L = steps[k - 1]
-                xi = _block_normals(rng, m, 2 * d)
-                y = y @ E.T + xi @ L.T
-            else:
-                xi = _block_normals(rng, m, d)
-                dy = dt * (y @ A_list[k - 1].T)
-                dy[:, d:] += sqrt_dt * xi
-                y = y + dy
-            if si < n_stored and k == store_idx[si]:
-                states[lo:hi, si] = y
-                si += 1
+    step, width = _fluctuation_step(spec, ode.states, dt, method)
+    states = np.empty((n_paths, len(store_idx), 2 * d))
+    _run_ensemble(
+        n_paths, seed, n_steps, width, lambda m: (np.zeros((m, 2 * d)),), step, store_idx, (states,)
+    )
     return TrajectoryBatch(
-        grid=grid,
+        grid=store_idx * dt,
         states=states,
         seed=seed,
         scheme=f"fluctuation_{method}",
@@ -376,8 +397,6 @@ def empirical_tv(
     if method != "gaussian_momentmatch":
         raise MethodError(f"unknown method {method!r}")
 
-    from .gaussian_tv import Gaussian, tv_gaussian
-
     def fit_tv(a: np.ndarray, b: np.ndarray) -> float:
         ga = Gaussian(mean=a.mean(axis=0), cov=np.atleast_2d(np.cov(a, rowvar=False)))
         gb = Gaussian(mean=b.mean(axis=0), cov=np.atleast_2d(np.cov(b, rowvar=False)))
@@ -410,13 +429,13 @@ def pinsker_kl_bound(
     dt: float,
     n_paths: int,
     seed: int,
-    scheme: str = "euler_maruyama",
 ) -> float:
     """Monte Carlo KL-type bound whose square root dominates d_TV(X_t, Z_t).
 
     Estimates (1 / 2 eps) int_0^t E |F(q_s^eps) - F(q_s) - DF(q_s)(q_s^eps - q_s)|^2 ds
-    by trapezoidal accumulation along simulated paths against the
-    deterministic position path.  Identically zero for linear forces.
+    by trapezoidal accumulation against the deterministic position path,
+    along the Euler-Maruyama ensemble that integrate_sde runs for the same
+    seed.  Identically zero for linear forces.
     """
     if spec.epsilon <= 0:
         raise ParameterError("the bound needs a positive noise level")
@@ -429,33 +448,24 @@ def pinsker_kl_bound(
     DF_det = np.asarray(spec.force.eval_DF(q_det), dtype=float).reshape(-1, d, d)
     n_steps = len(ode.grid) - 1
 
-    g = spec.gamma
-    eps = spec.epsilon
-    sqrt2eps_dt = math.sqrt(2.0 * eps * dt)
-    total = 0.0
-    n_blocks = (n_paths + BLOCK - 1) // BLOCK
-    for b in range(n_blocks):
-        lo, hi = b * BLOCK, min((b + 1) * BLOCK, n_paths)
-        m = hi - lo
-        rng = _block_rng(seed, b)
+    def integrand(k, q):
+        lin = f_det[k] + np.einsum("ij,nj->ni", DF_det[k], q - q_det[k])
+        rem = np.asarray(F(q), dtype=float) - lin
+        return np.sum(rem * rem, axis=1)
+
+    # state: (trapezoid sum, q, p, integrand at the last step)
+    x_step = _langevin_step(spec, dt, "euler_maruyama")
+
+    def start(m):
         q = np.tile(x0[:d], (m, 1))
-        p = np.tile(x0[d:], (m, 1))
-        acc = np.zeros(m)
+        return np.zeros(m), q, np.tile(x0[d:], (m, 1)), integrand(0, q)
 
-        def integrand(k, qq):
-            diff = qq - q_det[k]
-            lin = f_det[k] + np.einsum("ij,nj->ni", DF_det[k], diff)
-            rem = np.asarray(F(qq), dtype=float) - lin
-            return np.sum(rem * rem, axis=1)
+    def step(k, s, xi):
+        q, p = x_step(k, s[1:3], xi)
+        cur = integrand(k, q)
+        return s[0] + 0.5 * dt * (s[3] + cur), q, p, cur
 
-        prev = integrand(0, q)
-        for k in range(1, n_steps + 1):
-            xi = _block_normals(rng, m, d)
-            fq = np.asarray(F(q), dtype=float)
-            q = q + dt * p
-            p = p + dt * (-fq - g * p) + sqrt2eps_dt * xi
-            cur = integrand(k, q)
-            acc += 0.5 * dt * (prev + cur)
-            prev = cur
-        total += float(np.sum(acc))
-    return total / n_paths / (2.0 * eps)
+    store_idx = np.unique([0, n_steps])
+    acc = np.empty((n_paths, len(store_idx)))
+    _run_ensemble(n_paths, seed, n_steps, d, start, step, store_idx, (acc,))
+    return float(np.sum(acc[:, -1])) / n_paths / (2.0 * spec.epsilon)

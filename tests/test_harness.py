@@ -46,9 +46,10 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="unknown config keys"):
             validate_config(minimal_config(tmp_path, bogus=1))
 
-    def test_unknown_model_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["surprise", "theta_exp"])
+    def test_unknown_model_key_rejected(self, tmp_path, key):
         raw = minimal_config(tmp_path)
-        raw["model"]["surprise"] = True
+        raw["model"][key] = True if key == "surprise" else 0.25
         with pytest.raises(ParameterError, match="unknown model keys"):
             validate_config(raw)
 
@@ -101,8 +102,15 @@ class TestCutoffPipeline:
         raw["model"]["alpha"] = 0.3
         raw["model"]["beta"] = 0.9
         raw["x0"] = [[0.5, 0.2, 0.0, 0.0]]
+        cfg = validate_config(raw)
         with pytest.raises(StabilityError, match="stability"):
-            run_cutoff_experiment(validate_config(raw))
+            run_cutoff_experiment(cfg)
+        # the refused run still leaves a truthful manifest
+        data = json.loads(open(os.path.join(cfg.out_dir, "run_manifest.json")).read())
+        assert data["status"] == "failed"
+        assert data["passed"] is False
+        assert data["summary"]["error"]["type"] == "StabilityError"
+        assert "stability" in data["summary"]["error"]["message"]
 
     def test_deterministic_bytes(self, tmp_path):
         raw1 = minimal_config(tmp_path, out_dir=str(tmp_path / "a"))

@@ -11,6 +11,7 @@ from langmix.linear_stability import flow_zero_noise, make_spec
 from langmix.matrix_eq import lyapunov_quadrature, sigma_matrix
 from langmix.model import make_linear_force
 from langmix.simulate import (
+    BLOCK,
     empirical_tv,
     exp_moment_bound,
     integrate_fluctuation,
@@ -77,12 +78,23 @@ class TestIntegrateSde:
         b = integrate_sde(spec, np.zeros(2), 0.5, 0.01, 100, seed=2, store_every=50)
         assert not np.array_equal(a.states, b.states)
 
-    def test_path_count_invariance_of_streams(self):
-        # the first 100 paths are identical whether 100 or 5000 paths are run
+    @pytest.mark.parametrize(
+        "run, kw",
+        [
+            (integrate_sde, dict(scheme="baoab")),
+            (integrate_sde, dict(scheme="euler_maruyama")),
+            (integrate_fluctuation, dict(method="exact")),
+            (integrate_fluctuation, dict(method="em")),
+        ],
+        ids=["sde_baoab", "sde_em", "fluctuation_exact", "fluctuation_em"],
+    )
+    def test_path_count_invariance_of_streams(self, run, kw):
+        # the first 100 paths are identical whether 100 paths are run or
+        # enough to cross into a second noise block
         spec = spec_with_eps("lin1d_complex", 0.02)
-        kw = dict(t_end=0.5, dt=0.01, seed=5, scheme="euler_maruyama", store_every=50)
-        small = integrate_sde(spec, np.zeros(2), n_paths=100, **kw)
-        big = integrate_sde(spec, np.zeros(2), n_paths=5000, **kw)
+        kw = dict(kw, t_end=0.5, dt=0.01, seed=5, store_every=50)
+        small = run(spec, np.zeros(2), n_paths=100, **kw)
+        big = run(spec, np.zeros(2), n_paths=BLOCK + 100, **kw)
         assert np.array_equal(small.states, big.states[:100])
 
     def test_coupling_identity_and_restrictions(self):
@@ -92,6 +104,10 @@ class TestIntegrateSde:
         z = b.coupled["Z"]
         recon = b.coupled["ode"][None, :, :] + math.sqrt(2 * spec.epsilon) * b.coupled["Y"]
         assert np.abs(z - recon).max() == 0.0
+        # the coupled Y is the Euler-Maruyama fluctuation on the same stream
+        y = integrate_fluctuation(spec, np.array([0.4, 0.1]), 1.0, 0.005, 300, seed=4,
+                                  method="em", store_every=50)
+        assert np.array_equal(b.coupled["Y"], y.states)
         with pytest.raises(ParameterError):
             integrate_sde(spec, np.zeros(2), 1.0, 0.005, 10, seed=4, scheme="baoab",
                           couple_fluctuation=True)
