@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import erf
@@ -28,6 +27,11 @@ from .model import ModelSpec, drift_matrix
 RANK_TOL = 1e-8
 #: relative threshold below which an expansion coefficient is dropped
 COEFF_TOL = 1e-10
+#: RK4 step of the zero-noise flow searched for the linearization-ball entry
+FLOW_DT = 1e-3
+#: scan length and relative oscillation tolerance of the profile limit r
+PROFILE_HORIZON = 200.0
+PROFILE_TOL = 1e-6
 
 
 @dataclass
@@ -40,11 +44,11 @@ class JordanChain:
         return self.vectors.shape[0]
 
 
-def _orthonormal_kernel(B: np.ndarray, rank_tol: float):
+def _orthonormal_kernel(B: np.ndarray):
     """Orthonormal kernel basis of B and a flag for ambiguous rank decisions."""
     u, s, vh = np.linalg.svd(B)
     smax = s[0] if s.size else 0.0
-    thresh = rank_tol * max(smax, 1.0)
+    thresh = RANK_TOL * max(smax, 1.0)
     rank = int(np.sum(s > thresh))
     ambiguous = bool(np.any((s > thresh / 10.0) & (s <= thresh * 10.0) & (s != 0)))
     return vh[rank:].conj().T, ambiguous
@@ -68,7 +72,7 @@ def _cluster_eigenvalues(eigs: np.ndarray, tol: float):
     return clusters
 
 
-def jordan_chains(A: np.ndarray, rank_tol: float = RANK_TOL):
+def jordan_chains(A: np.ndarray):
     """Numerical Jordan chains of A via staircase rank decisions.
 
     Returns (chains, flagged).  Chains use the convention
@@ -80,7 +84,7 @@ def jordan_chains(A: np.ndarray, rank_tol: float = RANK_TOL):
     A = np.asarray(A)
     n = A.shape[0]
     scale = max(1.0, float(np.linalg.norm(A, 2)))
-    tol = rank_tol * scale
+    tol = RANK_TOL * scale
     eigs = np.linalg.eigvals(A)
     centers = _cluster_eigenvalues(eigs, tol * 10)
     flagged = False
@@ -101,7 +105,7 @@ def jordan_chains(A: np.ndarray, rank_tol: float = RANK_TOL):
         while nullities[-1] < mult and p < n:
             p += 1
             Bp = Bp @ B
-            K, amb = _orthonormal_kernel(Bp, rank_tol)
+            K, amb = _orthonormal_kernel(Bp)
             flagged = flagged or amb
             kernels.append(K)
             nullities.append(K.shape[1])
@@ -171,29 +175,22 @@ def _linearization_radius(spec: ModelSpec) -> float:
     return drift_metric_delta(spec)
 
 
-def spectral_data(
-    spec: ModelSpec,
-    x,
-    rho_lin: Optional[float] = None,
-    dt: float = 1e-3,
-    coeff_tol: float = COEFF_TOL,
-    rank_tol: float = RANK_TOL,
-) -> SpectralData:
+def spectral_data(spec: ModelSpec, x) -> SpectralData:
     """Jordan expansion of the starting point and the resulting decay constants.
 
-    The expansion point is x itself when |x| <= rho_lin (tau = 0); otherwise
-    the zero-noise flow is integrated until it first enters that ball and the
-    point one time unit later is expanded, with tau = entry time + 1.
-    Coefficients below coeff_tol * |x| are dropped; eta is the smallest decay
-    rate among the retained chains, nu the largest polynomial order among
-    those at rate eta, and the limiting vectors collect the top Jordan
-    contribution of each retained chain at that rate and order.
+    The expansion point is x itself when |x| <= rho_lin, the drift-metric
+    radius (tau = 0); otherwise the zero-noise flow is integrated until it
+    first enters that ball and the point one time unit later is expanded,
+    with tau = entry time + 1.  Coefficients below COEFF_TOL * |x| are
+    dropped; eta is the smallest decay rate among the retained chains, nu the
+    largest polynomial order among those at rate eta, and the limiting vectors
+    collect the top Jordan contribution of each retained chain at that rate
+    and order.
     """
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0.0:
         raise DomainError("the decay constants are undefined at the equilibrium x = 0")
-    if rho_lin is None:
-        rho_lin = _linearization_radius(spec)
+    rho_lin = _linearization_radius(spec)
 
     if np.linalg.norm(x) <= rho_lin:
         tau = 0.0
@@ -201,7 +198,7 @@ def spectral_data(
     else:
         u0 = float(np.asarray(spec.force.eval_U(x[: spec.dim]))) if spec.force.eval_U else 0.0
         t_guess = math.log(max(spec.kappa * (float(x @ x) + u0) / rho_lin**2, 2.0)) / spec.lam
-        path = flow_zero_noise(spec, x, t_guess + 5.0, dt)
+        path = flow_zero_noise(spec, x, t_guess + 5.0, FLOW_DT)
         norms = np.linalg.norm(path.states, axis=1)
         inside = np.nonzero(norms <= rho_lin)[0]
         if inside.size == 0:
@@ -211,16 +208,16 @@ def spectral_data(
             )
         t_entry = float(path.grid[inside[0]])
         tau = t_entry + 1.0
-        idx = min(int(round(tau / dt)), len(path.grid) - 1)
+        idx = min(int(round(tau / FLOW_DT)), len(path.grid) - 1)
         point = path.states[idx]
 
     A = drift_matrix(spec, np.zeros(spec.dim))
-    chains, flagged = jordan_chains(A, rank_tol=rank_tol)
+    chains, flagged = jordan_chains(A)
     W = np.hstack([ch.vectors.T for ch in chains])
     coeffs = np.linalg.solve(W, point.astype(complex))
 
     offsets = np.cumsum([0] + [ch.length for ch in chains])
-    retained = np.abs(coeffs) > coeff_tol * np.linalg.norm(x)
+    retained = np.abs(coeffs) > COEFF_TOL * np.linalg.norm(x)
     generic = bool(np.all(retained))
 
     # per chain: smallest retained index k (1-based), or None
@@ -234,7 +231,7 @@ def spectral_data(
         raise DomainError("all expansion coefficients fall below threshold; x is numerically 0")
 
     scale = max(1.0, float(np.linalg.norm(A, 2)))
-    re_tol = rank_tol * scale
+    re_tol = RANK_TOL * scale
     rates = {j: -chains[j].eigenvalue.real for j, _ in active}
     eta = min(rates.values())
     dominant = [(j, kmin) for j, kmin in active if rates[j] <= eta + re_tol]
@@ -328,15 +325,13 @@ class ProfileLimit:
     oscillation: float
 
 
-def profile_limit_r(
-    spec: ModelSpec, sd: SpectralData, horizon: float = 200.0, tol: float = 1e-6
-) -> ProfileLimit:
+def profile_limit_r(spec: ModelSpec, sd: SpectralData) -> ProfileLimit:
     """Existence and value of r = lim_t |Sigma^{-1/2} sum_k exp(i theta_k t) v_k|.
 
     When every retained phase vanishes the sum is constant and the limit
     exists exactly; otherwise the norm is scanned on a dense grid and the
     limit is declared to exist when the oscillation of the tail half stays
-    below tol relative to its mean.
+    below PROFILE_TOL relative to its mean.
     """
     sigma = sigma_matrix(spec)
     eigs, vecs = np.linalg.eigh(sigma)
@@ -348,10 +343,10 @@ def profile_limit_r(
 
     max_phase = float(np.max(np.abs(sd.phases)))
     step = min(0.05, 2 * math.pi / (50.0 * max_phase))
-    s = np.arange(0.0, horizon, step)
+    s = np.arange(0.0, PROFILE_HORIZON, step)
     vals = np.linalg.norm(oscillating_sum(sd, s) @ inv_sqrt.T, axis=1)
     tail = vals[len(vals) // 2 :]
     mean = float(np.mean(tail))
     osc = float(np.max(tail) - np.min(tail))
-    exists = osc <= tol * max(mean, 1e-300)
+    exists = osc <= PROFILE_TOL * max(mean, 1e-300)
     return ProfileLimit(exists=bool(exists), r=mean, oscillation=osc)

@@ -68,15 +68,13 @@ _TOP_KEYS = {
     "x0",
     "w_grid",
     "dt",
-    "t_end",
     "horizon",
     "n_paths",
     "seed",
     "mc_curve",
     "out_dir",
-    "tolerances",
 }
-_MODEL_KEYS = {"force", "gamma", "alpha", "beta", "assumption_radius"}
+_MODEL_KEYS = {"force", "gamma", "alpha", "beta"}
 _WGRID_KEYS = {"min", "max", "step"}
 
 
@@ -90,13 +88,11 @@ class ExperimentConfig:
     x0: list
     w_grid: dict
     dt: float
-    t_end: float
     horizon: float
     n_paths: int
     seed: int
     mc_curve: bool
     out_dir: str
-    tolerances: dict
 
     @property
     def config_hash(self) -> str:
@@ -113,7 +109,8 @@ def _expect_type(value, types, name):
 
 def validate_config(raw: dict) -> ExperimentConfig:
     """Strict validation: unknown keys are errors, every epsilon in (0, 1/2),
-    dt > 0, and the seed must be explicit (no wall-clock defaults)."""
+    dt > 0, horizon > 0, n_paths >= 1, a w_grid with min <= max and step > 0,
+    and the seed must be explicit (no wall-clock defaults)."""
     if not isinstance(raw, dict):
         raise ParameterError("config must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
@@ -135,12 +132,20 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if not (0.0 < e < 0.5):
             raise ParameterError(f"every epsilon must lie in (0, 1/2); got {e}")
     w_grid = dict(raw.get("w_grid", {"min": -6.0, "max": 6.0, "step": 0.25}))
-    unknown = set(w_grid) - _WGRID_KEYS
-    if unknown:
-        raise ParameterError(f"unknown w_grid keys: {sorted(unknown)}")
+    if set(w_grid) != _WGRID_KEYS:
+        raise ParameterError(f"w_grid needs exactly the keys max, min, step; got {sorted(w_grid)}")
+    w_grid = {key: float(v) for key, v in w_grid.items()}
+    if not (w_grid["step"] > 0 and w_grid["max"] >= w_grid["min"]):
+        raise ParameterError("w_grid needs step > 0 and max >= min")
     dt = float(raw.get("dt", 0.005))
     if dt <= 0:
         raise ParameterError("dt must be positive")
+    horizon = float(raw.get("horizon", 40.0))
+    if not horizon > 0:
+        raise ParameterError("horizon must be positive")
+    n_paths = int(raw.get("n_paths", 10000))
+    if n_paths < 1:
+        raise ParameterError("n_paths must be at least 1")
     x0 = [list(map(float, v)) for v in raw.get("x0", [])]
     cfg = ExperimentConfig(
         raw=raw,
@@ -149,13 +154,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
         x0=x0,
         w_grid=w_grid,
         dt=dt,
-        t_end=float(raw.get("t_end", 10.0)),
-        horizon=float(raw.get("horizon", 40.0)),
-        n_paths=int(raw.get("n_paths", 10000)),
+        horizon=horizon,
+        n_paths=n_paths,
         seed=int(raw["seed"]),
         mc_curve=bool(raw.get("mc_curve", False)),
         out_dir=str(raw.get("out_dir", "langmix_out")),
-        tolerances=dict(raw.get("tolerances", {})),
     )
     return cfg
 
@@ -265,7 +268,11 @@ def write_csv(path: str, header: list, rows) -> str:
     return path
 
 
-def _gate_stability(spec: ModelSpec, cfg: ExperimentConfig):
+# Radius of the ball on which the coercivity assumption of a nonlinear model is sampled.
+_ASSUMPTION_RADIUS = 3.0
+
+
+def _gate_stability(spec: ModelSpec):
     """Refuse to run cut-off pipelines on unstable models."""
     if spec.force.kind == "linear":
         verdict = classify_linear(spec.force.matrix, spec.gamma)
@@ -275,9 +282,7 @@ def _gate_stability(spec: ModelSpec, cfg: ExperimentConfig):
                 + json.dumps(verdict.to_dict())
             )
         return {"kind": "linear", "verdict": verdict.to_dict()}
-    radius = float(cfg.model.get("assumption_radius", 3.0))
-    tol = float(cfg.tolerances.get("assumption_tol", 1e-9))
-    report = check_assumption_main(spec, radius=radius, n_samples=512, tol=tol)
+    report = check_assumption_main(spec, radius=_ASSUMPTION_RADIUS, n_samples=512)
     if not report.holds_on_samples:
         raise StabilityError(
             f"coercivity assumption failed on samples: worst margin "
@@ -286,7 +291,7 @@ def _gate_stability(spec: ModelSpec, cfg: ExperimentConfig):
     return {
         "kind": "sampled_assumption",
         "worst_margin": report.worst_margin,
-        "radius": radius,
+        "radius": _ASSUMPTION_RADIUS,
     }
 
 
@@ -318,7 +323,7 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
     if not cfg.epsilons or not cfg.x0:
         raise ParameterError("cutoff experiment needs 'epsilons' and 'x0'")
     spec = spec_from_model_config(cfg.model, cfg.epsilons[0])
-    gate = _gate_stability(spec, cfg)
+    gate = _gate_stability(spec)
     sigma = sigma_matrix(spec)
     w = np.arange(cfg.w_grid["min"], cfg.w_grid["max"] + 1e-12, cfg.w_grid["step"])
 
@@ -428,7 +433,7 @@ def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
     cs = []
     for i, eps in enumerate(cfg.epsilons):
         spec = spec_from_model_config(cfg.model, eps)
-        _gate_stability(spec, cfg)
+        _gate_stability(spec)
         sigma = sigma_matrix(spec)
         batch = integrate_sde(
             spec,
@@ -651,21 +656,6 @@ def _check_lyapunov_decay() -> CheckResult:
         if not rep.monotone:
             return CheckResult("linear.lyapunov_decay", False, worst, f"{name} violates")
     return CheckResult("linear.lyapunov_decay", worst <= 1e-7, worst, f"worst rel violation {worst:.2e}")
-
-
-def _check_solver_uniqueness() -> CheckResult:
-    spec = corpus_spec("lin2d_rot")
-    A = drift_matrix(spec, np.zeros(spec.dim))
-    J = noise_matrix(spec.dim)
-    sols = [
-        solve_lyapunov_stable(A, J, orientation="right", ordering=o).X
-        for o in ("none", "ascending_real", "descending_real")
-    ]
-    err = max(
-        np.linalg.norm(sols[0] - s, "fro") / max(np.linalg.norm(sols[0], "fro"), 1e-300)
-        for s in sols[1:]
-    )
-    return CheckResult("matrix_eq.schur_ordering_invariance", err <= 1e-10, err, f"rel err {err:.2e}")
 
 
 def _check_spd_corpus() -> CheckResult:
@@ -940,7 +930,6 @@ def verify_suite(cfg: Optional[ExperimentConfig] = None, out_dir: Optional[str] 
             _check_normal_equivalence,
             _check_sufficiency_oneway,
             _check_lyapunov_decay,
-            _check_solver_uniqueness,
             _check_spd_corpus,
             _check_quadrature_decay,
             _check_tv_triangle,

@@ -86,7 +86,7 @@ class StabilityVerdict:
         }
 
 
-def classify_linear(M, gamma: float, band: float = INDETERMINATE_BAND) -> StabilityVerdict:
+def classify_linear(M, gamma: float) -> StabilityVerdict:
     """Stability verdict for the linear force F(q) = M q.
 
     Four criteria are recorded: the parabola region test on Sp(M), the direct
@@ -102,8 +102,8 @@ def classify_linear(M, gamma: float, band: float = INDETERMINATE_BAND) -> Stabil
     spec_TM = np.linalg.eigvals(TM)
     spec_M = np.linalg.eigvals(M)
 
-    tol_tm = band * max(1.0, np.linalg.norm(TM, 2))
-    tol_m = band * max(1.0, np.linalg.norm(M, 2))
+    tol_tm = INDETERMINATE_BAND * max(1.0, np.linalg.norm(TM, 2))
+    tol_m = INDETERMINATE_BAND * max(1.0, np.linalg.norm(M, 2))
 
     re = spec_TM.real
     indeterminate = bool(np.any(np.abs(re) < tol_tm))
@@ -233,6 +233,8 @@ class FlowPath:
 
 #: state norm beyond which a path counts as diverged
 BLOWUP = 1e12
+#: relative tolerance on increments of exp(lam t) H(X_t) in the decay certificate
+DECAY_TOL = 1e-8
 
 
 def _flow_rhs(force: ForceField, gamma: float, x: np.ndarray) -> np.ndarray:
@@ -251,9 +253,7 @@ def rk4_step(f, x, dt):
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def flow_zero_noise(
-    spec: ModelSpec, x0, t_end: float, dt: float, store_every: int = 1
-) -> FlowPath:
+def flow_zero_noise(spec: ModelSpec, x0, t_end: float, dt: float) -> FlowPath:
     """Classical fourth-order integration of the zero-noise flow.
 
     Fixed step; accuracy is checked in the tests by step halving (16x error
@@ -272,9 +272,8 @@ def flow_zero_noise(
         x = rk4_step(f, x, dt)
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > BLOWUP:
             raise DivergenceError("zero-noise flow diverged", t=k * dt, last_state=states[-1])
-        if k % store_every == 0:
-            grid.append(k * dt)
-            states.append(x.copy())
+        grid.append(k * dt)
+        states.append(x.copy())
     return FlowPath(grid=np.asarray(grid), states=np.asarray(states))
 
 
@@ -289,11 +288,7 @@ class StabilityCertificateReport:
 
 
 def verify_exponential_stability(
-    spec: ModelSpec,
-    x0,
-    t_end: float,
-    dt: float = 1e-3,
-    tol: float = 1e-8,
+    spec: ModelSpec, x0, t_end: float, dt: float = 1e-3
 ) -> StabilityCertificateReport:
     """Check that exp(lam t) H(X_t) is non-increasing along the flow.
 
@@ -312,7 +307,7 @@ def verify_exponential_stability(
     h0 = float(h[0])
     increments = np.diff(g)
     max_violation = float(max(0.0, np.max(increments, initial=0.0)))
-    monotone = max_violation <= tol * max(h0, 1e-300)
+    monotone = max_violation <= DECAY_TOL * max(h0, 1e-300)
 
     q0 = x0[: spec.dim]
     u0 = float(np.asarray(spec.force.eval_U(q0)))

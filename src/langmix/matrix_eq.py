@@ -53,78 +53,32 @@ class LyapunovSolution:
         return float(np.linalg.norm(self.X, "fro"))
 
 
-def _schur_solve_left(U: np.ndarray, W: np.ndarray, ordering: str) -> np.ndarray:
-    """Bartels-Stewart: U^T X + X U = -W via complex Schur back-substitution."""
-    n = U.shape[0]
-    sort = None
-    if ordering in ("ascending_real", "descending_real"):
-        median_re = float(np.median(np.linalg.eigvals(U).real))
-        if ordering == "ascending_real":
-            sort = lambda z: z.real < median_re
-        else:
-            sort = lambda z: z.real > median_re
-    if sort is None:
-        T, Q = sla.schur(U.astype(complex), output="complex")
-    else:
-        T, Q, _ = sla.schur(U.astype(complex), output="complex", sort=sort)
-    Wt = Q.conj().T @ W.astype(complex) @ Q
-    Xt = np.zeros((n, n), dtype=complex)
-    L = T.conj().T  # lower triangular
-    for j in range(n):
-        rhs = -Wt[:, j]
-        if j > 0:
-            rhs = rhs - Xt[:, :j] @ T[:j, j]
-        A = L + T[j, j] * np.eye(n)
-        Xt[:, j] = sla.solve_triangular(A, rhs, lower=True)
-    X = Q @ Xt @ Q.conj().T
-    return X.real
-
-
-def _kron_solve_left(U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Dense Kronecker vectorization of U^T X + X U = -W (column-major vec)."""
-    n = U.shape[0]
-    I = np.eye(n)
-    # vec(A X B) = (B^T kron A) vec(X) with column-major vec.
-    K = np.kron(I, U.T) + np.kron(U.T, I)
-    x = np.linalg.solve(K, -W.reshape(-1, order="F"))
-    return x.reshape((n, n), order="F")
-
-
 def _momentum_forcing_floor(W: np.ndarray) -> float:
-    """Largest a >= 0 with x.Wx >= a |p|^2, p the second half of x (0 if none)."""
+    """Largest a >= 0 with x.Wx >= a |p|^2, p the second half of x (0 if none).
+
+    For W >= 0 this is the smallest eigenvalue of the Schur complement
+    W22 - W12^T W11^+ W12 of the position block; values inside the
+    positive-semidefiniteness tolerance count as 0.
+    """
     n = W.shape[0]
     if n % 2 != 0:
         return 0.0
     d = n // 2
-    P = np.zeros((n, n))
-    P[d:, d:] = np.eye(d)
-    lo, hi = 0.0, float(np.max(np.linalg.eigvalsh(W))) + 1.0
-    if np.min(np.linalg.eigvalsh(W)) < -1e-12 * max(1.0, np.trace(W)):
-        return 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if np.min(np.linalg.eigvalsh(W - mid * P)) >= -1e-13 * max(1.0, np.trace(W)):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    W12 = W[:d, d:]
+    schur = W[d:, d:] - W12.T @ np.linalg.pinv(W[:d, :d], hermitian=True) @ W12
+    floor = float(np.min(np.linalg.eigvalsh(schur)))
+    return floor if floor > 1e-12 * max(1.0, float(np.trace(W))) else 0.0
 
 
-def solve_lyapunov_stable(
-    U,
-    W,
-    orientation: str = "left",
-    method: str = "schur",
-    ordering: str = "none",
-    certify: bool = True,
-) -> LyapunovSolution:
+def solve_lyapunov_stable(U, W, orientation: str = "left") -> LyapunovSolution:
     """Unique solution of the stable Lyapunov equation, symmetrized on output.
 
     orientation "left" solves U^T X + X U = -W, "right" solves
-    U X + X U^T = -W.  All eigenvalues of U must have strictly negative real
-    part (a real part inside the tolerance band raises).  W must be symmetric
-    positive semi-definite.  When certify is set, positive definiteness is
-    certified from the structure (momentum-block forcing floor a > 0 and an
+    U X + X U^T = -W, by Bartels-Stewart (LAPACK trsyl via scipy).  All
+    eigenvalues of U must have strictly negative real part (a real part inside
+    the tolerance band raises).  W must be symmetric positive semi-definite.
+    Positive definiteness is certified from the structure (a positive
+    definite W, or a momentum-block forcing floor a > 0 together with an
     invertible lower-left block of the coefficient matrix); if the block is
     singular a warning is emitted and the solution is still returned.
     """
@@ -137,7 +91,8 @@ def solve_lyapunov_stable(
     if np.linalg.norm(W - W.T, "fro") > 1e-10 * max(1.0, np.linalg.norm(W, "fro")):
         raise ParameterError("W must be symmetric")
     W = 0.5 * (W + W.T)
-    if float(np.min(np.linalg.eigvalsh(W))) < -1e-10 * max(1.0, float(np.trace(W))):
+    w_min, w_scale = float(np.min(np.linalg.eigvalsh(W))), max(1.0, float(np.trace(W)))
+    if w_min < -1e-10 * w_scale:
         raise ParameterError("W must be positive semi-definite")
 
     eigs = np.linalg.eigvals(U)
@@ -148,14 +103,7 @@ def solve_lyapunov_stable(
         )
 
     Ueff = U if orientation == "left" else U.T
-    if method == "schur":
-        X = _schur_solve_left(Ueff, W, ordering)
-    elif method == "kron":
-        if U.shape[0] > 20:
-            raise ParameterError("kron method is limited to matrices of size <= 20")
-        X = _kron_solve_left(Ueff, W)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
+    X = sla.solve_continuous_lyapunov(Ueff.T, -W)
     X = 0.5 * (X + X.T)
 
     if orientation == "left":
@@ -166,32 +114,23 @@ def solve_lyapunov_stable(
     min_eig = float(np.min(np.linalg.eigvalsh(X)))
 
     certified = False
-    if certify:
+    if w_min > 1e-12 * w_scale:
+        # strictly positive definite forcing certifies directly
+        certified = min_eig > 0
+    elif _momentum_forcing_floor(W) > 0:
         n = U.shape[0]
-        if float(np.min(np.linalg.eigvalsh(W))) > 1e-12 * max(1.0, float(np.trace(W))):
-            # strictly positive definite forcing certifies directly
-            return LyapunovSolution(
-                X=X,
-                residual_fro=residual_fro,
-                min_eig=min_eig,
-                orientation=orientation,
-                certified_pd=min_eig > 0,
+        d = n // 2
+        # For the right orientation the equation for X matches the left one
+        # with U replaced by U^T, whose lower-left block is U12^T.
+        B = U[n - d :, :d] if orientation == "left" else U[:d, n - d :].T
+        sv = np.linalg.svd(B, compute_uv=False)
+        if sv[-1] > 1e-12 * max(1.0, sv[0]):
+            certified = min_eig > 0
+        else:
+            warnings.warn(
+                "lower-left block is singular; positive definiteness cannot be certified",
+                CertificationUnavailableWarning,
             )
-        a_floor = _momentum_forcing_floor(W)
-        certified_possible = a_floor > 0 and n % 2 == 0
-        if certified_possible:
-            d = n // 2
-            # For the right orientation the equation for X matches the left one
-            # with U replaced by U^T, whose lower-left block is U12^T.
-            B = U[n - d :, :d] if orientation == "left" else U[:d, n - d :].T
-            sv = np.linalg.svd(B, compute_uv=False)
-            if sv[-1] > 1e-12 * max(1.0, sv[0]):
-                certified = min_eig > 0
-            else:
-                warnings.warn(
-                    "lower-left block is singular; positive definiteness cannot be certified",
-                    CertificationUnavailableWarning,
-                )
     return LyapunovSolution(
         X=X,
         residual_fro=residual_fro,
@@ -207,7 +146,7 @@ def lyapunov_quadrature(U, W, T: float, orientation: str = "left", n_intervals: 
     Computes int_0^T e^{U^T t} W e^{U t} dt (left orientation; the transpose
     pattern for right) by composite 8-node Gauss-Legendre, accumulating the
     interval propagators from a single matrix exponential per interval width.
-    Serves as an independent cross-check of the algebraic solvers.
+    Serves as an independent cross-check of the algebraic solver.
     """
     U = _check_square(U, "U")
     W = _check_square(W, "W")
@@ -306,14 +245,13 @@ def drift_metric(spec: ModelSpec) -> DriftMetric:
 
 _DELTA_CAP = 1.0
 _DELTA_FLOOR = 1e-8
+_DELTA_DIRECTIONS = 64
 
 
-def drift_metric_delta(
-    spec: ModelSpec, cap: float = _DELTA_CAP, n_directions: int = 64, store: bool = True
-) -> float:
+def drift_metric_delta(spec: ModelSpec) -> float:
     """Largest sampled radius on which the linearization error stays metric-small.
 
-    Finds by bisection the largest delta <= cap such that, over sampled
+    Finds by bisection the largest delta <= 1 such that, over sampled
     directions |q| = delta, the symmetrized perturbation
     (A(q) - A)^T Gamma + Gamma (A(q) - A) has operator norm at most 1/2.  The
     result is stored on the spec as delta_nbhd.  Failure even at 1e-8 raises.
@@ -321,7 +259,7 @@ def drift_metric_delta(
     dm = drift_metric(spec)
     G = dm.gamma_matrix
     A0 = drift_matrix(spec, np.zeros(spec.dim))
-    dirs = sample_ball(spec.dim, 1.0, n_directions + 1)[1:]
+    dirs = sample_ball(spec.dim, 1.0, _DELTA_DIRECTIONS + 1)[1:]
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = dirs / np.maximum(norms, 1e-300)
 
@@ -333,15 +271,15 @@ def drift_metric_delta(
             vals.append(np.linalg.norm(S, 2))
         return float(np.max(vals))
 
-    if worst(cap) <= 0.5:
-        delta = cap
+    if worst(_DELTA_CAP) <= 0.5:
+        delta = _DELTA_CAP
     elif worst(_DELTA_FLOOR) > 0.5:
         raise DegenerateModelError(
             "the drift-metric condition fails even at radius 1e-8; "
             "the Jacobian is too irregular near the origin"
         )
     else:
-        lo, hi = _DELTA_FLOOR, cap
+        lo, hi = _DELTA_FLOOR, _DELTA_CAP
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if worst(mid) <= 0.5:
@@ -351,8 +289,7 @@ def drift_metric_delta(
         delta = lo
 
     _spot_check_drift(spec, delta, dm)
-    if store:
-        spec.delta_nbhd = delta
+    spec.delta_nbhd = delta
     return delta
 
 

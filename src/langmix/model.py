@@ -22,13 +22,17 @@ from .errors import (
     ParameterError,
 )
 
+#: relative tolerance of the sampled coercivity check
 DEFAULT_TOL = 1e-9
 
 # Fixed seed for the low-discrepancy sampler: reproducibility over exploration.
 _QMC_SEED = 20240117
 
+# Step of the centered finite differences.
+_FD_STEP = 1e-5
 
-def sample_ball(dim: int, radius: float, n: int, seed: int = _QMC_SEED) -> np.ndarray:
+
+def sample_ball(dim: int, radius: float, n: int) -> np.ndarray:
     """Quasi-random points in the closed ball of given radius, origin included.
 
     Uses a scrambled Sobol sequence (deterministic for a fixed seed): the first
@@ -41,7 +45,7 @@ def sample_ball(dim: int, radius: float, n: int, seed: int = _QMC_SEED) -> np.nd
     if n == 1 or radius == 0.0:
         return np.zeros((n, dim))
     m = n - 1
-    sampler = qmc.Sobol(d=dim + 1, scramble=True, seed=seed)
+    sampler = qmc.Sobol(d=dim + 1, scramble=True, seed=_QMC_SEED)
     # Sobol balance wants powers of two; draw the next one and slice.
     u = sampler.random(2 ** int(math.ceil(math.log2(max(m, 2)))))[:m]
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
@@ -53,7 +57,7 @@ def sample_ball(dim: int, radius: float, n: int, seed: int = _QMC_SEED) -> np.nd
     return pts
 
 
-def central_difference_jacobian(f: Callable, q: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def central_difference_jacobian(f: Callable, q: np.ndarray, h: float = _FD_STEP) -> np.ndarray:
     """Centered O(h^2) finite-difference Jacobian of f at a single point q."""
     q = np.asarray(q, dtype=float)
     d = q.shape[-1]
@@ -65,15 +69,15 @@ def central_difference_jacobian(f: Callable, q: np.ndarray, h: float = 1e-5) -> 
     return np.stack(cols, axis=-1)
 
 
-def central_difference_gradient(f: Callable, q: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def central_difference_gradient(f: Callable, q: np.ndarray) -> np.ndarray:
     """Centered O(h^2) finite-difference gradient of a scalar function at q."""
     q = np.asarray(q, dtype=float)
     d = q.shape[-1]
     out = np.empty(d)
     for j in range(d):
         e = np.zeros(d)
-        e[j] = h
-        out[j] = (float(f(q + e)) - float(f(q - e))) / (2 * h)
+        e[j] = _FD_STEP
+        out[j] = (float(f(q + e)) - float(f(q - e))) / (2 * _FD_STEP)
     return out
 
 
@@ -211,17 +215,14 @@ def make_linear_force(M) -> ForceField:
     )
 
 
+# Probe points (in the unit ball) and the relative error tolerated at them
+# when a user-supplied gradient and Hessian are cross-checked.
 _PROBE_COUNT = 9
+_PROBE_TOL = 1e-6
 
 
 def make_gradient_force(
-    dim: int,
-    U: Callable,
-    gradU: Callable,
-    hessU: Callable,
-    probe_radius: float = 1.0,
-    tol: float = 1e-6,
-    quadratic_growth: bool = False,
+    dim: int, U: Callable, gradU: Callable, hessU: Callable, quadratic_growth: bool = False
 ) -> ForceField:
     """Force field F = grad(U) for a user-supplied potential.
 
@@ -229,7 +230,7 @@ def make_gradient_force(
     gradU against centered differences of U, and hessU against centered
     differences of gradU.  Inconsistency raises naming the worst point.
     """
-    probes = sample_ball(dim, probe_radius, _PROBE_COUNT)
+    probes = sample_ball(dim, 1.0, _PROBE_COUNT)
     worst = (0.0, None)
     for q in probes:
         fd = central_difference_gradient(U, q)
@@ -237,7 +238,7 @@ def make_gradient_force(
         scale = 1.0 + float(np.linalg.norm(fd))
         if err / scale > worst[0]:
             worst = (err / scale, q)
-    if worst[0] > tol:
+    if worst[0] > _PROBE_TOL:
         raise ConsistencyError(
             f"gradU disagrees with finite differences of U (relative error "
             f"{worst[0]:.3e} at q={np.array2string(worst[1], precision=4)})"
@@ -249,13 +250,13 @@ def make_gradient_force(
         scale = 1.0 + float(np.linalg.norm(fd))
         if err / scale > worst[0]:
             worst = (err / scale, q)
-    if worst[0] > tol:
+    if worst[0] > _PROBE_TOL:
         raise ConsistencyError(
             f"hessU disagrees with finite differences of gradU (relative error "
             f"{worst[0]:.3e} at q={np.array2string(worst[1], precision=4)})"
         )
     g0 = np.asarray(gradU(np.zeros(dim)), dtype=float)
-    if np.linalg.norm(g0) > tol:
+    if np.linalg.norm(g0) > _PROBE_TOL:
         raise ConsistencyError("the origin is not a critical point of U: grad U(0) != 0")
 
     def eval_ell(q):
@@ -286,17 +287,15 @@ class AssumptionReport:
     quadratic_variant_worst_margin: Optional[float] = None
 
 
-def check_assumption_main(
-    spec: ModelSpec, radius: float, n_samples: int, tol: float = DEFAULT_TOL
-) -> AssumptionReport:
+def check_assumption_main(spec: ModelSpec, radius: float, n_samples: int) -> AssumptionReport:
     """Sampled verification of the coercivity inequality on a ball.
 
     Evaluates margin(q) = <F(q), q> - alpha (|q|^2 + U(q)) - |ell(q)|^2 / beta^2
     at quasi-random points (origin included) and reports the worst case.  The
     inequality is declared to hold on the samples when the worst margin is
-    above -tol relative to the local scale of <F(q), q>.  When the potential is
-    flagged as at most quadratic, the variant with U dropped from the right
-    hand side is checked as well.
+    above -DEFAULT_TOL relative to the local scale of <F(q), q>.  When the
+    potential is flagged as at most quadratic, the variant with U dropped from
+    the right hand side is checked as well.
     """
     force = spec.force
     if not force.has_decomposition():
@@ -315,16 +314,16 @@ def check_assumption_main(
     scale = 1.0 + float(np.max(np.abs(inner)))
     worst = float(margin[i])
     report = AssumptionReport(
-        holds_on_samples=bool(worst >= -tol * scale),
+        holds_on_samples=bool(worst >= -DEFAULT_TOL * scale),
         worst_margin=worst,
         worst_point=pts[i].copy(),
         n_samples=n_samples,
-        tol=tol,
+        tol=DEFAULT_TOL,
     )
     if force.quadratic_growth:
         margin2 = inner - spec.alpha * q2 - ell2 / spec.beta**2
         report.quadratic_variant_worst_margin = float(np.min(margin2))
-        report.quadratic_variant_holds = bool(np.min(margin2) >= -tol * scale)
+        report.quadratic_variant_holds = bool(np.min(margin2) >= -DEFAULT_TOL * scale)
     return report
 
 

@@ -30,6 +30,11 @@ log = logging.getLogger(__name__)
 #: paths per noise block; fixed so that partitioning does not change streams
 BLOCK = 4096
 
+# Neighbours of the knn two-sample classifier; odd, so a vote never ties.
+_KNN_K = 5
+# Bootstrap resamples behind the stderr of the moment-matched TV estimate.
+_N_BOOTSTRAP = 16
+
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, block_index]))
@@ -345,7 +350,7 @@ class TVEstimate:
     method: str
 
 
-def _knn_tv(s1: np.ndarray, s2: np.ndarray, k: int, seed: int) -> TVEstimate:
+def _knn_tv(s1: np.ndarray, s2: np.ndarray, seed: int) -> TVEstimate:
     rng = np.random.default_rng(seed)
     half1, half2 = len(s1) // 2, len(s2) // 2
     i1 = rng.permutation(len(s1))
@@ -356,12 +361,8 @@ def _knn_tv(s1: np.ndarray, s2: np.ndarray, k: int, seed: int) -> TVEstimate:
     accs = []
     ns = []
     for cls, test in ((0, s1[i1[half1:]]), (1, s2[i2[half2:]])):
-        _, idx = tree.query(test, k=k)
-        votes = labels[idx].mean(axis=1) if k > 1 else labels[idx].astype(float)
-        pred = (votes > 0.5).astype(int)
-        ties = votes == 0.5
-        if np.any(ties):
-            pred[ties] = rng.integers(0, 2, size=int(np.sum(ties)))
+        _, idx = tree.query(test, k=_KNN_K)
+        pred = (labels[idx].mean(axis=1) > 0.5).astype(int)
         accs.append(float(np.mean(pred == cls)))
         ns.append(len(test))
     bal = 0.5 * (accs[0] + accs[1])
@@ -374,9 +375,7 @@ def empirical_tv(
     samples1,
     samples2,
     method: str = "gaussian_momentmatch",
-    k: int = 5,
     seed: int = 0,
-    n_bootstrap: int = 16,
 ) -> TVEstimate:
     """Total-variation estimate between two point clouds.
 
@@ -393,7 +392,7 @@ def empirical_tv(
     if len(s1) < 4 or len(s2) < 4:
         raise ParameterError("need at least 4 points per cloud")
     if method == "classifier_knn":
-        return _knn_tv(s1, s2, k, seed)
+        return _knn_tv(s1, s2, seed)
     if method != "gaussian_momentmatch":
         raise MethodError(f"unknown method {method!r}")
 
@@ -408,16 +407,16 @@ def empirical_tv(
         est = fit_tv(s1, s2)
     except np.linalg.LinAlgError:
         warnings.warn("degenerate sample covariance; falling back to the knn classifier")
-        return _knn_tv(s1, s2, k, seed)
+        return _knn_tv(s1, s2, seed)
     rng = np.random.default_rng(seed)
     boots = []
-    for _ in range(n_bootstrap):
+    for _ in range(_N_BOOTSTRAP):
         r1 = s1[rng.integers(0, len(s1), len(s1))]
         r2 = s2[rng.integers(0, len(s2), len(s2))]
         boots.append(fit_tv(r1, r2))
     return TVEstimate(
         estimate=est,
-        stderr=float(np.std(boots, ddof=1)) if n_bootstrap > 1 else 0.0,
+        stderr=float(np.std(boots, ddof=1)),
         method="gaussian_momentmatch",
     )
 

@@ -176,11 +176,6 @@ class TestProfiles:
         assert float(profile_lambda_alt(sd, 40.0, 2.0)) < 1e-8
         assert float(profile_lambda_alt(sd, -40.0, 2.0)) == pytest.approx(1.0)
 
-    def test_profiles_coincide_when_r_is_2_sqrt2(self):
-        sd = TestMixingTime()._sd(0.6, 0, 0.0)
-        w = np.linspace(-3, 3, 13)
-        assert np.allclose(profile_lambda(sd, w), profile_lambda_alt(sd, w, 2 * math.sqrt(2)))
-
 
 class TestProfileLimit:
     def test_real_spectrum_exists_exactly(self, real_spectrum_spec):

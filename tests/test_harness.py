@@ -42,16 +42,42 @@ def minimal_config(tmp_path, **overrides):
 
 
 class TestConfigValidation:
-    def test_unknown_top_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("bogus", 1), ("t_end", 10.0), ("tolerances", {"assumption_tol": 1e-9})],
+        ids=["bogus", "t_end", "tolerances"],
+    )
+    def test_unknown_top_key_rejected(self, tmp_path, key, value):
         with pytest.raises(ParameterError, match="unknown config keys"):
-            validate_config(minimal_config(tmp_path, bogus=1))
+            validate_config(minimal_config(tmp_path, **{key: value}))
 
-    @pytest.mark.parametrize("key", ["surprise", "theta_exp"])
-    def test_unknown_model_key_rejected(self, tmp_path, key):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("surprise", True), ("theta_exp", 0.25), ("assumption_radius", 3.0)],
+        ids=["surprise", "theta_exp", "assumption_radius"],
+    )
+    def test_unknown_model_key_rejected(self, tmp_path, key, value):
         raw = minimal_config(tmp_path)
-        raw["model"][key] = True if key == "surprise" else 0.25
+        raw["model"][key] = value
         with pytest.raises(ParameterError, match="unknown model keys"):
             validate_config(raw)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"w_grid": {"min": -1.0, "step": 0.5}},
+            {"w_grid": {"min": -1.0, "max": 1.0}},
+            {"w_grid": {"min": -1.0, "max": 1.0, "step": 0.0}},
+            {"w_grid": {"min": -1.0, "max": 1.0, "step": -0.5}},
+            {"w_grid": {"min": 1.0, "max": -1.0, "step": 0.5}},
+            {"n_paths": 0},
+            {"horizon": -1.0},
+        ],
+        ids=["no_max", "no_step", "zero_step", "negative_step", "max_below_min", "no_paths", "negative_horizon"],
+    )
+    def test_unusable_run_sizes_rejected(self, tmp_path, override):
+        with pytest.raises(ParameterError):
+            validate_config(minimal_config(tmp_path, **override))
 
     def test_epsilon_range_enforced(self, tmp_path):
         with pytest.raises(ParameterError, match="epsilon"):

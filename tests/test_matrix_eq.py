@@ -33,6 +33,16 @@ def random_stable_model(rng, d_max=4, eta_min=0.0):
         return A, noise_matrix(d), d
 
 
+def kron_solve_left(U, W):
+    """Dense Kronecker vectorization of U^T X + X U = -W (column-major vec)."""
+    n = U.shape[0]
+    I = np.eye(n)
+    # vec(A X B) = (B^T kron A) vec(X) with column-major vec.
+    K = np.kron(I, U.T) + np.kron(U.T, I)
+    x = np.linalg.solve(K, -W.reshape(-1, order="F"))
+    return x.reshape((n, n), order="F")
+
+
 class TestSolver:
     def test_identity_case(self):
         sol = solve_lyapunov_stable(-np.eye(2), np.eye(2), orientation="left")
@@ -56,19 +66,10 @@ class TestSolver:
         Xq = lyapunov_quadrature(A, J, 40.0 / eta, orientation="right")
         assert np.linalg.norm(sol.X - Xq, "fro") < 1e-8 * max(1.0, np.linalg.norm(sol.X, "fro"))
 
-    def test_kron_matches_schur(self, rng):
+    def test_matches_kronecker_oracle(self, rng):
         A, J, _ = random_stable_model(rng)
-        xs = solve_lyapunov_stable(A, J, orientation="left", method="schur").X
-        xk = solve_lyapunov_stable(A, J, orientation="left", method="kron").X
-        assert np.allclose(xs, xk, atol=1e-10)
-
-    def test_ordering_invariance(self, rng):
-        A, J, _ = random_stable_model(rng)
-        base = solve_lyapunov_stable(A, J, orientation="right", ordering="none").X
-        for ordering in ("ascending_real", "descending_real"):
-            X = solve_lyapunov_stable(A, J, orientation="right", ordering=ordering).X
-            rel = np.linalg.norm(base - X, "fro") / max(np.linalg.norm(base, "fro"), 1e-300)
-            assert rel < 1e-10
+        xs = solve_lyapunov_stable(A, J, orientation="left").X
+        assert np.allclose(xs, kron_solve_left(A, J), atol=1e-10)
 
     def test_residual_scale_invariant(self, rng):
         for _ in range(20):
@@ -93,6 +94,15 @@ class TestSolver:
         W = np.diag([0.0, 1.0])
         with pytest.warns(CertificationUnavailableWarning):
             sol = solve_lyapunov_stable(U, W, orientation="left")
+        assert not sol.certified_pd
+        assert sol.residual_fro < 1e-12
+
+    def test_no_momentum_forcing_gives_no_certificate(self):
+        # W = diag(1, 0) forces only the position, so the structural
+        # certificate (momentum forcing floor a > 0) is unavailable
+        sol = solve_lyapunov_stable(
+            np.array([[0.0, 1.0], [-1.0, -1.0]]), np.diag([1.0, 0.0]), orientation="left"
+        )
         assert not sol.certified_pd
         assert sol.residual_fro < 1e-12
 
