@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import DomainError, StabilityError
+from .errors import DivergenceError, DomainError, StabilityError
 from .gaussian_tv import tv_unit
 from .linear_stability import flow_zero_noise
 from .matrix_eq import drift_metric_delta, sigma_matrix
@@ -175,13 +175,45 @@ def _linearization_radius(spec: ModelSpec) -> float:
     return drift_metric_delta(spec)
 
 
+def _ball_entry(spec: ModelSpec, x: np.ndarray, rho_lin: float, cap: int):
+    """(tau, point): entry time into the ball |y| <= rho_lin plus one, and the flow there.
+
+    The flow is integrated from x in segments of one time unit, each starting
+    from the last state of the one before, so the path is the same RK4
+    sequence as a single run; the search stops at the segment holding the
+    step one time unit after the first entry, or after cap steps.
+    """
+    seg = int(round(1.0 / FLOW_DT))
+    state, start, idx, tau = x, 0, None, None
+    while start < cap:
+        n = min(seg, cap - start)
+        try:
+            states = flow_zero_noise(spec, state, n * FLOW_DT, FLOW_DT).states
+        except DivergenceError as exc:
+            raise DivergenceError(str(exc), t=start * FLOW_DT + exc.t, last_state=exc.last_state) from exc
+        if idx is None:
+            inside = np.nonzero(np.linalg.norm(states, axis=1) <= rho_lin)[0]
+            if inside.size:
+                tau = (start + int(inside[0])) * FLOW_DT + 1.0
+                idx = min(int(round(tau / FLOW_DT)), cap)
+        if idx is not None and idx <= start + n:
+            return tau, states[idx - start]
+        start += n
+        state = states[-1]
+    raise StabilityError(
+        "the zero-noise flow never entered the linearization ball; "
+        "the model looks unstable from this starting point"
+    )
+
+
 def spectral_data(spec: ModelSpec, x) -> SpectralData:
     """Jordan expansion of the starting point and the resulting decay constants.
 
     The expansion point is x itself when |x| <= rho_lin, the drift-metric
-    radius (tau = 0); otherwise the zero-noise flow is integrated until it
-    first enters that ball and the point one time unit later is expanded,
-    with tau = entry time + 1.  Coefficients below COEFF_TOL * |x| are
+    radius (tau = 0); otherwise the zero-noise flow is integrated by RK4 at
+    FLOW_DT until one time unit after it first enters that ball, capped at
+    the Lyapunov-bound horizon, and the point there is expanded, with
+    tau = entry time + 1.  Coefficients below COEFF_TOL * |x| are
     dropped; eta is the smallest decay rate among the retained chains, nu the
     largest polynomial order among those at rate eta, and the limiting vectors
     collect the top Jordan contribution of each retained chain at that rate
@@ -198,18 +230,7 @@ def spectral_data(spec: ModelSpec, x) -> SpectralData:
     else:
         u0 = float(np.asarray(spec.force.eval_U(x[: spec.dim]))) if spec.force.eval_U else 0.0
         t_guess = math.log(max(spec.kappa * (float(x @ x) + u0) / rho_lin**2, 2.0)) / spec.lam
-        path = flow_zero_noise(spec, x, t_guess + 5.0, FLOW_DT)
-        norms = np.linalg.norm(path.states, axis=1)
-        inside = np.nonzero(norms <= rho_lin)[0]
-        if inside.size == 0:
-            raise StabilityError(
-                "the zero-noise flow never entered the linearization ball; "
-                "the model looks unstable from this starting point"
-            )
-        t_entry = float(path.grid[inside[0]])
-        tau = t_entry + 1.0
-        idx = min(int(round(tau / FLOW_DT)), len(path.grid) - 1)
-        point = path.states[idx]
+        tau, point = _ball_entry(spec, x, rho_lin, int(round((t_guess + 5.0) / FLOW_DT)))
 
     A = drift_matrix(spec, np.zeros(spec.dim))
     chains, flagged = jordan_chains(A)

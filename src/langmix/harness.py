@@ -524,6 +524,15 @@ class CheckResult:
         self.margin = float(self.margin)
 
 
+#: random cases drawn by the randomized checks of the verification suite
+_LINEAR_EQUIVALENCE_CASES = 60
+_SPECTRAL_CONSISTENCY_CASES = 300
+_COMMUTATOR_CASES = 200
+_NORMAL_EQUIVALENCE_CASES = 150
+_SUFFICIENCY_CASES = 200
+_TV_TRIANGLE_CASES = 12
+
+
 def _check_fd_convergence() -> CheckResult:
     spec = corpus_spec("quartic")
     q = np.array([0.7])
@@ -563,10 +572,10 @@ def _certificate_exists(force, gamma: float) -> bool:
     return False
 
 
-def _check_linear_case_equivalence(n: int = 60) -> CheckResult:
+def _check_linear_case_equivalence() -> CheckResult:
     rng = np.random.default_rng(5)
     bad = 0
-    for _ in range(n):
+    for _ in range(_LINEAR_EQUIVALENCE_CASES):
         d = int(rng.integers(1, 4))
         M = _random_real_normal(rng, d)
         gamma = rng.uniform(0.5, 3.0)
@@ -577,14 +586,17 @@ def _check_linear_case_equivalence(n: int = 60) -> CheckResult:
         if _certificate_exists(force, gamma) != verdict.stable:
             bad += 1
     return CheckResult(
-        "model.linear_case_equivalence", bad == 0, float(bad), f"{bad} disagreements of {n}"
+        "model.linear_case_equivalence",
+        bad == 0,
+        float(bad),
+        f"{bad} disagreements of {_LINEAR_EQUIVALENCE_CASES}",
     )
 
 
-def _check_spectral_consistency(n: int = 300) -> CheckResult:
+def _check_spectral_consistency() -> CheckResult:
     rng = np.random.default_rng(11)
     checked = 0
-    for _ in range(n):
+    for _ in range(_SPECTRAL_CONSISTENCY_CASES):
         d = int(rng.integers(1, 5))
         M = rng.standard_normal((d, d)) * rng.uniform(0.3, 2.0)
         gamma = rng.uniform(0.2, 4.0)
@@ -598,10 +610,10 @@ def _check_spectral_consistency(n: int = 300) -> CheckResult:
     return CheckResult("linear.spectral_consistency", True, float(checked), f"{checked} matrices agree")
 
 
-def _check_commutator_sign(n: int = 200) -> CheckResult:
+def _check_commutator_sign() -> CheckResult:
     rng = np.random.default_rng(12)
     worst = np.inf
-    for _ in range(n):
+    for _ in range(_COMMUTATOR_CASES):
         d = int(rng.integers(2, 5))
         M = rng.standard_normal((d, d))
         S, A = symmetric_part(M), skew_part(M)
@@ -615,9 +627,9 @@ def _check_commutator_sign(n: int = 200) -> CheckResult:
     return CheckResult("linear.commutator_nonneg", worst >= -1e-9, worst, f"min {worst:.2e}")
 
 
-def _check_normal_equivalence(n: int = 150) -> CheckResult:
+def _check_normal_equivalence() -> CheckResult:
     rng = np.random.default_rng(13)
-    for _ in range(n):
+    for _ in range(_NORMAL_EQUIVALENCE_CASES):
         d = int(rng.integers(1, 5))
         M = _random_real_normal(rng, d)
         gamma = rng.uniform(0.3, 3.0)
@@ -628,12 +640,12 @@ def _check_normal_equivalence(n: int = 150) -> CheckResult:
         pd = bool(np.min(np.linalg.eigvalsh(0.5 * (suff + suff.T))) > 0)
         if pd != v.stable:
             return CheckResult("linear.normal_equivalence", False, 0.0, "mismatch")
-    return CheckResult("linear.normal_equivalence", True, float(n), "all agree")
+    return CheckResult("linear.normal_equivalence", True, float(_NORMAL_EQUIVALENCE_CASES), "all agree")
 
 
-def _check_sufficiency_oneway(n: int = 200) -> CheckResult:
+def _check_sufficiency_oneway() -> CheckResult:
     rng = np.random.default_rng(14)
-    for _ in range(n):
+    for _ in range(_SUFFICIENCY_CASES):
         d = int(rng.integers(1, 5))
         M = rng.standard_normal((d, d))
         gamma = rng.uniform(0.2, 4.0)
@@ -642,7 +654,7 @@ def _check_sufficiency_oneway(n: int = 200) -> CheckResult:
             v = classify_linear(M, gamma)
             if not v.stable:
                 return CheckResult("linear.sufficiency_oneway", False, 0.0, "counterexample")
-    return CheckResult("linear.sufficiency_oneway", True, float(n), "no counterexample")
+    return CheckResult("linear.sufficiency_oneway", True, float(_SUFFICIENCY_CASES), "no counterexample")
 
 
 def _check_lyapunov_decay() -> CheckResult:
@@ -682,9 +694,9 @@ def _check_quadrature_decay() -> CheckResult:
     return CheckResult("matrix_eq.quadrature_decay_rate", rel <= 0.2, rel, f"rate {rate:.3f} vs {2*eta:.3f}")
 
 
-def _check_tv_triangle(n: int = 12) -> CheckResult:
+def _check_tv_triangle() -> CheckResult:
     rng = np.random.default_rng(20)
-    for _ in range(n):
+    for _ in range(_TV_TRIANGLE_CASES):
         dim = int(rng.integers(1, 3))
         gs = []
         for _ in range(3):
@@ -693,7 +705,7 @@ def _check_tv_triangle(n: int = 12) -> CheckResult:
         tv = lambda a, b: tv_gaussian(a, b, method="cdf_quadrature").value
         if tv(gs[0], gs[2]) > tv(gs[0], gs[1]) + tv(gs[1], gs[2]) + 1e-8:
             return CheckResult("gaussian_tv.triangle", False, 0.0, "violated")
-    return CheckResult("gaussian_tv.triangle", True, float(n), "holds on random triples")
+    return CheckResult("gaussian_tv.triangle", True, float(_TV_TRIANGLE_CASES), "holds on random triples")
 
 
 def _check_tv_unit_shape() -> CheckResult:

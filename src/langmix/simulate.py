@@ -351,8 +351,13 @@ class TVEstimate:
 
 
 def _knn_tv(s1: np.ndarray, s2: np.ndarray, seed: int) -> TVEstimate:
-    rng = np.random.default_rng(seed)
     half1, half2 = len(s1) // 2, len(s2) // 2
+    if half1 + half2 < _KNN_K:
+        raise ParameterError(
+            f"the knn classifier trains on half of each cloud and needs {_KNN_K} training "
+            f"points, i.e. {2 * math.ceil(_KNN_K / 2)} points per cloud; got {len(s1)} and {len(s2)}"
+        )
+    rng = np.random.default_rng(seed)
     i1 = rng.permutation(len(s1))
     i2 = rng.permutation(len(s2))
     train = np.vstack([s1[i1[:half1]], s2[i2[:half2]]])

@@ -1,4 +1,4 @@
-"""Every defaulted parameter of a public langmix function is set by some caller.
+"""Every defaulted parameter of a module-level langmix function is set by some caller.
 
 A default that no call in src/, tests/ or bench/ overrides is a constant
 dressed up as an option: it doubles the configurations to test without any
@@ -19,9 +19,9 @@ CALLER_DIRS = ("src", "tests", "bench")
 
 
 def _defaulted_parameters(tree: ast.Module):
-    """(function, [(position or None, parameter)]) for module-level public functions."""
+    """(function, [(position or None, parameter)]) for module-level functions, private ones included."""
     for node in tree.body:
-        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+        if not isinstance(node, ast.FunctionDef):
             continue
         args = node.args
         positional = args.posonlyargs + args.args
@@ -69,8 +69,8 @@ def _dead_parameters():
 
 
 def test_scan_reads_definitions_and_calls():
-    source = "def f(a, b=1, *, c=2, e):\n    pass\n\ndef _g(x=1):\n    pass\n"
-    assert list(_defaulted_parameters(ast.parse(source))) == [("f", [(1, "b"), (None, "c")])]
+    source = "def f(a, b=1, *, c=2, e):\n    pass\n\ndef _g(x=1):\n    pass\n\ndef _h(y):\n    pass\n"
+    assert list(_defaulted_parameters(ast.parse(source))) == [("f", [(1, "b"), (None, "c")]), ("_g", [(0, "x")])]
     assert any({"n_paths", "seed"} <= (kws or set()) for _, kws in _calls()["integrate_sde"])
 
 

@@ -4,8 +4,12 @@ import pytest
 from langmix.covflow import drift_matrix, noise_matrix
 from langmix.errors import ParameterError, StabilityError
 from langmix.errors import CertificationUnavailableWarning
+from langmix.harness import STABLE_CORPUS, corpus_spec
 from langmix.linear_stability import classify_linear, make_spec, t_matrix
 from langmix.matrix_eq import (
+    _DELTA_CAP,
+    _DELTA_DIRECTIONS,
+    _DELTA_FLOOR,
     drift_metric,
     drift_metric_delta,
     gamma_matrix,
@@ -13,7 +17,7 @@ from langmix.matrix_eq import (
     sigma_matrix,
     solve_lyapunov_stable,
 )
-from langmix.model import make_linear_force
+from langmix.model import make_linear_force, sample_ball
 
 
 def random_stable_model(rng, d_max=4, eta_min=0.0):
@@ -41,6 +45,32 @@ def kron_solve_left(U, W):
     K = np.kron(I, U.T) + np.kron(U.T, I)
     x = np.linalg.solve(K, -W.reshape(-1, order="F"))
     return x.reshape((n, n), order="F")
+
+
+def loop_drift_metric_delta(spec):
+    """Drift-metric radius with one drift_matrix and one norm per sampled direction."""
+    G = drift_metric(spec).gamma_matrix
+    A0 = drift_matrix(spec, np.zeros(spec.dim))
+    dirs = sample_ball(spec.dim, 1.0, _DELTA_DIRECTIONS + 1)[1:]
+    dirs = dirs / np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+
+    def worst(delta):
+        vals = []
+        for u in dirs:
+            D = drift_matrix(spec, delta * u) - A0
+            vals.append(np.linalg.norm(D.T @ G + G @ D, 2))
+        return float(np.max(vals))
+
+    if worst(_DELTA_CAP) <= 0.5:
+        return _DELTA_CAP
+    lo, hi = _DELTA_FLOOR, _DELTA_CAP
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if worst(mid) <= 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class TestSolver:
@@ -183,8 +213,6 @@ class TestDriftMetricDelta:
         spec = make_spec(
             make_linear_force([[1.0]]), 2.0, 1e-2, alpha=2 / 3, beta=1.0
         )
-        from langmix.harness import corpus_spec
-
         qspec = corpus_spec("quartic")
         qspec = make_spec(qspec.force, 2.0, 1e-2, alpha=2 / 3, beta=1.0)
         delta = drift_metric_delta(qspec)
@@ -192,6 +220,10 @@ class TestDriftMetricDelta:
         E = np.array([[0.0, 0.0], [-1.0, 0.0]])
         c = np.linalg.norm(E.T @ dm.gamma_matrix + dm.gamma_matrix @ E, 2)
         assert 3 * delta**2 * c == pytest.approx(0.5, rel=1e-6)
+
+    @pytest.mark.parametrize("name", STABLE_CORPUS)
+    def test_matches_loop_oracle(self, name):
+        assert drift_metric_delta(corpus_spec(name)) == loop_drift_metric_delta(corpus_spec(name))
 
     def test_drift_inequality_spot_check(self, rng, quartic_spec):
         delta = drift_metric_delta(quartic_spec)

@@ -226,6 +226,16 @@ class TestEmpiricalTV:
         with pytest.raises(ParameterError):
             empirical_tv(rng.standard_normal((10, 1)), rng.standard_normal((10, 2)))
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_knn_refuses_clouds_too_small_to_train(self, rng, n):
+        # half of each cloud trains the classifier, which needs 5 neighbours
+        with pytest.raises(ParameterError, match="6 points per cloud"):
+            empirical_tv(rng.standard_normal((n, 2)), rng.standard_normal((n, 2)), method="classifier_knn")
+
+    def test_knn_smallest_trainable_clouds(self, rng):
+        est = empirical_tv(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)), method="classifier_knn")
+        assert 0.0 <= est.estimate <= 1.0
+
 
 class TestPinsker:
     def test_zero_for_linear_force(self):
