@@ -51,7 +51,7 @@ def _cmd_analyze_linear(args) -> int:
 
 def _cmd_stationary_cov(args) -> int:
     cfg = load_config(args.config)
-    spec = spec_from_model_config(cfg.model, cfg.epsilons[0] if cfg.epsilons else 1e-2)
+    spec = spec_from_model_config(cfg.model)
     sol = sigma_solution(spec)
     print(
         json.dumps(
@@ -70,7 +70,7 @@ def _cmd_stationary_cov(args) -> int:
 
 def _cmd_cov_flow(args) -> int:
     cfg = load_config(args.config)
-    spec = spec_from_model_config(cfg.model, cfg.epsilons[0] if cfg.epsilons else 1e-2)
+    spec = spec_from_model_config(cfg.model)
     x0 = _parse_vector(args.x0)
     sigma = sigma_matrix(spec)
     path = integrate_covariance(spec, x0, args.t_end, args.dt, store_every=args.store_every)
@@ -86,7 +86,7 @@ def _cmd_cov_flow(args) -> int:
 
 def _cmd_mixing_time(args) -> int:
     cfg = load_config(args.config)
-    spec = spec_from_model_config(cfg.model, args.epsilon)
+    spec = spec_from_model_config(cfg.model)
     sd = spectral_data(spec, _parse_vector(args.x))
     out = {
         "eta": sd.eta,
@@ -106,7 +106,7 @@ def _cmd_cutoff_curve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.model)
-    spec = spec_from_model_config(cfg.model, args.epsilon)
+    spec = spec_from_model_config(cfg.model)
     x0 = _parse_vector(args.x0) if args.x0 else np.zeros(2 * spec.dim)
     batch = integrate_sde(
         spec,
@@ -115,6 +115,7 @@ def _cmd_simulate(args) -> int:
         dt=args.dt,
         n_paths=args.paths,
         seed=args.seed,
+        epsilon=args.epsilon,
         scheme=args.scheme,
         store_every=args.store_every,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .linear_stability import BLOWUP, rk4_step
+from .linear_stability import BLOWUP, _flow_rhs, rk4_step
 from .matrix_eq import sigma_matrix
 from .model import ModelSpec, drift_matrix, noise_matrix
 
@@ -63,12 +63,9 @@ def integrate_covariance(
     def rhs(y):
         x = y[:n]
         S = y[n:].reshape(n, n)
-        q, p = x[:d], x[d:]
-        f = np.asarray(spec.force.eval_F(q), dtype=float)
-        dx = np.concatenate([p, -f - spec.gamma * p])
-        A = drift_matrix(spec, q)
+        A = drift_matrix(spec, x[:d])
         dS = J + A @ S + S @ A.T
-        return np.concatenate([dx, dS.ravel()])
+        return np.concatenate([_flow_rhs(spec.force, spec.gamma, x), dS.ravel()])
 
     y = np.concatenate([x0, np.zeros(n * n)])
     n_steps = int(round(t_end / dt))

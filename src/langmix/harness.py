@@ -168,12 +168,11 @@ def load_config(path: str) -> ExperimentConfig:
         return validate_config(json.load(fh))
 
 
-def spec_from_model_config(model: dict, epsilon: float) -> ModelSpec:
+def spec_from_model_config(model: dict) -> ModelSpec:
     force = force_from_config(model["force"])
     return make_spec(
         force,
         gamma=float(model["gamma"]),
-        epsilon=epsilon,
         alpha=float(model["alpha"]),
         beta=float(model["beta"]),
     )
@@ -226,22 +225,22 @@ class RunManifest:
         self.write()
 
 
-def _start_manifest(cfg: ExperimentConfig) -> RunManifest:
+def _start_manifest(config_hash: str, out_dir: str) -> RunManifest:
     manifest = RunManifest(
-        config_hash=cfg.config_hash,
+        config_hash=config_hash,
         code_version=__version__,
         started_at=time.time(),
-        out_dir=cfg.out_dir,
+        out_dir=out_dir,
     )
     manifest.write()
     return manifest
 
 
-def _run_pipeline(cfg: ExperimentConfig, body: Callable) -> RunManifest:
-    """Run body(cfg, manifest); an exception finalizes the manifest as failed and propagates."""
-    manifest = _start_manifest(cfg)
+def _run_pipeline(config_hash: str, out_dir: str, body: Callable) -> RunManifest:
+    """Run body(manifest); an exception finalizes the manifest as failed and propagates."""
+    manifest = _start_manifest(config_hash, out_dir)
     try:
-        body(cfg, manifest)
+        body(manifest)
     except Exception as exc:
         manifest.finalize(
             passed=False,
@@ -296,7 +295,7 @@ def _gate_stability(spec: ModelSpec):
 
 
 def exact_gaussian_tv_curve_point(
-    spec: ModelSpec, mean: np.ndarray, cov_t: np.ndarray, sigma: np.ndarray, epsilon: float
+    mean: np.ndarray, cov_t: np.ndarray, sigma: np.ndarray, epsilon: float
 ):
     """d_TV(N(mean, 2 eps cov_t), N(0, 2 eps sigma)) with the best available method."""
     g1 = Gaussian(mean=mean, cov=2.0 * epsilon * cov_t)
@@ -316,13 +315,13 @@ def run_cutoff_experiment(cfg: ExperimentConfig) -> RunManifest:
     summary holding the sup-differences.  A failed run leaves its manifest
     with status "failed" and the error.
     """
-    return _run_pipeline(cfg, _cutoff_experiment)
+    return _run_pipeline(cfg.config_hash, cfg.out_dir, lambda m: _cutoff_experiment(cfg, m))
 
 
 def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
     if not cfg.epsilons or not cfg.x0:
         raise ParameterError("cutoff experiment needs 'epsilons' and 'x0'")
-    spec = spec_from_model_config(cfg.model, cfg.epsilons[0])
+    spec = spec_from_model_config(cfg.model)
     gate = _gate_stability(spec)
     sigma = sigma_matrix(spec)
     w = np.arange(cfg.w_grid["min"], cfg.w_grid["max"] + 1e-12, cfg.w_grid["step"])
@@ -349,14 +348,14 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
                     steps.append((wi, k))
             empirical = {}
             if cfg.mc_curve and steps:
-                eps_spec = spec_from_model_config(cfg.model, eps)
                 batch = integrate_sde(
-                    eps_spec,
+                    spec,
                     x0,
                     t_end=max(k for _, k in steps) * cfg.dt,
                     dt=cfg.dt,
                     n_paths=cfg.n_paths,
                     seed=cfg.seed + i_eps,
+                    epsilon=eps,
                     scheme="baoab",
                     store_indices=[k for _, k in steps],
                 )
@@ -376,7 +375,7 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
             for wi, k in steps:
                 t = k * cfg.dt
                 mean, cov_t = path.at(t)
-                curve = exact_gaussian_tv_curve_point(spec, mean, cov_t, sigma, eps)
+                curve = exact_gaussian_tv_curve_point(mean, cov_t, sigma, eps)
                 d_eps = profile_D(spec, sd, t, eps)
                 lam_printed = float(profile_lambda(sd, wi))
                 lam_alt = float(profile_lambda_alt(sd, wi, pl.r)) if pl.exists else float("nan")
@@ -421,20 +420,20 @@ def run_stationary_check(cfg: ExperimentConfig) -> RunManifest:
     with the decay verdict and the stability of the fitted variance constant.
     A failed run leaves its manifest with status "failed" and the error.
     """
-    return _run_pipeline(cfg, _stationary_check)
+    return _run_pipeline(cfg.config_hash, cfg.out_dir, lambda m: _stationary_check(cfg, m))
 
 
 def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
     if not cfg.epsilons or not cfg.x0:
         raise ParameterError("stationary check needs 'epsilons' and 'x0'")
     x0 = np.asarray(cfg.x0[0], dtype=float)
+    spec = spec_from_model_config(cfg.model)
+    _gate_stability(spec)
+    sigma = sigma_matrix(spec)
     rows = []
     tvs = []
     cs = []
     for i, eps in enumerate(cfg.epsilons):
-        spec = spec_from_model_config(cfg.model, eps)
-        _gate_stability(spec)
-        sigma = sigma_matrix(spec)
         batch = integrate_sde(
             spec,
             x0,
@@ -442,6 +441,7 @@ def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
             dt=cfg.dt,
             n_paths=cfg.n_paths,
             seed=cfg.seed + i,
+            epsilon=eps,
             scheme="baoab",
             store_every=max(1, int(round(cfg.horizon / cfg.dt))),
         )
@@ -502,10 +502,10 @@ UNSTABLE_MATRIX = [[1.0, -2.0], [2.0, 1.0]]
 UNSTABLE_GAMMA = 1.0
 
 
-def corpus_spec(name: str, epsilon: float = 1e-2) -> ModelSpec:
+def corpus_spec(name: str) -> ModelSpec:
     if name not in _CORPUS_MODELS:
         raise ParameterError(f"unknown corpus model {name!r}; have {sorted(_CORPUS_MODELS)}")
-    return spec_from_model_config(_CORPUS_MODELS[name], epsilon)
+    return spec_from_model_config(_CORPUS_MODELS[name])
 
 
 def corpus_model_config(name: str) -> dict:
@@ -564,7 +564,7 @@ def _certificate_exists(force, gamma: float) -> bool:
     for bfrac in (0.5, 0.8, 0.95, 0.99):
         for alpha in (1e-3, 1e-2, 0.1, 0.3, 0.6):
             try:
-                s = make_spec(force, gamma, 1e-2, alpha=alpha, beta=bfrac * gamma)
+                s = make_spec(force, gamma, alpha=alpha, beta=bfrac * gamma)
             except ParameterError:
                 continue
             if check_assumption_main(s, radius=2.0, n_samples=128).holds_on_samples:
@@ -804,15 +804,16 @@ def _check_jordan_robustness() -> CheckResult:
 
 
 def _check_coupling_and_seed() -> CheckResult:
-    spec = corpus_spec("lin1d_complex", epsilon=0.01)
+    spec = corpus_spec("lin1d_complex")
+    eps = 0.01
     x0 = np.array([0.5, 0.1])
-    b1 = integrate_sde(spec, x0, 1.0, 0.005, 256, seed=4, scheme="euler_maruyama",
-                       store_every=20, couple_fluctuation=True)
+    kw = dict(epsilon=eps, scheme="euler_maruyama", store_every=20)
+    b1 = integrate_sde(spec, x0, 1.0, 0.005, 256, seed=4, couple_fluctuation=True, **kw)
     z = b1.coupled["Z"]
-    recon = b1.coupled["ode"][None, :, :] + math.sqrt(2 * spec.epsilon) * b1.coupled["Y"]
+    recon = b1.coupled["ode"][None, :, :] + math.sqrt(2 * eps) * b1.coupled["Y"]
     exact = float(np.abs(z - recon).max())
-    b2 = integrate_sde(spec, x0, 1.0, 0.005, 256, seed=5, scheme="euler_maruyama", store_every=20)
-    b3 = integrate_sde(spec, x0, 1.0, 0.005, 256, seed=4, scheme="euler_maruyama", store_every=20)
+    b2 = integrate_sde(spec, x0, 1.0, 0.005, 256, seed=5, **kw)
+    b3 = integrate_sde(spec, x0, 1.0, 0.005, 256, seed=4, **kw)
     differs = not np.array_equal(b1.states, b2.states)
     matches = np.array_equal(b1.states, b3.states)
     ok = exact == 0.0 and differs and matches
@@ -820,8 +821,9 @@ def _check_coupling_and_seed() -> CheckResult:
 
 
 def _check_weak_order() -> CheckResult:
+    spec = corpus_spec("lin1d_complex")
     # small noise level keeps the Monte Carlo floor below the finest-step bias
-    spec = corpus_spec("lin1d_complex", epsilon=1e-6)
+    eps = 1e-6
     x0 = np.array([0.8, 0.0])
     A = drift_matrix(spec, np.zeros(1))
     ref = sla.expm(A * 1.0) @ x0
@@ -830,7 +832,7 @@ def _check_weak_order() -> CheckResult:
         errs = []
         dts = (0.25, 0.125, 0.0625)
         for dt in dts:
-            b = integrate_sde(spec, x0, 1.0, dt, 32768, seed=2, scheme=scheme,
+            b = integrate_sde(spec, x0, 1.0, dt, 32768, seed=2, epsilon=eps, scheme=scheme,
                               store_every=int(round(1.0 / dt)))
             errs.append(np.linalg.norm(b.states[:, -1, :].mean(axis=0) - ref))
         rates[scheme] = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
@@ -844,21 +846,22 @@ def _check_weak_order() -> CheckResult:
 
 
 def _check_gibbs_stationarity() -> CheckResult:
-    spec = corpus_spec("quartic", epsilon=0.05)
+    spec = corpus_spec("quartic")
+    eps = 0.05
     n = 40000
-    batch = integrate_sde(spec, np.array([0.3, 0.0]), 25.0, 0.01, n, seed=9, scheme="baoab",
-                          store_every=2500)
+    batch = integrate_sde(spec, np.array([0.3, 0.0]), 25.0, 0.01, n, seed=9, epsilon=eps,
+                          scheme="baoab", store_every=2500)
     cloud = batch.states[:, -1, :]
     v_sim = 0.5 * cloud[:, 1] ** 2 + np.asarray(spec.force.eval_U(cloud[:, :1]))
     # direct Gibbs sampler: p gaussian, q by rejection against exp(-gamma U / eps)
     rng = np.random.default_rng(77)
-    p = rng.normal(0.0, math.sqrt(spec.epsilon / spec.gamma), n)
+    p = rng.normal(0.0, math.sqrt(eps / spec.gamma), n)
     qs = []
-    scale = math.sqrt(spec.epsilon / spec.gamma)
+    scale = math.sqrt(eps / spec.gamma)
     while len(qs) < n:
         cand = rng.normal(0.0, scale, 4 * n)
         u_extra = cand**4 / 4.0
-        acc = rng.random(4 * n) < np.exp(-spec.gamma * u_extra / spec.epsilon)
+        acc = rng.random(4 * n) < np.exp(-spec.gamma * u_extra / eps)
         qs.extend(cand[acc][: n - len(qs)])
     q = np.asarray(qs[:n])
     v_ref = 0.5 * p**2 + q**2 / 2.0 + q**4 / 4.0
@@ -872,19 +875,21 @@ def _check_gibbs_stationarity() -> CheckResult:
 
 
 def _check_cutoff_curve_vs_empirical() -> CheckResult:
-    spec = corpus_spec("lin1d_complex", epsilon=0.01)
+    spec = corpus_spec("lin1d_complex")
+    eps = 0.01
     x0 = np.array([0.6, 0.3])
     sigma = sigma_matrix(spec)
     path = integrate_covariance(spec, x0, 8.0, 0.005)
-    batch = integrate_sde(spec, x0, 8.0, 0.005, 20000, seed=31, scheme="baoab", store_every=200)
+    batch = integrate_sde(spec, x0, 8.0, 0.005, 20000, seed=31, epsilon=eps, scheme="baoab",
+                          store_every=200)
     rng = np.random.default_rng(99)
     worst = 0.0
     for i, t in enumerate(batch.grid):
         if t < 1.0:
             continue
         mean, cov_t = path.at(float(t))
-        exact = exact_gaussian_tv_curve_point(spec, mean, cov_t, sigma, spec.epsilon)
-        ref = Gaussian(np.zeros(2), 2 * spec.epsilon * sigma).sample(20000, rng)
+        exact = exact_gaussian_tv_curve_point(mean, cov_t, sigma, eps)
+        ref = Gaussian(np.zeros(2), 2 * eps * sigma).sample(20000, rng)
         # the linear model is exactly Gaussian in law, so moment matching is sharp
         est = empirical_tv(batch.states[:, i, :], ref, method="gaussian_momentmatch", seed=31)
         gap = abs(est.estimate - exact)
@@ -923,16 +928,15 @@ def verify_suite(cfg: Optional[ExperimentConfig] = None, out_dir: Optional[str] 
     """Run every module's invariant checks on the built-in corpus.
 
     Check failures are report entries, not exceptions.  Returns a manifest
-    whose summary lists each check with its pass flag and margin.
+    whose summary lists each check with its pass flag and margin.  An
+    exception outside the checks leaves the manifest with status "failed"
+    and the error.
     """
     out = out_dir or (cfg.out_dir if cfg else "langmix_verify")
-    manifest = RunManifest(
-        config_hash=cfg.config_hash if cfg else "builtin",
-        code_version=__version__,
-        started_at=time.time(),
-        out_dir=out,
-    )
-    manifest.write()
+    return _run_pipeline(cfg.config_hash if cfg else "builtin", out, _verify)
+
+
+def _verify(manifest: RunManifest):
     with tempfile.TemporaryDirectory() as tmp:
         checks: list[Callable[[], CheckResult]] = [
             _check_fd_convergence,
@@ -966,11 +970,10 @@ def verify_suite(cfg: Optional[ExperimentConfig] = None, out_dir: Optional[str] 
                 name = getattr(fn, "__name__", "anonymous_check")
                 results.append(CheckResult(name, False, float("nan"), f"crashed: {exc!r}"))
     rows = [(r.name, int(r.passed), r.margin, r.detail) for r in results]
-    csv_path = write_csv(os.path.join(out, "verify_report.csv"), ["check", "passed", "margin", "detail"], rows)
+    csv_path = write_csv(os.path.join(manifest.out_dir, "verify_report.csv"), ["check", "passed", "margin", "detail"], rows)
     manifest.artifacts.append(csv_path)
     passed = all(r.passed for r in results)
     manifest.finalize(
         passed=passed,
         summary={"checks": [{"name": r.name, "passed": r.passed, "margin": r.margin, "detail": r.detail} for r in results]},
     )
-    return manifest

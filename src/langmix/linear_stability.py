@@ -179,7 +179,6 @@ def kappa0_constant(gamma: float, lam: float) -> float:
 def make_spec(
     force: ForceField,
     gamma: float,
-    epsilon: float,
     alpha: float,
     beta: float,
 ) -> ModelSpec:
@@ -189,7 +188,6 @@ def make_spec(
     return ModelSpec(
         force=force,
         gamma=gamma,
-        epsilon=epsilon,
         alpha=alpha,
         beta=beta,
         lam=lam,

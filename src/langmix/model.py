@@ -107,7 +107,9 @@ class ForceField:
 
 @dataclass(eq=False)
 class ModelSpec:
-    """A force field with friction, temperature, and the derived certificate constants.
+    """A force field with friction and the derived certificate constants.
+
+    None of them depends on the noise level, which the sampling functions take.
 
     lam is the exponential decay rate of the Lyapunov function; kappa0 the
     norm-equivalence constant; kappa = kappa0**2 the stability constant;
@@ -116,7 +118,6 @@ class ModelSpec:
 
     force: ForceField
     gamma: float
-    epsilon: float
     alpha: float
     beta: float
     lam: float
@@ -128,8 +129,6 @@ class ModelSpec:
         g, a, b, lam = self.gamma, self.alpha, self.beta, self.lam
         if g <= 0:
             raise ParameterError("friction gamma must be positive")
-        if self.epsilon < 0:
-            raise ParameterError("noise level epsilon must be nonnegative")
         if a <= 0:
             raise ParameterError("coercivity alpha must be positive")
         if not (0.0 < b < g):

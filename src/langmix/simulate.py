@@ -63,7 +63,6 @@ class TrajectoryBatch:
     states: np.ndarray
     seed: int
     scheme: str
-    epsilon: float
     excluded: int = 0
     coupled: Optional[dict] = None
 
@@ -109,15 +108,14 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
     return alive
 
 
-def _langevin_step(spec: ModelSpec, dt: float, scheme: str):
+def _langevin_step(spec: ModelSpec, epsilon: float, dt: float, scheme: str):
     """One step (q, p) -> (q, p) of the noisy dynamics, driven by d standard normals."""
     F = spec.force.eval_F
     g = spec.gamma
-    eps = spec.epsilon
     h = 0.5 * dt
     if scheme == "baoab":
         c_ou = math.exp(-g * dt)
-        sig_ou = math.sqrt(max(eps / g * (1.0 - c_ou**2), 0.0))
+        sig_ou = math.sqrt(max(epsilon / g * (1.0 - c_ou**2), 0.0))
 
         def step(k, s, xi):
             q, p = s
@@ -130,7 +128,7 @@ def _langevin_step(spec: ModelSpec, dt: float, scheme: str):
 
         return step
 
-    sqrt2eps_dt = math.sqrt(2.0 * eps * dt)
+    sqrt2eps_dt = math.sqrt(2.0 * epsilon * dt)
 
     def step(k, s, xi):
         q, p = s
@@ -181,6 +179,7 @@ def integrate_sde(
     dt: float,
     n_paths: int,
     seed: int,
+    epsilon: float,
     scheme: str = "baoab",
     store_every: int = 1,
     couple_fluctuation: bool = False,
@@ -189,9 +188,10 @@ def integrate_sde(
     """Simulate dq = p dt, dp = -F(q) dt - gamma p dt + sqrt(2 eps) dB.
 
     Schemes: "euler_maruyama" and "baoab" (the friction-noise substep is an
-    exact Ornstein-Uhlenbeck update).  At eps = 0 both reduce to deterministic
-    integrators of the zero-noise flow at their respective orders.  Paths that
-    leave [-1e12, 1e12] or produce non-finite values are excluded and counted.
+    exact Ornstein-Uhlenbeck update).  The noise level epsilon must be
+    nonnegative; at eps = 0 both schemes reduce to deterministic integrators
+    of the zero-noise flow at their respective orders.  Paths that leave
+    [-1e12, 1e12] or produce non-finite values are excluded and counted.
     With couple_fluctuation (Euler-Maruyama only) the Gaussian fluctuation Y
     and the surrogate Z share the Brownian increments of the main ensemble;
     Y is then exactly integrate_fluctuation(..., method="em") for the same seed.
@@ -202,8 +202,9 @@ def integrate_sde(
         raise ParameterError("coupled fluctuation runs require the euler_maruyama scheme")
     if dt <= 0 or t_end < 0 or n_paths < 1:
         raise ParameterError("need dt > 0, t_end >= 0, n_paths >= 1")
+    if epsilon < 0:
+        raise ParameterError("noise level epsilon must be nonnegative")
     d = spec.dim
-    eps = spec.epsilon
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2 * d,):
         raise ParameterError(f"x0 must have shape ({2 * d},)")
@@ -218,7 +219,7 @@ def integrate_sde(
     def start(m):
         return np.tile(x0[:d], (m, 1)), np.tile(x0[d:], (m, 1))
 
-    step = _langevin_step(spec, dt, scheme)
+    step = _langevin_step(spec, epsilon, dt, scheme)
     states = np.empty((n_paths, len(store_idx), 2 * d))
     outs = (states[:, :, :d], states[:, :, d:])
     if couple_fluctuation:
@@ -246,14 +247,13 @@ def integrate_sde(
     coupled = None
     if couple_fluctuation:
         ode_stored = ode_path[store_idx]
-        z = ode_stored[None, :, :] + math.sqrt(2.0 * eps) * y_states
+        z = ode_stored[None, :, :] + math.sqrt(2.0 * epsilon) * y_states
         coupled = {"ode": ode_stored, "Y": y_states, "Z": z}
     return TrajectoryBatch(
         grid=store_idx * dt,
         states=states,
         seed=seed,
         scheme=scheme,
-        epsilon=eps,
         excluded=excluded,
         coupled=coupled,
     )
@@ -314,7 +314,6 @@ def integrate_fluctuation(
         states=states,
         seed=seed,
         scheme=f"fluctuation_{method}",
-        epsilon=spec.epsilon,
         coupled={"ode": ode.states[store_idx]},
     )
 
@@ -326,21 +325,21 @@ def _omega(n: int, d: int) -> float:
     return w
 
 
-def moment_bound(spec: ModelSpec, x, t, n: int = 1) -> np.ndarray:
+def moment_bound(spec: ModelSpec, x, t, epsilon: float, n: int = 1) -> np.ndarray:
     """Bound kappa0^n omega_n (H(x) exp(-lam t) + d eps / lam)^n on E|X_t|^(2n)."""
     if n < 0:
         raise ParameterError("moment order must be nonnegative")
+    if epsilon < 0:
+        raise ParameterError("noise level epsilon must be nonnegative")
     t = np.asarray(t, dtype=float)
     h = float(lyapunov_H(spec, np.asarray(x, dtype=float)))
-    core = h * np.exp(-spec.lam * t) + spec.dim * spec.epsilon / spec.lam
+    core = h * np.exp(-spec.lam * t) + spec.dim * epsilon / spec.lam
     return spec.kappa0**n * _omega(n, spec.dim) * core**n
 
 
-def exp_moment_bound(spec: ModelSpec, x, t: float) -> float:
-    """Largest a below which E[exp(a |X_t|^2)] < 2 is guaranteed."""
-    h = float(lyapunov_H(spec, np.asarray(x, dtype=float)))
-    core = h * math.exp(-spec.lam * t) + spec.dim * spec.epsilon / spec.lam
-    return 1.0 / (2.0 * (spec.dim + 2) * spec.kappa0 * core)
+def exp_moment_bound(spec: ModelSpec, x, t: float, epsilon: float) -> float:
+    """Largest a below which E[exp(a |X_t|^2)] < 2 is guaranteed: 1 / (2 (d + 2) moment_bound)."""
+    return 1.0 / (2.0 * (spec.dim + 2) * float(moment_bound(spec, x, t, epsilon)))
 
 
 @dataclass
@@ -433,6 +432,7 @@ def pinsker_kl_bound(
     dt: float,
     n_paths: int,
     seed: int,
+    epsilon: float,
 ) -> float:
     """Monte Carlo KL-type bound whose square root dominates d_TV(X_t, Z_t).
 
@@ -441,7 +441,7 @@ def pinsker_kl_bound(
     along the Euler-Maruyama ensemble that integrate_sde runs for the same
     seed.  Identically zero for linear forces.
     """
-    if spec.epsilon <= 0:
+    if epsilon <= 0:
         raise ParameterError("the bound needs a positive noise level")
     d = spec.dim
     x0 = np.asarray(x0, dtype=float)
@@ -458,7 +458,7 @@ def pinsker_kl_bound(
         return np.sum(rem * rem, axis=1)
 
     # state: (trapezoid sum, q, p, integrand at the last step)
-    x_step = _langevin_step(spec, dt, "euler_maruyama")
+    x_step = _langevin_step(spec, epsilon, dt, "euler_maruyama")
 
     def start(m):
         q = np.tile(x0[:d], (m, 1))
@@ -472,4 +472,4 @@ def pinsker_kl_bound(
     store_idx = np.unique([0, n_steps])
     acc = np.empty((n_paths, len(store_idx)))
     _run_ensemble(n_paths, seed, n_steps, d, start, step, store_idx, (acc,))
-    return float(np.sum(acc[:, -1])) / n_paths / (2.0 * spec.epsilon)
+    return float(np.sum(acc[:, -1])) / n_paths / (2.0 * epsilon)

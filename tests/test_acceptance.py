@@ -46,7 +46,7 @@ def test_criterion_01_stationary_covariance_exact():
     worst = 0.0
     for k in (0.3, 0.7, 1.0, 1.9, 3.1):
         for gamma in (0.6, 2.4):
-            spec = make_spec(make_linear_force([[k]]), gamma, 1e-2, alpha=2 / 3, beta=gamma / 2)
+            spec = make_spec(make_linear_force([[k]]), gamma, alpha=2 / 3, beta=gamma / 2)
             sig = lm.sigma_matrix(spec)
             ref = np.diag([1.0 / (2 * gamma * k), 1.0 / (2 * gamma)])
             worst = max(worst, float(np.abs(sig - ref).max() / np.abs(ref).max()))
@@ -179,20 +179,21 @@ def test_criterion_06_moment_bounds():
     t0 = time.time()
     ok = True
     detail = []
+    eps = 0.05
     for name in ("lin1d_complex", "quartic"):
-        spec = corpus_spec(name, epsilon=0.05)
+        spec = corpus_spec(name)
         x0 = np.array([0.8, 0.4])
         batch = lm.integrate_sde(
-            spec, x0, 20.0, 0.01, 100_000, seed=21, scheme="baoab", store_every=100
+            spec, x0, 20.0, 0.01, 100_000, seed=21, epsilon=eps, scheme="baoab", store_every=100
         )
         worst_margin = -np.inf
         worst_exp = 0.0
         for i, t in enumerate(batch.grid):
             m2 = np.sum(batch.states[:, i, :] ** 2, axis=1)
             se = float(m2.std(ddof=1) / math.sqrt(len(m2)))
-            bound = float(lm.moment_bound(spec, x0, float(t), 1))
+            bound = float(lm.moment_bound(spec, x0, float(t), eps, 1))
             worst_margin = max(worst_margin, float(m2.mean()) - (bound + 3 * se))
-            a = 0.9 * lm.exp_moment_bound(spec, x0, float(t))
+            a = 0.9 * lm.exp_moment_bound(spec, x0, float(t), eps)
             worst_exp = max(worst_exp, float(np.mean(np.exp(a * m2))))
         ok = ok and worst_margin <= 0.0 and worst_exp < 2.0
         detail.append(f"{name}: margin {worst_margin:.2e}, max exp-moment {worst_exp:.3f}")
@@ -201,7 +202,7 @@ def test_criterion_06_moment_bounds():
 
 def test_criterion_07_fluctuation_covariance_consistency():
     t0 = time.time()
-    spec = corpus_spec("lin1d_complex", epsilon=0.01)
+    spec = corpus_spec("lin1d_complex")
     x0 = np.array([0.7, 0.2])
     n = 100_000
     batch = lm.integrate_fluctuation(spec, x0, 5.0, 0.01, n, seed=5, store_every=50)
@@ -243,7 +244,7 @@ def test_criterion_08_cutoff_curve():
             if t < 0.02:
                 continue
             mean, cov_t = path.at(t)
-            curve = exact_gaussian_tv_curve_point(spec, mean, cov_t, sigma, eps)
+            curve = exact_gaussian_tv_curve_point(mean, cov_t, sigma, eps)
             sup = max(sup, abs(curve - lm.profile_D(spec, sd, t, eps)))
             if eps == 1e-5 and w in (-6.0, 6.0):
                 ends[w] = curve
@@ -286,13 +287,14 @@ def test_criterion_10_stationary_gaussianization():
     x0 = np.array([0.5, 0.0])
     eps_list = [1e-1, 1e-2, 1e-3]
     tvs, errs, cs = [], [], []
+    spec = corpus_spec("quartic")
+    sigma = lm.sigma_matrix(spec)
     for i, eps in enumerate(eps_list):
-        spec = corpus_spec("quartic", epsilon=eps)
         batch = lm.integrate_sde(
-            spec, x0, 40.0, 0.02, 100_000, seed=100 + i, scheme="baoab", store_every=2000
+            spec, x0, 40.0, 0.02, 100_000, seed=100 + i, epsilon=eps, scheme="baoab",
+            store_every=2000,
         )
         cloud = batch.states[:, -1, :]
-        sigma = lm.sigma_matrix(spec)
         ref = Gaussian(np.zeros(2), 2 * eps * sigma).sample(
             len(cloud), np.random.default_rng(999 + i)
         )
@@ -356,19 +358,19 @@ def test_criterion_11_quadratic_gronwall():
 def test_criterion_12_pinsker_bound():
     t0 = time.time()
     # linear force: the second-order remainder vanishes identically
-    lin = corpus_spec("lin1d_complex", epsilon=1e-2)
-    zero = lm.pinsker_kl_bound(lin, np.array([0.5, 0.1]), 1.0, 0.002, 500, seed=5)
+    lin = corpus_spec("lin1d_complex")
+    zero = lm.pinsker_kl_bound(lin, np.array([0.5, 0.1]), 1.0, 0.002, 500, seed=5, epsilon=1e-2)
 
     eps_list = [1e-2, 1e-3, 1e-4]
-    vals = []
-    for eps in eps_list:
-        spec = corpus_spec("quartic", epsilon=eps)
-        vals.append(lm.pinsker_kl_bound(spec, np.array([0.8, 0.2]), 2.0, 0.002, 20_000, seed=3))
+    spec = corpus_spec("quartic")
+    vals = [
+        lm.pinsker_kl_bound(spec, np.array([0.8, 0.2]), 2.0, 0.002, 20_000, seed=3, epsilon=eps)
+        for eps in eps_list
+    ]
     slope = float(np.polyfit(np.log(eps_list), np.log(vals), 1)[0])
 
-    spec = corpus_spec("quartic", epsilon=1e-3)
     batch = lm.integrate_sde(
-        spec, np.array([0.8, 0.2]), 2.0, 0.002, 20_000, seed=3,
+        spec, np.array([0.8, 0.2]), 2.0, 0.002, 20_000, seed=3, epsilon=1e-3,
         scheme="euler_maruyama", store_every=1000, couple_fluctuation=True,
     )
     x_cloud = batch.states[:, -1, :]

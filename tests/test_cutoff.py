@@ -155,7 +155,7 @@ class TestBallEntrySearch:
 
     def test_never_entered_ball_raises_at_the_horizon(self, counted_flow_steps):
         # double well U = q^4/4 - q^2/2: from (1.5, 0) the flow settles at (1, 0)
-        spec = make_spec(_polynomial_gradient_force([0, 0, -0.5, 0, 0.25]), 1.5, 1e-2, alpha=2 / 3, beta=0.75)
+        spec = make_spec(_polynomial_gradient_force([0, 0, -0.5, 0, 0.25]), 1.5, alpha=2 / 3, beta=0.75)
         spec.delta_nbhd = 0.5
         x = np.array([1.5, 0.0])
         with pytest.raises(StabilityError, match="never entered"):
@@ -167,7 +167,7 @@ class TestBallEntrySearch:
     def test_divergence_reports_the_time_since_the_start(self):
         # inverted quartic U = q^2/2 - q^4/4: past the barrier at q = 1 the
         # path blows up after t = 2.5, in the third search segment
-        spec = make_spec(_polynomial_gradient_force([0, 0, 0.5, 0, -0.25]), 1.5, 1e-2, alpha=2 / 3, beta=0.75)
+        spec = make_spec(_polynomial_gradient_force([0, 0, 0.5, 0, -0.25]), 1.5, alpha=2 / 3, beta=0.75)
         x = np.array([1.2, 0.0])
         with pytest.raises(DivergenceError) as whole:
             flow_zero_noise(spec, x, 10.0, FLOW_DT)

@@ -1,11 +1,12 @@
-"""Every defaulted parameter of a module-level langmix function is set by some caller.
+"""Every parameter of a module-level langmix function is read, and every default is overridden.
 
 A default that no call in src/, tests/ or bench/ overrides is a constant
 dressed up as an option: it doubles the configurations to test without any
 caller needing the second value.  The scan is syntactic: a call matches a
 function by its bare or attribute name, so it can over-count callers (and
 miss a dead parameter); it reports a live one as dead only when every caller
-reaches the function under another name.
+reaches the function under another name.  A parameter the function body
+never reads makes every caller build a value that is thrown away.
 """
 
 import ast
@@ -30,6 +31,24 @@ def _defaulted_parameters(tree: ast.Module):
         params += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
         if params:
             yield node.name, params
+
+
+def _unread_parameters(tree: ast.Module):
+    """(function, parameter) for module-level functions whose body never reads the parameter."""
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for a in params:
+            if a.arg not in read:
+                yield node.name, a.arg
 
 
 def _calls():
@@ -72,8 +91,19 @@ def test_scan_reads_definitions_and_calls():
     source = "def f(a, b=1, *, c=2, e):\n    pass\n\ndef _g(x=1):\n    pass\n\ndef _h(y):\n    pass\n"
     assert list(_defaulted_parameters(ast.parse(source))) == [("f", [(1, "b"), (None, "c")]), ("_g", [(0, "x")])]
     assert any({"n_paths", "seed"} <= (kws or set()) for _, kws in _calls()["integrate_sde"])
+    source = "def k(a, b, *c, d, **e):\n    def inner():\n        return d\n    b = a + sum(c)\n    return inner\n"
+    assert list(_unread_parameters(ast.parse(source))) == [("k", "b"), ("k", "e")]
 
 
 def test_no_parameter_keeps_its_default_everywhere():
     dead = _dead_parameters()
     assert not dead, "defaulted parameters that no caller sets: " + ", ".join(dead)
+
+
+def test_every_parameter_is_read():
+    unread = [
+        f"{path.stem}.{fn}({param})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn, param in _unread_parameters(ast.parse(path.read_text()))
+    ]
+    assert not unread, "parameters their function never reads: " + ", ".join(unread)

@@ -108,6 +108,28 @@ class TestTvGaussian:
         g = Gaussian(np.zeros(2), np.diag([0.5, 0.5]))
         assert tv_gaussian(g, g, method="exact_if_reducible").value == 0.0
         assert tv_gaussian(g, g, method="frobenius_bound").value == pytest.approx(0.0, abs=1e-12)
+        assert tv_gaussian(g, g, method="cdf_quadrature").value == 0.0
+
+    @pytest.mark.parametrize(
+        "mean, cov1, cov2",
+        [
+            ([0.0], [[1.0]], [[1.5]]),
+            ([1e-8 / np.sqrt(1e-9), 0.0], np.eye(2), np.eye(2)),
+            ([3e-4, -2e-4], [[1.0, 0.2], [0.2, 0.5]], [[0.7, -0.1], [-0.1, 1.2]]),
+        ],
+        ids=["variance_pair", "mean_shift", "general_2d"],
+    )
+    def test_cdf_quadrature_scale_invariant(self, mean, cov1, cov2):
+        # x -> sqrt(s) x maps N(0, S1), N(m, S2) to N(0, s S1), N(sqrt(s) m, s S2)
+        # and keeps TV; at s = 1e-9 both scaled pairs pass np.allclose
+        s = 1e-9
+        m = np.asarray(mean)
+        g1, g2 = Gaussian(np.zeros_like(m), cov1), Gaussian(m, cov2)
+        h1 = Gaussian(np.zeros_like(m), s * np.asarray(cov1))
+        h2 = Gaussian(np.sqrt(s) * m, s * np.asarray(cov2))
+        ref = tv_gaussian(g1, g2, method="cdf_quadrature").value
+        assert ref > 1e-4
+        assert tv_gaussian(h1, h2, method="cdf_quadrature").value == pytest.approx(ref, rel=1e-9)
 
     def test_exact_requires_equal_covariances(self):
         g1 = Gaussian(np.zeros(1), [[1.0]])

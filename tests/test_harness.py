@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from langmix import harness, matrix_eq
 from langmix.cutoff import jordan_chains
 from langmix.covflow import drift_matrix, noise_matrix
 from langmix.errors import ParameterError, StabilityError
@@ -118,6 +119,54 @@ class TestManifest:
         manifest = run_cutoff_experiment(cfg)
         listed = {os.path.basename(a) for a in manifest.artifacts} | {"run_manifest.json"}
         assert set(os.listdir(cfg.out_dir)) <= listed
+
+    def test_verify_suite_failure_finalizes_manifest(self, tmp_path, monkeypatch):
+        for name in dir(harness):
+            if name.startswith("_check_"):
+                monkeypatch.setattr(harness, name, lambda *a, n=name: harness.CheckResult(n, True, 0.0))
+
+        def broken_write_csv(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "write_csv", broken_write_csv)
+        out_dir = tmp_path / "verify"
+        with pytest.raises(OSError, match="disk full"):
+            verify_suite(out_dir=str(out_dir))
+        data = json.loads((out_dir / "run_manifest.json").read_text())
+        assert data["status"] == "failed"
+        assert data["passed"] is False
+        assert data["summary"]["error"] == {"type": "OSError", "message": "disk full"}
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; returns the record."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneSpecPerPipeline:
+    def test_stationary_check_builds_force_and_sigma_once(self, tmp_path, monkeypatch):
+        builds = _count_calls(monkeypatch, harness, "force_from_config")
+        solves = _count_calls(monkeypatch, matrix_eq, "solve_lyapunov_stable")
+        raw = minimal_config(tmp_path, epsilons=[1e-1, 1e-2], horizon=0.5, n_paths=64)
+        raw["model"] = harness.corpus_model_config("quartic")
+        run_stationary_check(validate_config(raw))
+        assert len(builds) == 1
+        assert len(solves) == 1
+
+    def test_cutoff_experiment_with_mc_curve_builds_force_once(self, tmp_path, monkeypatch):
+        builds = _count_calls(monkeypatch, harness, "force_from_config")
+        raw = minimal_config(tmp_path, epsilons=[1e-2, 1e-3, 1e-4], mc_curve=True, n_paths=64)
+        manifest = run_cutoff_experiment(validate_config(raw))
+        assert len(builds) == 1
+        assert sum(p.endswith(".csv") for p in manifest.artifacts) == 3
 
 
 class TestCutoffPipeline:

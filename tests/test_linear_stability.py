@@ -155,7 +155,7 @@ class TestLyapunovH:
         # gamma - lam = 1 exactly: gamma=2, lam=1 is admissible for alpha=2, beta=1
         ff = make_linear_force([[1.0]])
         return ModelSpec(
-            force=ff, gamma=2.0, epsilon=0.0, alpha=2.0, beta=1.0,
+            force=ff, gamma=2.0, alpha=2.0, beta=1.0,
             lam=1.0, kappa0=kappa0_constant(2.0, 1.0), kappa=kappa0_constant(2.0, 1.0) ** 2,
         )
 
@@ -231,7 +231,7 @@ class TestStabilityCertificate:
 
     def test_unstable_model_flagged(self):
         ff = make_linear_force([[1.0, -2.0], [2.0, 1.0]])
-        spec = make_spec(ff, gamma=1.0, epsilon=0.0, alpha=0.3, beta=0.9)
+        spec = make_spec(ff, gamma=1.0, alpha=0.3, beta=0.9)
         rep = verify_exponential_stability(spec, np.array([1.0, 0.0, 0.0, 0.0]), 12.0)
         assert not rep.monotone or not rep.norm_bound_holds
 
@@ -279,7 +279,7 @@ class TestRelaxationTime:
     def _spec(self, kappa=4.0, lam=2.0):
         ff = make_linear_force([[1.0]])
         return ModelSpec(
-            force=ff, gamma=5.0, epsilon=0.0, alpha=4.0, beta=1.0,
+            force=ff, gamma=5.0, alpha=4.0, beta=1.0,
             lam=lam, kappa0=2.0, kappa=kappa, delta_nbhd=1.0,
         )
 

@@ -137,7 +137,7 @@ class TestAssumptionMain:
         # M = [[1, -5], [5, 1]] with gamma = 1: gamma^2 a - b^2 = 1 - 25 < 0
         ff = make_linear_force([[1.0, -5.0], [5.0, 1.0]])
         # brute-force check that no admissible margin0 remains at these constants
-        spec = make_spec(ff, gamma=1.0, epsilon=1e-2, alpha=0.3, beta=0.9)
+        spec = make_spec(ff, gamma=1.0, alpha=0.3, beta=0.9)
         rep = check_assumption_main(spec, radius=2.0, n_samples=400)
         pts = sample_ball(2, 2.0, 400)
         margins = (
@@ -160,7 +160,7 @@ class TestAssumptionMain:
             eval_DF=lambda q: np.ones(np.asarray(q).shape[:-1] + (1, 1)),
             kind="general",
         )
-        spec = make_spec(ff, gamma=1.0, epsilon=0.0, alpha=0.5, beta=0.5)
+        spec = make_spec(ff, gamma=1.0, alpha=0.5, beta=0.5)
         with pytest.raises(DecompositionMissingError):
             check_assumption_main(spec, radius=1.0, n_samples=16)
 
@@ -168,7 +168,7 @@ class TestAssumptionMain:
 class TestAssumptionDF:
     def test_linear_constant_jacobian(self):
         M = np.array([[1.0, -2.0], [2.0, 1.0]])
-        spec = make_spec(make_linear_force(M), 3.0, 1e-2, 0.25, 2.6)
+        spec = make_spec(make_linear_force(M), 3.0, 0.25, 2.6)
         rep = check_assumption_DF(spec, radius=2.0, n_samples=200)
         assert rep.rho_hat == 0.0
         assert rep.C_hat == pytest.approx(np.linalg.norm(M, 2))

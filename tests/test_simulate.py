@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from langmix.covflow import drift_matrix, integrate_covariance, noise_matrix
 from langmix.errors import ParameterError
 from langmix.gaussian_tv import Gaussian, tv_unit
+from langmix.harness import corpus_spec
 from langmix.linear_stability import flow_zero_noise, make_spec
 from langmix.matrix_eq import lyapunov_quadrature, sigma_matrix
 from langmix.model import make_linear_force
@@ -21,19 +22,13 @@ from langmix.simulate import (
 )
 
 
-def spec_with_eps(base_cfg_name, eps):
-    from langmix.harness import corpus_spec
-
-    return corpus_spec(base_cfg_name, epsilon=eps)
-
-
 class TestIntegrateSde:
     def test_zero_noise_matches_flow(self):
-        spec = spec_with_eps("lin1d_complex", 0.0)
+        spec = corpus_spec("lin1d_complex")
         x0 = np.array([0.9, -0.2])
         ode = flow_zero_noise(spec, x0, 2.0, 0.01)
         for scheme, tol in (("euler_maruyama", 0.03), ("baoab", 0.002)):
-            b = integrate_sde(spec, x0, 2.0, 0.01, 3, seed=0, scheme=scheme, store_every=200)
+            b = integrate_sde(spec, x0, 2.0, 0.01, 3, seed=0, epsilon=0.0, scheme=scheme, store_every=200)
             err = np.abs(b.states[:, -1, :] - ode.states[-1]).max()
             assert err < tol
             # all paths identical without noise
@@ -41,13 +36,14 @@ class TestIntegrateSde:
 
     def test_linear_gaussian_solution(self):
         # exact solution: mean e^{At} x0, covariance 2 eps int_0^t e^{As} J e^{A's} ds
-        spec = spec_with_eps("lin1d_complex", 0.01)
+        spec = corpus_spec("lin1d_complex")
+        eps = 0.01
         x0 = np.array([0.8, 0.3])
         n = 40000
-        b = integrate_sde(spec, x0, 1.0, 0.002, n, seed=8, scheme="baoab", store_every=500)
+        b = integrate_sde(spec, x0, 1.0, 0.002, n, seed=8, epsilon=eps, scheme="baoab", store_every=500)
         A = drift_matrix(spec, np.zeros(1))
         mean_ref = sla.expm(A * 1.0) @ x0
-        cov_ref = 2 * spec.epsilon * lyapunov_quadrature(
+        cov_ref = 2 * eps * lyapunov_quadrature(
             A, noise_matrix(1), 1.0, orientation="right", n_intervals=2000
         )
         cloud = b.states[:, -1, :]
@@ -58,31 +54,32 @@ class TestIntegrateSde:
         assert np.all(np.abs(emp - cov_ref) < 4 * se_cov)
 
     def test_long_run_matches_stationary_covariance(self):
-        spec = spec_with_eps("lin1d_complex", 0.05)
-        b = integrate_sde(spec, np.array([0.5, 0.0]), 30.0, 0.01, 30000, seed=3,
+        spec = corpus_spec("lin1d_complex")
+        eps = 0.05
+        b = integrate_sde(spec, np.array([0.5, 0.0]), 30.0, 0.01, 30000, seed=3, epsilon=eps,
                           scheme="baoab", store_every=3000)
         emp = np.cov(b.states[:, -1, :], rowvar=False)
-        ref = 2 * spec.epsilon * sigma_matrix(spec)
+        ref = 2 * eps * sigma_matrix(spec)
         assert np.abs(emp - ref).max() < 2e-3
 
     def test_bitwise_reproducible(self):
-        spec = spec_with_eps("lin1d_complex", 0.02)
-        kw = dict(t_end=1.0, dt=0.01, n_paths=5000, seed=77, scheme="baoab", store_every=10)
+        spec = corpus_spec("lin1d_complex")
+        kw = dict(t_end=1.0, dt=0.01, n_paths=5000, seed=77, epsilon=0.02, scheme="baoab", store_every=10)
         a = integrate_sde(spec, np.array([0.5, 0.0]), **kw)
         b = integrate_sde(spec, np.array([0.5, 0.0]), **kw)
         assert np.array_equal(a.states, b.states)
 
     def test_seed_changes_stream(self):
-        spec = spec_with_eps("lin1d_complex", 0.02)
-        a = integrate_sde(spec, np.zeros(2), 0.5, 0.01, 100, seed=1, store_every=50)
-        b = integrate_sde(spec, np.zeros(2), 0.5, 0.01, 100, seed=2, store_every=50)
+        spec = corpus_spec("lin1d_complex")
+        a = integrate_sde(spec, np.zeros(2), 0.5, 0.01, 100, seed=1, epsilon=0.02, store_every=50)
+        b = integrate_sde(spec, np.zeros(2), 0.5, 0.01, 100, seed=2, epsilon=0.02, store_every=50)
         assert not np.array_equal(a.states, b.states)
 
     @pytest.mark.parametrize(
         "run, kw",
         [
-            (integrate_sde, dict(scheme="baoab")),
-            (integrate_sde, dict(scheme="euler_maruyama")),
+            (integrate_sde, dict(epsilon=0.02, scheme="baoab")),
+            (integrate_sde, dict(epsilon=0.02, scheme="euler_maruyama")),
             (integrate_fluctuation, dict(method="exact")),
             (integrate_fluctuation, dict(method="em")),
         ],
@@ -91,33 +88,33 @@ class TestIntegrateSde:
     def test_path_count_invariance_of_streams(self, run, kw):
         # the first 100 paths are identical whether 100 paths are run or
         # enough to cross into a second noise block
-        spec = spec_with_eps("lin1d_complex", 0.02)
+        spec = corpus_spec("lin1d_complex")
         kw = dict(kw, t_end=0.5, dt=0.01, seed=5, store_every=50)
         small = run(spec, np.zeros(2), n_paths=100, **kw)
         big = run(spec, np.zeros(2), n_paths=BLOCK + 100, **kw)
         assert np.array_equal(small.states, big.states[:100])
 
     def test_coupling_identity_and_restrictions(self):
-        spec = spec_with_eps("lin1d_complex", 0.01)
-        b = integrate_sde(spec, np.array([0.4, 0.1]), 1.0, 0.005, 300, seed=4,
+        spec = corpus_spec("lin1d_complex")
+        eps = 0.01
+        b = integrate_sde(spec, np.array([0.4, 0.1]), 1.0, 0.005, 300, seed=4, epsilon=eps,
                           scheme="euler_maruyama", store_every=50, couple_fluctuation=True)
         z = b.coupled["Z"]
-        recon = b.coupled["ode"][None, :, :] + math.sqrt(2 * spec.epsilon) * b.coupled["Y"]
+        recon = b.coupled["ode"][None, :, :] + math.sqrt(2 * eps) * b.coupled["Y"]
         assert np.abs(z - recon).max() == 0.0
         # the coupled Y is the Euler-Maruyama fluctuation on the same stream
         y = integrate_fluctuation(spec, np.array([0.4, 0.1]), 1.0, 0.005, 300, seed=4,
                                   method="em", store_every=50)
         assert np.array_equal(b.coupled["Y"], y.states)
         with pytest.raises(ParameterError):
-            integrate_sde(spec, np.zeros(2), 1.0, 0.005, 10, seed=4, scheme="baoab",
+            integrate_sde(spec, np.zeros(2), 1.0, 0.005, 10, seed=4, epsilon=eps, scheme="baoab",
                           couple_fluctuation=True)
 
     def test_explosion_excluded_and_counted(self):
         # inverted potential: F(q) = -q pushes mass away; far starts explode
-        spec = make_spec(make_linear_force([[1.0]]), 1.0, 0.01, 2 / 3, 0.5)
-        bad = make_spec(make_linear_force([[-1.0]]), 1.0, 200.0, 2 / 3, 0.5)
-        b = integrate_sde(bad, np.array([1.0, 1.0]), 60.0, 0.5, 8, seed=1, store_every=60,
-                          scheme="euler_maruyama")
+        bad = make_spec(make_linear_force([[-1.0]]), 1.0, 2 / 3, 0.5)
+        b = integrate_sde(bad, np.array([1.0, 1.0]), 60.0, 0.5, 8, seed=1, epsilon=200.0,
+                          store_every=60, scheme="euler_maruyama")
         assert b.excluded > 0
         assert b.states.shape[0] == 8 - b.excluded
         assert np.all(np.isfinite(b.states))
@@ -159,11 +156,12 @@ class TestMomentBounds:
         x = np.array([0.4, 0.2])
         t = 1.7
         h = float(lyapunov_H(harmonic_spec, x))
+        eps = 1e-2
         expected = harmonic_spec.kappa0 * (
             h * math.exp(-harmonic_spec.lam * t)
-            + harmonic_spec.dim * harmonic_spec.epsilon / harmonic_spec.lam
+            + harmonic_spec.dim * eps / harmonic_spec.lam
         )
-        assert float(moment_bound(harmonic_spec, x, t, 1)) == pytest.approx(expected)
+        assert float(moment_bound(harmonic_spec, x, t, eps, 1)) == pytest.approx(expected)
 
     def test_omega_sequence(self, harmonic_spec):
         from langmix.simulate import _omega
@@ -174,25 +172,40 @@ class TestMomentBounds:
         assert _omega(3, d) == (d + 2) * (d + 4)
 
     def test_monte_carlo_below_bound(self):
-        spec = spec_with_eps("lin1d_complex", 0.05)
+        spec = corpus_spec("lin1d_complex")
+        eps = 0.05
         x0 = np.array([0.8, 0.4])
-        b = integrate_sde(spec, x0, 10.0, 0.01, 20000, seed=21, scheme="baoab", store_every=100)
+        b = integrate_sde(spec, x0, 10.0, 0.01, 20000, seed=21, epsilon=eps, scheme="baoab", store_every=100)
         for i, t in enumerate(b.grid):
             m2 = np.sum(b.states[:, i, :] ** 2, axis=1)
-            bound = float(moment_bound(spec, x0, float(t), 1))
+            bound = float(moment_bound(spec, x0, float(t), eps, 1))
             assert m2.mean() <= bound + 3 * m2.std(ddof=1) / math.sqrt(len(m2))
 
     def test_exp_moment_threshold_monotone(self, harmonic_spec):
         x = np.array([1.0, 0.5])
-        vals = [exp_moment_bound(harmonic_spec, x, t) for t in (0.0, 1.0, 5.0, 20.0)]
+        vals = [exp_moment_bound(harmonic_spec, x, t, 1e-2) for t in (0.0, 1.0, 5.0, 20.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: integrate_sde(spec, np.zeros(2), 0.1, 0.01, 4, seed=0, epsilon=-1e-3),
+            lambda spec: moment_bound(spec, np.zeros(2), 1.0, -1e-3),
+            lambda spec: exp_moment_bound(spec, np.zeros(2), 1.0, -1e-3),
+        ],
+        ids=["integrate_sde", "moment_bound", "exp_moment_bound"],
+    )
+    def test_negative_noise_level_rejected(self, harmonic_spec, call):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            call(harmonic_spec)
+
     def test_exp_moment_monte_carlo(self):
-        spec = spec_with_eps("lin1d_complex", 0.05)
+        spec = corpus_spec("lin1d_complex")
+        eps = 0.05
         x0 = np.array([0.8, 0.4])
-        b = integrate_sde(spec, x0, 5.0, 0.01, 20000, seed=9, scheme="baoab", store_every=250)
+        b = integrate_sde(spec, x0, 5.0, 0.01, 20000, seed=9, epsilon=eps, scheme="baoab", store_every=250)
         for i, t in enumerate(b.grid):
-            a = 0.9 * exp_moment_bound(spec, x0, float(t))
+            a = 0.9 * exp_moment_bound(spec, x0, float(t), eps)
             val = float(np.mean(np.exp(a * np.sum(b.states[:, i, :] ** 2, axis=1))))
             assert val < 2.0
 
@@ -239,16 +252,14 @@ class TestEmpiricalTV:
 
 class TestPinsker:
     def test_zero_for_linear_force(self):
-        spec = spec_with_eps("lin1d_complex", 0.01)
-        val = pinsker_kl_bound(spec, np.array([0.5, 0.1]), 1.0, 0.002, 200, seed=5)
+        spec = corpus_spec("lin1d_complex")
+        val = pinsker_kl_bound(spec, np.array([0.5, 0.1]), 1.0, 0.002, 200, seed=5, epsilon=0.01)
         assert val == 0.0
 
-    def test_positive_and_small_for_quartic(self):
-        spec = spec_with_eps("quartic", 1e-3)
-        val = pinsker_kl_bound(spec, np.array([0.8, 0.2]), 1.0, 0.002, 2000, seed=5)
+    def test_positive_and_small_for_quartic(self, quartic_spec):
+        val = pinsker_kl_bound(quartic_spec, np.array([0.8, 0.2]), 1.0, 0.002, 2000, seed=5, epsilon=1e-3)
         assert 0.0 < val < 1.0
 
     def test_requires_noise(self, quartic_spec):
-        spec = spec_with_eps("quartic", 0.0)
         with pytest.raises(ParameterError):
-            pinsker_kl_bound(spec, np.zeros(2), 1.0, 0.01, 10, seed=0)
+            pinsker_kl_bound(quartic_spec, np.zeros(2), 1.0, 0.01, 10, seed=0, epsilon=0.0)
