@@ -73,7 +73,7 @@ def _cmd_cov_flow(args) -> int:
     spec = spec_from_model_config(cfg.model)
     x0 = _parse_vector(args.x0)
     sigma = sigma_matrix(spec)
-    path = integrate_covariance(spec, x0, args.t_end, args.dt, store_every=args.store_every)
+    path = integrate_covariance(spec, x0, args.t_end, args.dt)
     n = 2 * spec.dim
     header = ["t"] + [f"sigma_{i}{j}" for i in range(n) for j in range(n)] + ["gap_fro"]
     rows = []
@@ -164,8 +164,7 @@ def main(argv=None) -> int:
     p.add_argument("--config", required=True)
     p.add_argument("--x0", required=True, help="comma-separated 2d start point")
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--dt", type=float, default=0.005)
-    p.add_argument("--store-every", type=int, default=10)
+    p.add_argument("--dt", type=float, default=0.05, help="output spacing of the CSV rows")
     p.add_argument("--out", default="cov_flow.csv")
     p.set_defaults(fn=_cmd_cov_flow)
 

@@ -3,24 +3,21 @@
 The Gaussian fluctuation around the deterministic flow has covariance
 Sigma_t solving dSigma/dt = J + A_t Sigma + Sigma A_t^T with Sigma_0 = 0,
 where A_t = A(q_t) is the position-dependent linearization.  This module
-co-integrates the flow and that matrix ODE, provides the third-order
-short-time expansion, and quantifies the exponential approach to the
-stationary covariance.
+co-integrates the flow and that matrix ODE in one adaptive solve, provides
+the third-order short-time expansion, and quantifies the exponential approach
+to the stationary covariance.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError
-from .linear_stability import BLOWUP, _flow_rhs, rk4_step
+from .errors import ParameterError
+from .linear_stability import _flow_rhs, solve_path
 from .matrix_eq import sigma_matrix
 from .model import ModelSpec, drift_matrix, noise_matrix
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -28,8 +25,7 @@ class CovariancePath:
     grid: np.ndarray
     covs: np.ndarray  # (n_times, 2d, 2d)
     states: np.ndarray  # (n_times, 2d) zero-noise path
-    base_point: np.ndarray
-    clamp_events: int = 0
+    clamp_events: int
 
     def at(self, t: float):
         """Linear interpolation of (state, covariance) at time t within the grid."""
@@ -43,61 +39,44 @@ class CovariancePath:
         return x, c
 
 
-def integrate_covariance(
-    spec: ModelSpec, x0, t_end: float, dt: float, store_every: int = 1
-) -> CovariancePath:
-    """Co-integrate the zero-noise flow and the covariance ODE with one RK4 stepper.
+def _covariance_rhs(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
+    """Right-hand side of the joint ODE for y = (x, Sigma_t flattened row by row)."""
+    d = spec.dim
+    n = 2 * d
+    x = y[:n]
+    S = y[n:].reshape(n, n)
+    A = drift_matrix(spec, x[:d])
+    dS = noise_matrix(d) + A @ S + S @ A.T
+    return np.concatenate([_flow_rhs(spec.force, spec.gamma, x), dS.ravel()])
 
-    The covariance is symmetrized every step; negative eigenvalues (a genuine
-    degeneracy only near t = 0) are clamped to zero and counted.
+
+def integrate_covariance(spec: ModelSpec, x0, t_end: float, dt: float) -> CovariancePath:
+    """Co-integrate the zero-noise flow and the covariance ODE with one adaptive solve.
+
+    The path is reported at the output times k dt.  There the covariance is
+    symmetrized and negative eigenvalues (a genuine degeneracy only near
+    t = 0) are clamped to zero; those below -1e-10 max(1, lambda_max) are
+    counted in clamp_events.
     """
-    if dt <= 0 or t_end < 0:
-        raise ParameterError("need dt > 0 and t_end >= 0")
+    if dt <= 0 or round(t_end / dt) < 1:
+        raise ParameterError("need dt > 0 and t_end of at least one output step dt")
     d = spec.dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2 * d,):
         raise ParameterError(f"x0 must have shape ({2 * d},)")
-    J = noise_matrix(d)
     n = 2 * d
-
-    def rhs(y):
-        x = y[:n]
-        S = y[n:].reshape(n, n)
-        A = drift_matrix(spec, x[:d])
-        dS = J + A @ S + S @ A.T
-        return np.concatenate([_flow_rhs(spec.force, spec.gamma, x), dS.ravel()])
-
-    y = np.concatenate([x0, np.zeros(n * n)])
-    n_steps = int(round(t_end / dt))
-    grid = [0.0]
-    states = [x0.copy()]
-    covs = [np.zeros((n, n))]
-    clamp_events = 0
-    for k in range(1, n_steps + 1):
-        y = rk4_step(rhs, y, dt)
-        if not np.all(np.isfinite(y)) or np.linalg.norm(y[:n]) > BLOWUP:
-            raise DivergenceError("zero-noise flow diverged", t=k * dt, last_state=states[-1])
-        S = y[n:].reshape(n, n)
-        S = 0.5 * (S + S.T)
-        eigs, vecs = np.linalg.eigh(S)
-        if eigs[0] < 0:
-            if eigs[0] < -1e-10 * max(1.0, eigs[-1]):
-                clamp_events += 1
-                log.debug("clamped covariance eigenvalue %.3e at t=%.4f", eigs[0], k * dt)
-            S = (vecs * np.maximum(eigs, 0.0)) @ vecs.T
-            S = 0.5 * (S + S.T)
-        y[n:] = S.ravel()
-        if k % store_every == 0:
-            grid.append(k * dt)
-            states.append(y[:n].copy())
-            covs.append(S.copy())
-    return CovariancePath(
-        grid=np.asarray(grid),
-        covs=np.asarray(covs),
-        states=np.asarray(states),
-        base_point=x0.copy(),
-        clamp_events=clamp_events,
-    )
+    grid = np.arange(int(round(t_end / dt)) + 1) * dt
+    y0 = np.concatenate([x0, np.zeros(n * n)])
+    sol = solve_path(lambda y: _covariance_rhs(spec, y), y0, (0.0, grid[-1]), n, t_eval=grid)
+    S = sol.y[n:].T.reshape(-1, n, n)
+    S = 0.5 * (S + np.swapaxes(S, 1, 2))
+    eigs, vecs = np.linalg.eigh(S)
+    clamped = eigs[:, 0] < -1e-10 * np.maximum(1.0, eigs[:, -1])
+    neg = eigs[:, 0] < 0
+    V = vecs[neg]
+    C = (V * np.maximum(eigs[neg], 0.0)[:, None, :]) @ np.swapaxes(V, 1, 2)
+    S[neg] = 0.5 * (C + np.swapaxes(C, 1, 2))
+    return CovariancePath(grid=grid, covs=S, states=sol.y[:n].T.copy(), clamp_events=int(np.sum(clamped)))
 
 
 def short_time_covariance(spec: ModelSpec, x, t: float) -> np.ndarray:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import DivergenceError, DomainError, StabilityError
+from .errors import DomainError, StabilityError
 from .gaussian_tv import tv_unit
-from .linear_stability import flow_zero_noise
+from .linear_stability import _flow_rhs, solve_path
 from .matrix_eq import drift_metric_delta, sigma_matrix
 from .model import ModelSpec, drift_matrix
 
@@ -27,8 +27,6 @@ from .model import ModelSpec, drift_matrix
 RANK_TOL = 1e-8
 #: relative threshold below which an expansion coefficient is dropped
 COEFF_TOL = 1e-10
-#: RK4 step of the zero-noise flow searched for the linearization-ball entry
-FLOW_DT = 1e-3
 #: scan length and relative oscillation tolerance of the profile limit r
 PROFILE_HORIZON = 200.0
 PROFILE_TOL = 1e-6
@@ -169,60 +167,41 @@ class SpectralData:
         return len(self.phases)
 
 
-def _linearization_radius(spec: ModelSpec) -> float:
-    if spec.delta_nbhd is not None:
-        return spec.delta_nbhd
-    return drift_metric_delta(spec)
-
-
-def _ball_entry(spec: ModelSpec, x: np.ndarray, rho_lin: float, cap: int):
+def _ball_entry(spec: ModelSpec, x: np.ndarray, rho_lin: float, t_cap: float):
     """(tau, point): entry time into the ball |y| <= rho_lin plus one, and the flow there.
 
-    The flow is integrated from x in segments of one time unit, each starting
-    from the last state of the one before, so the path is the same RK4
-    sequence as a single run; the search stops at the segment holding the
-    step one time unit after the first entry, or after cap steps.
+    A terminal event of the adaptive solve locates the entry before t_cap;
+    the flow then continues from the entry state for one more time unit.
     """
-    seg = int(round(1.0 / FLOW_DT))
-    state, start, idx, tau = x, 0, None, None
-    while start < cap:
-        n = min(seg, cap - start)
-        try:
-            states = flow_zero_noise(spec, state, n * FLOW_DT, FLOW_DT).states
-        except DivergenceError as exc:
-            raise DivergenceError(str(exc), t=start * FLOW_DT + exc.t, last_state=exc.last_state) from exc
-        if idx is None:
-            inside = np.nonzero(np.linalg.norm(states, axis=1) <= rho_lin)[0]
-            if inside.size:
-                tau = (start + int(inside[0])) * FLOW_DT + 1.0
-                idx = min(int(round(tau / FLOW_DT)), cap)
-        if idx is not None and idx <= start + n:
-            return tau, states[idx - start]
-        start += n
-        state = states[-1]
-    raise StabilityError(
-        "the zero-noise flow never entered the linearization ball; "
-        "the model looks unstable from this starting point"
-    )
+    n = 2 * spec.dim
+    f = lambda y: _flow_rhs(spec.force, spec.gamma, y)
+    hit = solve_path(f, x, (0.0, t_cap), n, entry_radius=rho_lin)
+    if not hit.t_events[1].size:
+        raise StabilityError(
+            "the zero-noise flow never entered the linearization ball; "
+            "the model looks unstable from this starting point"
+        )
+    t_entry = float(hit.t_events[1][0])
+    after = solve_path(f, hit.y_events[1][0], (t_entry, t_entry + 1.0), n)
+    return t_entry + 1.0, after.y[:, -1]
 
 
 def spectral_data(spec: ModelSpec, x) -> SpectralData:
     """Jordan expansion of the starting point and the resulting decay constants.
 
     The expansion point is x itself when |x| <= rho_lin, the drift-metric
-    radius (tau = 0); otherwise the zero-noise flow is integrated by RK4 at
-    FLOW_DT until one time unit after it first enters that ball, capped at
-    the Lyapunov-bound horizon, and the point there is expanded, with
-    tau = entry time + 1.  Coefficients below COEFF_TOL * |x| are
-    dropped; eta is the smallest decay rate among the retained chains, nu the
-    largest polynomial order among those at rate eta, and the limiting vectors
-    collect the top Jordan contribution of each retained chain at that rate
-    and order.
+    radius (tau = 0); otherwise the adaptive zero-noise flow locates its
+    first entry into that ball, before the Lyapunov-bound horizon, and the
+    point one time unit later is expanded, with tau = entry time + 1.
+    Coefficients below COEFF_TOL * |x| are dropped; eta is the smallest decay
+    rate among the retained chains, nu the largest polynomial order among
+    those at rate eta, and the limiting vectors collect the top Jordan
+    contribution of each retained chain at that rate and order.
     """
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0.0:
         raise DomainError("the decay constants are undefined at the equilibrium x = 0")
-    rho_lin = _linearization_radius(spec)
+    rho_lin = spec.delta_nbhd if spec.delta_nbhd is not None else drift_metric_delta(spec)
 
     if np.linalg.norm(x) <= rho_lin:
         tau = 0.0
@@ -230,7 +209,7 @@ def spectral_data(spec: ModelSpec, x) -> SpectralData:
     else:
         u0 = float(np.asarray(spec.force.eval_U(x[: spec.dim]))) if spec.force.eval_U else 0.0
         t_guess = math.log(max(spec.kappa * (float(x @ x) + u0) / rho_lin**2, 2.0)) / spec.lam
-        tau, point = _ball_entry(spec, x, rho_lin, int(round((t_guess + 5.0) / FLOW_DT)))
+        tau, point = _ball_entry(spec, x, rho_lin, t_guess + 5.0)
 
     A = drift_matrix(spec, np.zeros(spec.dim))
     chains, flagged = jordan_chains(A)

@@ -22,7 +22,7 @@ import scipy.linalg as sla
 from scipy.stats import chi2_contingency
 
 from . import __version__
-from .covflow import integrate_covariance
+from .covflow import _covariance_rhs, integrate_covariance
 from .cutoff import (
     jordan_chains,
     mixing_time,
@@ -39,6 +39,7 @@ from .linear_stability import (
     classify_linear,
     lyapunov_H,
     make_spec,
+    rk4_step,
     skew_part,
     symmetric_part,
     verify_exponential_stability,
@@ -399,6 +400,7 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
                 "nu": sd.nu,
                 "tau": sd.tau,
                 "r_limit": {"exists": pl.exists, "r": pl.r},
+                "clamp_events": path.clamp_events,
                 "sup_diffs": sup_diffs,
                 "sup_diff_monotone": monotone,
             }
@@ -743,14 +745,15 @@ def _check_covflow_psd_and_oracle() -> CheckResult:
     return CheckResult("covflow.ode_vs_quadrature", worst <= 1e-8, worst, f"max err {worst:.2e}")
 
 
-def _check_covflow_order() -> CheckResult:
+def _check_covflow_rk4_oracle() -> CheckResult:
     spec = corpus_spec("quartic")
     x0 = np.array([0.8, 0.1])
-    ref = integrate_covariance(spec, x0, 2.0, 0.0005).covs[-1]
-    e1 = np.abs(integrate_covariance(spec, x0, 2.0, 0.02).covs[-1] - ref).max()
-    e2 = np.abs(integrate_covariance(spec, x0, 2.0, 0.01).covs[-1] - ref).max()
-    ratio = e1 / max(e2, 1e-300)
-    return CheckResult("covflow.rk4_order", 10.0 <= ratio <= 24.0, ratio, f"halving ratio {ratio:.1f}")
+    path = integrate_covariance(spec, x0, 2.0, 2.0)
+    y = np.concatenate([x0, np.zeros(4)])
+    for _ in range(4000):  # fixed-step RK4 oracle at dt = 5e-4 to t = 2
+        y = rk4_step(lambda v: _covariance_rhs(spec, v), y, 5e-4)
+    err = max(np.abs(path.states[-1] - y[:2]).max(), np.abs(path.covs[-1] - y[2:].reshape(2, 2)).max())
+    return CheckResult("covflow.rk4_oracle", err <= 1e-9, err, f"max err {err:.2e}")
 
 
 def _check_cutoff_linearized_decay() -> CheckResult:
@@ -952,7 +955,7 @@ def _verify(manifest: RunManifest):
             _check_tv_unit_shape,
             _check_tv_reduce_idempotent,
             _check_covflow_psd_and_oracle,
-            _check_covflow_order,
+            _check_covflow_rk4_oracle,
             _check_cutoff_linearized_decay,
             _check_cutoff_profile_cauchy,
             _check_jordan_robustness,

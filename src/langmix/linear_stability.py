@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from .errors import (
     DecompositionMissingError,
@@ -233,6 +234,9 @@ class FlowPath:
 BLOWUP = 1e12
 #: relative tolerance on increments of exp(lam t) H(X_t) in the decay certificate
 DECAY_TOL = 1e-8
+#: relative and absolute tolerances of the adaptive (DOP853) zero-noise path solver
+PATH_RTOL = 1e-11
+PATH_ATOL = 1e-13
 
 
 def _flow_rhs(force: ForceField, gamma: float, x: np.ndarray) -> np.ndarray:
@@ -249,6 +253,36 @@ def rk4_step(f, x, dt):
     k3 = f(x + 0.5 * dt * k2)
     k4 = f(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _norm_crossing(n: int, radius: float, direction: float):
+    """Terminal solver event: |y[:n]| crosses radius in the given direction."""
+    event = lambda t, y: np.linalg.norm(y[:n]) - radius
+    event.terminal, event.direction = True, direction
+    return event
+
+
+def solve_path(rhs, y0, t_span: tuple, n: int, t_eval=None, entry_radius=None):
+    """Adaptive DOP853 solution of dy/dt = rhs(y) over t_span, y[:n] being the zero-noise state.
+
+    With entry_radius the solve stops where |y[:n]| first falls to it (event
+    1).  It raises DivergenceError when |y[:n]| passes BLOWUP or the solver
+    fails.  Returns scipy's OdeResult.
+    """
+    if not np.all(np.isfinite(rhs(y0))):  # scipy's first-step choice never ends on NaN
+        raise DivergenceError("zero-noise flow is not finite at its start", t=t_span[0], last_state=y0[:n])
+    events = [_norm_crossing(n, BLOWUP, 1.0)]
+    if entry_radius is not None:
+        events.append(_norm_crossing(n, entry_radius, -1.0))
+    sol = solve_ivp(lambda t, y: rhs(y), t_span, y0, method="DOP853", t_eval=t_eval, events=events,
+                    rtol=PATH_RTOL, atol=PATH_ATOL)
+    if sol.t_events[0].size:
+        t, y = sol.t_events[0][0], sol.y_events[0][0][:n]
+        raise DivergenceError("zero-noise flow diverged", t=t, last_state=y)
+    if not sol.success:
+        t, y = (sol.t[-1], sol.y[:n, -1]) if sol.t.size else (t_span[0], y0[:n])
+        raise DivergenceError(f"zero-noise flow solver failed: {sol.message}", t=t, last_state=y)
+    return sol
 
 
 def flow_zero_noise(spec: ModelSpec, x0, t_end: float, dt: float) -> FlowPath:

@@ -154,7 +154,7 @@ def test_criterion_05_covariance_flow_asymptotics():
     spec = corpus_spec("lin1d_complex")
     x0 = np.array([0.6, 0.3])
     sigma = lm.sigma_matrix(spec)
-    path = lm.integrate_covariance(spec, x0, 30.0, 0.005, store_every=100)
+    path = lm.integrate_covariance(spec, x0, 30.0, 0.5)
     gap30 = float(np.linalg.norm(path.covs[-1] - sigma, "fro"))
     rate = lm.stationary_gap(spec, x0, 30.0, 0.01).fitted_rate
 

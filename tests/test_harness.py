@@ -198,6 +198,20 @@ class TestCutoffPipeline:
         for a, b in zip(csv1, csv2):
             assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_summary_records_clamp_events(self, tmp_path, monkeypatch):
+        integrate = harness.integrate_covariance
+
+        def clamped(*args):
+            path = integrate(*args)
+            path.clamp_events = 7
+            return path
+
+        monkeypatch.setattr(harness, "integrate_covariance", clamped)
+        raw = minimal_config(tmp_path, x0=[[0.5, 0.2], [0.1, -0.3]])
+        run_cutoff_experiment(validate_config(raw))
+        summary = json.loads(open(os.path.join(raw["out_dir"], "cutoff_summary.json")).read())
+        assert [run["clamp_events"] for run in summary["runs"]] == [7, 7]
+
     def test_curve_columns_and_branches(self, tmp_path):
         raw = minimal_config(
             tmp_path,
