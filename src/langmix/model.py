@@ -376,9 +376,18 @@ def _polynomial_gradient_force(coeffs) -> ForceField:
         q = np.asarray(q, dtype=float)
         return np.polyval(pu, q[..., 0])
 
+    # Python floats: numpy scalars slow the in-place adds on tiny arrays.
+    pg_terms = pg.tolist()
+
     def gradU(q):
+        # np.polyval's own Horner sequence (y = 0, then y = y * q + c for
+        # each c), in place: the same values bit for bit with no temporaries.
         q = np.asarray(q, dtype=float)
-        return np.polyval(pg, q)
+        y = np.zeros(q.shape)
+        for ci in pg_terms:
+            y *= q
+            y += ci
+        return y
 
     def hessU(q):
         q = np.asarray(q, dtype=float)

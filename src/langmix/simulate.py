@@ -1,11 +1,14 @@
 """Stochastic simulation of the noisy dynamics and its Gaussian surrogate.
 
 Every ensemble (the noisy process X, the Gaussian fluctuation Y, the coupled
-X/Y/Z run and the Pinsker bound) runs through one kernel, _run_ensemble.  It
-integrates fixed blocks of paths, each block drawing its noise from a
+X/Y/Z run and the Pinsker bound) runs through one kernel, _run_ensemble.
+Paths fall into fixed blocks of BLOCK, each drawing its noise from a
 counter-based generator keyed by (seed, block index), so results are bitwise
-reproducible and independent of how blocks are scheduled.  Noise enters the
-momentum equation only.
+reproducible and independent of how blocks are scheduled.  One step loop
+advances all blocks together on arrays of all paths.  The Langevin step
+carries the force at its closing position into the next step, so BAOAB and
+Euler-Maruyama make one force call per step.  Noise enters the momentum
+equation only.
 """
 
 from __future__ import annotations
@@ -40,15 +43,6 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, block_index]))
 
 
-def _block_normals(rng: np.random.Generator, m: int, width: int) -> np.ndarray:
-    """Draw a full block of normals and slice to m rows.
-
-    Always consuming BLOCK rows keeps every path's noise a pure function of
-    (seed, block index, step), independent of how many paths the caller runs.
-    """
-    return rng.standard_normal((BLOCK, width))[:m]
-
-
 @dataclass
 class TrajectoryBatch:
     """Seeded ensemble of sample paths on a fixed output grid.
@@ -68,74 +62,102 @@ class TrajectoryBatch:
 
 
 def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, guard=False):
-    """The one Monte Carlo loop: n_paths paths, n_steps steps, BLOCK paths at a time.
+    """The one Monte Carlo loop: n_paths paths, n_steps steps, all blocks at once.
 
     start(m) gives the state of m paths as a tuple of arrays with m rows, and
-    step(k, state, xi) advances it over step k with xi = _block_normals(...,
-    width).  At the i-th index of store_idx (ascending, starting at 0) each
-    state[j] with j < len(outs) is written to outs[j][rows, i].  With guard,
-    state starts with (q, p), and paths that turn non-finite or leave the
-    ball of radius BLOWUP are zeroed there.  Returns the mask of paths that
-    never did.
+    step(k, state, xi) advances it over step k, in place or not, with xi the
+    (m, width) normals of step k.  At every step, noise block b (paths
+    b*BLOCK to (b+1)*BLOCK) draws a full BLOCK rows from its own generator,
+    keyed by (seed, b), so every path's noise is a pure function of (seed,
+    path, step), independent of how many paths run.  The state always has
+    at least two rows: on a single row numpy's matmul takes a matrix-vector
+    path that rounds differently.  At the i-th index of store_idx
+    (ascending, starting at 0) each state[j] with outs[j] not None is
+    written to outs[j][:, i].  With guard, state starts with (q, p), and the
+    paths a step leaves with |q|^2 + |p|^2 not below BLOWUP^2 (NaN and inf
+    fail the comparison too) are zeroed in every state array.  Returns the
+    mask of the paths never zeroed.
     """
-    alive = np.ones(n_paths, dtype=bool)
-    for b in range((n_paths + BLOCK - 1) // BLOCK):
-        lo, hi = b * BLOCK, min((b + 1) * BLOCK, n_paths)
-        m = hi - lo
-        rng = _block_rng(seed, b)
-        state = start(m)
+    n_blocks = (n_paths + BLOCK - 1) // BLOCK
+    rngs = [_block_rng(seed, b) for b in range(n_blocks)]
+    noise = np.empty((n_blocks * BLOCK, width))
+    blocks = [noise[b * BLOCK : (b + 1) * BLOCK] for b in range(n_blocks)]
+    rows = max(n_paths, 2)
+    xi = noise[:rows]
+    alive = np.ones(rows, dtype=bool)
+
+    def store(i, state):
         for out, a in zip(outs, state):
-            out[lo:hi, 0] = a
-        si = 1
-        for k in range(1, n_steps + 1):
-            state = step(k, state, _block_normals(rng, m, width))
-            if guard:
-                q, p = state[0], state[1]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    bad = ~(
-                        np.all(np.isfinite(q), axis=1)
-                        & np.all(np.isfinite(p), axis=1)
-                        & (np.sum(q * q, axis=1) + np.sum(p * p, axis=1) < BLOWUP**2)
-                    )
-                if np.any(bad):
-                    alive[lo:hi] &= ~bad
-                    q[bad] = 0.0
-                    p[bad] = 0.0
-            if si < len(store_idx) and k == store_idx[si]:
-                for out, a in zip(outs, state):
-                    out[lo:hi, si] = a
-                si += 1
-    return alive
+            if out is not None:
+                out[:, i] = a[:n_paths]
+
+    state = start(rows)
+    store(0, state)
+    si = 1
+    for k in range(1, n_steps + 1):
+        for rng, block in zip(rngs, blocks):
+            rng.standard_normal(out=block)
+        state = step(k, state, xi)
+        if guard:
+            q, p = state[0], state[1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                bad = ~(np.sum(q * q, axis=1) + np.sum(p * p, axis=1) < BLOWUP**2)
+            if bad.any():
+                alive &= ~bad
+                for a in state:
+                    a[bad] = 0.0
+        if si < len(store_idx) and k == store_idx[si]:
+            store(si, state)
+            si += 1
+    return alive[:n_paths]
 
 
-def _langevin_step(spec: ModelSpec, epsilon: float, dt: float, scheme: str):
-    """One step (q, p) -> (q, p) of the noisy dynamics, driven by d standard normals."""
+def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, scheme: str):
+    """Start and step of the noisy dynamics on the state (q, p, F(q)), from x0.
+
+    The step is driven by d standard normals per path and updates q and p in
+    place.  It carries the force at its closing q, which is the next step's
+    opening force, so each step makes one force call.
+    """
     F = spec.force.eval_F
+    d = spec.dim
     g = spec.gamma
-    h = 0.5 * dt
+
+    def force(q):
+        return np.asarray(F(q), dtype=float)
+
+    def start(m):
+        q = np.tile(x0[:d], (m, 1))
+        return q, np.tile(x0[d:], (m, 1)), force(q)
+
     if scheme == "baoab":
+        h = 0.5 * dt
         c_ou = math.exp(-g * dt)
         sig_ou = math.sqrt(max(epsilon / g * (1.0 - c_ou**2), 0.0))
 
         def step(k, s, xi):
-            q, p = s
-            p = p - h * np.asarray(F(q), dtype=float)
-            q = q + h * p
-            p = c_ou * p + sig_ou * xi
-            q = q + h * p
-            p = p - h * np.asarray(F(q), dtype=float)
-            return q, p
+            q, p, f = s
+            p -= h * f
+            q += h * p
+            p *= c_ou
+            p += sig_ou * xi
+            q += h * p
+            f = force(q)
+            p -= h * f
+            return q, p, f
 
-        return step
+        return start, step
 
     sqrt2eps_dt = math.sqrt(2.0 * epsilon * dt)
 
     def step(k, s, xi):
-        q, p = s
-        dp = dt * (-np.asarray(F(q), dtype=float) - g * p) + sqrt2eps_dt * xi
-        return q + dt * p, p + dp
+        q, p, f = s
+        dp = dt * (-f - g * p) + sqrt2eps_dt * xi
+        q += dt * p
+        p += dp
+        return q, p, force(q)
 
-    return step
+    return start, step
 
 
 def _fluctuation_step(spec: ModelSpec, ode_states: np.ndarray, dt: float, method: str):
@@ -191,7 +213,8 @@ def integrate_sde(
     exact Ornstein-Uhlenbeck update).  The noise level epsilon must be
     nonnegative; at eps = 0 both schemes reduce to deterministic integrators
     of the zero-noise flow at their respective orders.  Paths that leave
-    [-1e12, 1e12] or produce non-finite values are excluded and counted.
+    the ball of radius BLOWUP = 1e12 or turn non-finite are excluded and
+    counted.
     With couple_fluctuation (Euler-Maruyama only) the Gaussian fluctuation Y
     and the surrogate Z share the Brownian increments of the main ensemble;
     Y is then exactly integrate_fluctuation(..., method="em") for the same seed.
@@ -216,12 +239,10 @@ def integrate_sde(
         if store_idx[0] < 0 or store_idx[-1] > n_steps:
             raise ParameterError("store_indices must lie in [0, n_steps]")
 
-    def start(m):
-        return np.tile(x0[:d], (m, 1)), np.tile(x0[d:], (m, 1))
-
-    step = _langevin_step(spec, epsilon, dt, scheme)
+    start, step = _langevin_step(spec, x0, epsilon, dt, scheme)
     states = np.empty((n_paths, len(store_idx), 2 * d))
-    outs = (states[:, :, :d], states[:, :, d:])
+    # the carried force (state[2]) is not stored
+    outs = (states[:, :, :d], states[:, :, d:], None)
     if couple_fluctuation:
         ode_path = flow_zero_noise(spec, x0, t_end, dt).states
         x_start, x_step = start, step
@@ -233,7 +254,7 @@ def integrate_sde(
             return x_start(m) + (np.zeros((m, 2 * d)),)
 
         def step(k, s, xi):
-            return x_step(k, s[:2], xi) + y_step(k, s[2:], xi)
+            return x_step(k, s[:3], xi) + y_step(k, s[3:], xi)
 
     alive = _run_ensemble(n_paths, seed, n_steps, d, start, step, store_idx, outs, guard=True)
 
@@ -452,22 +473,23 @@ def pinsker_kl_bound(
     DF_det = np.asarray(spec.force.eval_DF(q_det), dtype=float).reshape(-1, d, d)
     n_steps = len(ode.grid) - 1
 
-    def integrand(k, q):
+    def integrand(k, q, f):
         lin = f_det[k] + np.einsum("ij,nj->ni", DF_det[k], q - q_det[k])
-        rem = np.asarray(F(q), dtype=float) - lin
+        rem = f - lin
         return np.sum(rem * rem, axis=1)
 
-    # state: (trapezoid sum, q, p, integrand at the last step)
-    x_step = _langevin_step(spec, epsilon, dt, "euler_maruyama")
+    # state: (trapezoid sum, q, p, F(q), integrand at the last step); the
+    # integrand reads the force the Euler-Maruyama step carries
+    x_start, x_step = _langevin_step(spec, x0, epsilon, dt, "euler_maruyama")
 
     def start(m):
-        q = np.tile(x0[:d], (m, 1))
-        return np.zeros(m), q, np.tile(x0[d:], (m, 1)), integrand(0, q)
+        s = x_start(m)
+        return (np.zeros(m),) + s + (integrand(0, s[0], s[2]),)
 
     def step(k, s, xi):
-        q, p = x_step(k, s[1:3], xi)
-        cur = integrand(k, q)
-        return s[0] + 0.5 * dt * (s[3] + cur), q, p, cur
+        q, p, f = x_step(k, s[1:4], xi)
+        cur = integrand(k, q, f)
+        return s[0] + 0.5 * dt * (s[4] + cur), q, p, f, cur
 
     store_idx = np.unique([0, n_steps])
     acc = np.empty((n_paths, len(store_idx)))

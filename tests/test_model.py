@@ -75,6 +75,18 @@ def test_gradient_force_quartic_against_symbolic_derivative():
         assert float(ff.eval_DF(q).reshape(())) == pytest.approx(3 * q[0] ** 2 + 1)
 
 
+def test_polynomial_gradient_is_polyval_bit_for_bit():
+    # the in-place Horner force repeats np.polyval's operations exactly
+    ff = force_from_config({"type": "builtin", "name": "quartic_well"})
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal((2000, 1)) * 10.0 ** rng.uniform(-200, 120, (2000, 1))
+    q = np.vstack([q, [[0.0], [-0.0], [np.inf], [-np.inf], [np.nan]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = ff.eval_F(q)
+        ref = np.polyval([1.0, 0.0, 1.0, 0.0], q)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def test_gradient_force_inconsistent_grad_rejected():
     with pytest.raises(ConsistencyError, match="gradU"):
         make_gradient_force(

@@ -1,18 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from langmix import simulate
 from langmix.covflow import drift_matrix, integrate_covariance, noise_matrix
 from langmix.errors import ParameterError
 from langmix.gaussian_tv import Gaussian, tv_unit
 from langmix.harness import corpus_spec
-from langmix.linear_stability import flow_zero_noise, make_spec
+from langmix.linear_stability import BLOWUP, flow_zero_noise, make_spec
 from langmix.matrix_eq import lyapunov_quadrature, sigma_matrix
-from langmix.model import make_linear_force
+from langmix.model import make_gradient_force, make_linear_force
 from langmix.simulate import (
     BLOCK,
+    _block_rng,
     empirical_tv,
     exp_moment_bound,
     integrate_fluctuation,
@@ -80,19 +83,28 @@ class TestIntegrateSde:
         [
             (integrate_sde, dict(epsilon=0.02, scheme="baoab")),
             (integrate_sde, dict(epsilon=0.02, scheme="euler_maruyama")),
+            (integrate_sde, dict(epsilon=0.02, scheme="euler_maruyama", couple_fluctuation=True)),
             (integrate_fluctuation, dict(method="exact")),
             (integrate_fluctuation, dict(method="em")),
         ],
-        ids=["sde_baoab", "sde_em", "fluctuation_exact", "fluctuation_em"],
+        ids=["sde_baoab", "sde_em", "coupled", "fluctuation_exact", "fluctuation_em"],
     )
     def test_path_count_invariance_of_streams(self, run, kw):
-        # the first 100 paths are identical whether 100 paths are run or
-        # enough to cross into a second noise block
-        spec = corpus_spec("lin1d_complex")
-        kw = dict(kw, t_end=0.5, dt=0.01, seed=5, store_every=50)
-        small = run(spec, np.zeros(2), n_paths=100, **kw)
-        big = run(spec, np.zeros(2), n_paths=BLOCK + 100, **kw)
-        assert np.array_equal(small.states, big.states[:100])
+        # the leading paths are identical whether one path runs, a few, or
+        # enough to cross into a second noise block, with a single path
+        # there: a one-row matmul rounds differently from a many-row one.
+        # skew is a linear force whose own products round.
+        skew = make_spec(make_linear_force([[1.1, -2.3], [2.3, 0.7]]), 3.0, 0.25, 2.6)
+        kw = dict(kw, t_end=0.5, dt=0.01, seed=5, store_every=25)
+        for spec in (corpus_spec("lin1d_complex"), corpus_spec("lin2d_rot"), skew):
+            x0 = np.full(2 * spec.dim, 0.3)
+            big = run(spec, x0, n_paths=BLOCK + 100, **kw)
+            for n in (1, 2, 100, BLOCK + 1):
+                small = run(spec, x0, n_paths=n, **kw)
+                assert np.array_equal(small.states, big.states[:n]), n
+                if kw.get("couple_fluctuation"):
+                    assert np.array_equal(small.coupled["Y"], big.coupled["Y"][:n]), n
+                    assert np.array_equal(small.coupled["Z"], big.coupled["Z"][:n]), n
 
     def test_coupling_identity_and_restrictions(self):
         spec = corpus_spec("lin1d_complex")
@@ -118,6 +130,205 @@ class TestIntegrateSde:
         assert b.excluded > 0
         assert b.states.shape[0] == 8 - b.excluded
         assert np.all(np.isfinite(b.states))
+
+
+def _per_block_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, guard=False):
+    """The per-block loop that the batched _run_ensemble replaced, kept as its oracle.
+
+    Each block of BLOCK paths takes all its steps before the next block
+    starts, slices its rows from a fresh full-block draw per step, guards
+    with the finiteness chain the single comparison replaced, and zeroes
+    only q and p of the paths it excludes.
+    """
+    alive = np.ones(n_paths, dtype=bool)
+    for b in range((n_paths + BLOCK - 1) // BLOCK):
+        lo, hi = b * BLOCK, min((b + 1) * BLOCK, n_paths)
+        m = hi - lo
+        rng = _block_rng(seed, b)
+        state = start(m)
+        for out, a in zip(outs, state):
+            if out is not None:
+                out[lo:hi, 0] = a
+        si = 1
+        for k in range(1, n_steps + 1):
+            state = step(k, state, rng.standard_normal((BLOCK, width))[:m])
+            if guard:
+                q, p = state[0], state[1]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    bad = ~(
+                        np.all(np.isfinite(q), axis=1)
+                        & np.all(np.isfinite(p), axis=1)
+                        & (np.sum(q * q, axis=1) + np.sum(p * p, axis=1) < BLOWUP**2)
+                    )
+                if np.any(bad):
+                    alive[lo:hi] &= ~bad
+                    q[bad] = 0.0
+                    p[bad] = 0.0
+            if si < len(store_idx) and k == store_idx[si]:
+                for out, a in zip(outs, state):
+                    if out is not None:
+                        out[lo:hi, si] = a
+                si += 1
+    return alive
+
+
+def _outputs(result):
+    if isinstance(result, float):
+        return [result]
+    coupled = result.coupled or {}
+    return [result.states, result.excluded] + [coupled[key] for key in sorted(coupled)]
+
+
+def _counting_force(spec):
+    """spec with eval_F wrapped to record the shape of every argument."""
+    shapes = []
+    F = spec.force.eval_F
+
+    def eval_F(q):
+        shapes.append(np.shape(q))
+        return F(q)
+
+    return dataclasses.replace(spec, force=dataclasses.replace(spec.force, eval_F=eval_F)), shapes
+
+
+def _quartic_F(q):
+    # the quartic force q^3 + q as np.polyval computes it
+    return np.polyval([1.0, 0.0, 1.0, 0.0], q)
+
+
+def _two_force_path(spec, x0, scheme, eps, dt, n, n_steps, seed):
+    """(q, p) after each step of the textbook out-of-place quartic step, one noise block."""
+    g = spec.gamma
+    h, c_ou = 0.5 * dt, math.exp(-g * dt)
+    sig_ou = math.sqrt(eps / g * (1.0 - c_ou**2))
+    q, p = np.full((n, 1), x0[0]), np.full((n, 1), x0[1])
+    rng = _block_rng(seed, 0)
+    for _ in range(n_steps):
+        xi = rng.standard_normal((BLOCK, 1))[:n]
+        if scheme == "baoab":
+            p = p - h * _quartic_F(q)
+            q = q + h * p
+            p = c_ou * p + sig_ou * xi
+            q = q + h * p
+            p = p - h * _quartic_F(q)
+        else:
+            dp = dt * (-_quartic_F(q) - g * p) + math.sqrt(2.0 * eps * dt) * xi
+            q, p = q + dt * p, p + dp
+        yield q, p
+
+
+_KERNEL_RUNS = {
+    "sde_baoab": lambda spec, x0, n: integrate_sde(
+        spec, x0, 0.2, 0.01, n, seed=3, epsilon=0.05, scheme="baoab", store_every=5
+    ),
+    "sde_em": lambda spec, x0, n: integrate_sde(
+        spec, x0, 0.2, 0.01, n, seed=3, epsilon=0.05, scheme="euler_maruyama", store_every=5
+    ),
+    "coupled": lambda spec, x0, n: integrate_sde(
+        spec, x0, 0.2, 0.01, n, seed=3, epsilon=0.05, scheme="euler_maruyama", store_every=5,
+        couple_fluctuation=True,
+    ),
+    "fluctuation_exact": lambda spec, x0, n: integrate_fluctuation(
+        spec, x0, 0.2, 0.01, n, seed=3, method="exact", store_every=5
+    ),
+    "fluctuation_em": lambda spec, x0, n: integrate_fluctuation(
+        spec, x0, 0.2, 0.01, n, seed=3, method="em", store_every=5
+    ),
+    "pinsker": lambda spec, x0, n: pinsker_kl_bound(spec, x0, 0.2, 0.01, n, seed=3, epsilon=0.05),
+}
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("kind", sorted(_KERNEL_RUNS))
+    def test_matches_per_block_oracle(self, monkeypatch, kind):
+        run = _KERNEL_RUNS[kind]
+        for model in ("lin1d_complex", "quartic", "lin2d_rot"):
+            spec = corpus_spec(model)
+            x0 = np.full(2 * spec.dim, 0.4)
+            for n in (300, BLOCK + 7, 2 * BLOCK + 300):
+                batched = _outputs(run(spec, x0, n))
+                with monkeypatch.context() as m:
+                    m.setattr(simulate, "_run_ensemble", _per_block_ensemble)
+                    oracle = _outputs(run(spec, x0, n))
+                assert len(batched) == len(oracle)
+                for a, b in zip(batched, oracle):
+                    assert np.array_equal(a, b), (model, n)
+
+    @pytest.mark.parametrize(
+        "scheme, expected", [("baoab", {8: 8, 4100: 4100}), ("euler_maruyama", {8: 8, 4100: 4096})]
+    )
+    def test_exploding_paths_match_per_block_oracle(self, monkeypatch, scheme, expected):
+        # inverted potential F(q) = -q: the guard zeroes and excludes the
+        # same paths as the per-block loop with its finiteness chain
+        bad = make_spec(make_linear_force([[-1.0]]), 1.0, 2 / 3, 0.5)
+        for n, excluded in expected.items():
+            kw = dict(seed=1, epsilon=200.0, store_every=60, scheme=scheme)
+            batched = integrate_sde(bad, np.array([1.0, 1.0]), 60.0, 0.5, n, **kw)
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "_run_ensemble", _per_block_ensemble)
+                oracle = integrate_sde(bad, np.array([1.0, 1.0]), 60.0, 0.5, n, **kw)
+            assert batched.excluded == oracle.excluded == excluded
+            assert np.array_equal(batched.states, oracle.states)
+
+    @pytest.mark.parametrize("scheme", ["baoab", "euler_maruyama"])
+    def test_matches_the_two_force_step(self, quartic_spec, scheme):
+        # carrying the closing force and updating in place give the values
+        # of the out-of-place step that evaluates F afresh
+        x0 = np.array([0.8, -0.2])
+        *_, (q, p) = _two_force_path(quartic_spec, x0, scheme, 0.05, 0.01, 300, 50, seed=4)
+        b = integrate_sde(quartic_spec, x0, 0.5, 0.01, 300, seed=4, epsilon=0.05, scheme=scheme,
+                          store_every=50)
+        assert np.array_equal(b.states[:, -1], np.hstack([q, p]))
+
+    def test_pinsker_matches_the_two_force_integrand(self, quartic_spec):
+        # the integrand reads the force the step carries instead of calling F again
+        x0, eps, dt, n = np.array([0.8, 0.2]), 1e-3, 0.01, 300
+        q_det = flow_zero_noise(quartic_spec, x0, 0.5, dt).states[:, :1]
+        f_det = _quartic_F(q_det)
+        DF_det = quartic_spec.force.eval_DF(q_det)
+
+        def integrand(k, q):
+            lin = f_det[k] + np.einsum("ij,nj->ni", DF_det[k], q - q_det[k])
+            rem = _quartic_F(q) - lin
+            return np.sum(rem * rem, axis=1)
+
+        path = _two_force_path(quartic_spec, x0, "euler_maruyama", eps, dt, n, 50, seed=5)
+        acc, prev = np.zeros(n), integrand(0, np.full((n, 1), x0[0]))
+        for k, (q, _) in enumerate(path, 1):
+            cur = integrand(k, q)
+            acc, prev = acc + 0.5 * dt * (prev + cur), cur
+        expected = float(np.sum(acc)) / n / (2.0 * eps)
+        assert pinsker_kl_bound(quartic_spec, x0, 0.5, dt, n, seed=5, epsilon=eps) == expected
+
+    @pytest.mark.parametrize("scheme", ["baoab", "euler_maruyama"])
+    def test_force_may_return_its_argument(self, scheme):
+        # the in-place updates of q must not corrupt a force that aliases it
+        aliased = make_gradient_force(
+            1,
+            U=lambda q: 0.5 * np.sum(np.asarray(q) ** 2, axis=-1),
+            gradU=lambda q: np.asarray(q, dtype=float),
+            hessU=lambda q: np.ones(np.shape(q) + (1,)),
+        )
+        kw = dict(seed=2, epsilon=0.05, scheme=scheme, store_every=10)
+        runs = [
+            integrate_sde(make_spec(force, 1.0, 0.5, 0.5), np.array([0.7, 0.1]), 0.5, 0.01, 300, **kw)
+            for force in (aliased, make_linear_force([[1.0]]))
+        ]
+        assert np.array_equal(runs[0].states, runs[1].states)
+
+    @pytest.mark.parametrize("scheme", ["baoab", "euler_maruyama"])
+    def test_one_force_call_per_step(self, quartic_spec, scheme):
+        spec, shapes = _counting_force(quartic_spec)
+        integrate_sde(spec, np.array([0.8, 0.0]), 0.5, 0.01, 300, seed=1, epsilon=0.05, scheme=scheme,
+                      store_every=50)
+        assert len(shapes) == 50 + 1
+
+    def test_pinsker_reuses_the_step_force(self, quartic_spec):
+        # the integrand reads the force the step carries; only calls on the
+        # 300-row ensemble count, not those along the zero-noise path
+        spec, shapes = _counting_force(quartic_spec)
+        pinsker_kl_bound(spec, np.array([0.8, 0.2]), 0.5, 0.01, 300, seed=5, epsilon=1e-3)
+        assert sum(s[0] == 300 for s in shapes if len(s) == 2) == 50 + 1
 
 
 class TestFluctuation:
