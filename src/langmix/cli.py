@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .checks import verify_suite
 from .covflow import integrate_covariance
 from .cutoff import mixing_time, spectral_data
 from .harness import (
@@ -22,7 +23,6 @@ from .harness import (
     run_cutoff_experiment,
     run_stationary_check,
     spec_from_model_config,
-    verify_suite,
     write_csv,
 )
 from .linear_stability import classify_linear

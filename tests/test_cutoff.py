@@ -2,14 +2,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from scipy.integrate import quad
 
 from langmix.covflow import drift_matrix
 from langmix.cutoff import (
     jordan_chains,
     mixing_time,
-    oscillating_sum,
     profile_D,
     profile_lambda,
     profile_lambda_alt,
@@ -90,32 +88,10 @@ class TestSpectralData:
         assert sd.m == 2  # conjugate pair
         assert np.linalg.matrix_rank(sd.vectors) == sd.m
 
-    def test_linearized_decay_limit(self, real_spectrum_spec):
-        sd = spectral_data(real_spectrum_spec, np.array([0.6, 0.4]))
-        A = drift_matrix(real_spectrum_spec, np.zeros(1))
-        errs = []
-        for t in (5.0, 15.0, 30.0):
-            lhs = math.exp(sd.eta * t) * (sla.expm(A * t) @ sd.expansion_point) / t**sd.nu
-            errs.append(np.linalg.norm(lhs - oscillating_sum(sd, t)))
-        assert errs[-1] < 1e-10
-        assert errs[0] >= errs[-1]
-
     def test_nonlinear_start_outside_ball_gets_shift(self, quartic_spec):
         sd = spectral_data(quartic_spec, np.array([2.5, 0.0]))
         assert sd.tau > 1.0  # entry time plus one
         assert np.linalg.norm(sd.expansion_point) <= 1.0 + 1e-6
-
-    def test_eta_stable_under_tiny_perturbation(self, real_spectrum_spec):
-        A = drift_matrix(real_spectrum_spec, np.zeros(1))
-        rng = np.random.default_rng(1)
-        base, _ = jordan_chains(A)
-        eta0 = min(-c.eigenvalue.real for c in base)
-        for _ in range(5):
-            chains, _ = jordan_chains(A + 1e-12 * rng.standard_normal((2, 2)))
-            eta = min(-c.eigenvalue.real for c in chains)
-            assert eta == pytest.approx(eta0, abs=1e-8)
-            sizes = sorted(c.length for c in chains)
-            assert sizes == sorted(c.length for c in base)
 
 
 #: the fixed RK4 step the event-located search is compared with
@@ -245,14 +221,3 @@ class TestProfileLimit:
         pl = profile_limit_r(harmonic_spec, sd)
         assert not pl.exists
         assert pl.oscillation > 0.1
-
-    def test_profile_cauchy_in_epsilon_when_limit_exists(self, real_spectrum_spec):
-        sd = spectral_data(real_spectrum_spec, np.array([0.6, 0.4]))
-        ws = np.linspace(-4, 4, 17)
-        prev, worst = None, 0.0
-        for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            vals = np.array([profile_D(real_spectrum_spec, sd, mixing_time(sd, eps) + w, eps) for w in ws])
-            if prev is not None:
-                worst = max(worst, float(np.abs(vals - prev).max()))
-            prev = vals
-        assert worst < 5e-3

@@ -69,13 +69,6 @@ class TestTvReduce:
         m, C = tv_reduce(g, g)
         assert np.allclose(m, 0.0) and np.allclose(C, np.eye(2))
 
-    def test_idempotent_on_canonical_pair(self, rng):
-        A = rng.standard_normal((2, 2))
-        C = A @ A.T + 0.3 * np.eye(2)
-        mean = rng.standard_normal(2)
-        m2, C2 = tv_reduce(Gaussian(mean, C), Gaussian(np.zeros(2), np.eye(2)))
-        assert np.allclose(m2, mean) and np.allclose(C2, C)
-
     def test_equal_covariance_reduces_to_unit_shift(self, rng):
         A = rng.standard_normal((2, 2))
         S = A @ A.T + 0.5 * np.eye(2)
@@ -182,15 +175,6 @@ class TestTvGaussian:
         a = tv_gaussian(g1, g2, method="monte_carlo", n=10000, seed=1)
         b = tv_gaussian(g1, g2, method="monte_carlo", n=10000, seed=1)
         assert a.value == b.value
-
-    def test_triangle_inequality(self, rng):
-        for _ in range(10):
-            gs = []
-            for _ in range(3):
-                A = rng.standard_normal((2, 2))
-                gs.append(Gaussian(rng.standard_normal(2), A @ A.T + 0.3 * np.eye(2)))
-            tv = lambda a, b: tv_gaussian(a, b, method="cdf_quadrature").value
-            assert tv(gs[0], gs[2]) <= tv(gs[0], gs[1]) + tv(gs[1], gs[2]) + 1e-8
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from langmix import harness, matrix_eq
+from langmix import checks, harness, matrix_eq
 from langmix.cutoff import jordan_chains
 from langmix.covflow import drift_matrix, noise_matrix
 from langmix.errors import ParameterError, StabilityError
@@ -16,7 +16,6 @@ from langmix.harness import (
     run_cutoff_experiment,
     run_stationary_check,
     validate_config,
-    verify_suite,
     write_csv,
 )
 from langmix.matrix_eq import sigma_solution
@@ -71,10 +70,25 @@ class TestConfigValidation:
             {"w_grid": {"min": -1.0, "max": 1.0, "step": 0.0}},
             {"w_grid": {"min": -1.0, "max": 1.0, "step": -0.5}},
             {"w_grid": {"min": 1.0, "max": -1.0, "step": 0.5}},
+            {"w_grid": {"min": -1.0, "max": float("inf"), "step": 0.5}},
+            {"w_grid": [1, 2]},
             {"n_paths": 0},
+            {"n_paths": 1.7},
+            {"n_paths": True},
             {"horizon": -1.0},
+            {"horizon": float("inf")},
+            {"dt": float("nan")},
+            {"dt": "x"},
+            {"epsilons": 0.01},
+            {"x0": [0.5, 0.2]},
+            {"seed": "abc"},
+            {"mc_curve": "no"},
         ],
-        ids=["no_max", "no_step", "zero_step", "negative_step", "max_below_min", "no_paths", "negative_horizon"],
+        ids=[
+            "no_max", "no_step", "zero_step", "negative_step", "max_below_min", "infinite_max", "list_w_grid",
+            "no_paths", "fractional_paths", "bool_paths", "negative_horizon", "infinite_horizon", "nan_dt",
+            "string_dt", "scalar_epsilons", "flat_x0", "string_seed", "string_mc_curve",
+        ],
     )
     def test_unusable_run_sizes_rejected(self, tmp_path, override):
         with pytest.raises(ParameterError):
@@ -114,24 +128,16 @@ class TestManifest:
         for artifact in data["artifacts"]:
             assert os.path.exists(artifact)
 
-    def test_no_orphan_outputs(self, tmp_path):
-        cfg = validate_config(minimal_config(tmp_path))
-        manifest = run_cutoff_experiment(cfg)
-        listed = {os.path.basename(a) for a in manifest.artifacts} | {"run_manifest.json"}
-        assert set(os.listdir(cfg.out_dir)) <= listed
-
     def test_verify_suite_failure_finalizes_manifest(self, tmp_path, monkeypatch):
-        for name in dir(harness):
-            if name.startswith("_check_"):
-                monkeypatch.setattr(harness, name, lambda *a, n=name: harness.CheckResult(n, True, 0.0))
+        monkeypatch.setattr(checks, "CHECKS", {"fake.passes": lambda: checks.CheckResult(True, 0.0)})
 
         def broken_write_csv(*args):
             raise OSError("disk full")
 
-        monkeypatch.setattr(harness, "write_csv", broken_write_csv)
+        monkeypatch.setattr(checks, "write_csv", broken_write_csv)
         out_dir = tmp_path / "verify"
         with pytest.raises(OSError, match="disk full"):
-            verify_suite(out_dir=str(out_dir))
+            checks.verify_suite(out_dir=str(out_dir))
         data = json.loads((out_dir / "run_manifest.json").read_text())
         assert data["status"] == "failed"
         assert data["passed"] is False
@@ -186,17 +192,6 @@ class TestCutoffPipeline:
         assert data["passed"] is False
         assert data["summary"]["error"]["type"] == "StabilityError"
         assert "stability" in data["summary"]["error"]["message"]
-
-    def test_deterministic_bytes(self, tmp_path):
-        raw1 = minimal_config(tmp_path, out_dir=str(tmp_path / "a"))
-        raw2 = minimal_config(tmp_path, out_dir=str(tmp_path / "b"))
-        m1 = run_cutoff_experiment(validate_config(raw1))
-        m2 = run_cutoff_experiment(validate_config(raw2))
-        csv1 = sorted(p for p in m1.artifacts if p.endswith(".csv"))
-        csv2 = sorted(p for p in m2.artifacts if p.endswith(".csv"))
-        assert csv1 and len(csv1) == len(csv2)
-        for a, b in zip(csv1, csv2):
-            assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_summary_records_clamp_events(self, tmp_path, monkeypatch):
         integrate = harness.integrate_covariance
@@ -285,10 +280,3 @@ def test_write_csv_fixed_format(tmp_path):
     content = open(path).read()
     assert content.splitlines()[0] == "a,b"
     assert "0.33333333333333331" in content
-
-
-@pytest.mark.slow
-def test_verify_suite_all_green(tmp_path):
-    manifest = verify_suite(out_dir=str(tmp_path / "verify"))
-    failed = [c["name"] for c in manifest.summary["checks"] if not c["passed"]]
-    assert manifest.passed, f"failing checks: {failed}"

@@ -124,15 +124,6 @@ def test_jacobian_matches_centered_differences(h, quartic_spec):
     assert np.abs(fd - ff.eval_DF(q).reshape(1, 1)).max() < 50 * h**2
 
 
-def test_fd_halving_ratio_is_second_order(quartic_spec):
-    ff = quartic_spec.force
-    q = np.array([0.7])
-    exact = ff.eval_DF(q).reshape(1, 1)
-    e1 = np.abs(central_difference_jacobian(ff.eval_F, q, 2e-3) - exact).max()
-    e2 = np.abs(central_difference_jacobian(ff.eval_F, q, 1e-3) - exact).max()
-    assert 3.5 <= e1 / e2 <= 4.5
-
-
 class TestAssumptionMain:
     def test_harmonic_margin_zero(self, harmonic_spec):
         # <F,q> - (2/3)(|q|^2 + |q|^2/2) vanishes identically
