@@ -128,6 +128,12 @@ class TestManifest:
         for artifact in data["artifacts"]:
             assert os.path.exists(artifact)
 
+    def test_no_orphan_outputs(self, tmp_path):
+        cfg = validate_config(minimal_config(tmp_path))
+        manifest = run_cutoff_experiment(cfg)
+        listed = {os.path.basename(a) for a in manifest.artifacts} | {"run_manifest.json"}
+        assert set(os.listdir(cfg.out_dir)) <= listed
+
     def test_verify_suite_failure_finalizes_manifest(self, tmp_path, monkeypatch):
         monkeypatch.setattr(checks, "CHECKS", {"fake.passes": lambda: checks.CheckResult(True, 0.0)})
 
@@ -192,6 +198,17 @@ class TestCutoffPipeline:
         assert data["passed"] is False
         assert data["summary"]["error"]["type"] == "StabilityError"
         assert "stability" in data["summary"]["error"]["message"]
+
+    def test_deterministic_bytes(self, tmp_path):
+        raw1 = minimal_config(tmp_path, out_dir=str(tmp_path / "a"))
+        raw2 = minimal_config(tmp_path, out_dir=str(tmp_path / "b"))
+        m1 = run_cutoff_experiment(validate_config(raw1))
+        m2 = run_cutoff_experiment(validate_config(raw2))
+        csv1 = sorted(p for p in m1.artifacts if p.endswith(".csv"))
+        csv2 = sorted(p for p in m2.artifacts if p.endswith(".csv"))
+        assert csv1 and len(csv1) == len(csv2)
+        for a, b in zip(csv1, csv2):
+            assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_summary_records_clamp_events(self, tmp_path, monkeypatch):
         integrate = harness.integrate_covariance
@@ -280,3 +297,10 @@ def test_write_csv_fixed_format(tmp_path):
     content = open(path).read()
     assert content.splitlines()[0] == "a,b"
     assert "0.33333333333333331" in content
+
+
+@pytest.mark.slow
+def test_verify_suite_all_green(tmp_path):
+    manifest = checks.verify_suite(out_dir=str(tmp_path / "verify"))
+    failed = [c["name"] for c in manifest.summary["checks"] if not c["passed"]]
+    assert manifest.passed, f"failing checks: {failed}"

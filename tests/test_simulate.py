@@ -65,6 +65,19 @@ class TestIntegrateSde:
         ref = 2 * eps * sigma_matrix(spec)
         assert np.abs(emp - ref).max() < 2e-3
 
+    def test_bitwise_reproducible(self):
+        spec = corpus_spec("lin1d_complex")
+        kw = dict(t_end=1.0, dt=0.01, n_paths=5000, seed=77, epsilon=0.02, scheme="baoab", store_every=10)
+        a = integrate_sde(spec, np.array([0.5, 0.0]), **kw)
+        b = integrate_sde(spec, np.array([0.5, 0.0]), **kw)
+        assert np.array_equal(a.states, b.states)
+
+    def test_seed_changes_stream(self):
+        spec = corpus_spec("lin1d_complex")
+        a = integrate_sde(spec, np.zeros(2), 0.5, 0.01, 100, seed=1, epsilon=0.02, store_every=50)
+        b = integrate_sde(spec, np.zeros(2), 0.5, 0.01, 100, seed=2, epsilon=0.02, store_every=50)
+        assert not np.array_equal(a.states, b.states)
+
     @pytest.mark.parametrize(
         "run, kw",
         [
