@@ -15,7 +15,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,11 +26,11 @@ from .cutoff import jordan_chains, mixing_time, oscillating_sum, profile_D, spec
 from .errors import ParameterError
 from .gaussian_tv import Gaussian, tv_gaussian, tv_reduce, tv_unit, tv_unit_linear_bound
 from .harness import (
-    STABLE_CORPUS, ExperimentConfig, RunManifest, _run_pipeline, corpus_model_config, corpus_spec,
+    STABLE_CORPUS, RunManifest, _run_pipeline, corpus_model_config, corpus_spec,
     exact_gaussian_tv_curve_point, run_cutoff_experiment, validate_config, write_csv,
 )
 from .linear_stability import (
-    classify_linear, lyapunov_H, make_spec, rk4_step, skew_part, symmetric_part, verify_exponential_stability,
+    classify_linear, lyapunov_H, make_spec, skew_part, symmetric_part, verify_exponential_stability,
 )
 from .matrix_eq import drift_metric, lyapunov_quadrature, sigma_matrix, solve_lyapunov_stable
 from .model import central_difference_jacobian, check_assumption_main, drift_matrix, force_from_config, noise_matrix
@@ -277,6 +277,15 @@ def _check_covflow_psd_and_oracle() -> CheckResult:
     return CheckResult(worst < 1e-8, worst, f"max err {worst:.2e}")
 
 
+def rk4_step(f, x, dt):
+    """One classical fourth-order Runge-Kutta step: the fixed-step oracle of the adaptive solver."""
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def _check_covflow_rk4_oracle() -> CheckResult:
     spec = corpus_spec("quartic")
     x0 = np.array([0.8, 0.1])
@@ -482,7 +491,7 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
 }
 
 
-def verify_suite(cfg: Optional[ExperimentConfig] = None, out_dir: Optional[str] = None) -> RunManifest:
+def verify_suite(out_dir: str) -> RunManifest:
     """Run every check of `CHECKS`, in order, on the built-in corpus.
 
     Check failures are report entries, not exceptions: a check that raises is
@@ -491,8 +500,7 @@ def verify_suite(cfg: Optional[ExperimentConfig] = None, out_dir: Optional[str] 
     run time.  An exception outside the checks leaves the manifest with
     status "failed" and the error.
     """
-    out = out_dir or (cfg.out_dir if cfg else "langmix_verify")
-    return _run_pipeline(cfg.config_hash if cfg else "builtin", out, _verify)
+    return _run_pipeline("builtin", out_dir, _verify)
 
 
 def _verify(manifest: RunManifest):

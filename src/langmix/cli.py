@@ -137,8 +137,7 @@ def _cmd_stationary_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(args.config) if args.config else None
-    manifest = verify_suite(cfg, out_dir=args.out_dir)
+    manifest = verify_suite(args.out_dir)
     for check in manifest.summary["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"[{status}] {check['name']}: margin={check['margin']:.4g} {check['detail']}")
@@ -196,7 +195,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_stationary_check)
 
     p = sub.add_parser("verify", help="run the invariant verification suite")
-    p.add_argument("--config", default=None)
     p.add_argument("--out-dir", default="langmix_verify")
     p.set_defaults(fn=_cmd_verify)
 

@@ -201,7 +201,7 @@ def spectral_data(spec: ModelSpec, x) -> SpectralData:
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0.0:
         raise DomainError("the decay constants are undefined at the equilibrium x = 0")
-    rho_lin = spec.delta_nbhd if spec.delta_nbhd is not None else drift_metric_delta(spec)
+    rho_lin = drift_metric_delta(spec)
 
     if np.linalg.norm(x) <= rho_lin:
         tau = 0.0

@@ -17,10 +17,6 @@ class ParameterError(ValueError):
     """A scalar parameter is outside its admissible range."""
 
 
-class DependencyError(RuntimeError):
-    """A derived quantity is required but has not been computed yet."""
-
-
 class StabilityError(ValueError):
     """A matrix that must be (Hurwitz) stable is not, or is inside the tolerance band."""
 

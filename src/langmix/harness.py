@@ -9,6 +9,7 @@ significant digits, fixed column order).
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -212,13 +213,13 @@ def _run_pipeline(config_hash: str, out_dir: str, body: Callable) -> RunManifest
 
 
 def write_csv(path: str, header: list, rows) -> str:
-    """Deterministic CSV: fixed column order, 17-significant-digit floats."""
+    """Deterministic CSV: fixed column order, 17-significant-digit floats, quoted where a cell needs it."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = (f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v) for v in row)
-            fh.write(",".join(cells) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v) for v in row]
+                      for row in rows)
     return path
 
 

@@ -4,7 +4,8 @@ The zero-noise dynamics dq = p dt, dp = -F(q) dt - gamma p dt is linearized by
 the block matrix T_M = [[0, -I], [M, gamma I]]; its spectrum sits in the open
 right half plane exactly when Sp(M) lies inside the parabola
 {a + ib : a > 0, gamma^2 a > b^2}.  The certificate side builds the modified
-energy H and its decay rate lam.
+energy H and its decay rate lam.  Every zero-noise path, on a grid or up to a
+ball entry, comes from the one adaptive solver `solve_path`.
 """
 
 from __future__ import annotations
@@ -16,13 +17,8 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import (
-    DecompositionMissingError,
-    DependencyError,
-    DivergenceError,
-    InternalCheckError,
-    ParameterError,
-)
+from .errors import DecompositionMissingError, DivergenceError, InternalCheckError, ParameterError
+from .matrix_eq import drift_metric_delta
 from .model import ForceField, ModelSpec
 
 #: Relative half-width of the indeterminate band for real parts of eigenvalues.
@@ -247,14 +243,6 @@ def _flow_rhs(force: ForceField, gamma: float, x: np.ndarray) -> np.ndarray:
     return np.concatenate([dq, dp], axis=-1)
 
 
-def rk4_step(f, x, dt):
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def _norm_crossing(n: int, radius: float, direction: float):
     """Terminal solver event: |y[:n]| crosses radius in the given direction."""
     event = lambda t, y: np.linalg.norm(y[:n]) - radius
@@ -286,27 +274,22 @@ def solve_path(rhs, y0, t_span: tuple, n: int, t_eval=None, entry_radius=None):
 
 
 def flow_zero_noise(spec: ModelSpec, x0, t_end: float, dt: float) -> FlowPath:
-    """Classical fourth-order integration of the zero-noise flow.
+    """The zero-noise flow from x0, reported on the grid k*dt for k = 0 .. round(t_end/dt).
 
-    Fixed step; accuracy is checked in the tests by step halving (16x error
-    reduction).  Blow-up beyond 1e12 in norm raises with the last state.
+    One adaptive `solve_path` solve; the grid only selects the reported
+    states, it does not set the solver's steps.  Blow-up raises
+    DivergenceError with the time and the last state.
     """
     if dt <= 0 or t_end < 0:
         raise ParameterError("need dt > 0 and t_end >= 0")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (2 * spec.dim,):
         raise ParameterError(f"x0 must have shape ({2 * spec.dim},)")
-    f = lambda y: _flow_rhs(spec.force, spec.gamma, y)
-    n_steps = int(round(t_end / dt))
-    grid = [0.0]
-    states = [x.copy()]
-    for k in range(1, n_steps + 1):
-        x = rk4_step(f, x, dt)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > BLOWUP:
-            raise DivergenceError("zero-noise flow diverged", t=k * dt, last_state=states[-1])
-        grid.append(k * dt)
-        states.append(x.copy())
-    return FlowPath(grid=np.asarray(grid), states=np.asarray(states))
+    grid = np.arange(int(round(t_end / dt)) + 1) * dt
+    if grid.size == 1:
+        return FlowPath(grid=grid, states=x[None, :])
+    sol = solve_path(lambda y: _flow_rhs(spec.force, spec.gamma, y), x, (0.0, grid[-1]), 2 * spec.dim, t_eval=grid)
+    return FlowPath(grid=grid, states=sol.y.T)
 
 
 @dataclass
@@ -383,17 +366,13 @@ def quadratic_gronwall_bound(a: float, b: float, c: float, M: float, u0: float, 
 def relaxation_time_T(spec: ModelSpec, x) -> float:
     """Time after which the flow from x is confined to the drift-metric ball.
 
-    T(x) = max( log( kappa (|x|^2 + U(q)) / delta^2 ) / lam, 0 ).  Requires the
-    drift-metric radius delta to have been computed and stored on the spec.
+    T(x) = max( log( kappa (|x|^2 + U(q)) / delta^2 ) / lam, 0 ), with delta the
+    drift-metric radius `drift_metric_delta(spec)`.
     """
-    if spec.delta_nbhd is None:
-        raise DependencyError(
-            "delta_nbhd is not set; run matrix_eq.drift_metric_delta(spec) first"
-        )
     x = np.asarray(x, dtype=float)
     q = x[: spec.dim]
     u = float(np.asarray(spec.force.eval_U(q))) if spec.force.eval_U is not None else 0.0
-    val = spec.kappa * (float(x @ x) + u) / spec.delta_nbhd**2
+    val = spec.kappa * (float(x @ x) + u) / drift_metric_delta(spec) ** 2
     if val <= 1.0:
         return 0.0
     return math.log(val) / spec.lam

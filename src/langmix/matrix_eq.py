@@ -255,8 +255,12 @@ def drift_metric_delta(spec: ModelSpec) -> float:
     Finds by bisection the largest delta <= 1 such that, over sampled
     directions |q| = delta, the symmetrized perturbation
     (A(q) - A)^T Gamma + Gamma (A(q) - A) has operator norm at most 1/2.  The
-    result is stored on the spec as delta_nbhd.  Failure even at 1e-8 raises.
+    result is cached per spec.  Failure even at 1e-8 raises.
     """
+    cache = _cache_for(spec)
+    with _cache_lock:
+        if "delta" in cache:
+            return cache["delta"]
     dm = drift_metric(spec)
     G = dm.gamma_matrix
     d = spec.dim
@@ -291,7 +295,8 @@ def drift_metric_delta(spec: ModelSpec) -> float:
         delta = lo
 
     _spot_check_drift(spec, delta, dm)
-    spec.delta_nbhd = delta
+    with _cache_lock:
+        cache["delta"] = delta
     return delta
 
 

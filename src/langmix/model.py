@@ -112,8 +112,7 @@ class ModelSpec:
     None of them depends on the noise level, which the sampling functions take.
 
     lam is the exponential decay rate of the Lyapunov function; kappa0 the
-    norm-equivalence constant; kappa = kappa0**2 the stability constant;
-    delta_nbhd the drift-metric radius (None until computed).
+    norm-equivalence constant; kappa = kappa0**2 the stability constant.
     """
 
     force: ForceField
@@ -123,7 +122,6 @@ class ModelSpec:
     lam: float
     kappa0: float
     kappa: float
-    delta_nbhd: Optional[float] = None
 
     def __post_init__(self):
         g, a, b, lam = self.gamma, self.alpha, self.beta, self.lam

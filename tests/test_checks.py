@@ -9,7 +9,7 @@ from langmix import checks
 from langmix.checks import CHECKS, CheckResult, verify_suite
 
 #: checks that take over a second; `pytest -m "not slow"` leaves them out
-SLOW = {"linear.lyapunov_decay", "simulate.gibbs_stationarity", "simulate.curve_vs_empirical"}
+SLOW = {"simulate.gibbs_stationarity", "simulate.curve_vs_empirical"}
 
 
 @pytest.mark.parametrize(
@@ -47,3 +47,16 @@ def test_registry_names_every_row_and_survives_a_crash(tmp_path, monkeypatch):
     assert [r["check"] for r in rows] == list(fake)
     assert [r["passed"] for r in rows] == ["1", "0", "0"]
     assert [float(r["seconds"]) for r in rows] == [e["seconds"] for e in entries]
+
+
+def test_report_cells_holding_commas_stay_in_their_column(tmp_path, monkeypatch):
+    def crashes():
+        raise ValueError("a", "b")
+
+    fake = {"fake.comma": lambda: CheckResult(True, 1.0, "em 1.09, baoab 1.96"), "fake.crashes": crashes}
+    monkeypatch.setattr(checks, "CHECKS", fake)
+    verify_suite(out_dir=str(tmp_path))
+    with open(tmp_path / "verify_report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [5, 5, 5]
+    assert [r[3] for r in rows[1:]] == ["em 1.09, baoab 1.96", "crashed: ValueError('a', 'b')"]

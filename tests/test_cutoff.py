@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from langmix import cutoff
 from langmix.covflow import drift_matrix
 from langmix.cutoff import (
     jordan_chains,
@@ -18,7 +19,7 @@ from langmix.cutoff import (
 from langmix.errors import DivergenceError, DomainError, StabilityError
 from langmix.gaussian_tv import tv_unit
 from langmix.linear_stability import flow_zero_noise, make_spec
-from langmix.matrix_eq import sigma_matrix
+from langmix.matrix_eq import drift_metric_delta, sigma_matrix
 from langmix.model import _polynomial_gradient_force
 
 
@@ -94,13 +95,13 @@ class TestSpectralData:
         assert np.linalg.norm(sd.expansion_point) <= 1.0 + 1e-6
 
 
-#: the fixed RK4 step the event-located search is compared with
-RK4_DT = 1e-3
+#: the reporting grid of the whole path the event-located search is compared with
+PATH_DT = 1e-3
 
 
 class TestBallEntrySearch:
     def test_force_evaluations_bounded(self, quartic_spec, monkeypatch):
-        # a fixed RK4 step of 1e-3 to one time unit past the entry takes about 12,000
+        # a fixed fourth-order step of 1e-3 to one time unit past the entry would take about 12,000
         calls = []
         eval_F = quartic_spec.force.eval_F
 
@@ -116,18 +117,18 @@ class TestBallEntrySearch:
     def test_matches_one_unsegmented_path(self, quartic_spec, x):
         x = np.array(x)
         sd = spectral_data(quartic_spec, x)
-        path = flow_zero_noise(quartic_spec, x, 6.0, RK4_DT)
-        inside = np.nonzero(np.linalg.norm(path.states, axis=1) <= quartic_spec.delta_nbhd)[0]
+        path = flow_zero_noise(quartic_spec, x, 6.0, PATH_DT)
+        inside = np.nonzero(np.linalg.norm(path.states, axis=1) <= drift_metric_delta(quartic_spec))[0]
         assert abs(sd.tau - (float(path.grid[inside[0]]) + 1.0)) <= 1e-3
-        # a step near 1e-4 that lands exactly on tau
+        # a grid that ends exactly at tau
         n = math.ceil(sd.tau / 1e-4)
         fine = flow_zero_noise(quartic_spec, x, sd.tau, sd.tau / n)
         assert np.abs(sd.expansion_point - fine.states[-1]).max() <= 1e-9
 
-    def test_never_entered_ball_raises_at_the_horizon(self):
+    def test_never_entered_ball_raises_at_the_horizon(self, monkeypatch):
         # double well U = q^4/4 - q^2/2: from (1.5, 0) the flow settles at (1, 0)
         spec = make_spec(_polynomial_gradient_force([0, 0, -0.5, 0, 0.25]), 1.5, alpha=2 / 3, beta=0.75)
-        spec.delta_nbhd = 0.5
+        monkeypatch.setattr(cutoff, "drift_metric_delta", lambda spec: 0.5)
         with pytest.raises(StabilityError, match="never entered"):
             spectral_data(spec, np.array([1.5, 0.0]))
 
@@ -137,7 +138,7 @@ class TestBallEntrySearch:
         spec = make_spec(_polynomial_gradient_force([0, 0, 0.5, 0, -0.25]), 1.5, alpha=2 / 3, beta=0.75)
         x = np.array([1.2, 0.0])
         with pytest.raises(DivergenceError) as whole:
-            flow_zero_noise(spec, x, 10.0, RK4_DT)
+            flow_zero_noise(spec, x, 10.0, PATH_DT)
         with pytest.raises(DivergenceError) as searched:
             spectral_data(spec, x)
         assert abs(searched.value.t - whole.value.t) <= 1e-2

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from hypothesis import given, strategies as st
 from scipy.integrate import solve_ivp
 
-from langmix.errors import DependencyError, ParameterError
+from langmix.errors import ParameterError
 from langmix.linear_stability import (
     classify_linear,
     flow_zero_noise,
@@ -199,12 +199,28 @@ class TestFlow:
         # centered gradient is O(dt^2); compare away from the ends
         assert np.abs(dE[2:-2] - rhs[2:-2]).max() < 5e-4
 
-    def test_rk4_order(self, quartic_spec):
+    def test_matches_independent_implicit_solve(self, quartic_spec):
         x0 = np.array([0.8, 0.2])
-        ref = flow_zero_noise(quartic_spec, x0, 1.0, 1e-4).states[-1]
-        e1 = np.linalg.norm(flow_zero_noise(quartic_spec, x0, 1.0, 4e-3).states[-1] - ref)
-        e2 = np.linalg.norm(flow_zero_noise(quartic_spec, x0, 1.0, 2e-3).states[-1] - ref)
-        assert 12.0 <= e1 / e2 <= 20.0
+        path = flow_zero_noise(quartic_spec, x0, 4.0, 1e-2)
+        ref = solve_ivp(
+            lambda t, y: [y[1], -(y[0] ** 3 + y[0]) - quartic_spec.gamma * y[1]],
+            (0.0, path.grid[-1]), x0, method="Radau", t_eval=path.grid, rtol=1e-12, atol=1e-14,
+        )
+        assert np.abs(path.states - ref.y.T).max() <= 1e-9
+
+    def test_grid_does_not_change_the_steps(self, quartic_spec):
+        x0 = np.array([0.8, 0.2])
+        ends = [flow_zero_noise(quartic_spec, x0, 1.0, dt).states[-1] for dt in (4e-3, 2e-3, 1e-3)]
+        assert np.array_equal(ends[0], ends[1]) and np.array_equal(ends[1], ends[2])
+
+    def test_one_point_grid_and_bad_arguments(self, quartic_spec):
+        x0 = np.array([0.8, 0.2])
+        for t_end, dt in ((0.0, 1e-3), (4e-4, 1e-3)):
+            path = flow_zero_noise(quartic_spec, x0, t_end, dt)
+            assert np.array_equal(path.grid, [0.0]) and np.array_equal(path.states, [x0])
+        for x, t_end, dt in ((x0, 1.0, 0.0), (x0, 1.0, -1e-3), (x0, -1.0, 1e-3), (np.zeros(3), 1.0, 1e-3)):
+            with pytest.raises(ParameterError):
+                flow_zero_noise(quartic_spec, x, t_end, dt)
 
 
 class TestStabilityCertificate:
@@ -269,7 +285,7 @@ class TestRelaxationTime:
         ff = make_linear_force([[1.0]])
         return ModelSpec(
             force=ff, gamma=5.0, alpha=4.0, beta=1.0,
-            lam=lam, kappa0=2.0, kappa=kappa, delta_nbhd=1.0,
+            lam=lam, kappa0=2.0, kappa=kappa,
         )
 
     def test_inside_ball_gives_zero(self):
@@ -277,7 +293,8 @@ class TestRelaxationTime:
         assert relaxation_time_T(spec, np.array([0.0, 0.0])) == 0.0
 
     def test_worked_value(self):
-        # kappa (|x|^2 + U) / delta^2 = 4 at |x|^2 + U = 1: T = log(4)/2 = log 2
+        # a linear force has delta = 1 (the cap), so kappa (|x|^2 + U) / delta^2 = 4
+        # at |x|^2 + U = 1: T = log(4)/2 = log 2
         spec = self._spec()
         assert relaxation_time_T(spec, np.array([0.0, 1.0])) == pytest.approx(math.log(2.0))
 
@@ -285,8 +302,3 @@ class TestRelaxationTime:
         spec = self._spec()
         ts = [relaxation_time_T(spec, np.array([0.0, p])) for p in (0.5, 1.0, 2.0, 4.0)]
         assert all(a <= b + 1e-15 for a, b in zip(ts, ts[1:]))
-
-    def test_requires_delta(self, harmonic_spec):
-        harmonic_spec.delta_nbhd = None
-        with pytest.raises(DependencyError):
-            relaxation_time_T(harmonic_spec, np.array([3.0, 0.0]))

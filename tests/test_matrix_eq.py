@@ -201,7 +201,11 @@ class TestSigmaMatrix:
 class TestDriftMetricDelta:
     def test_linear_returns_cap(self, harmonic_spec):
         assert drift_metric_delta(harmonic_spec) == 1.0
-        assert harmonic_spec.delta_nbhd == 1.0
+
+    def test_cached_per_spec(self, quartic_spec, monkeypatch):
+        delta = drift_metric_delta(quartic_spec)
+        monkeypatch.setattr(quartic_spec.force, "eval_DF", None)  # a second search would fail
+        assert drift_metric_delta(quartic_spec) == delta
 
     def test_quartic_bisection_value(self):
         # DF(q) - DF(0) = 3 q^2, so the condition reads 3 delta^2 c = 1/2 with
