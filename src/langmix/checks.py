@@ -24,7 +24,9 @@ from scipy.stats import chi2_contingency
 from .covflow import _covariance_rhs, integrate_covariance
 from .cutoff import jordan_chains, mixing_time, oscillating_sum, profile_D, spectral_data
 from .errors import ParameterError
-from .gaussian_tv import Gaussian, tv_gaussian, tv_reduce, tv_unit, tv_unit_linear_bound
+from .gaussian_tv import (
+    TV_TOL, Gaussian, _tv_cdf_2d, _tv_gil_pelaez, tv_gaussian, tv_reduce, tv_unit, tv_unit_linear_bound,
+)
 from .harness import (
     STABLE_CORPUS, RunManifest, _run_pipeline, corpus_model_config, corpus_spec,
     exact_gaussian_tv_curve_point, run_cutoff_experiment, validate_config, write_csv,
@@ -52,6 +54,8 @@ _NORMAL_EQUIVALENCE_CASES = 150
 _SUFFICIENCY_CASES = 200
 _TV_TRIANGLE_CASES = 12
 _TV_TRIANGLE_PLANAR_CASES = 10
+_TV_SLICER_CASES = 20
+_TV_TRIANGLE_CASES_PER_DIM = 5  # at d = 3 and at d = 4
 
 #: cut-off runs that the determinism check makes twice each
 _DETERMINISM_CASES = (
@@ -220,21 +224,36 @@ def _check_quadrature_decay() -> CheckResult:
     return CheckResult(rel <= 0.2, rel, f"rate {rate:.3f} vs {2*eta:.3f}")
 
 
-def _check_tv_triangle() -> CheckResult:
-    def holds(rng, dim, ridge):
-        gs = []
-        for _ in range(3):
-            A = rng.standard_normal((dim, dim))
-            gs.append(Gaussian(rng.standard_normal(dim), A @ A.T + ridge * np.eye(dim)))
-        tv = lambda a, b: tv_gaussian(a, b, method="cdf_quadrature").value
-        return tv(gs[0], gs[2]) <= tv(gs[0], gs[1]) + tv(gs[1], gs[2]) + 1e-8
+def _random_gaussian(rng, dim: int, ridge: float) -> Gaussian:
+    A = rng.standard_normal((dim, dim))
+    return Gaussian(rng.standard_normal(dim), A @ A.T + ridge * np.eye(dim))
 
+
+def _triangle_holds(rng, dim: int, ridge: float) -> bool:
+    g = [_random_gaussian(rng, dim, ridge) for _ in range(3)]
+    tv = lambda a, b: tv_gaussian(a, b, method="cdf_quadrature").value
+    return tv(g[0], g[2]) <= tv(g[0], g[1]) + tv(g[1], g[2]) + 1e-8
+
+
+def _check_tv_triangle() -> CheckResult:
     rng = np.random.default_rng(20)
-    ok = all(holds(rng, int(rng.integers(1, 3)), 0.2) for _ in range(_TV_TRIANGLE_CASES))
+    ok = all(_triangle_holds(rng, int(rng.integers(1, 3)), 0.2) for _ in range(_TV_TRIANGLE_CASES))
     rng = np.random.default_rng(12345)  # planar triples with a wider ridge
-    ok = ok and all(holds(rng, 2, 0.3) for _ in range(_TV_TRIANGLE_PLANAR_CASES))
+    ok = ok and all(_triangle_holds(rng, 2, 0.3) for _ in range(_TV_TRIANGLE_PLANAR_CASES))
     cases = float(_TV_TRIANGLE_CASES + _TV_TRIANGLE_PLANAR_CASES)
     return CheckResult(ok, cases, "holds on random triples" if ok else "violated")
+
+
+def _check_tv_gil_pelaez_vs_slicer() -> CheckResult:
+    """The any-dimension Gil-Pelaez integral against the 2-D slicer, and the triangle inequality at d = 3, 4."""
+    rng = np.random.default_rng(22)
+    gap = 0.0
+    for _ in range(_TV_SLICER_CASES):
+        g1, g2 = _random_gaussian(rng, 2, 0.3), _random_gaussian(rng, 2, 0.3)
+        gap = max(gap, abs(_tv_gil_pelaez(g1, g2)[0] - _tv_cdf_2d(g1, g2)[0]))
+    triangle = all(_triangle_holds(rng, dim, 0.3) for dim in (3, 4) for _ in range(_TV_TRIANGLE_CASES_PER_DIM))
+    detail = f"max gap to the slicer {gap:.1e}" + ("" if triangle else "; triangle violated at d = 3 or 4")
+    return CheckResult(gap <= TV_TOL and triangle, gap, detail)
 
 
 def _check_tv_unit_shape() -> CheckResult:
@@ -476,6 +495,7 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
     "matrix_eq.sigma_gamma_pd": _check_spd_corpus,
     "matrix_eq.quadrature_decay_rate": _check_quadrature_decay,
     "gaussian_tv.triangle": _check_tv_triangle,
+    "gaussian_tv.gil_pelaez_vs_slicer": _check_tv_gil_pelaez_vs_slicer,
     "gaussian_tv.unit_monotone_bounded": _check_tv_unit_shape,
     "gaussian_tv.reduce_idempotent": _check_tv_reduce_idempotent,
     "covflow.ode_vs_quadrature": _check_covflow_psd_and_oracle,

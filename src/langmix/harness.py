@@ -253,12 +253,14 @@ def _gate_stability(spec: ModelSpec):
 def exact_gaussian_tv_curve_point(
     mean: np.ndarray, cov_t: np.ndarray, sigma: np.ndarray, epsilon: float
 ):
-    """d_TV(N(mean, 2 eps cov_t), N(0, 2 eps sigma)) with the best available method."""
+    """d_TV(N(mean, 2 eps cov_t), N(0, 2 eps sigma)), deterministic in every dimension.
+
+    `tv_gaussian(method="cdf_quadrature")`: closed forms, the 2-D slicer, or
+    the Gil-Pelaez integral for 4-d and larger states, exact to TV_TOL = 1e-9.
+    """
     g1 = Gaussian(mean=mean, cov=2.0 * epsilon * cov_t)
     g2 = Gaussian(mean=np.zeros_like(mean), cov=2.0 * epsilon * sigma)
-    if g1.dim <= 2:
-        return tv_gaussian(g1, g2, method="cdf_quadrature").value
-    return tv_gaussian(g1, g2, method="monte_carlo", n=200_000, seed=0).value
+    return tv_gaussian(g1, g2, method="cdf_quadrature").value
 
 
 def run_cutoff_experiment(cfg: ExperimentConfig) -> RunManifest:

@@ -1,12 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import dblquad, quad
 
+from langmix import gaussian_tv
 from langmix.errors import MethodError, ParameterError, ReductionError
 from langmix.gaussian_tv import (
+    TV_TOL,
     Gaussian,
     tv_gaussian,
     tv_reduce,
@@ -109,8 +112,13 @@ class TestTvGaussian:
             ([0.0], [[1.0]], [[1.5]]),
             ([1e-8 / np.sqrt(1e-9), 0.0], np.eye(2), np.eye(2)),
             ([3e-4, -2e-4], [[1.0, 0.2], [0.2, 0.5]], [[0.7, -0.1], [-0.1, 1.2]]),
+            (
+                [0.4, -0.3, 0.2, 0.1],
+                [[1.0, 0.2, 0.0, 0.1], [0.2, 0.8, 0.1, 0.0], [0.0, 0.1, 1.3, 0.2], [0.1, 0.0, 0.2, 0.6]],
+                [[0.7, -0.1, 0.05, 0.0], [-0.1, 1.2, 0.0, 0.1], [0.05, 0.0, 0.9, -0.2], [0.0, 0.1, -0.2, 1.1]],
+            ),
         ],
-        ids=["variance_pair", "mean_shift", "general_2d"],
+        ids=["variance_pair", "mean_shift", "general_2d", "general_4d"],
     )
     def test_cdf_quadrature_scale_invariant(self, mean, cov1, cov2):
         # x -> sqrt(s) x maps N(0, S1), N(m, S2) to N(0, s S1), N(sqrt(s) m, s S2)
@@ -179,6 +187,67 @@ class TestTvGaussian:
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             tv_gaussian(Gaussian(np.zeros(1), [[1.0]]), Gaussian(np.zeros(2), np.eye(2)))
+
+
+def _spd(rng, dim: int) -> np.ndarray:
+    A = rng.standard_normal((dim, dim))
+    return A @ A.T + 0.3 * np.eye(dim)
+
+
+def _gil_pelaez_cases() -> dict:
+    """Pairs (m1, S1, m2, S2) of dimension >= 3, one per regime of the integral."""
+    rng = np.random.default_rng(2024)
+    S = _spd(rng, 4)
+    L = np.linalg.cholesky(S)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    near = S + 1e-6 * L @ Q @ np.diag([1.0, -2.0, 3.0, 1.0]) @ Q.T @ L.T  # whitened gap 1e-6
+    cases = {f"random_d{d}": (rng.standard_normal(d), _spd(rng, d), rng.standard_normal(d), _spd(rng, d))
+             for d in (3, 4, 6)}
+    cases.update({
+        # equal means: the characteristic functions decay only as a power of u
+        "equal_means": (np.zeros(4), np.diag([1.0, 2.0, 0.5, 3.0]), np.zeros(4), np.eye(4)),
+        "nearly_equal_covariances": (np.zeros(4), near, np.zeros(4), S),
+        "nearly_equal_covariances_shifted": (np.full(4, 0.3), near, np.zeros(4), S),
+        # two directions with A = 0 (equal whitened variance) beside two with A != 0
+        "mixed_directions": (np.array([0.3, -0.2, 0.5, 0.1]), np.diag([1.0, 1.0, 2.0, 0.5]), np.zeros(4), np.eye(4)),
+        "rank_one_gap": (np.zeros(4), S + 0.5 * np.outer(Q[:, 0], Q[:, 0]), np.zeros(4), S),
+    })
+    return cases
+
+
+GIL_PELAEZ_CASES = _gil_pelaez_cases()
+
+
+class TestGilPelaez:
+    """cdf_quadrature in dimension >= 3: one Gil-Pelaez integral of the LLR's characteristic functions."""
+
+    @pytest.mark.parametrize("name", list(GIL_PELAEZ_CASES))
+    def test_matches_monte_carlo_symmetric_and_fast(self, name):
+        m1, S1, m2, S2 = GIL_PELAEZ_CASES[name]
+        g1, g2 = Gaussian(m1, S1), Gaussian(m2, S2)
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            res = tv_gaussian(g1, g2, method="cdf_quadrature")
+            seconds.append(time.perf_counter() - start)
+        assert res.kind == "exact" and res.abserr <= TV_TOL
+        assert min(seconds) < 0.1
+        assert tv_gaussian(g2, g1, method="cdf_quadrature").value == pytest.approx(res.value, abs=2 * TV_TOL)
+        mc = tv_gaussian(g1, g2, method="monte_carlo", n=2_000_000, seed=8)
+        assert abs(res.value - mc.value) <= 4 * mc.stderr
+
+    def test_means_twelve_sd_apart_saturate(self):
+        S1, S2 = np.diag([1.0, 1.5, 0.7, 1.2]), np.eye(4)
+        m1 = 12.0 * np.sqrt(np.diag(S2))  # twelve standard deviations in every coordinate
+        res = tv_gaussian(Gaussian(m1, S1), Gaussian(np.zeros(4), S2), method="cdf_quadrature")
+        assert 1.0 - 1e-9 <= res.value <= 1.0
+        assert res.kind == "exact"
+
+    def test_an_error_above_the_tolerance_is_an_estimate(self, monkeypatch):
+        m1, S1, m2, S2 = GIL_PELAEZ_CASES["random_d3"]
+        monkeypatch.setattr(gaussian_tv, "TV_TOL", 1e-20)
+        res = tv_gaussian(Gaussian(m1, S1), Gaussian(m2, S2), method="cdf_quadrature")
+        assert res.kind == "estimate" and res.abserr > 1e-20
 
 
 class TestGaussianType:

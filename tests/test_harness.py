@@ -8,6 +8,7 @@ from langmix import checks, harness, matrix_eq
 from langmix.cutoff import jordan_chains
 from langmix.covflow import drift_matrix, noise_matrix
 from langmix.errors import ParameterError, StabilityError
+from langmix.gaussian_tv import TV_TOL
 from langmix.harness import (
     UNSTABLE_GAMMA,
     UNSTABLE_MATRIX,
@@ -240,6 +241,28 @@ class TestCutoffPipeline:
         last = dict(zip(header, map(float, rows[-1].split(","))))
         assert first["tv_exact"] > 0.99
         assert last["tv_exact"] < 0.05
+
+    def test_4d_curve_points_are_exact_within_tolerance(self, tmp_path, monkeypatch):
+        # the cutoff_lin2d benchmark run: 3 noise levels x 25 window points of a 4-d state
+        results = []
+        tv_gaussian = harness.tv_gaussian
+
+        def recorded(*args, **kwargs):
+            results.append(tv_gaussian(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "tv_gaussian", recorded)
+        raw = minimal_config(
+            tmp_path,
+            epsilons=[1e-2, 1e-3, 1e-4],
+            x0=[[0.5, 0.5, 0.0, 0.0]],
+            w_grid={"min": -6.0, "max": 6.0, "step": 0.5},
+            dt=0.005,
+        )
+        raw["model"] = harness.corpus_model_config("lin2d_rot")
+        run_cutoff_experiment(validate_config(raw))
+        assert len(results) == 75
+        assert all(r.kind == "exact" and r.abserr <= TV_TOL for r in results)
 
 
 class TestStationaryPipeline:

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 from langmix import simulate
 from langmix.covflow import drift_matrix, integrate_covariance, noise_matrix
 from langmix.errors import ParameterError
-from langmix.gaussian_tv import Gaussian, tv_unit
+from langmix.gaussian_tv import Gaussian, tv_gaussian, tv_unit
 from langmix.harness import corpus_spec
 from langmix.linear_stability import BLOWUP, flow_zero_noise, make_spec
 from langmix.matrix_eq import lyapunov_quadrature, sigma_matrix
@@ -436,6 +436,17 @@ class TestEmpiricalTV:
         target = tv_unit(np.array([2.0]))
         est = empirical_tv(a, b, method="gaussian_momentmatch")
         assert abs(est.estimate - target) < max(3 * est.stderr, 0.01)
+
+    def test_momentmatch_in_4d_is_quadrature_not_monte_carlo(self, rng):
+        # only the bootstrap stderr draws random numbers; the estimate is the
+        # exact TV between the two fitted Gaussians
+        a = rng.standard_normal((4000, 4))
+        b = rng.standard_normal((4000, 4)) + np.array([1.0, 0.0, 0.5, 0.0])
+        one = empirical_tv(a, b, method="gaussian_momentmatch", seed=1)
+        two = empirical_tv(a, b, method="gaussian_momentmatch", seed=2)
+        assert one.estimate == two.estimate
+        fits = [Gaussian(c.mean(axis=0), np.cov(c, rowvar=False)) for c in (a, b)]
+        assert one.estimate == tv_gaussian(*fits, method="cdf_quadrature").value
 
     def test_monotone_in_offset(self, rng):
         a = rng.standard_normal((8000, 1))
