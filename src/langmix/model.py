@@ -8,12 +8,11 @@ axes: F maps (..., d) -> (..., d), DF maps (..., d) -> (..., d, d).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import norm, qmc
+from scipy.special import ndtri
 
 from .errors import (
     ConsistencyError,
@@ -25,9 +24,6 @@ from .errors import (
 #: relative tolerance of the sampled coercivity check
 DEFAULT_TOL = 1e-9
 
-# Fixed seed for the low-discrepancy sampler: reproducibility over exploration.
-_QMC_SEED = 20240117
-
 # Step of the centered finite differences.
 _FD_STEP = 1e-5
 
@@ -35,21 +31,28 @@ _FD_STEP = 1e-5
 def sample_ball(dim: int, radius: float, n: int) -> np.ndarray:
     """Quasi-random points in the closed ball of given radius, origin included.
 
-    Uses a scrambled Sobol sequence (deterministic for a fixed seed): the first
-    dim coordinates give a direction through the Gaussian inverse CDF, the last
-    one gives the radius with the volume-uniform u**(1/dim) profile.  Returns an
-    (n, dim) array whose first row is the origin.
+    Uses the R_d Kronecker sequence in s = dim + 1 dimensions (Roberts 2018,
+    "The unreasonable effectiveness of quasirandom sequences"): point k = 1,
+    2, ... is the fractional part of 1/2 + k (1/phi, ..., 1/phi**s), with phi
+    the positive root of x**(s + 1) = x + 1.  There is no seed: the points are
+    a fixed function of (dim, radius, n), and a longer set extends a shorter
+    one.  The first dim coordinates give a direction through the Gaussian
+    inverse CDF, the last one gives the radius with the volume-uniform
+    u**(1/dim) profile.  Returns an (n, dim) array whose first row is the
+    origin.
     """
     if n < 1:
         raise ParameterError("need at least one sample")
     if n == 1 or radius == 0.0:
         return np.zeros((n, dim))
-    m = n - 1
-    sampler = qmc.Sobol(d=dim + 1, scramble=True, seed=_QMC_SEED)
-    # Sobol balance wants powers of two; draw the next one and slice.
-    u = sampler.random(2 ** int(math.ceil(math.log2(max(m, 2)))))[:m]
+    s = dim + 1
+    phi = 2.0
+    for _ in range(64):  # x -> (1 + x)**(1/(s + 1)) contracts by at least 3x
+        phi = (1.0 + phi) ** (1.0 / (s + 1))
+    alpha = phi ** -np.arange(1.0, s + 1)
+    u = (0.5 + np.arange(1, n)[:, None] * alpha) % 1.0
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    g = norm.ppf(u[:, :dim])
+    g = ndtri(u[:, :dim])
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = radius * u[:, dim] ** (1.0 / dim)
     pts = np.zeros((n, dim))

@@ -75,8 +75,11 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
     (ascending, starting at 0) each state[j] with outs[j] not None is
     written to outs[j][:, i].  With guard, state starts with (q, p), and the
     paths a step leaves with |q|^2 + |p|^2 not below BLOWUP^2 (NaN and inf
-    fail the comparison too) are zeroed in every state array.  Returns the
-    mask of the paths never zeroed.
+    fail the comparison too) are zeroed in every state array.  The squared
+    norms go into row buffers allocated once, so the guard makes no
+    temporaries on the paths' scale; einsum may round a sum of three or more
+    squares differently in the last bit, which only the comparison reads.
+    Returns the mask of the paths never zeroed.
     """
     n_blocks = (n_paths + BLOCK - 1) // BLOCK
     rngs = [_block_rng(seed, b) for b in range(n_blocks)]
@@ -93,6 +96,8 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
 
     state = start(rows)
     store(0, state)
+    norm2, p2 = np.empty(rows), np.empty(rows)
+    ok = np.empty(rows, dtype=bool)
     si = 1
     for k in range(1, n_steps + 1):
         for rng, block in zip(rngs, blocks):
@@ -101,9 +106,12 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
         if guard:
             q, p = state[0], state[1]
             with np.errstate(over="ignore", invalid="ignore"):
-                bad = ~(np.sum(q * q, axis=1) + np.sum(p * p, axis=1) < BLOWUP**2)
-            if bad.any():
-                alive &= ~bad
+                np.einsum("ij,ij->i", q, q, out=norm2)
+                norm2 += np.einsum("ij,ij->i", p, p, out=p2)
+                np.less(norm2, BLOWUP**2, out=ok)
+            if not ok.all():
+                bad = ~ok
+                alive &= ok
                 for a in state:
                     a[bad] = 0.0
         if si < len(store_idx) and k == store_idx[si]:
@@ -116,17 +124,23 @@ def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, s
     """Start and step of the noisy dynamics on the state (q, p, F(q)), from x0.
 
     The step is driven by d standard normals per path and updates q and p in
-    place.  It carries the force at its closing q, which is the next step's
-    opening force, so each step makes one force call.
+    place, through scratch arrays that start(m) allocates once per ensemble:
+    temporaries on the paths' scale, freed and faulted back in at every
+    step, cost more than the arithmetic.  Each update is the same operation
+    as its out-of-place form, so the values are too, bit for bit.  The step
+    carries the force at its closing q, which is the next step's opening
+    force, so each step makes one force call.
     """
     F = spec.force.eval_F
     d = spec.dim
     g = spec.gamma
+    scratch = []
 
     def force(q):
         return np.asarray(F(q), dtype=float)
 
     def start(m):
+        scratch[:] = [np.empty((m, d)), np.empty((m, d))]
         q = np.tile(x0[:d], (m, 1))
         return q, np.tile(x0[d:], (m, 1)), force(q)
 
@@ -137,13 +151,14 @@ def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, s
 
         def step(k, s, xi):
             q, p, f = s
-            p -= h * f
-            q += h * p
+            t = scratch[0]
+            p -= np.multiply(h, f, out=t)
+            q += np.multiply(h, p, out=t)
             p *= c_ou
-            p += sig_ou * xi
-            q += h * p
+            p += np.multiply(sig_ou, xi, out=t)
+            q += np.multiply(h, p, out=t)
             f = force(q)
-            p -= h * f
+            p -= np.multiply(h, f, out=t)
             return q, p, f
 
         return start, step
@@ -151,9 +166,14 @@ def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, s
     sqrt2eps_dt = math.sqrt(2.0 * epsilon * dt)
 
     def step(k, s, xi):
+        # dp = dt * (-f - g * p) + sqrt2eps_dt * xi, one operation at a time
         q, p, f = s
-        dp = dt * (-f - g * p) + sqrt2eps_dt * xi
-        q += dt * p
+        dp, t = scratch
+        np.negative(f, out=dp)
+        dp -= np.multiply(g, p, out=t)
+        dp *= dt
+        dp += np.multiply(sqrt2eps_dt, xi, out=t)
+        q += np.multiply(dt, p, out=t)
         p += dp
         return q, p, force(q)
 

@@ -3,10 +3,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from langmix import checks
-from langmix.checks import CHECKS, CheckResult, verify_suite
+from langmix.checks import CHECKS, CheckResult, pearson_2xk_pvalue, verify_suite
+from langmix.errors import ParameterError
 
 #: checks that take over a second; `pytest -m "not slow"` leaves them out
 SLOW = {"simulate.gibbs_stationarity", "simulate.curve_vs_empirical"}
@@ -60,3 +63,24 @@ def test_report_cells_holding_commas_stay_in_their_column(tmp_path, monkeypatch)
         rows = list(csv.reader(fh))
     assert [len(r) for r in rows] == [5, 5, 5]
     assert [r[3] for r in rows[1:]] == ["em 1.09, baoab 1.96", "crashed: ValueError('a', 'b')"]
+
+
+@pytest.mark.parametrize("k", [3, 4, 7, 15, 29])
+def test_pearson_pvalue_matches_scipy(k):
+    # both rows from one law, so the p-values spread over (0, 1) rather
+    # than underflowing; plus one lopsided table with a tiny p-value
+    rng = np.random.default_rng(k)
+    weights = rng.dirichlet(np.ones(k))
+    tables = [np.vstack([rng.multinomial(n, weights), rng.multinomial(n, weights)]) + 1
+              for n in (50, 400, 5000)]
+    tables.append(np.vstack([np.arange(1, k + 1), np.arange(k, 0, -1)]) * 20)
+    for table in tables:
+        expected = chi2_contingency(table)[1]
+        assert pearson_2xk_pvalue(table) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("table", [[[3, 4], [5, 6]], [[3], [4]], [[1, 2, 3]], [[1, 2, 3]] * 3])
+def test_pearson_pvalue_refuses_tables_without_two_rows_and_three_bins(table):
+    # at k = 2 scipy's test applies Yates' correction; the check refuses it instead
+    with pytest.raises(ParameterError):
+        pearson_2xk_pvalue(table)

@@ -218,6 +218,22 @@ class TestDriftMetricDelta:
         c = np.linalg.norm(E.T @ dm.gamma_matrix + dm.gamma_matrix @ E, 2)
         assert 3 * delta**2 * c == pytest.approx(0.5, rel=1e-6)
 
+    #: drift_metric_delta of each corpus model when sample_ball drew from a
+    #: scrambled Sobol sequence: no model's delta depends on the point set
+    #: (1-d directions are +-1, and a linear force takes the cap)
+    SOBOL_DELTAS = {
+        "lin1d_complex": 1.0,
+        "lin1d_real": 1.0,
+        "lin1d_critical": 1.0,
+        "lin2d_rot": 1.0,
+        "lin2d_nongrad": 1.0,
+        "quartic": float.fromhex("0x1.6a09e667f3bcep-2"),
+    }
+
+    @pytest.mark.parametrize("name", STABLE_CORPUS)
+    def test_same_as_with_sobol_directions(self, name):
+        assert drift_metric_delta(corpus_spec(name)) == self.SOBOL_DELTAS[name]
+
     @pytest.mark.parametrize("name", STABLE_CORPUS)
     def test_matches_loop_oracle(self, name):
         assert drift_metric_delta(corpus_spec(name)) == loop_drift_metric_delta(corpus_spec(name))

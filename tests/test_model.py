@@ -206,14 +206,38 @@ def test_polynomial_config_requires_critical_origin():
         force_from_config({"type": "polynomial_gradient", "coeffs": [0.0, 1.0, 0.5]})
 
 
-@given(st.floats(0.1, 3.0), st.floats(0.1, 5.0))
-def test_sample_ball_stays_inside(radius, _unused):
-    pts = sample_ball(3, radius, 65)
-    assert np.all(np.linalg.norm(pts, axis=1) <= radius + 1e-12)
-    assert np.allclose(pts[0], 0.0)
+@given(st.integers(1, 5), st.floats(0.1, 3.0), st.integers(2, 300))
+def test_sample_ball_stays_inside(dim, radius, n):
+    pts = sample_ball(dim, radius, n)
+    assert pts.shape == (n, dim)
+    assert np.all(np.isfinite(pts))
+    assert np.all(np.linalg.norm(pts, axis=1) <= radius * (1 + 1e-12))
+    assert np.array_equal(pts[0], np.zeros(dim))
+    assert np.all(np.linalg.norm(pts[1:], axis=1) > 0.0)
 
 
 def test_sample_ball_deterministic():
     a = sample_ball(2, 1.5, 33)
     b = sample_ball(2, 1.5, 33)
     assert np.array_equal(a, b)
+    # no seed and no power-of-two draw: a longer set extends a shorter one
+    assert np.array_equal(sample_ball(2, 1.5, 100)[:33], a)
+
+
+@pytest.mark.parametrize("n", [4, 9, 65])
+def test_sample_ball_1d_has_both_signs(n):
+    # from three points on; the first two fall on the negative side
+    pts = sample_ball(1, 2.0, n)[1:, 0]
+    assert np.any(pts > 0) and np.any(pts < 0)
+    # 1-d directions are +-1, so the drift-metric radius sees both sides
+    assert np.array_equal(np.abs(np.sign(pts)), np.ones(n - 1))
+
+
+def test_sample_ball_spreads_over_the_ball():
+    # the volume-uniform profile: a fraction 2^-dim of the points lies in the
+    # half-radius ball, and directions cover every orthant
+    pts = sample_ball(2, 1.0, 1025)[1:]
+    inner = np.mean(np.linalg.norm(pts, axis=1) < 0.5)
+    assert inner == pytest.approx(0.25, abs=0.02)
+    orthants = np.unique(np.sign(pts), axis=0, return_counts=True)[1]
+    assert len(orthants) == 4 and orthants.min() > 200

@@ -1,6 +1,10 @@
-"""The intra-package import graph of langmix: module-level only, and acyclic."""
+"""The import graph of langmix: intra-package imports module-level only and
+acyclic, and no scipy.stats anywhere."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import langmix
@@ -83,3 +87,67 @@ def test_import_graph_is_acyclic():
     cycle = _find_cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
 
+
+# ---------------------------------------------------------------------------
+# scipy.stats stays out of the import graph: loading it costs more than half
+# a second of every run's set-up, for three small uses that scipy.special
+# covers.
+
+def _scipy_stats_imports(source: str):
+    """Line numbers of every import of scipy.stats (or a submodule) in a source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "scipy.stats" or n.startswith("scipy.stats.") for n in names):
+            yield node.lineno
+
+
+def test_scan_sees_scipy_stats_imports():
+    found = _scipy_stats_imports(
+        "import scipy.stats\nfrom scipy import stats\nfrom scipy.stats import qmc\n"
+        "import scipy.special\nfrom scipy import special\n"
+    )
+    assert list(found) == [1, 2, 3]
+
+
+def test_no_scipy_stats_import_in_package():
+    found = [f"{name}.py:{line}" for name, path in MODULES.items() for line in _scipy_stats_imports(path.read_text())]
+    assert not found, "scipy.stats imported at " + ", ".join(found)
+
+
+_LOADED_STATS = "import sys; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+
+_SMALL_RUNS = """
+import sys, tempfile
+from langmix import harness
+base = dict(schema_version=1, model=harness.corpus_model_config("lin1d_complex"), seed=3, dt=0.01)
+harness.run_cutoff_experiment(harness.validate_config(dict(
+    base, epsilons=[1e-2], x0=[[0.6, 0.3]], w_grid={"min": -1.0, "max": 1.0, "step": 1.0},
+    mc_curve=True, n_paths=64, out_dir=tempfile.mkdtemp(dir=sys.argv[1]))))
+harness.run_stationary_check(harness.validate_config(dict(
+    base, epsilons=[1e-1], x0=[[0.5, 0.0]], horizon=2.0, n_paths=500,
+    out_dir=tempfile.mkdtemp(dir=sys.argv[1]))))
+"""
+
+
+def _stats_modules_after(code: str, *args) -> str:
+    """The scipy.stats modules loaded after running code in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{_LOADED_STATS}", *args],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_fresh_import_leaves_scipy_stats_unloaded():
+    assert _stats_modules_after("import langmix, langmix.cli") == "[]"
+
+
+def test_pipeline_runs_leave_scipy_stats_unloaded(tmp_path):
+    # a lazy import inside the run path would move the cost from set-up into the run
+    assert _stats_modules_after("import langmix, langmix.cli" + _SMALL_RUNS, str(tmp_path)) == "[]"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -485,3 +486,59 @@ class TestPinsker:
     def test_requires_noise(self, quartic_spec):
         with pytest.raises(ParameterError):
             pinsker_kl_bound(quartic_spec, np.zeros(2), 1.0, 0.01, 10, seed=0, epsilon=0.0)
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _inverted_spec():
+    # F(q) = -q: paths from the origin blow up at random times
+    return make_spec(make_linear_force([[-1.0]]), 1.0, 2 / 3, 0.5)
+
+
+#: name -> (run, sha256 of states, excluded), recorded with the out-of-place
+#: step that the in-place one replaced (x86-64, numpy 2.4 with OpenBLAS; a
+#: build whose matmul rounds differently would need its own record)
+_KERNEL_HASHES = {
+    "baoab_quartic": (
+        lambda: integrate_sde(corpus_spec("quartic"), np.array([0.8, -0.2]), 1.0, 0.01, 300, seed=11,
+                              epsilon=0.1, scheme="baoab", store_every=10),
+        "e794b857426bdad8354f48f8729a8c10dcadbfa96abd1eebd2cfec7848204b5b", 0,
+    ),
+    "em_coupled_lin1d_complex": (
+        lambda: integrate_sde(corpus_spec("lin1d_complex"), np.array([0.6, 0.3]), 1.0, 0.01, 300, seed=12,
+                              epsilon=0.01, scheme="euler_maruyama", store_every=10, couple_fluctuation=True),
+        "7bdb149506d47baa29b915a92d710ab44fa679413351083c3a458582b5eb4ea3", 0,
+    ),
+    "lin2d_rot_1_path": (
+        lambda: integrate_sde(corpus_spec("lin2d_rot"), np.array([0.5, 0.5, 0.0, 0.0]), 1.0, 0.01, 1, seed=13,
+                              epsilon=0.01, scheme="baoab", store_every=10),
+        "4d1a93b8db06776da9c508f2d60427f9b28e211fe4e757ce3b5f919f3eda6f4f", 0,
+    ),
+    "lin2d_rot_partial_block": (
+        lambda: integrate_sde(corpus_spec("lin2d_rot"), np.array([0.5, 0.5, 0.0, 0.0]), 1.0, 0.01, BLOCK + 1,
+                              seed=13, epsilon=0.01, scheme="baoab", store_every=10),
+        "a34c0eccfb073847ae58b5be7269992ecd24efc60da8fdddfb9c8a99c996070f", 0,
+    ),
+    "exploding_baoab": (
+        lambda: integrate_sde(_inverted_spec(), np.zeros(2), 46.0, 0.5, 300, seed=1, epsilon=1.0,
+                              scheme="baoab", store_every=4),
+        "8053db569eb989a0a3ad8d875c819dc7bb3f736d38398befd8b4fcfa442836ae", 158,
+    ),
+    "exploding_em": (
+        lambda: integrate_sde(_inverted_spec(), np.zeros(2), 52.0, 0.5, 300, seed=1, epsilon=1.0,
+                              scheme="euler_maruyama", store_every=4),
+        "c5c8d4d2ebb2b79959b4fd73ed8602026ab80ac562951ec061f9e34fbf1754d9", 84,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_HASHES))
+def test_in_place_kernel_keeps_the_recorded_paths(name):
+    # the step and the guard write into preallocated buffers; the paths,
+    # and the paths the guard zeroes and excludes, stay the same bit for bit
+    run, digest, excluded = _KERNEL_HASHES[name]
+    batch = run()
+    assert batch.excluded == excluded
+    assert _sha256(batch.states) == digest
