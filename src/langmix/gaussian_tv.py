@@ -1,13 +1,12 @@
 """Gaussian distributions and total-variation distances between them.
 
-Total variation between Gaussians has a closed form only for equal
-covariances; this module provides that exact path, the 3/2 Frobenius-norm
-upper bound for equal means, a mixture importance-sampling Monte Carlo
-estimator, and a deterministic evaluation in every dimension: the closed form
-in 1-D, slices of the log-likelihood-ratio region into per-line intervals
-with exact conditional normal probabilities in 2-D, and in dimension >= 3
-one Gil-Pelaez inversion of the log-likelihood ratio's characteristic
-functions, exact to TV_TOL.
+`tv_gaussian` has one exact method and one bound.  The exact method is a
+deterministic evaluation in every dimension: the closed form for equal
+covariances and in 1-D, slices of the log-likelihood-ratio region into
+per-line intervals with exact conditional normal probabilities in 2-D, and
+in dimension >= 3 one Gil-Pelaez inversion of the log-likelihood ratio's
+characteristic functions, exact to TV_TOL.  The bound is the 3/2
+Frobenius-norm upper bound for equal means.
 """
 
 from __future__ import annotations
@@ -84,14 +83,6 @@ class Gaussian:
         z = rng.standard_normal((n, self.dim))
         return self.mean + z @ self.chol().T
 
-    def logpdf(self, x: np.ndarray) -> np.ndarray:
-        L = self.chol()
-        diff = np.atleast_2d(x) - self.mean
-        sol = sla.solve_triangular(L, diff.T, lower=True)
-        maha = np.sum(sol * sol, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        return -0.5 * (maha + logdet + self.dim * math.log(2 * math.pi))
-
 
 def tv_unit(x) -> float:
     """Exact d_TV(N(x, I), N(0, I)) = sqrt(2/pi) int_0^{|x|/2} exp(-s^2/2) ds."""
@@ -132,8 +123,6 @@ def tv_reduce(g1: Gaussian, g2: Gaussian):
 class TVResult:
     value: float
     kind: str  # "exact" | "upper_bound" | "estimate"
-    method: str
-    stderr: Optional[float] = None
     abserr: Optional[float] = None  # quadrature error estimate; 0.0 for a closed form
 
 
@@ -401,60 +390,29 @@ def _tv_gil_pelaez(g1: Gaussian, g2: Gaussian):
     return float(min(max(value / np.pi, 0.0), 1.0)), err / np.pi
 
 
-def _tv_monte_carlo(g1: Gaussian, g2: Gaussian, n: int, seed: int):
-    rng = np.random.default_rng(seed)
-    n1 = n // 2
-    x = np.vstack([g1.sample(n1, rng), g2.sample(n - n1, rng)])
-    a = g1.logpdf(x)
-    b = g2.logpdf(x)
-    r = np.abs(np.tanh(0.5 * (a - b)))
-    return float(np.mean(r)), float(np.std(r, ddof=1) / math.sqrt(n))
-
-
-def tv_gaussian(
-    g1: Gaussian,
-    g2: Gaussian,
-    method: str = "exact_if_reducible",
-    n: int = 200_000,
-    seed: int = 0,
-) -> TVResult:
+def tv_gaussian(g1: Gaussian, g2: Gaussian, method: str = "cdf_quadrature") -> TVResult:
     """Total variation distance between two Gaussians.
 
     Methods:
-      - "exact_if_reducible": exact via the error-function identity; applies
-        only when the covariances agree (within relative 1e-9).
-      - "frobenius_bound": (3/2) ||T^{-1/2} S T^{-1/2} - I||_F, valid for a
-        common mean; returned as an upper bound.
-      - "monte_carlo": mixture importance sampling of int |phi1 - phi2| / 2
-        with n points and a deterministic seed; returns value and stderr.
-      - "cdf_quadrature": deterministic P1(LLR > 0) - P2(LLR > 0) for the
+      - "cdf_quadrature": exact P1(LLR > 0) - P2(LLR > 0) for the
         log-likelihood ratio LLR = log(phi1 / phi2), in any dimension: the
         closed form for equal covariances and in 1-D, slices of the level set
         in 2-D, and one Gil-Pelaez integral of the LLR's characteristic
         functions in dimension >= 3.  Returns the quadrature error estimate
         as `abserr` (0.0 for a closed form) and kind "exact" when it is
         within TV_TOL = 1e-9, "estimate" otherwise.
+      - "frobenius_bound": (3/2) ||T^{-1/2} S T^{-1/2} - I||_F, valid for a
+        common mean; returned as an upper bound (Devroye, Mehrabian & Reddad
+        2018).
     """
     if g1.dim != g2.dim:
         raise ParameterError("dimension mismatch")
-    if method == "exact_if_reducible":
-        if not _covs_equal(g1, g2):
-            raise MethodError("exact evaluation needs equal covariances; use another method")
-        m, _ = tv_reduce(g1, g2)
-        return TVResult(value=tv_unit(m), kind="exact", method=method, abserr=0.0)
     if method == "frobenius_bound":
         scale = 1.0 + float(np.linalg.norm(g1.mean) + np.linalg.norm(g2.mean))
         if np.linalg.norm(g1.mean - g2.mean) > 1e-9 * scale:
             raise MethodError("the Frobenius bound applies to a common mean")
         _, C = tv_reduce(g1, g2)
-        return TVResult(
-            value=1.5 * float(np.linalg.norm(C - np.eye(g1.dim), "fro")),
-            kind="upper_bound",
-            method=method,
-        )
-    if method == "monte_carlo":
-        value, stderr = _tv_monte_carlo(g1, g2, n, seed)
-        return TVResult(value=value, kind="estimate", method=method, stderr=stderr)
+        return TVResult(value=1.5 * float(np.linalg.norm(C - np.eye(g1.dim), "fro")), kind="upper_bound")
     if method == "cdf_quadrature":
         if _covs_equal(g1, g2):
             m, _ = tv_reduce(g1, g2)
@@ -466,5 +424,5 @@ def tv_gaussian(
         else:
             value, abserr = _tv_gil_pelaez(g1, g2)
         kind = "exact" if abserr <= TV_TOL else "estimate"
-        return TVResult(value=value, kind=kind, method=method, abserr=abserr)
+        return TVResult(value=value, kind=kind, abserr=abserr)
     raise MethodError(f"unknown method {method!r}")

@@ -255,8 +255,9 @@ def exact_gaussian_tv_curve_point(
 ):
     """d_TV(N(mean, 2 eps cov_t), N(0, 2 eps sigma)), deterministic in every dimension.
 
-    `tv_gaussian(method="cdf_quadrature")`: closed forms, the 2-D slicer, or
-    the Gil-Pelaez integral for 4-d and larger states, exact to TV_TOL = 1e-9.
+    `tv_gaussian`'s one exact method, "cdf_quadrature": the closed form for
+    equal covariances, the 2-D slicer, or the Gil-Pelaez integral for 4-d and
+    larger states, exact to TV_TOL = 1e-9.
     """
     g1 = Gaussian(mean=mean, cov=2.0 * epsilon * cov_t)
     g2 = Gaussian(mean=np.zeros_like(mean), cov=2.0 * epsilon * sigma)

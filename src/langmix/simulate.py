@@ -55,8 +55,6 @@ class TrajectoryBatch:
 
     grid: np.ndarray
     states: np.ndarray
-    seed: int
-    scheme: str
     excluded: int = 0
     coupled: Optional[dict] = None
 
@@ -290,14 +288,7 @@ def integrate_sde(
         ode_stored = ode_path[store_idx]
         z = ode_stored[None, :, :] + math.sqrt(2.0 * epsilon) * y_states
         coupled = {"ode": ode_stored, "Y": y_states, "Z": z}
-    return TrajectoryBatch(
-        grid=store_idx * dt,
-        states=states,
-        seed=seed,
-        scheme=scheme,
-        excluded=excluded,
-        coupled=coupled,
-    )
+    return TrajectoryBatch(grid=store_idx * dt, states=states, excluded=excluded, coupled=coupled)
 
 
 def _vanloan_step_noise(A: np.ndarray, dt: float, J: np.ndarray):
@@ -350,13 +341,7 @@ def integrate_fluctuation(
     _run_ensemble(
         n_paths, seed, n_steps, width, lambda m: (np.zeros((m, 2 * d)),), step, store_idx, (states,)
     )
-    return TrajectoryBatch(
-        grid=store_idx * dt,
-        states=states,
-        seed=seed,
-        scheme=f"fluctuation_{method}",
-        coupled={"ode": ode.states[store_idx]},
-    )
+    return TrajectoryBatch(grid=store_idx * dt, states=states, coupled={"ode": ode.states[store_idx]})
 
 
 def _omega(n: int, d: int) -> float:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 
@@ -33,15 +34,52 @@ def tv_by_density_quadrature_1d(g1: Gaussian, g2: Gaussian) -> float:
     return 0.5 * quad(f, lo, hi, epsabs=1e-13, limit=400)[0]
 
 
+def _density_2d(g: Gaussian):
+    """Closed-form density of a 2-D Gaussian; its precision and determinant are computed once."""
+    (s11, s12), (_, s22) = g.cov.tolist()
+    m1, m2 = g.mean.tolist()
+    det = s11 * s22 - s12 * s12
+    a, b, c = s22 / det, -s12 / det, s11 / det
+    norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
+
+    def pdf(x: float, y: float) -> float:
+        dx, dy = x - m1, y - m2
+        return norm * math.exp(-0.5 * (a * dx * dx + 2.0 * b * dx * dy + c * dy * dy))
+
+    return pdf
+
+
 def tv_by_density_quadrature_2d(g1: Gaussian, g2: Gaussian) -> float:
+    """Independent oracle: 0.5 * integral of |phi1 - phi2| over a box in the plane."""
+    p1, p2 = _density_2d(g1), _density_2d(g2)
+
     def f(y, x):
-        v = np.array([x, y])
-        return abs(math.exp(g1.logpdf(v)[0]) - math.exp(g2.logpdf(v)[0]))
+        return abs(p1(x, y) - p2(x, y))
 
     sd = max(np.sqrt(np.diag(g1.cov)).max(), np.sqrt(np.diag(g2.cov)).max())
     lo = float(min(g1.mean.min(), g2.mean.min()) - 10 * sd)
     hi = float(max(g1.mean.max(), g2.mean.max()) + 10 * sd)
     return 0.5 * dblquad(f, lo, hi, lo, hi, epsabs=1e-10)[0]
+
+
+def _logpdf(g: Gaussian, x: np.ndarray) -> np.ndarray:
+    diff = x - g.mean
+    maha = np.sum((diff @ np.linalg.inv(g.cov)) * diff, axis=1)
+    logdet = np.linalg.slogdet(g.cov)[1]
+    return -0.5 * (maha + logdet + g.dim * math.log(2 * math.pi))
+
+
+def tv_by_monte_carlo(g1: Gaussian, g2: Gaussian, n: int, seed: int):
+    """Independent oracle: (estimate, stderr) of 0.5 * integral of |phi1 - phi2| from n points.
+
+    Mixture importance sampling: half the points come from each Gaussian, and
+    |phi1 - phi2| / (phi1 + phi2) = |tanh(LLR / 2)| is averaged over them.
+    """
+    rng = np.random.default_rng(seed)
+    n1 = n // 2
+    x = np.vstack([g1.sample(n1, rng), g2.sample(n - n1, rng)])
+    r = np.abs(np.tanh(0.5 * (_logpdf(g1, x) - _logpdf(g2, x))))
+    return float(np.mean(r)), float(np.std(r, ddof=1) / math.sqrt(n))
 
 
 class TestTvUnit:
@@ -102,7 +140,6 @@ class TestTvReduce:
 class TestTvGaussian:
     def test_equal_pair_is_zero(self):
         g = Gaussian(np.zeros(2), np.diag([0.5, 0.5]))
-        assert tv_gaussian(g, g, method="exact_if_reducible").value == 0.0
         assert tv_gaussian(g, g, method="frobenius_bound").value == pytest.approx(0.0, abs=1e-12)
         assert tv_gaussian(g, g, method="cdf_quadrature").value == 0.0
 
@@ -132,12 +169,6 @@ class TestTvGaussian:
         assert ref > 1e-4
         assert tv_gaussian(h1, h2, method="cdf_quadrature").value == pytest.approx(ref, rel=1e-9)
 
-    def test_exact_requires_equal_covariances(self):
-        g1 = Gaussian(np.zeros(1), [[1.0]])
-        g2 = Gaussian(np.zeros(1), [[2.0]])
-        with pytest.raises(MethodError):
-            tv_gaussian(g1, g2, method="exact_if_reducible")
-
     def test_frobenius_requires_equal_means(self):
         g1 = Gaussian(np.ones(1), [[1.0]])
         g2 = Gaussian(np.zeros(1), [[2.0]])
@@ -151,8 +182,8 @@ class TestTvGaussian:
         g1, g2 = Gaussian(np.zeros(1), [[1.0]]), Gaussian(np.zeros(1), [[2.0]])
         oracle = tv_by_density_quadrature_1d(g1, g2)
         assert oracle == pytest.approx(0.1660640750, abs=1e-9)
-        mc = tv_gaussian(g1, g2, method="monte_carlo", n=1_000_000, seed=4)
-        assert abs(mc.value - oracle) < 3 * mc.stderr
+        mc, stderr = tv_by_monte_carlo(g1, g2, n=1_000_000, seed=4)
+        assert abs(mc - oracle) < 3 * stderr
         cdf = tv_gaussian(g1, g2, method="cdf_quadrature")
         assert cdf.value == pytest.approx(oracle, abs=1e-9)
 
@@ -177,12 +208,12 @@ class TestTvGaussian:
             exact = tv_gaussian(g1, g2, method="cdf_quadrature").value
             assert bound >= exact - 1e-10
 
-    def test_monte_carlo_reproducible(self):
-        g1 = Gaussian(np.zeros(2), np.eye(2))
-        g2 = Gaussian(np.ones(2), np.eye(2))
-        a = tv_gaussian(g1, g2, method="monte_carlo", n=10000, seed=1)
-        b = tv_gaussian(g1, g2, method="monte_carlo", n=10000, seed=1)
-        assert a.value == b.value
+    @pytest.mark.parametrize("method", ["monte_carlo", "exact_if_reducible", "no_such_method"])
+    def test_only_the_exact_method_and_the_bound(self, method):
+        assert list(inspect.signature(tv_gaussian).parameters) == ["g1", "g2", "method"]
+        g = Gaussian(np.zeros(2), np.eye(2))
+        with pytest.raises(MethodError):
+            tv_gaussian(g, g, method=method)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
@@ -233,8 +264,8 @@ class TestGilPelaez:
         assert res.kind == "exact" and res.abserr <= TV_TOL
         assert min(seconds) < 0.1
         assert tv_gaussian(g2, g1, method="cdf_quadrature").value == pytest.approx(res.value, abs=2 * TV_TOL)
-        mc = tv_gaussian(g1, g2, method="monte_carlo", n=2_000_000, seed=8)
-        assert abs(res.value - mc.value) <= 4 * mc.stderr
+        mc, stderr = tv_by_monte_carlo(g1, g2, n=2_000_000, seed=8)
+        assert abs(res.value - mc) <= 4 * stderr
 
     def test_means_twelve_sd_apart_saturate(self):
         S1, S2 = np.diag([1.0, 1.5, 0.7, 1.2]), np.eye(4)

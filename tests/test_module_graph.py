@@ -1,5 +1,5 @@
 """The import graph of langmix: intra-package imports module-level only and
-acyclic, and no scipy.stats anywhere."""
+acyclic, no scipy.stats anywhere, and no triangular solve."""
 
 import ast
 import os
@@ -117,6 +117,35 @@ def test_scan_sees_scipy_stats_imports():
 def test_no_scipy_stats_import_in_package():
     found = [f"{name}.py:{line}" for name, path in MODULES.items() for line in _scipy_stats_imports(path.read_text())]
     assert not found, "scipy.stats imported at " + ", ".join(found)
+
+
+# ---------------------------------------------------------------------------
+# No solve_triangular in the package: with a matrix right-hand side scipy's
+# OpenBLAS solves it on two threads even at 4 x 4, and the second thread then
+# busy-waits for the rest of the run.  LAPACK dtrtri gives the inverse factor.
+
+def _solve_triangular_calls(source: str):
+    """Line numbers of every call of a function named solve_triangular in a source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "solve_triangular":
+                yield node.lineno
+
+
+def test_scan_sees_solve_triangular_calls():
+    found = _solve_triangular_calls(
+        "import scipy.linalg as sla\nfrom scipy.linalg import solve_triangular\n"
+        "sla.solve_triangular(L, b)\nsolve_triangular(L, b, lower=True)\n"
+        "scipy.linalg.solve_triangular(L, B)\nsla.lapack.dtrtri(L, lower=1)\nsla.solve(L, b)\n"
+    )
+    assert list(found) == [3, 4, 5]
+
+
+def test_no_solve_triangular_in_package():
+    found = [f"{name}.py:{line}" for name, path in MODULES.items() for line in _solve_triangular_calls(path.read_text())]
+    assert not found, "solve_triangular called at " + ", ".join(found)
 
 
 _LOADED_STATS = "import sys; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
