@@ -37,6 +37,10 @@ def _load_matrix(path: str) -> np.ndarray:
     return np.atleast_2d(np.loadtxt(path))
 
 
+def _load_spec(path: str):
+    return spec_from_model_config(load_config(path).model)
+
+
 def _parse_vector(text: str) -> np.ndarray:
     return np.asarray([float(v) for v in text.split(",")], dtype=float)
 
@@ -50,8 +54,7 @@ def _cmd_analyze_linear(args) -> int:
 
 
 def _cmd_stationary_cov(args) -> int:
-    cfg = load_config(args.config)
-    spec = spec_from_model_config(cfg.model)
+    spec = _load_spec(args.config)
     sol = sigma_solution(spec)
     print(
         json.dumps(
@@ -69,8 +72,7 @@ def _cmd_stationary_cov(args) -> int:
 
 
 def _cmd_cov_flow(args) -> int:
-    cfg = load_config(args.config)
-    spec = spec_from_model_config(cfg.model)
+    spec = _load_spec(args.config)
     x0 = _parse_vector(args.x0)
     sigma = sigma_matrix(spec)
     path = integrate_covariance(spec, x0, args.t_end, args.dt)
@@ -85,8 +87,7 @@ def _cmd_cov_flow(args) -> int:
 
 
 def _cmd_mixing_time(args) -> int:
-    cfg = load_config(args.config)
-    spec = spec_from_model_config(cfg.model)
+    spec = _load_spec(args.config)
     sd = spectral_data(spec, _parse_vector(args.x))
     out = {
         "eta": sd.eta,
@@ -105,8 +106,7 @@ def _cmd_cutoff_curve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.model)
-    spec = spec_from_model_config(cfg.model)
+    spec = _load_spec(args.model)
     x0 = _parse_vector(args.x0) if args.x0 else np.zeros(2 * spec.dim)
     batch = integrate_sde(
         spec,

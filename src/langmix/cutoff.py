@@ -20,7 +20,7 @@ from scipy.special import erf
 from .errors import DomainError, StabilityError
 from .gaussian_tv import tv_unit
 from .linear_stability import _flow_rhs, solve_path
-from .matrix_eq import drift_metric_delta, sigma_matrix
+from .matrix_eq import drift_metric_delta, sigma_inv_sqrt
 from .model import ModelSpec, drift_matrix
 
 #: relative tolerance for rank decisions in the staircase algorithm
@@ -282,12 +282,9 @@ def profile_vector(spec: ModelSpec, sd: SpectralData, t: float) -> np.ndarray:
     """Profile direction v(t, x) = (t-tau)^nu exp(-eta (t-tau)) Sigma^{-1/2} (oscillating sum)."""
     if t < sd.tau:
         raise DomainError(f"profile is defined for t >= tau = {sd.tau}")
-    sigma = sigma_matrix(spec)
-    eigs, vecs = np.linalg.eigh(sigma)
-    inv_sqrt = (vecs / np.sqrt(eigs)) @ vecs.T
     s = t - sd.tau
     amp = s**sd.nu * math.exp(-sd.eta * s)
-    return amp * (inv_sqrt @ oscillating_sum(sd, s))
+    return amp * (sigma_inv_sqrt(spec) @ oscillating_sum(sd, s))
 
 
 def profile_D(spec: ModelSpec, sd: SpectralData, t: float, epsilon: float) -> float:
@@ -333,9 +330,7 @@ def profile_limit_r(spec: ModelSpec, sd: SpectralData) -> ProfileLimit:
     limit is declared to exist when the oscillation of the tail half stays
     below PROFILE_TOL relative to its mean.
     """
-    sigma = sigma_matrix(spec)
-    eigs, vecs = np.linalg.eigh(sigma)
-    inv_sqrt = (vecs / np.sqrt(eigs)) @ vecs.T
+    inv_sqrt = sigma_inv_sqrt(spec)
 
     if np.all(np.abs(sd.phases) < 1e-14):
         r = float(np.linalg.norm(inv_sqrt @ np.real(np.sum(sd.vectors, axis=0))))

@@ -1,12 +1,13 @@
 """Gaussian distributions and total-variation distances between them.
 
 `tv_gaussian` has one exact method and one bound.  The exact method is a
-deterministic evaluation in every dimension: the closed form for equal
-covariances and in 1-D, slices of the log-likelihood-ratio region into
-per-line intervals with exact conditional normal probabilities in 2-D, and
-in dimension >= 3 one Gil-Pelaez inversion of the log-likelihood ratio's
-characteristic functions, exact to TV_TOL.  The bound is the 3/2
-Frobenius-norm upper bound for equal means.
+deterministic evaluation in every dimension: the closed form for
+covariances whose whitened gap bounds its error by TV_TOL and in 1-D,
+slices of the log-likelihood-ratio region into per-line intervals with
+exact conditional normal probabilities in 2-D, and in dimension >= 3 one
+Gil-Pelaez inversion of the log-likelihood ratio's characteristic
+functions, exact to TV_TOL.  The bound is the 3/2 Frobenius-norm upper
+bound for equal means.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def tv_unit_linear_bound(x) -> float:
     return r / math.sqrt(2.0 * math.pi)
 
 
-def _inv_sqrt(S: np.ndarray, name: str) -> np.ndarray:
+def inv_sqrt(S: np.ndarray, name: str) -> np.ndarray:
+    """S^{-1/2} of a symmetric positive definite S; raises ReductionError, naming S, if it is singular."""
     eigs, vecs = np.linalg.eigh(S)
     if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
         raise ReductionError(f"{name} is singular; regularize before reducing")
@@ -112,8 +114,8 @@ def tv_reduce(g1: Gaussian, g2: Gaussian):
     """
     if g1.dim != g2.dim:
         raise ParameterError("dimension mismatch")
-    Tih = _inv_sqrt(g2.cov, "second covariance")
-    _ = _inv_sqrt(g1.cov, "first covariance")
+    Tih = inv_sqrt(g2.cov, "second covariance")
+    _ = inv_sqrt(g1.cov, "first covariance")
     m = Tih @ (g1.mean - g2.mean)
     C = Tih @ g1.cov @ Tih
     return m, 0.5 * (C + C.T)
@@ -125,8 +127,6 @@ class TVResult:
     kind: str  # "exact" | "upper_bound" | "estimate"
     abserr: Optional[float] = None  # quadrature error estimate; 0.0 for a closed form
 
-
-_COV_EQ_RTOL = 1e-9
 
 #: absolute tolerance of every value that cdf_quadrature reports as "exact"
 TV_TOL = 1e-9
@@ -148,9 +148,9 @@ _LOG_CF_FLOOR = math.log(1e-17)
 _QAWF_MIN_PHASE = 20.0 * math.pi
 
 
-def _covs_equal(g1: Gaussian, g2: Gaussian) -> bool:
-    scale = np.linalg.norm(g1.cov, "fro") + np.linalg.norm(g2.cov, "fro")
-    return np.linalg.norm(g1.cov - g2.cov, "fro") <= _COV_EQ_RTOL * max(scale, 1e-300)
+def _frobenius_bound(C: np.ndarray) -> float:
+    """(3/2) ||C - I||_F >= d_TV(N(m, C), N(m, I)) for any m (Devroye, Mehrabian & Reddad 2018)."""
+    return 1.5 * float(np.linalg.norm(C - np.eye(len(C)), "fro"))
 
 
 def _interval_union_above_zero(c2: float, c1: float, c0: float):
@@ -396,11 +396,14 @@ def tv_gaussian(g1: Gaussian, g2: Gaussian, method: str = "cdf_quadrature") -> T
     Methods:
       - "cdf_quadrature": exact P1(LLR > 0) - P2(LLR > 0) for the
         log-likelihood ratio LLR = log(phi1 / phi2), in any dimension: the
-        closed form for equal covariances and in 1-D, slices of the level set
-        in 2-D, and one Gil-Pelaez integral of the LLR's characteristic
-        functions in dimension >= 3.  Returns the quadrature error estimate
-        as `abserr` (0.0 for a closed form) and kind "exact" when it is
-        within TV_TOL = 1e-9, "estimate" otherwise.
+        closed form in 1-D, slices of the level set in 2-D, and one
+        Gil-Pelaez integral of the LLR's characteristic functions in
+        dimension >= 3.  When the whitened covariance C = T^{-1/2} S T^{-1/2}
+        has (3/2) ||C - I||_F <= TV_TOL, the equal-covariance closed form
+        tv_unit(T^{-1/2}(x - y)) is used instead, and that Frobenius bound
+        is its `abserr`.  Returns the error estimate as `abserr` (0.0 for
+        the 1-D closed form) and kind "exact" when it is within
+        TV_TOL = 1e-9, "estimate" otherwise.
       - "frobenius_bound": (3/2) ||T^{-1/2} S T^{-1/2} - I||_F, valid for a
         common mean; returned as an upper bound (Devroye, Mehrabian & Reddad
         2018).
@@ -412,11 +415,16 @@ def tv_gaussian(g1: Gaussian, g2: Gaussian, method: str = "cdf_quadrature") -> T
         if np.linalg.norm(g1.mean - g2.mean) > 1e-9 * scale:
             raise MethodError("the Frobenius bound applies to a common mean")
         _, C = tv_reduce(g1, g2)
-        return TVResult(value=1.5 * float(np.linalg.norm(C - np.eye(g1.dim), "fro")), kind="upper_bound")
+        return TVResult(value=_frobenius_bound(C), kind="upper_bound")
     if method == "cdf_quadrature":
-        if _covs_equal(g1, g2):
-            m, _ = tv_reduce(g1, g2)
-            value, abserr = tv_unit(m), 0.0
+        try:
+            m, C = tv_reduce(g1, g2)
+            gap = _frobenius_bound(C)
+        except ReductionError:  # a singular pair takes its dimension's path, which raises LinAlgError
+            gap = math.inf
+        if gap <= TV_TOL:
+            # d_TV(N(m, C), N(m, I)) <= gap, so the equal-covariance closed form is off by at most gap
+            value, abserr = tv_unit(m), gap
         elif g1.dim == 1:
             value, abserr = _tv_cdf_1d(g1, g2), 0.0
         elif g1.dim == 2:

@@ -277,12 +277,17 @@ def run_cutoff_experiment(cfg: ExperimentConfig) -> RunManifest:
     return _run_pipeline(cfg.config_hash, cfg.out_dir, lambda m: _cutoff_experiment(cfg, m))
 
 
-def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
+def _pipeline_start(cfg: ExperimentConfig, pipeline: str):
+    """(spec, stability gate, Sigma) of a pipeline's model, once its epsilons and x0 are present."""
     if not cfg.epsilons or not cfg.x0:
-        raise ParameterError("cutoff experiment needs 'epsilons' and 'x0'")
+        raise ParameterError(f"{pipeline} needs 'epsilons' and 'x0'")
     spec = spec_from_model_config(cfg.model)
     gate = _gate_stability(spec)
-    sigma = sigma_matrix(spec)
+    return spec, gate, sigma_matrix(spec)
+
+
+def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
+    spec, gate, sigma = _pipeline_start(cfg, "cutoff experiment")
     w = np.arange(cfg.w_grid["min"], cfg.w_grid["max"] + 1e-12, cfg.w_grid["step"])
 
     summary = {"gate": gate, "runs": []}
@@ -384,12 +389,8 @@ def run_stationary_check(cfg: ExperimentConfig) -> RunManifest:
 
 
 def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
-    if not cfg.epsilons or not cfg.x0:
-        raise ParameterError("stationary check needs 'epsilons' and 'x0'")
+    spec, _, sigma = _pipeline_start(cfg, "stationary check")
     x0 = np.asarray(cfg.x0[0], dtype=float)
-    spec = spec_from_model_config(cfg.model)
-    _gate_stability(spec)
-    sigma = sigma_matrix(spec)
     rows = []
     tvs = []
     cs = []

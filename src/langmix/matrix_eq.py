@@ -26,6 +26,7 @@ from .errors import (
     ParameterError,
     StabilityError,
 )
+from .gaussian_tv import inv_sqrt
 from .model import ModelSpec, drift_matrix, noise_matrix, sample_ball
 
 log = logging.getLogger(__name__)
@@ -196,23 +197,22 @@ _cache_lock = threading.Lock()
 _spec_cache: "weakref.WeakKeyDictionary[ModelSpec, dict]" = weakref.WeakKeyDictionary()
 
 
-def _cache_for(spec: ModelSpec) -> dict:
+def _cached(spec: ModelSpec, key: str, compute):
+    """compute(spec), computed once per spec and then returned from the cache.
+
+    The computation runs outside the lock, so it may read other cached values.
+    """
     with _cache_lock:
-        entry = _spec_cache.get(spec)
-        if entry is None:
-            entry = {}
-            _spec_cache[spec] = entry
-        return entry
+        entry = _spec_cache.setdefault(spec, {})
+        if key in entry:
+            return entry[key]
+    value = compute(spec)
+    with _cache_lock:
+        entry[key] = value
+    return value
 
 
-def sigma_matrix(spec: ModelSpec) -> np.ndarray:
-    """Stationary fluctuation covariance: the unique SPD solution of
-    A Sigma + Sigma A^T = -J with A the linearization at the origin."""
-    cache = _cache_for(spec)
-    with _cache_lock:
-        if "sigma" in cache:
-            return cache["sigma"]
-    A = drift_matrix(spec, np.zeros(spec.dim))
+def _solve_sigma(spec: ModelSpec) -> LyapunovSolution:
     d = spec.dim
     DF0 = np.asarray(spec.force.eval_DF(np.zeros(d)), dtype=float).reshape(d, d)
     if np.any(np.linalg.eigvals(DF0).real <= 0):
@@ -220,27 +220,27 @@ def sigma_matrix(spec: ModelSpec) -> np.ndarray:
             "DF(0) has an eigenvalue with non-positive real part; "
             "the model fails the linear stability verdict at the origin"
         )
-    sol = solve_lyapunov_stable(A, noise_matrix(d), orientation="right")
-    with _cache_lock:
-        cache["sigma"] = sol.X
-        cache["sigma_solution"] = sol
-    return sol.X
+    return solve_lyapunov_stable(drift_matrix(spec, np.zeros(d)), noise_matrix(d), orientation="right")
 
 
 def sigma_solution(spec: ModelSpec) -> LyapunovSolution:
-    sigma_matrix(spec)
-    return _cache_for(spec)["sigma_solution"]
+    """The Lyapunov solution behind sigma_matrix, with its residual and certificate."""
+    return _cached(spec, "sigma", _solve_sigma)
+
+
+def sigma_matrix(spec: ModelSpec) -> np.ndarray:
+    """Stationary fluctuation covariance: the unique SPD solution of
+    A Sigma + Sigma A^T = -J with A the linearization at the origin."""
+    return sigma_solution(spec).X
+
+
+def sigma_inv_sqrt(spec: ModelSpec) -> np.ndarray:
+    """Sigma^{-1/2}, the whitening of the stationary fluctuation covariance."""
+    return _cached(spec, "sigma_inv_sqrt", lambda s: inv_sqrt(sigma_matrix(s), "Sigma"))
 
 
 def drift_metric(spec: ModelSpec) -> DriftMetric:
-    cache = _cache_for(spec)
-    with _cache_lock:
-        if "drift_metric" in cache:
-            return cache["drift_metric"]
-    dm = gamma_matrix(drift_matrix(spec, np.zeros(spec.dim)))
-    with _cache_lock:
-        cache["drift_metric"] = dm
-    return dm
+    return _cached(spec, "drift_metric", lambda s: gamma_matrix(drift_matrix(s, np.zeros(s.dim))))
 
 
 _DELTA_CAP = 1.0
@@ -257,10 +257,10 @@ def drift_metric_delta(spec: ModelSpec) -> float:
     (A(q) - A)^T Gamma + Gamma (A(q) - A) has operator norm at most 1/2.  The
     result is cached per spec.  Failure even at 1e-8 raises.
     """
-    cache = _cache_for(spec)
-    with _cache_lock:
-        if "delta" in cache:
-            return cache["delta"]
+    return _cached(spec, "delta", _drift_metric_delta)
+
+
+def _drift_metric_delta(spec: ModelSpec) -> float:
     dm = drift_metric(spec)
     G = dm.gamma_matrix
     d = spec.dim
@@ -295,8 +295,6 @@ def drift_metric_delta(spec: ModelSpec) -> float:
         delta = lo
 
     _spot_check_drift(spec, delta, dm)
-    with _cache_lock:
-        cache["delta"] = delta
     return delta
 
 

@@ -61,7 +61,7 @@ def sample_ball(dim: int, radius: float, n: int) -> np.ndarray:
 
 
 def central_difference_jacobian(f: Callable, q: np.ndarray, h: float = _FD_STEP) -> np.ndarray:
-    """Centered O(h^2) finite-difference Jacobian of f at a single point q."""
+    """Centered O(h^2) finite-difference Jacobian of f at a single point q (the gradient for a scalar f)."""
     q = np.asarray(q, dtype=float)
     d = q.shape[-1]
     cols = []
@@ -72,26 +72,14 @@ def central_difference_jacobian(f: Callable, q: np.ndarray, h: float = _FD_STEP)
     return np.stack(cols, axis=-1)
 
 
-def central_difference_gradient(f: Callable, q: np.ndarray) -> np.ndarray:
-    """Centered O(h^2) finite-difference gradient of a scalar function at q."""
-    q = np.asarray(q, dtype=float)
-    d = q.shape[-1]
-    out = np.empty(d)
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = _FD_STEP
-        out[j] = (float(f(q + e)) - float(f(q - e))) / (2 * _FD_STEP)
-    return out
-
-
 @dataclass(eq=False)
 class ForceField:
     """Drift of the momentum equation together with derivatives and metadata.
 
     kind is one of "linear", "gradient", "general".  For kind "linear" the
-    matrix attribute holds M with F(q) = M q.  eval_U / eval_gradU / eval_ell
-    are optional; when U and ell are both present they must satisfy
-    F = grad(U) + ell at sampled points.
+    matrix attribute holds M with F(q) = M q.  eval_U and eval_ell are
+    optional; when both are present they satisfy F = grad(U) + ell, so
+    grad(U) is eval_F - eval_ell.
     """
 
     dim: int
@@ -99,7 +87,6 @@ class ForceField:
     eval_DF: Callable[[np.ndarray], np.ndarray]
     kind: str
     eval_U: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    eval_gradU: Optional[Callable[[np.ndarray], np.ndarray]] = None
     eval_ell: Optional[Callable[[np.ndarray], np.ndarray]] = None
     matrix: Optional[np.ndarray] = None
     quadratic_growth: bool = False
@@ -196,9 +183,6 @@ def make_linear_force(M) -> ForceField:
         q = np.asarray(q, dtype=float)
         return 0.5 * np.einsum("...i,ij,...j->...", q, Ms, q)
 
-    def eval_gradU(q):
-        return np.asarray(q, dtype=float) @ Ms.T
-
     def eval_ell(q):
         return np.asarray(q, dtype=float) @ Ma.T
 
@@ -208,7 +192,6 @@ def make_linear_force(M) -> ForceField:
         eval_DF=eval_DF,
         kind="linear",
         eval_U=eval_U,
-        eval_gradU=eval_gradU,
         eval_ell=eval_ell,
         matrix=M,
         quadratic_growth=True,
@@ -231,30 +214,19 @@ def make_gradient_force(
     differences of gradU.  Inconsistency raises naming the worst point.
     """
     probes = sample_ball(dim, 1.0, _PROBE_COUNT)
-    worst = (0.0, None)
-    for q in probes:
-        fd = central_difference_gradient(U, q)
-        err = float(np.linalg.norm(np.asarray(gradU(q), dtype=float) - fd))
-        scale = 1.0 + float(np.linalg.norm(fd))
-        if err / scale > worst[0]:
-            worst = (err / scale, q)
-    if worst[0] > _PROBE_TOL:
-        raise ConsistencyError(
-            f"gradU disagrees with finite differences of U (relative error "
-            f"{worst[0]:.3e} at q={np.array2string(worst[1], precision=4)})"
-        )
-    worst = (0.0, None)
-    for q in probes:
-        fd = central_difference_jacobian(gradU, q)
-        err = float(np.linalg.norm(np.asarray(hessU(q), dtype=float) - fd))
-        scale = 1.0 + float(np.linalg.norm(fd))
-        if err / scale > worst[0]:
-            worst = (err / scale, q)
-    if worst[0] > _PROBE_TOL:
-        raise ConsistencyError(
-            f"hessU disagrees with finite differences of gradU (relative error "
-            f"{worst[0]:.3e} at q={np.array2string(worst[1], precision=4)})"
-        )
+    for f, df, what in ((U, gradU, "gradU disagrees with finite differences of U"),
+                        (gradU, hessU, "hessU disagrees with finite differences of gradU")):
+        worst = (0.0, None)
+        for q in probes:
+            fd = central_difference_jacobian(f, q)
+            err = float(np.linalg.norm(np.asarray(df(q), dtype=float) - fd))
+            scale = 1.0 + float(np.linalg.norm(fd))
+            if err / scale > worst[0]:
+                worst = (err / scale, q)
+        if worst[0] > _PROBE_TOL:
+            raise ConsistencyError(
+                f"{what} (relative error {worst[0]:.3e} at q={np.array2string(worst[1], precision=4)})"
+            )
     g0 = np.asarray(gradU(np.zeros(dim)), dtype=float)
     if np.linalg.norm(g0) > _PROBE_TOL:
         raise ConsistencyError("the origin is not a critical point of U: grad U(0) != 0")
@@ -268,7 +240,6 @@ def make_gradient_force(
         eval_DF=hessU,
         kind="gradient",
         eval_U=U,
-        eval_gradU=gradU,
         eval_ell=eval_ell,
         quadratic_growth=quadratic_growth,
     )

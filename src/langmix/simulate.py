@@ -77,7 +77,7 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
     norms go into row buffers allocated once, so the guard makes no
     temporaries on the paths' scale; einsum may round a sum of three or more
     squares differently in the last bit, which only the comparison reads.
-    Returns the mask of the paths never zeroed.
+    Returns the mask of the paths never zeroed, and logs how many were.
     """
     n_blocks = (n_paths + BLOCK - 1) // BLOCK
     rngs = [_block_rng(seed, b) for b in range(n_blocks)]
@@ -115,7 +115,20 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
         if si < len(store_idx) and k == store_idx[si]:
             store(si, state)
             si += 1
-    return alive[:n_paths]
+    alive = alive[:n_paths]
+    if not alive.all():
+        log.warning("excluded %d exploded paths out of %d", int(np.sum(~alive)), n_paths)
+    return alive
+
+
+def _checked_start(spec: ModelSpec, x0, t_end: float, dt: float, n_paths: int, store_every: int) -> np.ndarray:
+    """x0 as an array, once the run arguments every simulator shares are valid."""
+    if dt <= 0 or t_end < 0 or n_paths < 1 or store_every < 1:
+        raise ParameterError("need dt > 0, t_end >= 0, n_paths >= 1, store_every >= 1")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (2 * spec.dim,):
+        raise ParameterError(f"x0 must have shape ({2 * spec.dim},)")
+    return x0
 
 
 def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, scheme: str):
@@ -241,14 +254,10 @@ def integrate_sde(
         raise ParameterError(f"unknown scheme {scheme!r}")
     if couple_fluctuation and scheme != "euler_maruyama":
         raise ParameterError("coupled fluctuation runs require the euler_maruyama scheme")
-    if dt <= 0 or t_end < 0 or n_paths < 1:
-        raise ParameterError("need dt > 0, t_end >= 0, n_paths >= 1")
     if epsilon < 0:
         raise ParameterError("noise level epsilon must be nonnegative")
+    x0 = _checked_start(spec, x0, t_end, dt, n_paths, store_every)
     d = spec.dim
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (2 * d,):
-        raise ParameterError(f"x0 must have shape ({2 * d},)")
     n_steps = int(round(t_end / dt))
     if store_indices is None:
         store_idx = np.arange(0, n_steps + 1, store_every)
@@ -278,7 +287,6 @@ def integrate_sde(
 
     excluded = int(np.sum(~alive))
     if excluded:
-        log.warning("excluded %d exploded paths out of %d", excluded, n_paths)
         states = states[alive]
         if couple_fluctuation:
             y_states = y_states[alive]
@@ -331,8 +339,8 @@ def integrate_fluctuation(
     """
     if method not in ("exact", "em"):
         raise ParameterError(f"unknown method {method!r}")
+    x0 = _checked_start(spec, x0, t_end, dt, n_paths, store_every)
     d = spec.dim
-    x0 = np.asarray(x0, dtype=float)
     ode = flow_zero_noise(spec, x0, t_end, dt)
     n_steps = len(ode.grid) - 1
     store_idx = np.arange(0, n_steps + 1, store_every)
@@ -464,12 +472,14 @@ def pinsker_kl_bound(
     Estimates (1 / 2 eps) int_0^t E |F(q_s^eps) - F(q_s) - DF(q_s)(q_s^eps - q_s)|^2 ds
     by trapezoidal accumulation against the deterministic position path,
     along the Euler-Maruyama ensemble that integrate_sde runs for the same
-    seed.  Identically zero for linear forces.
+    seed.  Identically zero for linear forces.  When that ensemble has
+    paths that integrate_sde would exclude as exploded, the count is logged
+    and the result is math.inf, a valid but vacuous bound.
     """
     if epsilon <= 0:
         raise ParameterError("the bound needs a positive noise level")
+    x0 = _checked_start(spec, x0, t_end, dt, n_paths, 1)
     d = spec.dim
-    x0 = np.asarray(x0, dtype=float)
     ode = flow_zero_noise(spec, x0, t_end, dt)
     q_det = ode.states[:, :d]
     F = spec.force.eval_F
@@ -482,20 +492,24 @@ def pinsker_kl_bound(
         rem = f - lin
         return np.sum(rem * rem, axis=1)
 
-    # state: (trapezoid sum, q, p, F(q), integrand at the last step); the
-    # integrand reads the force the Euler-Maruyama step carries
+    # state: (q, p, F(q), trapezoid sum, integrand at the last step), led by
+    # (q, p) for the blow-up guard; the integrand reads the force the
+    # Euler-Maruyama step carries
     x_start, x_step = _langevin_step(spec, x0, epsilon, dt, "euler_maruyama")
 
     def start(m):
         s = x_start(m)
-        return (np.zeros(m),) + s + (integrand(0, s[0], s[2]),)
+        return s + (np.zeros(m), integrand(0, s[0], s[2]))
 
     def step(k, s, xi):
-        q, p, f = x_step(k, s[1:4], xi)
+        q, p, f = x_step(k, s[:3], xi)
         cur = integrand(k, q, f)
-        return s[0] + 0.5 * dt * (s[4] + cur), q, p, f, cur
+        return q, p, f, s[3] + 0.5 * dt * (s[4] + cur), cur
 
     store_idx = np.unique([0, n_steps])
     acc = np.empty((n_paths, len(store_idx)))
-    _run_ensemble(n_paths, seed, n_steps, d, start, step, store_idx, (acc,))
+    outs = (None, None, None, acc)
+    alive = _run_ensemble(n_paths, seed, n_steps, d, start, step, store_idx, outs, guard=True)
+    if not alive.all():  # the ensemble is unbounded, and so is the bound
+        return math.inf
     return float(np.sum(acc[:, -1])) / n_paths / (2.0 * epsilon)

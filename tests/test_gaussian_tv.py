@@ -169,6 +169,35 @@ class TestTvGaussian:
         assert ref > 1e-4
         assert tv_gaussian(h1, h2, method="cdf_quadrature").value == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_nearly_equal_covariances_decided_on_the_whitened_gap(self, dim):
+        # S1 and S2 are 1e-9 apart relative to their size, but 1.9e-3 apart
+        # in the whitened small direction, so the pair is not "equal": its TV
+        # is that of the 1-D pair in that direction
+        small = np.tile([1.0, 1e-6], dim // 2)
+        S2 = np.diag(small)
+        S1 = S2 + np.diag(np.eye(dim)[1] * 1.9e-9)
+        one_d = tv_gaussian(Gaussian(np.zeros(1), [[1e-6 + 1.9e-9]]), Gaussian(np.zeros(1), [[1e-6]]))
+        res = tv_gaussian(Gaussian(np.zeros(dim), S1), Gaussian(np.zeros(dim), S2))
+        assert one_d.value > 4e-4
+        assert res.kind == "exact" and res.value == pytest.approx(one_d.value, abs=1e-9)
+
+    def test_equal_covariance_shortcut_reports_its_frobenius_bound(self, rng):
+        A = rng.standard_normal((3, 3))
+        S = A @ A.T + 0.5 * np.eye(3)
+        g1, g2 = Gaussian(rng.standard_normal(3), S), Gaussian(rng.standard_normal(3), S)
+        m, C = tv_reduce(g1, g2)
+        res = tv_gaussian(g1, g2)
+        assert res.value == tv_unit(m) and res.kind == "exact"
+        assert res.abserr == 1.5 * np.linalg.norm(C - np.eye(3), "fro") <= TV_TOL
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_singular_pair_raises_linalg_error(self, dim):
+        # not ReductionError: callers such as empirical_tv fall back on LinAlgError
+        S = np.diag(np.eye(dim)[0] if dim > 1 else [0.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            tv_gaussian(Gaussian(np.zeros(dim), S), Gaussian(np.ones(dim), S))
+
     def test_frobenius_requires_equal_means(self):
         g1 = Gaussian(np.ones(1), [[1.0]])
         g2 = Gaussian(np.zeros(1), [[2.0]])

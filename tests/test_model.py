@@ -37,8 +37,8 @@ def test_linear_force_hand_decomposition():
     assert np.allclose(ff.eval_F(q), np.array([[1, -2], [2, 1]]) @ q)
     assert float(ff.eval_U(q)) == pytest.approx(0.5 * (q @ q))
     assert np.allclose(ff.eval_ell(q), [-2 * q[1], 2 * q[0]])
-    # the split reassembles the force
-    assert np.allclose(ff.eval_gradU(q) + ff.eval_ell(q), ff.eval_F(q))
+    # the split reassembles the force: F = grad U + ell, with grad U by finite differences
+    assert np.allclose(central_difference_jacobian(ff.eval_U, q) + ff.eval_ell(q), ff.eval_F(q))
 
 
 def test_linear_force_nonsquare_rejected():
@@ -94,6 +94,17 @@ def test_gradient_force_inconsistent_grad_rejected():
             U=lambda q: 0.5 * np.sum(np.asarray(q) ** 2, axis=-1),
             gradU=lambda q: 2.0 * np.asarray(q, dtype=float),  # wrong factor
             hessU=lambda q: np.full(np.asarray(q).shape[:-1] + (1, 1), 2.0),
+        )
+
+
+def test_gradient_force_inconsistent_hessian_rejected():
+    # the gradient passes its probe loop, the Hessian fails the second one
+    with pytest.raises(ConsistencyError, match=r"^hessU disagrees with finite differences of gradU \(relative"):
+        make_gradient_force(
+            2,
+            U=lambda q: 0.5 * np.sum(np.asarray(q) ** 2, axis=-1),
+            gradU=lambda q: np.asarray(q, dtype=float),
+            hessU=lambda q: np.broadcast_to(3.0 * np.eye(2), np.asarray(q).shape[:-1] + (2, 2)),
         )
 
 

@@ -1,19 +1,21 @@
 import dataclasses
 import hashlib
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from langmix import simulate
+from langmix import cli, simulate
 from langmix.covflow import drift_matrix, integrate_covariance, noise_matrix
 from langmix.errors import ParameterError
 from langmix.gaussian_tv import Gaussian, tv_gaussian, tv_unit
-from langmix.harness import corpus_spec
+from langmix.harness import corpus_model_config, corpus_spec
 from langmix.linear_stability import BLOWUP, flow_zero_noise, make_spec
 from langmix.matrix_eq import lyapunov_quadrature, sigma_matrix
-from langmix.model import make_gradient_force, make_linear_force
+from langmix.model import force_from_config, make_gradient_force, make_linear_force
 from langmix.simulate import (
     BLOCK,
     _block_rng,
@@ -430,6 +432,14 @@ class TestEmpiricalTV:
         knn = empirical_tv(cloud[:4000], cloud[4000:], method="classifier_knn")
         assert knn.estimate < 3 * knn.stderr + 0.02
 
+    def test_degenerate_equal_clouds_fall_back_to_knn(self, rng):
+        # both fitted covariances are diag(v, 0): the moment-matched TV cannot
+        # whiten them, and the knn classifier takes over
+        cloud = np.column_stack([rng.standard_normal(400), np.zeros(400)])
+        with pytest.warns(UserWarning, match="degenerate sample covariance"):
+            est = empirical_tv(cloud, cloud.copy(), method="gaussian_momentmatch")
+        assert est.method == "classifier_knn"
+
     def test_known_separation(self, rng):
         # unit Gaussians two apart have TV = tv_unit(2) ~ 0.6827
         a = rng.standard_normal((20000, 2))
@@ -486,6 +496,56 @@ class TestPinsker:
     def test_requires_noise(self, quartic_spec):
         with pytest.raises(ParameterError):
             pinsker_kl_bound(quartic_spec, np.zeros(2), 1.0, 0.01, 10, seed=0, epsilon=0.0)
+
+    def test_exploding_paths_give_an_infinite_bound(self, caplog):
+        # inverted quartic U = q^2/2 - q^4/4: integrate_sde's Euler-Maruyama
+        # ensemble excludes 67 of these 200 paths; the bound is then vacuous
+        force = force_from_config({"type": "polynomial_gradient", "coeffs": [0.0, 0.0, 0.5, 0.0, -0.25]})
+        spec, x0 = make_spec(force, 1.5, 2 / 3, 0.75), np.array([0.9, 0.0])
+        kw = dict(seed=1, epsilon=0.3)
+        b = integrate_sde(spec, x0, 6.0, 0.01, 200, scheme="euler_maruyama", store_every=600, **kw)
+        assert b.excluded == 67
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert pinsker_kl_bound(spec, x0, 6.0, 0.01, 200, **kw) == math.inf
+        assert "excluded 67 exploded paths out of 200" in caplog.text
+
+
+_BAD_RUN_ARGS = {
+    "no_paths": dict(n_paths=0),
+    "zero_dt": dict(dt=0.0),
+    "negative_dt": dict(dt=-0.01),
+    "negative_t_end": dict(t_end=-1.0),
+    "short_x0": dict(x0=np.zeros(1)),
+    "zero_store_every": dict(store_every=0),
+}
+
+
+@pytest.mark.parametrize("simulator", [integrate_sde, integrate_fluctuation])
+@pytest.mark.parametrize("bad", sorted(_BAD_RUN_ARGS))
+def test_simulators_share_one_argument_check(harmonic_spec, simulator, bad):
+    kw = dict(x0=np.array([0.5, 0.0]), t_end=0.1, dt=0.01, n_paths=4, seed=0, store_every=1)
+    if simulator is integrate_sde:
+        kw["epsilon"] = 0.1
+    with pytest.raises(ParameterError):
+        simulator(harmonic_spec, **dict(kw, **_BAD_RUN_ARGS[bad]))
+
+
+@pytest.mark.parametrize("bad", ["no_paths", "zero_dt", "negative_t_end", "short_x0"])
+def test_pinsker_takes_the_same_argument_check(harmonic_spec, bad):
+    kw = dict(x0=np.array([0.5, 0.0]), t_end=0.1, dt=0.01, n_paths=4, seed=0, epsilon=0.1)
+    with pytest.raises(ParameterError):
+        pinsker_kl_bound(harmonic_spec, **dict(kw, **_BAD_RUN_ARGS[bad]))
+
+
+def test_cli_simulate_rejects_store_every_zero(tmp_path):
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"schema_version": 1, "seed": 0, "model": corpus_model_config("quartic")}))
+    argv = ["simulate", "--model", str(config), "--epsilon", "0.1", "--paths", "4", "--seed", "1",
+            "--t-end", "0.1", "--store-every", "0", "--out", str(tmp_path / "paths.csv")]
+    with pytest.raises(ParameterError):
+        cli.main(argv)
+    assert not (tmp_path / "paths.csv").exists()
 
 
 def _sha256(a: np.ndarray) -> str:
