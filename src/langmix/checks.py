@@ -215,10 +215,10 @@ def _check_quadrature_decay() -> CheckResult:
     spec = corpus_spec("lin1d_real")
     A = drift_matrix(spec, np.zeros(1))
     J = noise_matrix(1)
-    X = solve_lyapunov_stable(A, J, orientation="right").X
+    X = solve_lyapunov_stable(A, J).X
     eta = -float(np.max(np.linalg.eigvals(A).real))
     Ts = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
-    errs = [np.linalg.norm(X - lyapunov_quadrature(A, J, T, orientation="right"), "fro") for T in Ts]
+    errs = [np.linalg.norm(X - lyapunov_quadrature(A, J, T), "fro") for T in Ts]
     rate = -float(np.polyfit(Ts, np.log(np.maximum(errs, 1e-300)), 1)[0])
     rel = abs(rate - 2 * eta) / (2 * eta)
     return CheckResult(rel <= 0.2, rel, f"rate {rate:.3f} vs {2*eta:.3f}")
@@ -291,7 +291,7 @@ def _check_covflow_psd_and_oracle() -> CheckResult:
         if path.clamp_events > 0:
             return CheckResult(False, float(path.clamp_events), "clamps happened")
         for t in times:
-            Xq = lyapunov_quadrature(A, J, t, orientation="right", n_intervals=2000)
+            Xq = lyapunov_quadrature(A, J, t, n_intervals=2000)
             worst = max(worst, float(np.abs(path.at(t)[1] - Xq).max()))
     return CheckResult(worst < 1e-8, worst, f"max err {worst:.2e}")
 

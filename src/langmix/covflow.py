@@ -17,7 +17,9 @@ import numpy as np
 from .errors import ParameterError
 from .linear_stability import _flow_rhs, solve_path
 from .matrix_eq import sigma_matrix
-from .model import ModelSpec, drift_matrix, noise_matrix
+from .model import ModelSpec, drift_matrix, noise_matrix, phase_point
+
+GAP_DT = 0.01  # output spacing of the covariance path behind stationary_gap
 
 
 @dataclass
@@ -60,11 +62,8 @@ def integrate_covariance(spec: ModelSpec, x0, t_end: float, dt: float) -> Covari
     """
     if dt <= 0 or round(t_end / dt) < 1:
         raise ParameterError("need dt > 0 and t_end of at least one output step dt")
-    d = spec.dim
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (2 * d,):
-        raise ParameterError(f"x0 must have shape ({2 * d},)")
-    n = 2 * d
+    x0 = phase_point(spec, x0)
+    n = 2 * spec.dim
     grid = np.arange(int(round(t_end / dt)) + 1) * dt
     y0 = np.concatenate([x0, np.zeros(n * n)])
     sol = solve_path(lambda y: _covariance_rhs(spec, y), y0, (0.0, grid[-1]), n, t_eval=grid)
@@ -109,15 +108,16 @@ class StationaryGapReport:
     consistent: bool
 
 
-def stationary_gap(spec: ModelSpec, x0, horizon: float, dt: float = 0.01) -> StationaryGapReport:
+def stationary_gap(spec: ModelSpec, x0, horizon: float) -> StationaryGapReport:
     """Frobenius gap ||Sigma_t - Sigma||_F along the path with a tail-decay fit.
 
-    The exponential rate is fitted by least squares on the logarithm of the
-    gap over the second half of the horizon.  A non-decaying tail is reported
-    as inconsistent rather than raised.
+    The gap is taken at the output times k GAP_DT up to the horizon, and the
+    exponential rate is fitted by least squares on its logarithm over the
+    second half of the horizon.  A non-decaying tail is reported as
+    inconsistent rather than raised.
     """
     sigma = sigma_matrix(spec)
-    path = integrate_covariance(spec, x0, horizon, dt)
+    path = integrate_covariance(spec, x0, horizon, GAP_DT)
     gaps = np.linalg.norm(path.covs - sigma, axis=(1, 2))
     tail = path.grid >= horizon / 2.0
     t_tail = path.grid[tail]

@@ -19,9 +19,9 @@ from scipy.special import erf
 
 from .errors import DomainError, StabilityError
 from .gaussian_tv import tv_unit
-from .linear_stability import _flow_rhs, solve_path
+from .linear_stability import _flow_rhs, relaxation_time_T, solve_path
 from .matrix_eq import drift_metric_delta, sigma_inv_sqrt
-from .model import ModelSpec, drift_matrix
+from .model import ModelSpec, drift_matrix, phase_point
 
 #: relative tolerance for rank decisions in the staircase algorithm
 RANK_TOL = 1e-8
@@ -191,14 +191,15 @@ def spectral_data(spec: ModelSpec, x) -> SpectralData:
 
     The expansion point is x itself when |x| <= rho_lin, the drift-metric
     radius (tau = 0); otherwise the adaptive zero-noise flow locates its
-    first entry into that ball, before the Lyapunov-bound horizon, and the
-    point one time unit later is expanded, with tau = entry time + 1.
+    first entry into that ball, before the Lyapunov-bound horizon
+    relaxation_time_T(x) + 5, and the point one time unit later is expanded,
+    with tau = entry time + 1.  x must have the shape (2 dim,).
     Coefficients below COEFF_TOL * |x| are dropped; eta is the smallest decay
     rate among the retained chains, nu the largest polynomial order among
     those at rate eta, and the limiting vectors collect the top Jordan
     contribution of each retained chain at that rate and order.
     """
-    x = np.asarray(x, dtype=float)
+    x = phase_point(spec, x)
     if np.linalg.norm(x) == 0.0:
         raise DomainError("the decay constants are undefined at the equilibrium x = 0")
     rho_lin = drift_metric_delta(spec)
@@ -207,9 +208,7 @@ def spectral_data(spec: ModelSpec, x) -> SpectralData:
         tau = 0.0
         point = x
     else:
-        u0 = float(np.asarray(spec.force.eval_U(x[: spec.dim]))) if spec.force.eval_U else 0.0
-        t_guess = math.log(max(spec.kappa * (float(x @ x) + u0) / rho_lin**2, 2.0)) / spec.lam
-        tau, point = _ball_entry(spec, x, rho_lin, t_guess + 5.0)
+        tau, point = _ball_entry(spec, x, rho_lin, relaxation_time_T(spec, x) + 5.0)
 
     A = drift_matrix(spec, np.zeros(spec.dim))
     chains, flagged = jordan_chains(A)

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import DecompositionMissingError, DivergenceError, InternalCheckError, ParameterError
 from .matrix_eq import drift_metric_delta
-from .model import ForceField, ModelSpec
+from .model import ForceField, ModelSpec, phase_point
 
 #: Relative half-width of the indeterminate band for real parts of eigenvalues.
 INDETERMINATE_BAND = 1e-10
@@ -282,9 +282,7 @@ def flow_zero_noise(spec: ModelSpec, x0, t_end: float, dt: float) -> FlowPath:
     """
     if dt <= 0 or t_end < 0:
         raise ParameterError("need dt > 0 and t_end >= 0")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (2 * spec.dim,):
-        raise ParameterError(f"x0 must have shape ({2 * spec.dim},)")
+    x = phase_point(spec, x0).copy()
     grid = np.arange(int(round(t_end / dt)) + 1) * dt
     if grid.size == 1:
         return FlowPath(grid=grid, states=x[None, :])

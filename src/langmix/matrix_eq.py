@@ -1,10 +1,12 @@
 """Stable Lyapunov equations with degenerate right-hand sides.
 
-Solves U^T X + X U = -W (left orientation) or U X + X U^T = -W (right) for a
-Hurwitz U, certifies positive definiteness of the solution when the forcing W
-dominates the momentum block and the lower-left block of U is invertible, and
-derives the stationary fluctuation covariance, the drift metric, and the
-drift-metric radius from a model.
+Solves U X + X U^T = -W for a Hurwitz U, the form of the stationary
+covariance equation A Sigma + Sigma A^T = -J; the drift metric's
+A^T Gamma + Gamma A = -I is the same equation for U = A^T.  Certifies
+positive definiteness of the solution when the forcing W dominates the
+momentum block and the upper-right block of U is invertible, and derives the
+stationary fluctuation covariance, the drift metric, and the drift-metric
+radius from a model.
 """
 
 from __future__ import annotations
@@ -46,12 +48,7 @@ class LyapunovSolution:
     X: np.ndarray
     residual_fro: float
     min_eig: float
-    orientation: str
     certified_pd: bool = False
-
-    @property
-    def scale(self) -> float:
-        return float(np.linalg.norm(self.X, "fro"))
 
 
 def _momentum_forcing_floor(W: np.ndarray) -> float:
@@ -71,24 +68,21 @@ def _momentum_forcing_floor(W: np.ndarray) -> float:
     return floor if floor > 1e-12 * max(1.0, float(np.trace(W))) else 0.0
 
 
-def solve_lyapunov_stable(U, W, orientation: str = "left") -> LyapunovSolution:
-    """Unique solution of the stable Lyapunov equation, symmetrized on output.
+def solve_lyapunov_stable(U, W) -> LyapunovSolution:
+    """Unique solution X of U X + X U^T = -W, symmetrized on output.
 
-    orientation "left" solves U^T X + X U = -W, "right" solves
-    U X + X U^T = -W, by Bartels-Stewart (LAPACK trsyl via scipy).  All
-    eigenvalues of U must have strictly negative real part (a real part inside
-    the tolerance band raises).  W must be symmetric positive semi-definite.
-    Positive definiteness is certified from the structure (a positive
-    definite W, or a momentum-block forcing floor a > 0 together with an
-    invertible lower-left block of the coefficient matrix); if the block is
-    singular a warning is emitted and the solution is still returned.
+    Solved by Bartels-Stewart (LAPACK trsyl via scipy).  All eigenvalues of U
+    must have strictly negative real part (a real part inside the tolerance
+    band raises).  W must be symmetric positive semi-definite.  Positive
+    definiteness is certified from the structure (a positive definite W, or a
+    momentum-block forcing floor a > 0 together with an invertible
+    upper-right block of U); if the block is singular a warning is emitted
+    and the solution is still returned.
     """
     U = _check_square(U, "U")
     W = _check_square(W, "W")
     if U.shape != W.shape:
         raise ParameterError("U and W must have matching shapes")
-    if orientation not in ("left", "right"):
-        raise ParameterError(f"unknown orientation {orientation!r}")
     if np.linalg.norm(W - W.T, "fro") > 1e-10 * max(1.0, np.linalg.norm(W, "fro")):
         raise ParameterError("W must be symmetric")
     W = 0.5 * (W + W.T)
@@ -103,15 +97,10 @@ def solve_lyapunov_stable(U, W, orientation: str = "left") -> LyapunovSolution:
             f"U is not (strictly) stable: max Re eigenvalue {np.max(eigs.real):.3e}"
         )
 
-    Ueff = U if orientation == "left" else U.T
-    X = sla.solve_continuous_lyapunov(Ueff.T, -W)
+    X = sla.solve_continuous_lyapunov(U, -W)
     X = 0.5 * (X + X.T)
 
-    if orientation == "left":
-        resid = U.T @ X + X @ U + W
-    else:
-        resid = U @ X + X @ U.T + W
-    residual_fro = float(np.linalg.norm(resid, "fro"))
+    residual_fro = float(np.linalg.norm(U @ X + X @ U.T + W, "fro"))
     min_eig = float(np.min(np.linalg.eigvalsh(X)))
 
     certified = False
@@ -121,40 +110,35 @@ def solve_lyapunov_stable(U, W, orientation: str = "left") -> LyapunovSolution:
     elif _momentum_forcing_floor(W) > 0:
         n = U.shape[0]
         d = n // 2
-        # For the right orientation the equation for X matches the left one
-        # with U replaced by U^T, whose lower-left block is U12^T.
-        B = U[n - d :, :d] if orientation == "left" else U[:d, n - d :].T
-        sv = np.linalg.svd(B, compute_uv=False)
+        # the block that carries the momentum forcing into the positions
+        sv = np.linalg.svd(U[:d, n - d :], compute_uv=False)
         if sv[-1] > 1e-12 * max(1.0, sv[0]):
             certified = min_eig > 0
         else:
             warnings.warn(
-                "lower-left block is singular; positive definiteness cannot be certified",
+                "upper-right block of U is singular; positive definiteness cannot be certified",
                 CertificationUnavailableWarning,
             )
     return LyapunovSolution(
         X=X,
         residual_fro=residual_fro,
         min_eig=min_eig,
-        orientation=orientation,
         certified_pd=certified,
     )
 
 
-def lyapunov_quadrature(U, W, T: float, orientation: str = "left", n_intervals: Optional[int] = None) -> np.ndarray:
-    """Truncated integral representation of the Lyapunov solution.
+def lyapunov_quadrature(U, W, T: float, n_intervals: Optional[int] = None) -> np.ndarray:
+    """Truncated integral representation of the solution of U X + X U^T = -W.
 
-    Computes int_0^T e^{U^T t} W e^{U t} dt (left orientation; the transpose
-    pattern for right) by composite 8-node Gauss-Legendre, accumulating the
-    interval propagators from a single matrix exponential per interval width.
-    Serves as an independent cross-check of the algebraic solver.
+    Computes int_0^T e^{U t} W e^{U^T t} dt by composite 8-node
+    Gauss-Legendre, accumulating the interval propagators from a single
+    matrix exponential per interval width.  Serves as an independent
+    cross-check of the algebraic solver.
     """
-    U = _check_square(U, "U")
+    V = _check_square(U, "U").T  # G = e^{V t} below, so G^T W G = e^{U t} W e^{U^T t}
     W = _check_square(W, "W")
-    if orientation == "right":
-        U = U.T
     if n_intervals is None:
-        eigs = np.linalg.eigvals(U)
+        eigs = np.linalg.eigvals(V)
         rho = float(np.max(np.abs(eigs)))
         n_intervals = int(max(128, min(40000, math.ceil(3.0 * T * max(1.0, rho)))))
     h = T / n_intervals
@@ -162,9 +146,9 @@ def lyapunov_quadrature(U, W, T: float, orientation: str = "left", n_intervals: 
     # Map from [-1, 1] to [0, h].
     offs = 0.5 * h * (nodes + 1.0)
     w = 0.5 * h * weights
-    E_off = [sla.expm(U * t) for t in offs]
-    E_h = sla.expm(U * h)
-    P = np.eye(U.shape[0])
+    E_off = [sla.expm(V * t) for t in offs]
+    E_h = sla.expm(V * h)
+    P = np.eye(V.shape[0])
     acc = np.zeros_like(W)
     for _ in range(n_intervals):
         for Ej, wj in zip(E_off, w):
@@ -184,10 +168,10 @@ class DriftMetric:
 
 
 def gamma_matrix(A) -> DriftMetric:
-    """Solve A^T Gamma + Gamma A = -I and report the tightest xi with
-    xi |x|^2 <= <x, Gamma x> <= |x|^2 / xi."""
+    """Solve A^T Gamma + Gamma A = -I, the Lyapunov equation for U = A^T, and
+    report the tightest xi with xi |x|^2 <= <x, Gamma x> <= |x|^2 / xi."""
     A = _check_square(A, "A")
-    sol = solve_lyapunov_stable(A, np.eye(A.shape[0]), orientation="left")
+    sol = solve_lyapunov_stable(A.T, np.eye(A.shape[0]))
     eigs = np.linalg.eigvalsh(sol.X)
     xi = float(min(eigs[0], 1.0 / eigs[-1]))
     return DriftMetric(gamma_matrix=sol.X, xi=xi, solution=sol)
@@ -220,7 +204,7 @@ def _solve_sigma(spec: ModelSpec) -> LyapunovSolution:
             "DF(0) has an eigenvalue with non-positive real part; "
             "the model fails the linear stability verdict at the origin"
         )
-    return solve_lyapunov_stable(drift_matrix(spec, np.zeros(d)), noise_matrix(d), orientation="right")
+    return solve_lyapunov_stable(drift_matrix(spec, np.zeros(d)), noise_matrix(d))
 
 
 def sigma_solution(spec: ModelSpec) -> LyapunovSolution:

@@ -8,7 +8,7 @@ axes: F maps (..., d) -> (..., d), DF maps (..., d) -> (..., d, d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -134,6 +134,14 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         return self.force.dim
+
+
+def phase_point(spec: ModelSpec, x0) -> np.ndarray:
+    """x0 as a float array, once it has the phase-space shape (2 dim,)."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (2 * spec.dim,):
+        raise ParameterError(f"x0 must have shape ({2 * spec.dim},)")
+    return x0
 
 
 def drift_matrix(spec: ModelSpec, q) -> np.ndarray:

@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 from .errors import MethodError, ParameterError
 from .gaussian_tv import Gaussian, tv_gaussian
 from .linear_stability import BLOWUP, flow_zero_noise, lyapunov_H
-from .model import ModelSpec, drift_matrix, noise_matrix
+from .model import ModelSpec, drift_matrix, noise_matrix, phase_point
 
 log = logging.getLogger(__name__)
 
@@ -125,10 +125,7 @@ def _checked_start(spec: ModelSpec, x0, t_end: float, dt: float, n_paths: int, s
     """x0 as an array, once the run arguments every simulator shares are valid."""
     if dt <= 0 or t_end < 0 or n_paths < 1 or store_every < 1:
         raise ParameterError("need dt > 0, t_end >= 0, n_paths >= 1, store_every >= 1")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (2 * spec.dim,):
-        raise ParameterError(f"x0 must have shape ({2 * spec.dim},)")
-    return x0
+    return phase_point(spec, x0)
 
 
 def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, scheme: str):

@@ -74,12 +74,12 @@ def test_criterion_02_lyapunov_residuals_and_quadrature():
             continue
         count += 1
         J = noise_matrix(d)
-        sol = solve_lyapunov_stable(A, J, orientation="right")
+        sol = solve_lyapunov_stable(A, J)
         scale = np.linalg.norm(A, "fro") * np.linalg.norm(sol.X, "fro") + np.linalg.norm(J, "fro")
         worst_resid = max(worst_resid, sol.residual_fro / scale)
         min_eig = min(min_eig, sol.min_eig)
         eta = -float(np.max(np.linalg.eigvals(A).real))
-        Xq = lyapunov_quadrature(A, J, 40.0 / eta, orientation="right")
+        Xq = lyapunov_quadrature(A, J, 40.0 / eta)
         worst_quad = max(worst_quad, float(np.linalg.norm(sol.X - Xq, "fro")))
     passed = worst_resid <= 1e-10 and min_eig > 0 and worst_quad <= 1e-6
     _report(
@@ -156,7 +156,7 @@ def test_criterion_05_covariance_flow_asymptotics():
     sigma = lm.sigma_matrix(spec)
     path = lm.integrate_covariance(spec, x0, 30.0, 0.5)
     gap30 = float(np.linalg.norm(path.covs[-1] - sigma, "fro"))
-    rate = lm.stationary_gap(spec, x0, 30.0, 0.01).fitted_rate
+    rate = lm.stationary_gap(spec, x0, 30.0).fitted_rate
 
     ts = np.geomspace(1e-3, 1e-1, 10)
     errs, inv_scaled = [], []

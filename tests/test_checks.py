@@ -22,6 +22,9 @@ SLOW = {"simulate.gibbs_stationarity", "simulate.curve_vs_empirical"}
 def test_check(check):
     result = check()
     assert result.passed, result.detail
+    # what `verify_suite` writes into the manifest and the report
+    float(result.margin)
+    assert isinstance(result.detail, str)
 
 
 def test_registry_names_every_row_and_survives_a_crash(tmp_path, monkeypatch):

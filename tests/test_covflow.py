@@ -97,13 +97,13 @@ class TestShortTime:
 
 class TestStationaryGap:
     def test_positive_rate_and_initial_gap(self, harmonic_spec):
-        rep = stationary_gap(harmonic_spec, np.array([0.6, 0.3]), 20.0, 0.01)
+        rep = stationary_gap(harmonic_spec, np.array([0.6, 0.3]), 20.0)
         sigma = sigma_matrix(harmonic_spec)
         assert rep.gaps[0] == pytest.approx(np.linalg.norm(sigma, "fro"))
         assert rep.fitted_rate > 0
         assert rep.consistent
 
     def test_tail_monotone_after_burn_in(self, harmonic_spec):
-        rep = stationary_gap(harmonic_spec, np.zeros(2), 20.0, 0.01)
+        rep = stationary_gap(harmonic_spec, np.zeros(2), 20.0)
         tail = rep.gaps[len(rep.gaps) // 2 :]
         assert np.all(np.diff(tail) <= 1e-12)

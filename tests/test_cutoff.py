@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from langmix import cutoff
+from langmix import cli, cutoff, linear_stability
 from langmix.covflow import drift_matrix
 from langmix.cutoff import (
     jordan_chains,
@@ -16,8 +17,9 @@ from langmix.cutoff import (
     profile_vector,
     spectral_data,
 )
-from langmix.errors import DivergenceError, DomainError, StabilityError
+from langmix.errors import DivergenceError, DomainError, ParameterError, StabilityError
 from langmix.gaussian_tv import tv_unit
+from langmix.harness import corpus_model_config
 from langmix.linear_stability import flow_zero_noise, make_spec
 from langmix.matrix_eq import drift_metric_delta, sigma_matrix
 from langmix.model import _polynomial_gradient_force
@@ -84,6 +86,18 @@ class TestSpectralData:
         with pytest.raises(DomainError):
             spectral_data(real_spectrum_spec, np.zeros(2))
 
+    @pytest.mark.parametrize("x", [[1.0, 0.0, 0.0], []], ids=["three", "empty"])
+    def test_start_of_the_wrong_length_rejected(self, quartic_spec, x):
+        with pytest.raises(ParameterError, match=r"x0 must have shape \(2,\)"):
+            spectral_data(quartic_spec, np.array(x))
+
+    @pytest.mark.parametrize("x", ["1.0,0.0,0.0", "1.0"])
+    def test_cli_mixing_time_rejects_a_start_of_the_wrong_length(self, tmp_path, x):
+        config = tmp_path / "model.json"
+        config.write_text(json.dumps({"schema_version": 1, "seed": 0, "model": corpus_model_config("quartic")}))
+        with pytest.raises(ParameterError, match=r"x0 must have shape \(2,\)"):
+            cli.main(["mixing-time", "--config", str(config), "--x", x, "--epsilon", "0.01"])
+
     def test_vectors_linearly_independent(self, harmonic_spec):
         sd = spectral_data(harmonic_spec, np.array([0.6, 0.3]))
         assert sd.m == 2  # conjugate pair
@@ -128,7 +142,9 @@ class TestBallEntrySearch:
     def test_never_entered_ball_raises_at_the_horizon(self, monkeypatch):
         # double well U = q^4/4 - q^2/2: from (1.5, 0) the flow settles at (1, 0)
         spec = make_spec(_polynomial_gradient_force([0, 0, -0.5, 0, 0.25]), 1.5, alpha=2 / 3, beta=0.75)
-        monkeypatch.setattr(cutoff, "drift_metric_delta", lambda spec: 0.5)
+        # the ball radius and the search horizon read the radius in two modules
+        for module in (cutoff, linear_stability):
+            monkeypatch.setattr(module, "drift_metric_delta", lambda spec: 0.5)
         with pytest.raises(StabilityError, match="never entered"):
             spectral_data(spec, np.array([1.5, 0.0]))
 

@@ -200,6 +200,17 @@ class TestCutoffPipeline:
         assert data["summary"]["error"]["type"] == "StabilityError"
         assert "stability" in data["summary"]["error"]["message"]
 
+    @pytest.mark.parametrize("x0", [[1.0, 0.0, 0.0], []], ids=["three", "empty"])
+    def test_refuses_a_start_of_the_wrong_length(self, tmp_path, x0):
+        raw = minimal_config(tmp_path, x0=[x0])
+        raw["model"] = harness.corpus_model_config("quartic")
+        cfg = validate_config(raw)
+        with pytest.raises(ParameterError, match=r"x0 must have shape \(2,\)"):
+            run_cutoff_experiment(cfg)
+        data = json.loads(open(os.path.join(cfg.out_dir, "run_manifest.json")).read())
+        assert data["status"] == "failed"
+        assert data["summary"]["error"] == {"type": "ParameterError", "message": "x0 must have shape (2,)"}
+
     def test_deterministic_bytes(self, tmp_path):
         raw1 = minimal_config(tmp_path, out_dir=str(tmp_path / "a"))
         raw2 = minimal_config(tmp_path, out_dir=str(tmp_path / "b"))
@@ -320,10 +331,3 @@ def test_write_csv_fixed_format(tmp_path):
     content = open(path).read()
     assert content.splitlines()[0] == "a,b"
     assert "0.33333333333333331" in content
-
-
-@pytest.mark.slow
-def test_verify_suite_all_green(tmp_path):
-    manifest = checks.verify_suite(out_dir=str(tmp_path / "verify"))
-    failed = [c["name"] for c in manifest.summary["checks"] if not c["passed"]]
-    assert manifest.passed, f"failing checks: {failed}"

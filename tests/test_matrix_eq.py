@@ -75,7 +75,7 @@ def loop_drift_metric_delta(spec):
 
 class TestSolver:
     def test_identity_case(self):
-        sol = solve_lyapunov_stable(-np.eye(2), np.eye(2), orientation="left")
+        sol = solve_lyapunov_stable(-np.eye(2), np.eye(2))
         assert np.allclose(sol.X, 0.5 * np.eye(2))
         assert sol.certified_pd
 
@@ -85,26 +85,26 @@ class TestSolver:
         k, gamma = 1.7, 0.9
         A = np.array([[0.0, 1.0], [-k, -gamma]])
         J = np.diag([0.0, 1.0])
-        sol = solve_lyapunov_stable(A, J, orientation="right")
+        sol = solve_lyapunov_stable(A, J)
         assert np.allclose(sol.X, np.diag([1 / (2 * gamma * k), 1 / (2 * gamma)]), atol=1e-12)
         assert sol.certified_pd
 
     def test_quadrature_cross_check(self, rng):
         A, J, _ = random_stable_model(rng, eta_min=0.15)
-        sol = solve_lyapunov_stable(A, J, orientation="right")
+        sol = solve_lyapunov_stable(A, J)
         eta = -float(np.max(np.linalg.eigvals(A).real))
-        Xq = lyapunov_quadrature(A, J, 40.0 / eta, orientation="right")
+        Xq = lyapunov_quadrature(A, J, 40.0 / eta)
         assert np.linalg.norm(sol.X - Xq, "fro") < 1e-8 * max(1.0, np.linalg.norm(sol.X, "fro"))
 
     def test_matches_kronecker_oracle(self, rng):
         A, J, _ = random_stable_model(rng)
-        xs = solve_lyapunov_stable(A, J, orientation="left").X
+        xs = solve_lyapunov_stable(A.T, J).X
         assert np.allclose(xs, kron_solve_left(A, J), atol=1e-10)
 
     def test_residual_scale_invariant(self, rng):
         for _ in range(20):
             A, J, _ = random_stable_model(rng)
-            sol = solve_lyapunov_stable(A, J, orientation="right")
+            sol = solve_lyapunov_stable(A, J)
             scale = np.linalg.norm(A, "fro") * np.linalg.norm(sol.X, "fro") + np.linalg.norm(J, "fro")
             assert sol.residual_fro <= 1e-10 * scale
             assert np.allclose(sol.X, sol.X.T)
@@ -119,20 +119,18 @@ class TestSolver:
             solve_lyapunov_stable(U, np.eye(2))
 
     def test_singular_lower_left_warns(self):
-        # stable upper-triangular U has U21 = 0, so certification is unavailable
-        U = np.array([[-1.0, 1.0], [0.0, -2.0]])
+        # stable lower-triangular U has U12 = 0, so certification is unavailable
+        U = np.array([[-1.0, 0.0], [1.0, -2.0]])
         W = np.diag([0.0, 1.0])
         with pytest.warns(CertificationUnavailableWarning):
-            sol = solve_lyapunov_stable(U, W, orientation="left")
+            sol = solve_lyapunov_stable(U, W)
         assert not sol.certified_pd
         assert sol.residual_fro < 1e-12
 
     def test_no_momentum_forcing_gives_no_certificate(self):
         # W = diag(1, 0) forces only the position, so the structural
         # certificate (momentum forcing floor a > 0) is unavailable
-        sol = solve_lyapunov_stable(
-            np.array([[0.0, 1.0], [-1.0, -1.0]]), np.diag([1.0, 0.0]), orientation="left"
-        )
+        sol = solve_lyapunov_stable(np.array([[0.0, -1.0], [1.0, -1.0]]), np.diag([1.0, 0.0]))
         assert not sol.certified_pd
         assert sol.residual_fro < 1e-12
 
@@ -186,7 +184,7 @@ class TestSigmaMatrix:
         sig = sigma_matrix(spec)
         assert np.min(np.linalg.eigvalsh(sig)) > 0
         A = drift_matrix(spec, np.zeros(2))
-        Xq = lyapunov_quadrature(A, noise_matrix(2), 40.0, orientation="right")
+        Xq = lyapunov_quadrature(A, noise_matrix(2), 40.0)
         assert np.linalg.norm(sig - Xq, "fro") < 1e-10
 
     def test_unstable_model_rejected(self):

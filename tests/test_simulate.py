@@ -49,9 +49,7 @@ class TestIntegrateSde:
         b = integrate_sde(spec, x0, 1.0, 0.002, n, seed=8, epsilon=eps, scheme="baoab", store_every=500)
         A = drift_matrix(spec, np.zeros(1))
         mean_ref = sla.expm(A * 1.0) @ x0
-        cov_ref = 2 * eps * lyapunov_quadrature(
-            A, noise_matrix(1), 1.0, orientation="right", n_intervals=2000
-        )
+        cov_ref = 2 * eps * lyapunov_quadrature(A, noise_matrix(1), 1.0, n_intervals=2000)
         cloud = b.states[:, -1, :]
         se_mean = np.sqrt(np.diag(cov_ref) / n)
         assert np.all(np.abs(cloud.mean(axis=0) - mean_ref) < 3 * se_mean)
