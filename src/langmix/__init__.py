@@ -34,7 +34,7 @@ from .matrix_eq import (
     sigma_matrix,
     solve_lyapunov_stable,
 )
-from .gaussian_tv import Gaussian, TVResult, tv_gaussian, tv_reduce, tv_unit
+from .gaussian_tv import Gaussian, TVResult, tv_gaussian, tv_unit
 from .covflow import (
     CovariancePath,
     integrate_covariance,

@@ -25,7 +25,7 @@ from .covflow import _covariance_rhs, integrate_covariance
 from .cutoff import jordan_chains, mixing_time, oscillating_sum, profile_D, spectral_data
 from .errors import ParameterError
 from .gaussian_tv import (
-    TV_TOL, Gaussian, _tv_cdf_2d, _tv_gil_pelaez, tv_gaussian, tv_reduce, tv_unit, tv_unit_linear_bound,
+    TV_TOL, Gaussian, _llr_terms, _tv_cdf_2d, _tv_gil_pelaez, _whiten, tv_gaussian, tv_unit, tv_unit_linear_bound,
 )
 from .harness import (
     STABLE_CORPUS, RunManifest, _run_pipeline, corpus_model_config, corpus_spec,
@@ -250,7 +250,8 @@ def _check_tv_gil_pelaez_vs_slicer() -> CheckResult:
     gap = 0.0
     for _ in range(_TV_SLICER_CASES):
         g1, g2 = _random_gaussian(rng, 2, 0.3), _random_gaussian(rng, 2, 0.3)
-        gap = max(gap, abs(_tv_gil_pelaez(g1, g2)[0] - _tv_cdf_2d(g1, g2)[0]))
+        gil_pelaez = _tv_gil_pelaez(*_llr_terms(*_whiten(g1, g2)))[0]
+        gap = max(gap, abs(gil_pelaez - _tv_cdf_2d(g1, g2)[0]))
     triangle = all(_triangle_holds(rng, dim, 0.3) for dim in (3, 4) for _ in range(_TV_TRIANGLE_CASES_PER_DIM))
     detail = f"max gap to the slicer {gap:.1e}" + ("" if triangle else "; triangle violated at d = 3 or 4")
     return CheckResult(gap <= TV_TOL and triangle, gap, detail)
@@ -265,10 +266,11 @@ def _check_tv_unit_shape() -> CheckResult:
 
 
 def _check_tv_reduce_idempotent() -> CheckResult:
+    """Whitening a pair already in canonical form, N(m, C) against N(0, I), returns eigvalsh(C) and |m|."""
     def error(mean, A):
         C = A @ A.T + 0.3 * np.eye(2)
-        m2, C2 = tv_reduce(Gaussian(mean, C), Gaussian(np.zeros(2), np.eye(2)))
-        return max(np.abs(m2 - mean).max(), np.abs(C2 - C).max())
+        lam, nu = _whiten(Gaussian(mean, C), Gaussian(np.zeros(2), np.eye(2)))
+        return max(np.abs(lam - np.linalg.eigvalsh(C)).max(), abs(np.linalg.norm(nu) - np.linalg.norm(mean)))
 
     rng = np.random.default_rng(21)
     mean = rng.standard_normal(2)

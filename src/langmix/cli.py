@@ -2,8 +2,9 @@
 
 Subcommands: analyze-linear, stationary-cov, cov-flow, mixing-time,
 cutoff-curve, simulate, stationary-check, verify.  Exit code 0 iff all
-requested checks pass.  All inputs come from flags and config files; no
-environment variables are consulted.
+requested checks pass; bad input or an unreadable file gets one stderr line
+and code 2.  All inputs come from flags and config files, never from the
+environment.
 """
 
 from __future__ import annotations
@@ -199,7 +200,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:  # every langmix input error is a ValueError, as are the parsers'
+        print(f"langmix {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

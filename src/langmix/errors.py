@@ -38,10 +38,6 @@ class MethodError(ValueError):
     """The requested evaluation method does not apply to the given inputs."""
 
 
-class ReductionError(ValueError):
-    """A Gaussian pair cannot be reduced (singular covariance)."""
-
-
 class DegenerateModelError(RuntimeError):
     """A model-derived search failed even at its smallest admissible scale."""
 

@@ -1,13 +1,13 @@
 """Gaussian distributions and total-variation distances between them.
 
-`tv_gaussian` has one exact method and one bound.  The exact method is a
-deterministic evaluation in every dimension: the closed form for
-covariances whose whitened gap bounds its error by TV_TOL and in 1-D,
-slices of the log-likelihood-ratio region into per-line intervals with
-exact conditional normal probabilities in 2-D, and in dimension >= 3 one
-Gil-Pelaez inversion of the log-likelihood ratio's characteristic
-functions, exact to TV_TOL.  The bound is the 3/2 Frobenius-norm upper
-bound for equal means.
+`tv_gaussian` reduces a pair once, by `_whiten`, to N(nu, diag(lam)) against
+N(0, I), and reads one exact method and one bound from it.  The exact method
+is deterministic in every dimension: the equal-covariance closed form when
+the whitened gap 1.5 ||lam - 1||_2 is within TV_TOL, the closed form in 1-D,
+slices of the log-likelihood-ratio region into per-line intervals with exact
+conditional normal probabilities in 2-D, and in dimension >= 3 one Gil-Pelaez
+inversion of its characteristic functions, exact to TV_TOL.  The bound is
+the whitened gap, the 3/2 Frobenius-norm upper bound for equal means.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import scipy.linalg as sla
 from scipy.integrate import quad
 from scipy.special import erf, ndtr
 
-from .errors import MethodError, ParameterError, ReductionError
+from .errors import MethodError, ParameterError
 
 log = logging.getLogger(__name__)
 
@@ -32,13 +32,12 @@ _EIG_RTOL = 1e-12
 
 @dataclass(eq=False)
 class Gaussian:
-    """Immutable mean / covariance pair with a lazily cached factorization."""
+    """Mean / covariance pair; `clamped` and `regularized` record repairs of the covariance, not inputs."""
 
     mean: np.ndarray
     cov: np.ndarray
-    clamped: bool = False
-    regularized: bool = False
-    _chol: Optional[np.ndarray] = field(default=None, repr=False)
+    clamped: bool = field(default=False, init=False)
+    regularized: bool = field(default=False, init=False)
 
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -68,17 +67,13 @@ class Gaussian:
 
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor, regularizing near-singular covariances with a logged flag."""
-        if self._chol is None:
-            cov = self.cov
-            try:
-                L = np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                jitter = 1e-12 * max(np.trace(cov) / self.dim, 1e-300)
-                L = np.linalg.cholesky(cov + jitter * np.eye(self.dim))
-                object.__setattr__(self, "regularized", True)
-                log.debug("regularized covariance with jitter %.3e", jitter)
-            object.__setattr__(self, "_chol", L)
-        return self._chol
+        try:
+            return np.linalg.cholesky(self.cov)
+        except np.linalg.LinAlgError:
+            jitter = 1e-12 * max(np.trace(self.cov) / self.dim, 1e-300)
+            self.regularized = True
+            log.debug("regularized covariance with jitter %.3e", jitter)
+            return np.linalg.cholesky(self.cov + jitter * np.eye(self.dim))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal((n, self.dim))
@@ -95,30 +90,6 @@ def tv_unit_linear_bound(x) -> float:
     """Diagnostic linear upper bound |x| / sqrt(2 pi) on tv_unit."""
     r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
     return r / math.sqrt(2.0 * math.pi)
-
-
-def inv_sqrt(S: np.ndarray, name: str) -> np.ndarray:
-    """S^{-1/2} of a symmetric positive definite S; raises ReductionError, naming S, if it is singular."""
-    eigs, vecs = np.linalg.eigh(S)
-    if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
-        raise ReductionError(f"{name} is singular; regularize before reducing")
-    return (vecs / np.sqrt(eigs)) @ vecs.T
-
-
-def tv_reduce(g1: Gaussian, g2: Gaussian):
-    """Canonical pair (m, C) with d_TV(g1, g2) = d_TV(N(m, C), N(0, I)).
-
-    Combines the scaling, mean-shift, whitening, and conjugation identities:
-    m = T^{-1/2}(x - y) and C = T^{-1/2} S T^{-1/2} for g1 = N(x, S),
-    g2 = N(y, T).  Both covariances must be strictly positive definite.
-    """
-    if g1.dim != g2.dim:
-        raise ParameterError("dimension mismatch")
-    Tih = inv_sqrt(g2.cov, "second covariance")
-    _ = inv_sqrt(g1.cov, "first covariance")
-    m = Tih @ (g1.mean - g2.mean)
-    C = Tih @ g1.cov @ Tih
-    return m, 0.5 * (C + C.T)
 
 
 @dataclass
@@ -146,11 +117,6 @@ _ENVELOPE_FIRST = 81
 _LOG_CF_FLOOR = math.log(1e-17)
 #: QAWF starts only where omega U spans this many radians
 _QAWF_MIN_PHASE = 20.0 * math.pi
-
-
-def _frobenius_bound(C: np.ndarray) -> float:
-    """(3/2) ||C - I||_F >= d_TV(N(m, C), N(m, I)) for any m (Devroye, Mehrabian & Reddad 2018)."""
-    return 1.5 * float(np.linalg.norm(C - np.eye(len(C)), "fro"))
 
 
 def _interval_union_above_zero(c2: float, c1: float, c0: float):
@@ -193,11 +159,10 @@ def _loglr_coefficients(g1: Gaussian, g2: Gaussian):
     return Q, l, float(c0)
 
 
-def _tv_cdf_1d(g1: Gaussian, g2: Gaussian) -> float:
-    Q, l, c0 = _loglr_coefficients(g1, g2)
-    iv = _interval_union_above_zero(0.5 * float(Q[0, 0]), float(l[0]), c0)
-    p1 = _normal_prob_intervals(float(g1.mean[0]), float(g1.cov[0, 0]), iv)
-    p2 = _normal_prob_intervals(float(g2.mean[0]), float(g2.cov[0, 0]), iv)
+def _tv_cdf_1d(A, B, C) -> float:
+    """Closed-form TV in 1-D: P_k is the N(0, 1) mass of {xi : A_k xi^2 + B_k xi + C_k > 0}."""
+    p1, p2 = (_normal_prob_intervals(0.0, 1.0, _interval_union_above_zero(a, b, c))
+              for a, b, c in zip(A[:, 0], B[:, 0], C[:, 0]))
     return max(p1 - p2, 0.0)
 
 
@@ -242,12 +207,11 @@ def _tv_cdf_2d(g1: Gaussian, g2: Gaussian):
     return float(min(max(val, 0.0), 1.0)), float(abserr)
 
 
-def _llr_terms(g1: Gaussian, g2: Gaussian):
-    """Rows (under g1, under g2) of A, B, C with log(p1/p2) = sum_j A_j xi_j^2 + B_j xi_j + C_j.
+def _whiten(g1: Gaussian, g2: Gaussian):
+    """(lam, nu) with d_TV(g1, g2) = d_TV(N(nu, diag(lam)), N(0, I)); a singular pair raises LinAlgError.
 
-    Whitening by g2's Cholesky factor and rotating to the eigenbasis of the
-    whitened first covariance (eigenvalues lam, mean nu) makes the xi_j
-    independent standard normals under either Gaussian.
+    Whitening by g2's Cholesky factor L, then rotating to the eigenbasis of L^{-1} S1 L^{-T},
+    leaves its ascending eigenvalues lam and the rotated mean nu.
     """
     # L^{-1} from LAPACK trtri: scipy's triangular solve wakes a second BLAS
     # thread even for 4 x 4 blocks, which then spins for the rest of the run
@@ -257,7 +221,14 @@ def _llr_terms(g1: Gaussian, g2: Gaussian):
     lam, V = np.linalg.eigh(0.5 * (K + K.T))
     if lam[0] <= 0.0:
         raise np.linalg.LinAlgError("first covariance is singular")
-    nu = V.T @ mu
+    return lam, V.T @ mu
+
+
+def _llr_terms(lam: np.ndarray, nu: np.ndarray):
+    """Rows (under g1, under g2) of A, B, C with log(p1/p2) = sum_j A_j xi_j^2 + B_j xi_j + C_j.
+
+    In the coordinates of `_whiten` the xi_j are independent standard normals under either Gaussian.
+    """
     half_logdet = 0.5 * np.log(lam)
     A = np.array([0.5 * (lam - 1.0), 0.5 * (1.0 - 1.0 / lam)])
     B = np.array([nu * np.sqrt(lam), nu / lam])
@@ -339,8 +310,8 @@ def _oscillatory_tail(U: float, A, B, C):
     return value, err
 
 
-def _tv_gil_pelaez(g1: Gaussian, g2: Gaussian):
-    """TV and an absolute error bound from one Gil-Pelaez integral, in any dimension.
+def _tv_gil_pelaez(A, B, C):
+    """TV and an absolute error bound from one Gil-Pelaez integral of the `_llr_terms` rows, in any dimension.
 
     With phi_k the characteristic function of log(p1/p2) under g_k,
     d_TV = P_1(LLR > 0) - P_2(LLR > 0) = (1/pi) int_0^inf Im[phi_1 - phi_2](u) / u du
@@ -351,7 +322,6 @@ def _tv_gil_pelaez(g1: Gaussian, g2: Gaussian):
     below the tolerance; when the head would need more than _MAX_PANELS panels
     first, it stops there and QAWF integrates the oscillatory tail.
     """
-    A, B, C = _llr_terms(g1, g2)
     scale = math.sqrt(float(np.max(np.sum(2.0 * A**2 + B**2, axis=1))))  # sd of the LLR
     full = np.concatenate([[0.0], _ENVELOPE_GRID / scale])
     for size in (_ENVELOPE_FIRST, len(full)):  # the full grid only when its start does not settle U
@@ -393,20 +363,22 @@ def _tv_gil_pelaez(g1: Gaussian, g2: Gaussian):
 def tv_gaussian(g1: Gaussian, g2: Gaussian, method: str = "cdf_quadrature") -> TVResult:
     """Total variation distance between two Gaussians.
 
+    Both methods read `_whiten(g1, g2) = (lam, nu)` and the gap (3/2) ||lam - 1||_2,
+    which is (3/2) ||C - I||_F for the whitened first covariance C.  A
+    singular pair raises numpy's LinAlgError.
+
     Methods:
       - "cdf_quadrature": exact P1(LLR > 0) - P2(LLR > 0) for the
         log-likelihood ratio LLR = log(phi1 / phi2), in any dimension: the
         closed form in 1-D, slices of the level set in 2-D, and one
         Gil-Pelaez integral of the LLR's characteristic functions in
-        dimension >= 3.  When the whitened covariance C = T^{-1/2} S T^{-1/2}
-        has (3/2) ||C - I||_F <= TV_TOL, the equal-covariance closed form
-        tv_unit(T^{-1/2}(x - y)) is used instead, and that Frobenius bound
-        is its `abserr`.  Returns the error estimate as `abserr` (0.0 for
-        the 1-D closed form) and kind "exact" when it is within
+        dimension >= 3.  When the gap is within TV_TOL, the
+        equal-covariance closed form tv_unit(nu) is used instead, and the
+        gap is its `abserr`.  Returns the error estimate as `abserr` (0.0
+        for the 1-D closed form) and kind "exact" when it is within
         TV_TOL = 1e-9, "estimate" otherwise.
-      - "frobenius_bound": (3/2) ||T^{-1/2} S T^{-1/2} - I||_F, valid for a
-        common mean; returned as an upper bound (Devroye, Mehrabian & Reddad
-        2018).
+      - "frobenius_bound": the gap, valid for a common mean; returned as an
+        upper bound (Devroye, Mehrabian & Reddad 2018).
     """
     if g1.dim != g2.dim:
         raise ParameterError("dimension mismatch")
@@ -414,23 +386,20 @@ def tv_gaussian(g1: Gaussian, g2: Gaussian, method: str = "cdf_quadrature") -> T
         scale = 1.0 + float(np.linalg.norm(g1.mean) + np.linalg.norm(g2.mean))
         if np.linalg.norm(g1.mean - g2.mean) > 1e-9 * scale:
             raise MethodError("the Frobenius bound applies to a common mean")
-        _, C = tv_reduce(g1, g2)
-        return TVResult(value=_frobenius_bound(C), kind="upper_bound")
-    if method == "cdf_quadrature":
-        try:
-            m, C = tv_reduce(g1, g2)
-            gap = _frobenius_bound(C)
-        except ReductionError:  # a singular pair takes its dimension's path, which raises LinAlgError
-            gap = math.inf
-        if gap <= TV_TOL:
-            # d_TV(N(m, C), N(m, I)) <= gap, so the equal-covariance closed form is off by at most gap
-            value, abserr = tv_unit(m), gap
-        elif g1.dim == 1:
-            value, abserr = _tv_cdf_1d(g1, g2), 0.0
-        elif g1.dim == 2:
-            value, abserr = _tv_cdf_2d(g1, g2)
-        else:
-            value, abserr = _tv_gil_pelaez(g1, g2)
-        kind = "exact" if abserr <= TV_TOL else "estimate"
-        return TVResult(value=value, kind=kind, abserr=abserr)
-    raise MethodError(f"unknown method {method!r}")
+    elif method != "cdf_quadrature":
+        raise MethodError(f"unknown method {method!r}")
+    lam, nu = _whiten(g1, g2)
+    gap = 1.5 * float(np.linalg.norm(lam - 1.0))
+    if method == "frobenius_bound":
+        return TVResult(value=gap, kind="upper_bound")
+    if gap <= TV_TOL:
+        # d_TV(N(nu, diag(lam)), N(nu, I)) <= gap, so the equal-covariance closed form is off by at most gap
+        value, abserr = tv_unit(nu), gap
+    elif g1.dim == 1:
+        value, abserr = _tv_cdf_1d(*_llr_terms(lam, nu)), 0.0
+    elif g1.dim == 2:
+        value, abserr = _tv_cdf_2d(g1, g2)
+    else:
+        value, abserr = _tv_gil_pelaez(*_llr_terms(lam, nu))
+    kind = "exact" if abserr <= TV_TOL else "estimate"
+    return TVResult(value=value, kind=kind, abserr=abserr)

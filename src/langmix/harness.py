@@ -27,7 +27,7 @@ from .gaussian_tv import Gaussian, tv_gaussian
 from .linear_stability import classify_linear, make_spec
 from .matrix_eq import sigma_matrix
 from .model import ModelSpec, check_assumption_main, force_from_config
-from .simulate import empirical_tv, integrate_sde
+from .simulate import check_seed, empirical_tv, integrate_sde
 
 SCHEMA_VERSION = 1
 
@@ -88,10 +88,11 @@ def _finite(value, name) -> float:
 def validate_config(raw: dict) -> ExperimentConfig:
     """Strict validation: unknown keys and malformed values are errors.
 
-    Every number is finite, every epsilon in (0, 1/2), dt > 0, horizon > 0,
-    n_paths an integer >= 1, a w_grid with min <= max and step > 0, x0 a list
-    of points, mc_curve a bool, and the seed must be an explicit integer (no
-    wall-clock defaults)."""
+    Every number, the model's gamma, alpha and beta included, is finite;
+    epsilons lie in (0, 1/2), strictly decreasing (the verdicts compare
+    neighbours in list order); dt > 0, horizon > 0, n_paths an integer >= 1,
+    a w_grid with min <= max and step > 0, x0 a list of points, mc_curve a
+    bool, out_dir a string, and the seed an explicit integer >= 0."""
     if not isinstance(raw, dict):
         raise ParameterError("config must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
@@ -108,10 +109,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
     for key in ("force", "gamma", "alpha", "beta"):
         if key not in model:
             raise ParameterError(f"model block is missing {key!r}")
+    for key in ("gamma", "alpha", "beta"):
+        _finite(model[key], key)
     epsilons = [_finite(e, "epsilons") for e in _expect_type(raw.get("epsilons", []), list, "epsilons")]
     for e in epsilons:
         if not (0.0 < e < 0.5):
             raise ParameterError(f"every epsilon must lie in (0, 1/2); got {e}")
+    if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
+        raise ParameterError(f"epsilons must be strictly decreasing; got {epsilons}")
     w_grid = _expect_type(raw.get("w_grid", {"min": -6.0, "max": 6.0, "step": 0.25}), dict, "w_grid")
     if set(w_grid) != _WGRID_KEYS:
         raise ParameterError(f"w_grid needs exactly the keys max, min, step; got {sorted(w_grid)}")
@@ -137,9 +142,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         dt=dt,
         horizon=horizon,
         n_paths=n_paths,
-        seed=_expect_type(raw["seed"], int, "seed"),
+        seed=check_seed(_expect_type(raw["seed"], int, "seed")),
         mc_curve=_expect_type(raw.get("mc_curve", False), bool, "mc_curve"),
-        out_dir=str(raw.get("out_dir", "langmix_out")),
+        out_dir=_expect_type(raw.get("out_dir", "langmix_out"), str, "out_dir"),
     )
 
 
@@ -255,9 +260,10 @@ def exact_gaussian_tv_curve_point(
 ):
     """d_TV(N(mean, 2 eps cov_t), N(0, 2 eps sigma)), deterministic in every dimension.
 
-    `tv_gaussian`'s one exact method, "cdf_quadrature": the closed form for
-    equal covariances, the 2-D slicer, or the Gil-Pelaez integral for 4-d and
-    larger states, exact to TV_TOL = 1e-9.
+    `tv_gaussian`'s one exact method, "cdf_quadrature", on the pair whitened
+    once: the closed form when the whitened gap is within TV_TOL = 1e-9, the
+    2-D slicer for 2-d states, or the Gil-Pelaez integral for 4-d and larger
+    states, exact to TV_TOL.
     """
     g1 = Gaussian(mean=mean, cov=2.0 * epsilon * cov_t)
     g2 = Gaussian(mean=np.zeros_like(mean), cov=2.0 * epsilon * sigma)

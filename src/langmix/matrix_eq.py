@@ -4,9 +4,9 @@ Solves U X + X U^T = -W for a Hurwitz U, the form of the stationary
 covariance equation A Sigma + Sigma A^T = -J; the drift metric's
 A^T Gamma + Gamma A = -I is the same equation for U = A^T.  Certifies
 positive definiteness of the solution when the forcing W dominates the
-momentum block and the upper-right block of U is invertible, and derives the
-stationary fluctuation covariance, the drift metric, and the drift-metric
-radius from a model.
+momentum block and the upper-right block of U is invertible.  Derives from a
+model the stationary fluctuation covariance Sigma, its whitening Sigma^{-1/2},
+the drift metric, and the drift-metric radius.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     ParameterError,
     StabilityError,
 )
-from .gaussian_tv import inv_sqrt
 from .model import ModelSpec, drift_matrix, noise_matrix, sample_ball
 
 log = logging.getLogger(__name__)
@@ -216,6 +215,14 @@ def sigma_matrix(spec: ModelSpec) -> np.ndarray:
     """Stationary fluctuation covariance: the unique SPD solution of
     A Sigma + Sigma A^T = -J with A the linearization at the origin."""
     return sigma_solution(spec).X
+
+
+def inv_sqrt(S: np.ndarray, name: str) -> np.ndarray:
+    """S^{-1/2} of a symmetric positive definite S; raises LinAlgError, naming S, if it is singular."""
+    eigs, vecs = np.linalg.eigh(S)
+    if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
+        raise np.linalg.LinAlgError(f"{name} is singular")
+    return (vecs / np.sqrt(eigs)) @ vecs.T
 
 
 def sigma_inv_sqrt(spec: ModelSpec) -> np.ndarray:

@@ -39,18 +39,27 @@ _KNN_K = 5
 _N_BOOTSTRAP = 16
 
 
+def check_seed(seed: int) -> int:
+    """The seed, once it is a nonnegative integer: the key of every noise stream."""
+    if seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer; got {seed}")
+    return seed
+
+
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, block_index]))
+    # an explicit uint64 key: from a list, numpy converts keys of 2^63 and above through float64
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
 class TrajectoryBatch:
     """Seeded ensemble of sample paths on a fixed output grid.
 
-    states has shape (n_paths, n_times, 2d).  coupled, when present, holds the
-    deterministic path "ode" (n_times, 2d) and the parallel ensembles "Y" and
-    "Z" built from the same Brownian increments, with Z = ode + sqrt(2 eps) Y
-    holding exactly on the grid.
+    states has shape (n_paths, n_times, 2d).  coupled holds the deterministic
+    path "ode" (n_times, 2d), alone from integrate_fluctuation; a coupled
+    integrate_sde run adds the ensembles "Y" and "Z" built from the same
+    Brownian increments, with Z = ode + sqrt(2 eps) Y exactly on the grid.
     """
 
     grid: np.ndarray
@@ -121,10 +130,13 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
     return alive
 
 
-def _checked_start(spec: ModelSpec, x0, t_end: float, dt: float, n_paths: int, store_every: int) -> np.ndarray:
+def _checked_start(
+    spec: ModelSpec, x0, t_end: float, dt: float, n_paths: int, store_every: int, seed: int
+) -> np.ndarray:
     """x0 as an array, once the run arguments every simulator shares are valid."""
     if dt <= 0 or t_end < 0 or n_paths < 1 or store_every < 1:
         raise ParameterError("need dt > 0, t_end >= 0, n_paths >= 1, store_every >= 1")
+    check_seed(seed)
     return phase_point(spec, x0)
 
 
@@ -253,7 +265,7 @@ def integrate_sde(
         raise ParameterError("coupled fluctuation runs require the euler_maruyama scheme")
     if epsilon < 0:
         raise ParameterError("noise level epsilon must be nonnegative")
-    x0 = _checked_start(spec, x0, t_end, dt, n_paths, store_every)
+    x0 = _checked_start(spec, x0, t_end, dt, n_paths, store_every, seed)
     d = spec.dim
     n_steps = int(round(t_end / dt))
     if store_indices is None:
@@ -336,7 +348,7 @@ def integrate_fluctuation(
     """
     if method not in ("exact", "em"):
         raise ParameterError(f"unknown method {method!r}")
-    x0 = _checked_start(spec, x0, t_end, dt, n_paths, store_every)
+    x0 = _checked_start(spec, x0, t_end, dt, n_paths, store_every, seed)
     d = spec.dim
     ode = flow_zero_noise(spec, x0, t_end, dt)
     n_steps = len(ode.grid) - 1
@@ -475,7 +487,7 @@ def pinsker_kl_bound(
     """
     if epsilon <= 0:
         raise ParameterError("the bound needs a positive noise level")
-    x0 = _checked_start(spec, x0, t_end, dt, n_paths, 1)
+    x0 = _checked_start(spec, x0, t_end, dt, n_paths, 1, seed)
     d = spec.dim
     ode = flow_zero_noise(spec, x0, t_end, dt)
     q_det = ode.states[:, :d]

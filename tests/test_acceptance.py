@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.integrate import solve_ivp
 
 import langmix as lm
@@ -57,6 +58,7 @@ def test_criterion_01_stationary_covariance_exact():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_lyapunov_residuals_and_quadrature():
     t0 = time.time()
     rng = np.random.default_rng(202)
@@ -175,6 +177,7 @@ def test_criterion_05_covariance_flow_asymptotics():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_moment_bounds():
     t0 = time.time()
     ok = True
@@ -200,6 +203,7 @@ def test_criterion_06_moment_bounds():
     _report(6, "moment bounds under Monte Carlo", ok, "; ".join(detail), time.time() - t0, 120.0)
 
 
+@pytest.mark.slow
 def test_criterion_07_fluctuation_covariance_consistency():
     t0 = time.time()
     spec = corpus_spec("lin1d_complex")
@@ -282,6 +286,7 @@ def test_criterion_09_profile_convergence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_stationary_gaussianization():
     t0 = time.time()
     x0 = np.array([0.5, 0.0])
@@ -355,6 +360,7 @@ def test_criterion_11_quadratic_gronwall():
     )
 
 
+@pytest.mark.slow
 def test_criterion_12_pinsker_bound():
     t0 = time.time()
     # linear force: the second-order remainder vanishes identically

@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 from scipy.integrate import dblquad, quad
 
 from langmix import gaussian_tv
-from langmix.errors import MethodError, ParameterError, ReductionError
+from langmix.errors import MethodError, ParameterError
 from langmix.gaussian_tv import (
     TV_TOL,
     Gaussian,
+    _whiten,
     tv_gaussian,
-    tv_reduce,
     tv_unit,
     tv_unit_linear_bound,
 )
@@ -104,21 +104,26 @@ class TestTvUnit:
         assert a <= tv_unit_linear_bound(np.array([r])) + 1e-15
 
 
+def _inv_sqrt(S: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(S)
+    return (v / np.sqrt(w)) @ v.T
+
+
 class TestTvReduce:
+    """The one reduction of a pair, `_whiten`, to (lam, nu) with N(nu, diag(lam)) against N(0, I)."""
+
     def test_identity_pair(self):
         g = Gaussian(np.zeros(2), np.eye(2))
-        m, C = tv_reduce(g, g)
-        assert np.allclose(m, 0.0) and np.allclose(C, np.eye(2))
+        lam, nu = _whiten(g, g)
+        assert np.allclose(nu, 0.0) and np.allclose(lam, 1.0)
 
     def test_equal_covariance_reduces_to_unit_shift(self, rng):
         A = rng.standard_normal((2, 2))
         S = A @ A.T + 0.5 * np.eye(2)
         x, y = rng.standard_normal(2), rng.standard_normal(2)
-        m, C = tv_reduce(Gaussian(x, S), Gaussian(y, S))
-        assert np.allclose(C, np.eye(2), atol=1e-12)
-        w = np.linalg.eigh(S)
-        Sih = (w[1] / np.sqrt(w[0])) @ w[1].T
-        assert np.allclose(np.linalg.norm(m), np.linalg.norm(Sih @ (x - y)))
+        lam, nu = _whiten(Gaussian(x, S), Gaussian(y, S))
+        assert np.allclose(lam, 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(nu), np.linalg.norm(_inv_sqrt(S) @ (x - y)))
 
     def test_scaling_invariance(self, rng):
         A = rng.standard_normal((2, 2))
@@ -133,8 +138,31 @@ class TestTvReduce:
         assert v1 == pytest.approx(v2, abs=1e-9)
 
     def test_singular_covariance_rejected(self):
-        with pytest.raises(ReductionError):
-            tv_reduce(Gaussian(np.zeros(2), np.diag([1.0, 0.0])), Gaussian(np.zeros(2), np.eye(2)))
+        with pytest.raises(np.linalg.LinAlgError):
+            _whiten(Gaussian(np.zeros(2), np.diag([1.0, 0.0])), Gaussian(np.zeros(2), np.eye(2)))
+
+    def test_spectrum_is_that_of_the_symmetric_whitening(self, rng):
+        # eig(T^{-1/2} S T^{-1/2}) and |T^{-1/2}(x - y)| do not depend on the square root taken
+        S, T = _spd(rng, 3), _spd(rng, 3)
+        x, y = rng.standard_normal(3), rng.standard_normal(3)
+        lam, nu = _whiten(Gaussian(x, S), Gaussian(y, T))
+        Tih = _inv_sqrt(T)
+        assert np.allclose(lam, np.linalg.eigvalsh(Tih @ S @ Tih), rtol=1e-12)
+        assert np.linalg.norm(nu) == pytest.approx(np.linalg.norm(Tih @ (x - y)), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    @pytest.mark.parametrize("method", ["cdf_quadrature", "frobenius_bound"])
+    def test_tv_gaussian_whitens_once_per_call(self, monkeypatch, rng, dim, method):
+        calls = []
+
+        def counted(g1, g2):
+            calls.append(1)
+            return _whiten(g1, g2)
+
+        monkeypatch.setattr(gaussian_tv, "_whiten", counted)
+        g1, g2 = Gaussian(np.zeros(dim), _spd(rng, dim)), Gaussian(np.zeros(dim), _spd(rng, dim))
+        tv_gaussian(g1, g2, method=method)
+        assert len(calls) == 1
 
 
 class TestTvGaussian:
@@ -186,17 +214,25 @@ class TestTvGaussian:
         A = rng.standard_normal((3, 3))
         S = A @ A.T + 0.5 * np.eye(3)
         g1, g2 = Gaussian(rng.standard_normal(3), S), Gaussian(rng.standard_normal(3), S)
-        m, C = tv_reduce(g1, g2)
+        Sih = _inv_sqrt(g2.cov)
+        C = Sih @ g1.cov @ Sih
         res = tv_gaussian(g1, g2)
-        assert res.value == tv_unit(m) and res.kind == "exact"
-        assert res.abserr == 1.5 * np.linalg.norm(C - np.eye(3), "fro") <= TV_TOL
+        # the symmetric and the Cholesky whitening agree up to rounding
+        assert res.value == pytest.approx(tv_unit(Sih @ (g1.mean - g2.mean)), rel=1e-12) and res.kind == "exact"
+        assert res.abserr == pytest.approx(1.5 * np.linalg.norm(C - np.eye(3), "fro"), abs=1e-14)
+        assert res.abserr <= TV_TOL
 
     @pytest.mark.parametrize("dim", [1, 2, 4])
     def test_singular_pair_raises_linalg_error(self, dim):
-        # not ReductionError: callers such as empirical_tv fall back on LinAlgError
+        # callers such as empirical_tv fall back on LinAlgError
         S = np.diag(np.eye(dim)[0] if dim > 1 else [0.0])
         with pytest.raises(np.linalg.LinAlgError):
             tv_gaussian(Gaussian(np.zeros(dim), S), Gaussian(np.ones(dim), S))
+        for g1, g2 in ((Gaussian(np.zeros(dim), S), Gaussian(np.zeros(dim), np.eye(dim))),
+                       (Gaussian(np.zeros(dim), np.eye(dim)), Gaussian(np.zeros(dim), S))):
+            for method in ("cdf_quadrature", "frobenius_bound"):
+                with pytest.raises(np.linalg.LinAlgError):
+                    tv_gaussian(g1, g2, method=method)
 
     def test_frobenius_requires_equal_means(self):
         g1 = Gaussian(np.ones(1), [[1.0]])
@@ -245,8 +281,9 @@ class TestTvGaussian:
             tv_gaussian(g, g, method=method)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ParameterError):
-            tv_gaussian(Gaussian(np.zeros(1), [[1.0]]), Gaussian(np.zeros(2), np.eye(2)))
+        for method in ("cdf_quadrature", "frobenius_bound"):
+            with pytest.raises(ParameterError):
+                tv_gaussian(Gaussian(np.zeros(1), [[1.0]]), Gaussian(np.zeros(2), np.eye(2)), method=method)
 
 
 def _spd(rng, dim: int) -> np.ndarray:
@@ -311,6 +348,9 @@ class TestGilPelaez:
 
 
 class TestGaussianType:
+    def test_takes_only_a_mean_and_a_covariance(self):
+        assert list(inspect.signature(Gaussian).parameters) == ["mean", "cov"]
+
     def test_clamps_tiny_negative_eigenvalue(self):
         cov = np.diag([1.0, -1e-14])
         g = Gaussian(np.zeros(2), cov)

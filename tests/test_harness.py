@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -20,17 +21,16 @@ from langmix.harness import (
     write_csv,
 )
 from langmix.matrix_eq import sigma_solution
+from langmix.simulate import integrate_sde
+
+
+_MODEL = {"force": {"type": "linear", "matrix": [[1.0]]}, "gamma": 1.0, "alpha": 2 / 3, "beta": 0.5}
 
 
 def minimal_config(tmp_path, **overrides):
     raw = {
         "schema_version": 1,
-        "model": {
-            "force": {"type": "linear", "matrix": [[1.0]]},
-            "gamma": 1.0,
-            "alpha": 2 / 3,
-            "beta": 0.5,
-        },
+        "model": copy.deepcopy(_MODEL),
         "epsilons": [1e-2],
         "x0": [[0.5, 0.2]],
         "w_grid": {"min": -2.0, "max": 2.0, "step": 1.0},
@@ -83,12 +83,22 @@ class TestConfigValidation:
             {"epsilons": 0.01},
             {"x0": [0.5, 0.2]},
             {"seed": "abc"},
+            {"seed": -1},
             {"mc_curve": "no"},
+            {"epsilons": [1e-4, 1e-3, 1e-2]},
+            {"epsilons": [1e-2, 1e-2]},
+            {"model": dict(_MODEL, gamma="1.0")},
+            {"model": dict(_MODEL, gamma=True)},
+            {"model": dict(_MODEL, alpha=None)},
+            {"model": dict(_MODEL, beta=float("nan"))},
+            {"out_dir": 5},
         ],
         ids=[
             "no_max", "no_step", "zero_step", "negative_step", "max_below_min", "infinite_max", "list_w_grid",
             "no_paths", "fractional_paths", "bool_paths", "negative_horizon", "infinite_horizon", "nan_dt",
-            "string_dt", "scalar_epsilons", "flat_x0", "string_seed", "string_mc_curve",
+            "string_dt", "scalar_epsilons", "flat_x0", "string_seed", "negative_seed", "string_mc_curve",
+            "increasing_epsilons", "repeated_epsilons", "string_gamma", "bool_gamma", "null_alpha", "nan_beta",
+            "int_out_dir",
         ],
     )
     def test_unusable_run_sizes_rejected(self, tmp_path, override):
@@ -98,6 +108,13 @@ class TestConfigValidation:
     def test_epsilon_range_enforced(self, tmp_path):
         with pytest.raises(ParameterError, match="epsilon"):
             validate_config(minimal_config(tmp_path, epsilons=[0.7]))
+
+    def test_negative_seed_rejected_as_the_simulators_reject_it(self, tmp_path):
+        with pytest.raises(ParameterError, match="seed must be a nonnegative integer") as from_config:
+            validate_config(minimal_config(tmp_path, seed=-1))
+        with pytest.raises(ParameterError) as from_simulator:
+            integrate_sde(corpus_spec("lin1d_complex"), (0.5, 0.0), 0.5, 0.01, 64, seed=-1, epsilon=0.05)
+        assert str(from_config.value) == str(from_simulator.value)
 
     def test_seed_required(self, tmp_path):
         raw = minimal_config(tmp_path)

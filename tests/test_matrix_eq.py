@@ -13,6 +13,7 @@ from langmix.matrix_eq import (
     drift_metric,
     drift_metric_delta,
     gamma_matrix,
+    inv_sqrt,
     lyapunov_quadrature,
     sigma_matrix,
     solve_lyapunov_stable,
@@ -194,6 +195,14 @@ class TestSigmaMatrix:
 
     def test_cached_per_spec(self, harmonic_spec):
         assert sigma_matrix(harmonic_spec) is sigma_matrix(harmonic_spec)
+
+    def test_inverse_square_root(self):
+        S = np.array([[2.0, 0.4], [0.4, 5.0]])
+        R = inv_sqrt(S, "S")
+        assert np.allclose(R @ S @ R, np.eye(2), atol=1e-14) and np.allclose(R, R.T)
+        # the one error of a singular covariance, as in gaussian_tv
+        with pytest.raises(np.linalg.LinAlgError, match="S is singular"):
+            inv_sqrt(np.diag([1.0, 0.0]), "S")
 
 
 class TestDriftMetricDelta:

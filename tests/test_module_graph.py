@@ -88,6 +88,12 @@ def test_import_graph_is_acyclic():
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
 
 
+def test_matrix_eq_does_not_import_gaussian_tv():
+    # Sigma^{-1/2} lives with Sigma; the Gaussian-TV layer sits above the Lyapunov solver
+    graph, _ = _graph()
+    assert "gaussian_tv" not in graph["matrix_eq"]
+
+
 # ---------------------------------------------------------------------------
 # scipy.stats stays out of the import graph: loading it costs more than half
 # a second of every run's set-up, for three small uses that scipy.special

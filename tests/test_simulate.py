@@ -57,6 +57,7 @@ class TestIntegrateSde:
         se_cov = np.sqrt((np.outer(np.diag(cov_ref), np.diag(cov_ref)) + cov_ref**2) / n)
         assert np.all(np.abs(emp - cov_ref) < 4 * se_cov)
 
+    @pytest.mark.slow
     def test_long_run_matches_stationary_covariance(self):
         spec = corpus_spec("lin1d_complex")
         eps = 0.05
@@ -516,6 +517,7 @@ _BAD_RUN_ARGS = {
     "negative_t_end": dict(t_end=-1.0),
     "short_x0": dict(x0=np.zeros(1)),
     "zero_store_every": dict(store_every=0),
+    "negative_seed": dict(seed=-1),
 }
 
 
@@ -529,20 +531,30 @@ def test_simulators_share_one_argument_check(harmonic_spec, simulator, bad):
         simulator(harmonic_spec, **dict(kw, **_BAD_RUN_ARGS[bad]))
 
 
-@pytest.mark.parametrize("bad", ["no_paths", "zero_dt", "negative_t_end", "short_x0"])
+@pytest.mark.parametrize("bad", ["no_paths", "zero_dt", "negative_t_end", "short_x0", "negative_seed"])
 def test_pinsker_takes_the_same_argument_check(harmonic_spec, bad):
     kw = dict(x0=np.array([0.5, 0.0]), t_end=0.1, dt=0.01, n_paths=4, seed=0, epsilon=0.1)
     with pytest.raises(ParameterError):
         pinsker_kl_bound(harmonic_spec, **dict(kw, **_BAD_RUN_ARGS[bad]))
 
 
-def test_cli_simulate_rejects_store_every_zero(tmp_path):
+def test_seeds_from_two_to_the_63_keep_their_own_streams():
+    # a Philox key given as a list goes through float64 from 2^63 on: these two
+    # seeds then shared one stream, with a cast warning
+    run = lambda seed: integrate_sde(corpus_spec("lin1d_complex"), (0.5, 0.0), 0.5, 0.01, 64, seed=seed,
+                                     epsilon=0.05).states
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.array_equal(run(2**63), run(2**63 + 1))
+
+
+def test_cli_simulate_rejects_store_every_zero(tmp_path, capsys):
     config = tmp_path / "model.json"
     config.write_text(json.dumps({"schema_version": 1, "seed": 0, "model": corpus_model_config("quartic")}))
     argv = ["simulate", "--model", str(config), "--epsilon", "0.1", "--paths", "4", "--seed", "1",
             "--t-end", "0.1", "--store-every", "0", "--out", str(tmp_path / "paths.csv")]
-    with pytest.raises(ParameterError):
-        cli.main(argv)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("langmix simulate: error: need dt > 0")
     assert not (tmp_path / "paths.csv").exists()
 
 
