@@ -4,8 +4,10 @@ __version__ = "0.1.0"
 
 from .model import (
     AssumptionReport,
+    CoercivityCertificate,
     ForceField,
     ModelSpec,
+    certify_coercivity,
     check_assumption_DF,
     check_assumption_main,
     drift_matrix,

@@ -1,16 +1,19 @@
 """Command-line interface.
 
 Subcommands: analyze-linear, stationary-cov, cov-flow, mixing-time,
-cutoff-curve, simulate, stationary-check, verify.  Exit code 0 iff all
-requested checks pass; bad input or an unreadable file gets one stderr line
-and code 2.  All inputs come from flags and config files, never from the
-environment.
+cutoff-curve, simulate, stationary-check, verify.  Exit codes: 0 iff all
+requested checks pass, 1 for a failed verdict, 2 for bad input or an
+unreadable file (with one stderr line), 3 for an indeterminate
+`analyze-linear` verdict, and 141 (128 + SIGPIPE), silently, when the reader
+of stdout has gone.  All inputs come from flags and config files, never from
+the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -50,7 +53,7 @@ def _cmd_analyze_linear(args) -> int:
     verdict = classify_linear(_load_matrix(args.matrix), args.gamma)
     print(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
     if verdict.indeterminate:
-        return 2
+        return 3
     return 0 if verdict.stable else 1
 
 
@@ -201,7 +204,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:  # every langmix input error is a ValueError, as are the parsers'
         print(f"langmix {args.command}: error: {exc}", file=sys.stderr)
         return 2

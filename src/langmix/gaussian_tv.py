@@ -3,7 +3,8 @@
 `tv_gaussian` reduces a pair once, by `_whiten`, to N(nu, diag(lam)) against
 N(0, I), and reads one exact method and one bound from it.  The exact method
 is deterministic in every dimension: the equal-covariance closed form when
-the whitened gap 1.5 ||lam - 1||_2 is within TV_TOL, the closed form in 1-D,
+the whitened gap 1.5 ||lam - 1||_2 is within TV_TOL, 1.0 when the pair's
+Bhattacharyya coefficient is (so 1 - TV_TOL <= d_TV), the closed form in 1-D,
 slices of the log-likelihood-ratio region into per-line intervals with exact
 conditional normal probabilities in 2-D, and in dimension >= 3 one Gil-Pelaez
 inversion of its characteristic functions, exact to TV_TOL.  The bound is
@@ -374,7 +375,10 @@ def tv_gaussian(g1: Gaussian, g2: Gaussian, method: str = "cdf_quadrature") -> T
         Gil-Pelaez integral of the LLR's characteristic functions in
         dimension >= 3.  When the gap is within TV_TOL, the
         equal-covariance closed form tv_unit(nu) is used instead, and the
-        gap is its `abserr`.  Returns the error estimate as `abserr` (0.0
+        gap is its `abserr`.  Otherwise, when the Bhattacharyya coefficient
+        BC = prod_j (2 sqrt(lam_j) / (1 + lam_j))^(1/2) exp(-nu_j^2 / (4 (1 + lam_j)))
+        is within TV_TOL, the pair is saturated: 1 - BC <= d_TV <= 1, so
+        the value is 1.0 with `abserr` BC.  Returns the error estimate as `abserr` (0.0
         for the 1-D closed form) and kind "exact" when it is within
         TV_TOL = 1e-9, "estimate" otherwise.
       - "frobenius_bound": the gap, valid for a common mean; returned as an
@@ -392,9 +396,13 @@ def tv_gaussian(g1: Gaussian, g2: Gaussian, method: str = "cdf_quadrature") -> T
     gap = 1.5 * float(np.linalg.norm(lam - 1.0))
     if method == "frobenius_bound":
         return TVResult(value=gap, kind="upper_bound")
+    # Bhattacharyya coefficient of the whitened pair; 1 - BC <= d_TV <= 1
+    bc = math.exp(float(np.sum(0.5 * np.log(2.0 * np.sqrt(lam) / (1.0 + lam)) - nu**2 / (4.0 * (1.0 + lam)))))
     if gap <= TV_TOL:
         # d_TV(N(nu, diag(lam)), N(nu, I)) <= gap, so the equal-covariance closed form is off by at most gap
         value, abserr = tv_unit(nu), gap
+    elif bc <= TV_TOL:
+        value, abserr = 1.0, bc
     elif g1.dim == 1:
         value, abserr = _tv_cdf_1d(*_llr_terms(lam, nu)), 0.0
     elif g1.dim == 2:

@@ -26,7 +26,7 @@ from .errors import ParameterError, StabilityError
 from .gaussian_tv import Gaussian, tv_gaussian
 from .linear_stability import classify_linear, make_spec
 from .matrix_eq import sigma_matrix
-from .model import ModelSpec, check_assumption_main, force_from_config
+from .model import ModelSpec, certify_coercivity, force_from_config
 from .simulate import check_seed, empirical_tv, integrate_sde
 
 SCHEMA_VERSION = 1
@@ -228,12 +228,13 @@ def write_csv(path: str, header: list, rows) -> str:
     return path
 
 
-# Radius of the ball on which the coercivity assumption of a nonlinear model is sampled.
-_ASSUMPTION_RADIUS = 3.0
-
-
 def _gate_stability(spec: ModelSpec):
-    """Refuse to run cut-off pipelines on unstable models."""
+    """Refuse to run cut-off pipelines on models without an exact stability verdict.
+
+    A linear force must pass `classify_linear`; a polynomial gradient force
+    must be certified coercive on all of R^dim by `certify_coercivity`, and a
+    refusal names a witness point with a negative margin.
+    """
     if spec.force.kind == "linear":
         verdict = classify_linear(spec.force.matrix, spec.gamma)
         if not verdict.stable or verdict.indeterminate:
@@ -242,17 +243,12 @@ def _gate_stability(spec: ModelSpec):
                 + json.dumps(verdict.to_dict())
             )
         return {"kind": "linear", "verdict": verdict.to_dict()}
-    report = check_assumption_main(spec, radius=_ASSUMPTION_RADIUS, n_samples=512)
-    if not report.holds_on_samples:
+    cert = certify_coercivity(spec)
+    if not cert.certified:
         raise StabilityError(
-            f"coercivity assumption failed on samples: worst margin "
-            f"{report.worst_margin:.3e} at {report.worst_point}"
+            f"coercivity assumption refuted: margin {cert.margin:.6g} < 0 at q = {cert.witness.tolist()}"
         )
-    return {
-        "kind": "sampled_assumption",
-        "worst_margin": report.worst_margin,
-        "radius": _ASSUMPTION_RADIUS,
-    }
+    return {"kind": "certified", "min_s": cert.min_s}
 
 
 def exact_gaussian_tv_curve_point(
@@ -458,7 +454,7 @@ _CORPUS_MODELS = {
     # 2-d non-gradient normal model
     "lin2d_nongrad": {"force": {"type": "linear", "matrix": [[1.0, -1.0], [1.0, 1.0]]}, "gamma": 3.0, "alpha": 0.45, "beta": 2.0},
     # 1-d quartic gradient model U = q^4/4 + q^2/2
-    "quartic": {"force": {"type": "builtin", "name": "quartic_well"}, "gamma": 1.5, "alpha": 2 / 3, "beta": 0.75},
+    "quartic": {"force": {"type": "polynomial_gradient", "coeffs": [0.0, 0.0, 0.5, 0.0, 0.25]}, "gamma": 1.5, "alpha": 2 / 3, "beta": 0.75},
 }
 
 #: models whose zero-noise flow is exponentially stable

@@ -1,4 +1,4 @@
-"""Force fields, model parameters, and sampled verification of the standing assumptions.
+"""Force fields, model parameters, and verification of the standing assumptions.
 
 A force field packages the drift F of the momentum equation together with its
 Jacobian and, when available, the split F = grad(U) + ell into a gradient part
@@ -8,10 +8,12 @@ axes: F maps (..., d) -> (..., d), DF maps (..., d) -> (..., d, d).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.special import ndtri
 
 from .errors import (
@@ -21,7 +23,7 @@ from .errors import (
     ParameterError,
 )
 
-#: relative tolerance of the sampled coercivity check
+#: relative tolerance of the coercivity checks, sampled and exact
 DEFAULT_TOL = 1e-9
 
 # Step of the centered finite differences.
@@ -77,9 +79,12 @@ class ForceField:
     """Drift of the momentum equation together with derivatives and metadata.
 
     kind is one of "linear", "gradient", "general".  For kind "linear" the
-    matrix attribute holds M with F(q) = M q.  eval_U and eval_ell are
-    optional; when both are present they satisfy F = grad(U) + ell, so
-    grad(U) is eval_F - eval_ell.
+    matrix attribute holds M with F(q) = M q.  For a polynomial gradient
+    force, coeffs is the (dim, k) table whose row i holds the coefficients,
+    lowest degree first, of the term p_i(q_i) of U(q) = sum_i p_i(q_i).
+    Either table is what `certify_coercivity` and the linear classification
+    read.  eval_U and eval_ell are optional; when both are present they
+    satisfy F = grad(U) + ell, so grad(U) is eval_F - eval_ell.
     """
 
     dim: int
@@ -89,7 +94,12 @@ class ForceField:
     eval_U: Optional[Callable[[np.ndarray], np.ndarray]] = None
     eval_ell: Optional[Callable[[np.ndarray], np.ndarray]] = None
     matrix: Optional[np.ndarray] = None
-    quadratic_growth: bool = False
+    coeffs: Optional[np.ndarray] = None
+
+    @property
+    def quadratic_growth(self) -> bool:
+        """U grows at most quadratically: a linear force, or a polynomial potential of degree <= 2."""
+        return self.matrix is not None or (self.coeffs is not None and not np.any(self.coeffs[:, 3:]))
 
     def has_decomposition(self) -> bool:
         return self.eval_U is not None and self.eval_ell is not None
@@ -202,7 +212,6 @@ def make_linear_force(M) -> ForceField:
         eval_U=eval_U,
         eval_ell=eval_ell,
         matrix=M,
-        quadratic_growth=True,
     )
 
 
@@ -212,9 +221,7 @@ _PROBE_COUNT = 9
 _PROBE_TOL = 1e-6
 
 
-def make_gradient_force(
-    dim: int, U: Callable, gradU: Callable, hessU: Callable, quadratic_growth: bool = False
-) -> ForceField:
+def make_gradient_force(dim: int, U: Callable, gradU: Callable, hessU: Callable) -> ForceField:
     """Force field F = grad(U) for a user-supplied potential.
 
     The three callables are cross-checked at quasi-random probe points:
@@ -249,7 +256,6 @@ def make_gradient_force(
         kind="gradient",
         eval_U=U,
         eval_ell=eval_ell,
-        quadratic_growth=quadratic_growth,
     )
 
 
@@ -273,8 +279,10 @@ def check_assumption_main(spec: ModelSpec, radius: float, n_samples: int) -> Ass
     at quasi-random points (origin included) and reports the worst case.  The
     inequality is declared to hold on the samples when the worst margin is
     above -DEFAULT_TOL relative to the local scale of <F(q), q>.  When the
-    potential is flagged as at most quadratic, the variant with U dropped from
-    the right hand side is checked as well.
+    potential grows at most quadratically (`ForceField.quadratic_growth`),
+    the variant with U dropped from the right hand side is checked as well.
+    For a polynomial gradient force, `certify_coercivity` decides the same
+    inequality exactly on all of R^dim.
     """
     force = spec.force
     if not force.has_decomposition():
@@ -304,6 +312,52 @@ def check_assumption_main(spec: ModelSpec, radius: float, n_samples: int) -> Ass
         report.quadratic_variant_worst_margin = float(np.min(margin2))
         report.quadratic_variant_holds = bool(np.min(margin2) >= -DEFAULT_TOL * scale)
     return report
+
+
+@dataclass
+class CoercivityCertificate:
+    """Exact verdict of `certify_coercivity`; a refuted one carries a point with a negative margin."""
+
+    certified: bool
+    min_s: float
+    witness: Optional[np.ndarray] = None
+    margin: Optional[float] = None
+
+
+def certify_coercivity(spec: ModelSpec) -> CoercivityCertificate:
+    """Decide the coercivity inequality on all of R^dim for a separable polynomial gradient force.
+
+    With U(q) = sum_i p_i(q_i) and ell = 0 the margin
+    <F(q), q> - alpha (|q|^2 + U(q)) is sum_i q_i^2 s_i(q_i), where s_i is
+    the polynomial q p_i'(q) - alpha (q^2 + p_i(q)) divided by q^2.  It is
+    nonnegative everywhere iff every s_i is: bounded below (even degree,
+    positive leading coefficient) with its minimum over 0 and the real roots
+    of s_i' at least -DEFAULT_TOL times the scale 1 + sum_k k |c_k| of
+    q p_i'(q).  Otherwise the witness is a point on coordinate i with a
+    negative margin: a minimizer of q^2 s_i(q) among the real roots of its
+    derivative and the two points one unit beyond every root of s_i.
+    """
+    force = spec.force
+    if force.coeffs is None:
+        raise DecompositionMissingError("the exact coercivity check needs a polynomial coefficient table")
+    min_s = math.inf
+    for i, c in enumerate(force.coeffs):
+        k = np.arange(len(c))
+        m = (k - spec.alpha) * c
+        m[2] -= spec.alpha
+        s = Polynomial(m[2:]).trim()
+        bounded = s.degree() == 0 or (s.degree() % 2 == 0 and s.coef[-1] > 0)
+        s_min = float(np.min(s(np.concatenate([[0.0], s.deriv().roots().real])))) if bounded else -math.inf
+        min_s = min(min_s, s_min)
+        if s_min < -DEFAULT_TOL * (1.0 + float(np.sum(np.abs(k * c)))):
+            margin = Polynomial(m)
+            reach = 1.0 + float(np.max(np.abs(s.roots()), initial=0.0))
+            candidates = np.concatenate([margin.deriv().roots().real, [reach, -reach]])
+            q = candidates[int(np.argmin(margin(candidates)))]
+            witness = np.zeros(force.dim)
+            witness[i] = q
+            return CoercivityCertificate(False, min_s, witness, float(margin(q)))
+    return CoercivityCertificate(True, min_s)
 
 
 @dataclass
@@ -373,25 +427,19 @@ def _polynomial_gradient_force(coeffs) -> ForceField:
         q = np.asarray(q, dtype=float)
         return np.polyval(ph, q)[..., None]
 
-    ff = make_gradient_force(1, U, gradU, hessU, quadratic_growth=bool(c.size <= 3))
+    ff = make_gradient_force(1, U, gradU, hessU)
+    ff.coeffs = c[None, :]
     return ff
-
-
-_BUILTIN_FORCES = {
-    # U(q) = q^4/4 + q^2/2, the standard anharmonic 1-d test potential.
-    "quartic_well": lambda: _polynomial_gradient_force([0.0, 0.0, 0.5, 0.0, 0.25]),
-    # U(q) = q^2/2.
-    "harmonic": lambda: make_linear_force([[1.0]]),
-}
 
 
 def force_from_config(cfg: dict) -> ForceField:
     """Build a force field from a config block.
 
-    Supported blocks: {"type": "linear", "matrix": [[...]]},
-    {"type": "polynomial_gradient", "coeffs": [c0, c1, ...]} with
-    U(q) = sum c_k q^k in one dimension, and {"type": "builtin", "name": ...}.
-    Unknown keys are errors.
+    Supported blocks: {"type": "linear", "matrix": [[...]]} with F(q) = M q,
+    and {"type": "polynomial_gradient", "coeffs": [0, 0, c2, c3, ...]} with
+    U(q) = sum c_k q^k in one dimension.  Each has an exact stability
+    verdict: `classify_linear` for the first, `certify_coercivity` for the
+    second.  Unknown types and keys are errors.
     """
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ParameterError("force config must be a dict with a 'type' key")
@@ -402,12 +450,6 @@ def force_from_config(cfg: dict) -> ForceField:
     if kind == "polynomial_gradient":
         _require_keys(cfg, {"type", "coeffs"})
         return _polynomial_gradient_force(cfg["coeffs"])
-    if kind == "builtin":
-        _require_keys(cfg, {"type", "name"})
-        name = cfg["name"]
-        if name not in _BUILTIN_FORCES:
-            raise ParameterError(f"unknown builtin force {name!r}; have {sorted(_BUILTIN_FORCES)}")
-        return _BUILTIN_FORCES[name]()
     raise ParameterError(f"unknown force type {kind!r}")
 
 

@@ -1,6 +1,11 @@
-"""The command line: bad input ends in one stderr line and exit code 2, apart from a failed verdict's 1."""
+"""The command line: bad input ends in one stderr line and exit code 2, a failed verdict in 1,
+an indeterminate linear verdict in 3, and a closed stdout quietly in 141."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +59,34 @@ def test_runtime_errors_keep_their_traceback(quartic_config, monkeypatch):
     monkeypatch.setattr(cli, "spectral_data", disagree)
     with pytest.raises(InternalCheckError):
         cli.main(["mixing-time", "--config", quartic_config, "--x", "1.5,0", "--epsilon", "0.01"])
+
+
+def test_indeterminate_linear_verdict_exits_3(tmp_path, capsys):
+    # M = 0 puts the spectrum on the boundary of the stability region
+    path = tmp_path / "m.txt"
+    path.write_text("0.0\n")
+    assert cli.main(["analyze-linear", "--matrix", str(path), "--gamma", "1.0"]) == 3
+    out = capsys.readouterr()
+    assert json.loads(out.out)["indeterminate"] is True and out.err == ""
+
+
+def test_missing_matrix_file_exits_2(tmp_path, capsys):
+    assert cli.main(["analyze-linear", "--matrix", str(tmp_path / "nope.txt"), "--gamma", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("langmix analyze-linear: error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("1.0\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "langmix.cli", "analyze-linear", "--matrix", str(path), "--gamma", "3.0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the command writes its first byte
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141
+    assert err == b""

@@ -347,6 +347,29 @@ class TestGilPelaez:
         assert res.kind == "estimate" and res.abserr > 1e-20
 
 
+class TestSaturatedPairs:
+    """Pairs whose Bhattacharyya coefficient BC is within TV_TOL: 1 - BC <= d_TV <= 1."""
+
+    def test_far_apart_pairs_are_one_and_never_mislabelled(self):
+        # |nu| >= 60 puts d_TV within 1e-300 of 1; Gil-Pelaez labelled some of these
+        # "exact" while off by more than TV_TOL, and others "estimate"
+        rng = np.random.default_rng(0)
+        for _ in range(120):
+            d = int(rng.choice([3, 4, 6]))
+            nu = rng.standard_normal(d)
+            nu *= rng.uniform(60.0, 300.0) / np.linalg.norm(nu)
+            lam = 1.0 + rng.uniform(-0.05, 0.05, d)
+            res = tv_gaussian(Gaussian(nu, np.diag(lam)), Gaussian(np.zeros(d), np.eye(d)))
+            assert res.kind == "exact" and abs(res.value - 1.0) <= TV_TOL
+
+    def test_value_one_carries_the_coefficient_as_its_error(self):
+        lam, nu = np.array([0.9, 1.1]), np.array([13.0, 0.0])
+        bc = np.prod(np.sqrt(2.0 * np.sqrt(lam) / (1.0 + lam))) * np.exp(-np.sum(nu**2 / (4.0 * (1.0 + lam))))
+        assert bc <= TV_TOL
+        res = tv_gaussian(Gaussian(nu, np.diag(lam)), Gaussian(np.zeros(2), np.eye(2)))
+        assert (res.value, res.kind) == (1.0, "exact") and res.abserr == pytest.approx(bc, rel=1e-12)
+
+
 class TestGaussianType:
     def test_takes_only_a_mean_and_a_covariance(self):
         assert list(inspect.signature(Gaussian).parameters) == ["mean", "cov"]

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,24 @@ class TestCutoffPipeline:
         assert data["summary"]["error"]["type"] == "StabilityError"
         assert "stability" in data["summary"]["error"]["message"]
 
+    def test_refuses_a_potential_unbounded_below(self, tmp_path):
+        # U = q^2/2 + 0.001 q^4 - 1e-6 q^6 has U(40) < 0 and no stationary law; a
+        # margin sampled in a ball of radius 3 stays >= 0, the exact certificate does not
+        raw = minimal_config(tmp_path, x0=[[1.5, 0.0]])
+        raw["model"] = harness.corpus_model_config("quartic")
+        raw["model"]["force"]["coeffs"] = [0.0, 0.0, 0.5, 0.0, 0.001, 0.0, -1e-6]
+        cfg = validate_config(raw)
+        with pytest.raises(StabilityError, match="coercivity") as info:
+            run_cutoff_experiment(cfg)
+        q = float(re.search(r"at q = \[([^\]]+)\]", str(info.value)).group(1))
+        alpha = raw["model"]["alpha"]
+        u = 0.5 * q**2 + 0.001 * q**4 - 1e-6 * q**6
+        du = q + 0.004 * q**3 - 6e-6 * q**5
+        assert q * du - alpha * (q * q + u) < 0
+        data = json.loads(open(os.path.join(cfg.out_dir, "run_manifest.json")).read())
+        assert data["status"] == "failed" and data["passed"] is False
+        assert data["summary"]["error"] == {"type": "StabilityError", "message": str(info.value)}
+
     @pytest.mark.parametrize("x0", [[1.0, 0.0, 0.0], []], ids=["three", "empty"])
     def test_refuses_a_start_of_the_wrong_length(self, tmp_path, x0):
         raw = minimal_config(tmp_path, x0=[x0])
@@ -298,7 +317,7 @@ class TestStationaryPipeline:
         raw = {
             "schema_version": 1,
             "model": {
-                "force": {"type": "builtin", "name": "quartic_well"},
+                "force": {"type": "polynomial_gradient", "coeffs": [0.0, 0.0, 0.5, 0.0, 0.25]},
                 "gamma": 1.5,
                 "alpha": 2 / 3,
                 "beta": 0.75,
@@ -329,6 +348,13 @@ class TestCorpus:
         for name in STABLE_CORPUS:
             spec = corpus_spec(name)
             assert spec.lam > 0
+
+    @pytest.mark.parametrize("name", harness.STABLE_CORPUS)
+    def test_corpus_passes_the_gate_with_an_exact_verdict(self, name):
+        assert harness._gate_stability(corpus_spec(name))["kind"] in ("linear", "certified")
+
+    def test_the_gate_samples_nothing(self):
+        assert not hasattr(harness, "check_assumption_main")
 
     def test_tamper_detection(self, harmonic_spec):
         # perturbing the solved covariance must break the residual invariant

@@ -13,11 +13,13 @@ from langmix.model import (
     central_difference_jacobian,
     check_assumption_DF,
     check_assumption_main,
+    certify_coercivity,
     force_from_config,
     make_gradient_force,
     make_linear_force,
     sample_ball,
 )
+from langmix.harness import corpus_model_config
 from langmix.linear_stability import make_spec
 
 
@@ -69,7 +71,7 @@ def test_gradient_force_harmonic():
 
 def test_gradient_force_quartic_against_symbolic_derivative():
     # U = q^4/4 + q^2/2 so F = q^3 + q and DF = 3 q^2 + 1
-    ff = force_from_config({"type": "builtin", "name": "quartic_well"})
+    ff = force_from_config(corpus_model_config("quartic")["force"])
     for q in (np.array([0.0]), np.array([0.8]), np.array([-1.7])):
         assert float(ff.eval_F(q)[0]) == pytest.approx(q[0] ** 3 + q[0])
         assert float(ff.eval_DF(q).reshape(())) == pytest.approx(3 * q[0] ** 2 + 1)
@@ -77,7 +79,7 @@ def test_gradient_force_quartic_against_symbolic_derivative():
 
 def test_polynomial_gradient_is_polyval_bit_for_bit():
     # the in-place Horner force repeats np.polyval's operations exactly
-    ff = force_from_config({"type": "builtin", "name": "quartic_well"})
+    ff = force_from_config(corpus_model_config("quartic")["force"])
     rng = np.random.default_rng(3)
     q = rng.standard_normal((2000, 1)) * 10.0 ** rng.uniform(-200, 120, (2000, 1))
     q = np.vstack([q, [[0.0], [-0.0], [np.inf], [-np.inf], [np.nan]]])
@@ -121,7 +123,7 @@ def test_gradient_force_noncritical_origin_rejected():
 def test_force_zero_at_origin():
     for cfg in (
         {"type": "linear", "matrix": [[1.0, -2.0], [2.0, 1.0]]},
-        {"type": "builtin", "name": "quartic_well"},
+        corpus_model_config("quartic")["force"],
     ):
         ff = force_from_config(cfg)
         assert np.allclose(ff.eval_F(np.zeros(ff.dim)), 0.0)
@@ -177,6 +179,67 @@ class TestAssumptionMain:
         spec = make_spec(ff, gamma=1.0, alpha=0.5, beta=0.5)
         with pytest.raises(DecompositionMissingError):
             check_assumption_main(spec, radius=1.0, n_samples=16)
+
+
+def _margin(spec, q):
+    """<F(q), q> - alpha (|q|^2 + U(q)) evaluated from the force's own evaluators, at one point."""
+    ff = spec.force
+    return float(np.dot(ff.eval_F(q), q) - spec.alpha * (np.dot(q, q) + ff.eval_U(q)))
+
+
+def _polynomial_spec(coeffs):
+    return make_spec(force_from_config({"type": "polynomial_gradient", "coeffs": coeffs}), 1.5, alpha=2 / 3, beta=0.75)
+
+
+class TestCertifyCoercivity:
+    def test_quartic_is_certified(self, quartic_spec):
+        # alpha = 2/3 cancels the q^2 terms, so the minimum of s sits at rounding level
+        cert = certify_coercivity(quartic_spec)
+        assert cert.certified and cert.witness is None
+        assert abs(cert.min_s) < 1e-15
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [0.0, 0.0, 0.5, 0.0, 0.001, 0.0, -1e-6],  # unbounded below: U(40) < 0
+            [0.0, 0.0, 0.5, 0.1],  # odd degree
+            [0.0, 0.0, -0.5, 0.0, 0.25],  # double well: bounded below, negative near 0
+            [0.0, 0.0, 0.3, 0.0, 0.25],  # bounded below, q^2 term below the coercivity constant
+        ],
+        ids=["sextic_unbounded", "cubic", "double_well", "weak_quadratic"],
+    )
+    def test_refutation_names_a_point_with_negative_margin(self, coeffs):
+        spec = _polynomial_spec(coeffs)
+        cert = certify_coercivity(spec)
+        assert not cert.certified
+        assert cert.margin < 0 and _margin(spec, cert.witness) == pytest.approx(cert.margin, rel=1e-9)
+
+    def test_sextic_is_refuted_beyond_its_largest_root(self):
+        # s(q) = (4 - alpha) 1e-3 q^2 - (6 - alpha) 1e-6 q^4 has its largest root at 25
+        cert = certify_coercivity(_polynomial_spec([0.0, 0.0, 0.5, 0.0, 0.001, 0.0, -1e-6]))
+        assert cert.min_s == -np.inf
+        assert abs(cert.witness[0]) == pytest.approx(26.0)
+        assert cert.margin == pytest.approx(-124.297472)
+
+    def test_agrees_with_the_sampled_check_where_samples_reach(self):
+        # the double well's negative margin lies inside the unit ball, where sampling finds it too
+        spec = _polynomial_spec([0.0, 0.0, -0.5, 0.0, 0.25])
+        assert not check_assumption_main(spec, radius=1.0, n_samples=256).holds_on_samples
+        assert not certify_coercivity(spec).certified
+
+    def test_needs_a_coefficient_table(self, harmonic_spec):
+        with pytest.raises(DecompositionMissingError):
+            certify_coercivity(harmonic_spec)
+
+    def test_quadratic_growth_follows_the_tables(self, harmonic_spec, quartic_spec):
+        assert harmonic_spec.force.quadratic_growth
+        assert not quartic_spec.force.quadratic_growth
+        assert _polynomial_spec([0.0, 0.0, 0.5, 0.0, 0.0]).force.quadratic_growth
+
+
+def test_builtin_force_type_is_gone():
+    with pytest.raises(ParameterError, match="unknown force type 'builtin'"):
+        force_from_config({"type": "builtin", "name": "quartic_well"})
 
 
 class TestAssumptionDF:
