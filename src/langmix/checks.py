@@ -9,6 +9,8 @@ every case, seed and tolerance of an invariant lives in its check.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 import tempfile
@@ -536,10 +538,12 @@ def verify_suite(out_dir: str) -> RunManifest:
     Check failures are report entries, not exceptions: a check that raises is
     reported as failed with the exception, and the suite runs on.  Returns a
     manifest whose summary lists each check with its pass flag, margin and
-    run time.  An exception outside the checks leaves the manifest with
-    status "failed" and the error.
+    run time, and whose config_hash is the SHA-256 of the ordered check
+    names.  An exception outside the checks leaves the manifest with status
+    "failed" and the error.
     """
-    return _run_pipeline("builtin", out_dir, _verify)
+    names = json.dumps(list(CHECKS), separators=(",", ":"))
+    return _run_pipeline(hashlib.sha256(names.encode()).hexdigest(), out_dir, _verify)
 
 
 def _verify(manifest: RunManifest):

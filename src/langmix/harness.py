@@ -384,7 +384,8 @@ def run_stationary_check(cfg: ExperimentConfig) -> RunManifest:
     Per epsilon: simulate to the horizon, compare the terminal cloud with
     samples of N(0, 2 eps Sigma) (moment-matched TV plus a classifier
     estimate), and record E|x|^2 / eps.  Emits one CSV table and a summary
-    with the decay verdict and the stability of the fitted variance constant.
+    with the decay verdict, the stability of the fitted variance constant
+    and the number of exploded paths excluded at each epsilon.
     A failed run leaves its manifest with status "failed" and the error.
     """
     return _run_pipeline(cfg.config_hash, cfg.out_dir, lambda m: _stationary_check(cfg, m))
@@ -396,6 +397,7 @@ def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
     rows = []
     tvs = []
     cs = []
+    excluded = []
     for i, eps in enumerate(cfg.epsilons):
         batch = integrate_sde(
             spec,
@@ -408,6 +410,7 @@ def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
             scheme="baoab",
             store_every=max(1, int(round(cfg.horizon / cfg.dt))),
         )
+        excluded.append(batch.excluded)
         cloud = batch.states[:, -1, :]
         ref = Gaussian(np.zeros(2 * spec.dim), 2.0 * eps * sigma).sample(
             len(cloud), np.random.default_rng(cfg.seed + 1000 + i)
@@ -434,6 +437,7 @@ def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
             "tv_values": tvs,
             "c_values": cs,
             "c_ratio": c_ratio,
+            "excluded": excluded,
         },
     )
 

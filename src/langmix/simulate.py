@@ -4,10 +4,11 @@ Every ensemble (the noisy process X, the Gaussian fluctuation Y, the coupled
 X/Y/Z run and the Pinsker bound) runs through one kernel, _run_ensemble.
 Paths fall into fixed blocks of BLOCK, each drawing its noise from a
 counter-based generator keyed by (seed, block index), so results are bitwise
-reproducible and independent of how blocks are scheduled.  One step loop
-advances all blocks together on arrays of all paths.  The Langevin step
-carries the force at its closing position into the next step, so BAOAB and
-Euler-Maruyama make one force call per step.  Noise enters the momentum
+reproducible and independent of how blocks are scheduled.  The blocks are
+split into one contiguous range per usable core, and each range runs its
+own step loop on arrays of its paths, in a thread of its own.  The Langevin
+step carries the force at its closing position into the next step, so BAOAB
+and Euler-Maruyama make one force call per step.  Noise enters the momentum
 equation only.
 """
 
@@ -68,63 +69,143 @@ class TrajectoryBatch:
     coupled: Optional[dict] = None
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on: the number of threads an ensemble splits into."""
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _block_ranges(n_paths: int, n_ranges: int) -> list:
+    """Row ranges (lo, hi) of whole noise blocks, at most n_ranges of them, about equal in rows.
+
+    Each range ends at the block boundary nearest to its share of the rows,
+    the last one at n_paths.  A range keeps at least two rows, so a 1-row
+    tail joins the range before it.
+    """
+    n_blocks = (n_paths + BLOCK - 1) // BLOCK
+    k = min(n_ranges, n_blocks)
+    cuts = dict.fromkeys([round(i * n_paths / (k * BLOCK)) for i in range(k)] + [n_blocks])
+    bounds = [c * BLOCK for c in cuts][:-1] + [n_paths]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] < 2:
+        del bounds[-2]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _in_threads(runs: list, failed: list) -> list:
+    """The results of runs[0] in this thread and of each other run in a thread of its own.
+
+    Each thread runs under a copy of this thread's context, so numpy's
+    errstate holds there too.  A run's exception goes to failed, which the
+    runs poll to stop early; once every thread has joined, the first one is
+    raised.
+    """
+    import contextvars
+    import threading
+
+    results = [None] * len(runs)
+
+    def call(i):
+        try:
+            results[i] = runs[i]()
+        except BaseException as exc:  # raised below, in the calling thread
+            failed.append(exc)
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(call, i)) for i in range(1, len(runs))
+    ]
+    for t in threads:
+        t.start()
+    call(0)
+    for t in threads:
+        t.join()
+    if failed:
+        raise failed[0]
+    return results
+
+
 def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, guard=False):
-    """The one Monte Carlo loop: n_paths paths, n_steps steps, all blocks at once.
+    """The one Monte Carlo loop: n_paths paths, n_steps steps, one range of blocks per core.
 
     start(m) gives the state of m paths as a tuple of arrays with m rows, and
     step(k, state, xi) advances it over step k, in place or not, with xi the
     (m, width) normals of step k.  At every step, noise block b (paths
     b*BLOCK to (b+1)*BLOCK) draws a full BLOCK rows from its own generator,
     keyed by (seed, b), so every path's noise is a pure function of (seed,
-    path, step), independent of how many paths run.  The state always has
-    at least two rows: on a single row numpy's matmul takes a matrix-vector
-    path that rounds differently.  At the i-th index of store_idx
-    (ascending, starting at 0) each state[j] with outs[j] not None is
-    written to outs[j][:, i].  With guard, state starts with (q, p), and the
-    paths a step leaves with |q|^2 + |p|^2 not below BLOWUP^2 (NaN and inf
-    fail the comparison too) are zeroed in every state array.  The squared
-    norms go into row buffers allocated once, so the guard makes no
-    temporaries on the paths' scale; einsum may round a sum of three or more
-    squares differently in the last bit, which only the comparison reads.
-    Returns the mask of the paths never zeroed, and logs how many were.
+    path, step), independent of how many paths run.  The blocks are split
+    into contiguous ranges (_block_ranges), one per usable core, and each
+    range runs every step on a state of its own rows, the first range in
+    this thread and each other one in a thread of its own; one range starts
+    no thread.  The steps are row-wise, so every path is the same bit for bit
+    however many ranges run; start, step and the outs must then be safe to
+    use from several threads on disjoint rows.  Each range's state, noise
+    and guard buffers are allocated here, before any thread starts.  A
+    state always has at least two rows: on a single row numpy's matmul
+    takes a matrix-vector path that rounds differently.  At the i-th index
+    of store_idx (ascending, starting at 0) each state[j] with outs[j] not
+    None is written to outs[j][rows of the range, i].  With guard, state starts
+    with (q, p), and the paths a step leaves with |q|^2 + |p|^2 not below
+    BLOWUP^2 (NaN and inf fail the comparison too) are zeroed in every
+    state array.  The squared norms go into row buffers allocated once, so
+    the guard makes no temporaries on the paths' scale; einsum may round a
+    sum of three or more squares differently in the last bit, which only
+    the comparison reads.  Returns the mask of the paths never zeroed, and
+    logs how many were; an exception in any range is raised once every
+    range has stopped.
     """
-    n_blocks = (n_paths + BLOCK - 1) // BLOCK
-    rngs = [_block_rng(seed, b) for b in range(n_blocks)]
-    noise = np.empty((n_blocks * BLOCK, width))
-    blocks = [noise[b * BLOCK : (b + 1) * BLOCK] for b in range(n_blocks)]
-    rows = max(n_paths, 2)
-    xi = noise[:rows]
-    alive = np.ones(rows, dtype=bool)
+    failed = []
 
-    def store(i, state):
-        for out, a in zip(outs, state):
-            if out is not None:
-                out[:, i] = a[:n_paths]
+    def range_run(lo, hi):
+        b0, b1 = lo // BLOCK, (hi + BLOCK - 1) // BLOCK
+        rngs = [_block_rng(seed, b) for b in range(b0, b1)]
+        noise = np.empty(((b1 - b0) * BLOCK, width))
+        blocks = [noise[i * BLOCK : (i + 1) * BLOCK] for i in range(b1 - b0)]
+        rows = max(hi - lo, 2)
+        xi = noise[:rows]
+        alive = np.ones(rows, dtype=bool)
+        state = start(rows)
+        norm2, p2 = np.empty(rows), np.empty(rows)
+        ok = np.empty(rows, dtype=bool)
 
-    state = start(rows)
-    store(0, state)
-    norm2, p2 = np.empty(rows), np.empty(rows)
-    ok = np.empty(rows, dtype=bool)
-    si = 1
-    for k in range(1, n_steps + 1):
-        for rng, block in zip(rngs, blocks):
-            rng.standard_normal(out=block)
-        state = step(k, state, xi)
-        if guard:
-            q, p = state[0], state[1]
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.einsum("ij,ij->i", q, q, out=norm2)
-                norm2 += np.einsum("ij,ij->i", p, p, out=p2)
-                np.less(norm2, BLOWUP**2, out=ok)
-            if not ok.all():
-                bad = ~ok
-                alive &= ok
-                for a in state:
-                    a[bad] = 0.0
-        if si < len(store_idx) and k == store_idx[si]:
-            store(si, state)
-            si += 1
-    alive = alive[:n_paths]
+        def store(i, s):
+            for out, a in zip(outs, s):
+                if out is not None:
+                    out[lo:hi, i] = a[: hi - lo]
+
+        def run():
+            nonlocal state
+            s, state = state, None  # no reference to arrays the step replaces
+            store(0, s)
+            si = 1
+            for k in range(1, n_steps + 1):
+                if failed:
+                    break
+                for rng, block in zip(rngs, blocks):
+                    rng.standard_normal(out=block)
+                s = step(k, s, xi)
+                if guard:
+                    q, p = s[0], s[1]
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        np.einsum("ij,ij->i", q, q, out=norm2)
+                        np.add(norm2, np.einsum("ij,ij->i", p, p, out=p2), out=norm2)
+                        np.less(norm2, BLOWUP**2, out=ok)
+                    if not ok.all():
+                        bad = ~ok
+                        alive[bad] = False
+                        for a in s:
+                            a[bad] = 0.0
+                if si < len(store_idx) and k == store_idx[si]:
+                    store(si, s)
+                    si += 1
+            return alive[: hi - lo]
+
+        return run
+
+    runs = [range_run(lo, hi) for lo, hi in _block_ranges(n_paths, _usable_cores())]
+    alive = runs[0]() if len(runs) == 1 else np.concatenate(_in_threads(runs, failed))
     if not alive.all():
         log.warning("excluded %d exploded paths out of %d", int(np.sum(~alive)), n_paths)
     return alive
@@ -141,28 +222,31 @@ def _checked_start(
 
 
 def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, scheme: str):
-    """Start and step of the noisy dynamics on the state (q, p, F(q)), from x0.
+    """Start and step of the noisy dynamics on the state (q, p, F(q), *scratch), from x0.
 
     The step is driven by d standard normals per path and updates q and p in
-    place, through scratch arrays that start(m) allocates once per ensemble:
-    temporaries on the paths' scale, freed and faulted back in at every
-    step, cost more than the arithmetic.  Each update is the same operation
-    as its out-of-place form, so the values are too, bit for bit.  The step
-    carries the force at its closing q, which is the next step's opening
-    force, so each step makes one force call.
+    place, through scratch arrays that start(m) allocates once per ensemble
+    range and that ride at the end of the state: temporaries on the paths'
+    scale, freed and faulted back in at every step, cost more than the
+    arithmetic.  BAOAB carries one scratch array and Euler-Maruyama two, and
+    as a step touches no array outside its state, ranges can step at once in
+    separate threads.  Each update is the same operation as its out-of-place
+    form, so the values are too, bit for bit.  The step carries the force at
+    its closing q, which is the next step's opening force, so each step
+    makes one force call.
     """
     F = spec.force.eval_F
     d = spec.dim
     g = spec.gamma
-    scratch = []
+    n_scratch = 1 if scheme == "baoab" else 2
 
     def force(q):
         return np.asarray(F(q), dtype=float)
 
     def start(m):
-        scratch[:] = [np.empty((m, d)), np.empty((m, d))]
         q = np.tile(x0[:d], (m, 1))
-        return q, np.tile(x0[d:], (m, 1)), force(q)
+        scratch = tuple(np.empty((m, d)) for _ in range(n_scratch))
+        return (q, np.tile(x0[d:], (m, 1)), force(q)) + scratch
 
     if scheme == "baoab":
         h = 0.5 * dt
@@ -170,8 +254,7 @@ def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, s
         sig_ou = math.sqrt(max(epsilon / g * (1.0 - c_ou**2), 0.0))
 
         def step(k, s, xi):
-            q, p, f = s
-            t = scratch[0]
+            q, p, f, t = s
             p -= np.multiply(h, f, out=t)
             q += np.multiply(h, p, out=t)
             p *= c_ou
@@ -179,7 +262,7 @@ def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, s
             q += np.multiply(h, p, out=t)
             f = force(q)
             p -= np.multiply(h, f, out=t)
-            return q, p, f
+            return q, p, f, t
 
         return start, step
 
@@ -187,15 +270,14 @@ def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, s
 
     def step(k, s, xi):
         # dp = dt * (-f - g * p) + sqrt2eps_dt * xi, one operation at a time
-        q, p, f = s
-        dp, t = scratch
+        q, p, f, dp, t = s
         np.negative(f, out=dp)
         dp -= np.multiply(g, p, out=t)
         dp *= dt
         dp += np.multiply(sqrt2eps_dt, xi, out=t)
         q += np.multiply(dt, p, out=t)
         p += dp
-        return q, p, force(q)
+        return q, p, force(q), dp, t
 
     return start, step
 
@@ -277,20 +359,21 @@ def integrate_sde(
 
     start, step = _langevin_step(spec, x0, epsilon, dt, scheme)
     states = np.empty((n_paths, len(store_idx), 2 * d))
-    # the carried force (state[2]) is not stored
-    outs = (states[:, :, :d], states[:, :, d:], None)
+    outs = (states[:, :, :d], states[:, :, d:])
     if couple_fluctuation:
         ode_path = flow_zero_noise(spec, x0, t_end, dt).states
         x_start, x_step = start, step
         y_step, _ = _fluctuation_step(spec, ode_path, dt, "em")
         y_states = np.empty_like(states)
-        outs += (y_states,)
+        # Y follows the Euler-Maruyama state (q, p, F(q), dp, t), whose last
+        # three arrays are not stored
+        outs += (None, None, None, y_states)
 
         def start(m):
             return x_start(m) + (np.zeros((m, 2 * d)),)
 
         def step(k, s, xi):
-            return x_step(k, s[:3], xi) + y_step(k, s[3:], xi)
+            return x_step(k, s[:-1], xi) + y_step(k, s[-1:], xi)
 
     alive = _run_ensemble(n_paths, seed, n_steps, d, start, step, store_idx, outs, guard=True)
 
@@ -408,7 +491,9 @@ def _knn_tv(s1: np.ndarray, s2: np.ndarray, seed: int) -> TVEstimate:
     accs = []
     ns = []
     for cls, test in ((0, s1[i1[half1:]]), (1, s2[i2[half2:]])):
-        _, idx = tree.query(test, k=_KNN_K)
+        # a second query worker pays off on large clouds only; on a few
+        # hundred points its start-up costs more than the query
+        _, idx = tree.query(test, k=_KNN_K, workers=_usable_cores() if len(test) >= BLOCK else 1)
         pred = (labels[idx].mean(axis=1) > 0.5).astype(int)
         accs.append(float(np.mean(pred == cls)))
         ns.append(len(test))
@@ -501,9 +586,9 @@ def pinsker_kl_bound(
         rem = f - lin
         return np.sum(rem * rem, axis=1)
 
-    # state: (q, p, F(q), trapezoid sum, integrand at the last step), led by
-    # (q, p) for the blow-up guard; the integrand reads the force the
-    # Euler-Maruyama step carries
+    # state: the Euler-Maruyama state (q, p, F(q), dp, t), led by (q, p) for
+    # the blow-up guard, then the trapezoid sum and the integrand at the last
+    # step; the integrand reads the force the step carries
     x_start, x_step = _langevin_step(spec, x0, epsilon, dt, "euler_maruyama")
 
     def start(m):
@@ -511,13 +596,13 @@ def pinsker_kl_bound(
         return s + (np.zeros(m), integrand(0, s[0], s[2]))
 
     def step(k, s, xi):
-        q, p, f = x_step(k, s[:3], xi)
-        cur = integrand(k, q, f)
-        return q, p, f, s[3] + 0.5 * dt * (s[4] + cur), cur
+        x = x_step(k, s[:-2], xi)
+        cur = integrand(k, x[0], x[2])
+        return x + (s[-2] + 0.5 * dt * (s[-1] + cur), cur)
 
     store_idx = np.unique([0, n_steps])
     acc = np.empty((n_paths, len(store_idx)))
-    outs = (None, None, None, acc)
+    outs = (None,) * 5 + (acc,)
     alive = _run_ensemble(n_paths, seed, n_steps, d, start, step, store_idx, outs, guard=True)
     if not alive.all():  # the ensemble is unbounded, and so is the bound
         return math.inf

@@ -1,6 +1,7 @@
 """Every invariant of the registry as one test, and how `verify_suite` reports them."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -87,3 +88,16 @@ def test_pearson_pvalue_refuses_tables_without_two_rows_and_three_bins(table):
     # at k = 2 scipy's test applies Yates' correction; the check refuses it instead
     with pytest.raises(ParameterError):
         pearson_2xk_pvalue(table)
+
+
+def test_verify_manifest_hashes_the_ordered_check_names(tmp_path, monkeypatch):
+    fake = {name: (lambda: CheckResult(True, 1.0, "")) for name in ("fake.b", "fake.a")}
+    monkeypatch.setattr(checks, "CHECKS", fake)
+    hashes = []
+    for order in (fake, dict(reversed(fake.items()))):
+        monkeypatch.setattr(checks, "CHECKS", order)
+        out_dir = tmp_path / str(len(hashes))
+        verify_suite(out_dir=str(out_dir))
+        hashes.append(json.loads((out_dir / "run_manifest.json").read_text())["config_hash"])
+    assert hashes[0] == hashlib.sha256(b'["fake.b","fake.a"]').hexdigest()
+    assert hashes[1] == hashlib.sha256(b'["fake.a","fake.b"]').hexdigest()

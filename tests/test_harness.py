@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import re
@@ -334,6 +335,23 @@ class TestStationaryPipeline:
         assert manifest.passed
         assert manifest.summary["tv_decreasing"]
         assert manifest.summary["c_ratio"] < 2.0
+        assert manifest.summary["excluded"] == [0, 0]
+
+    def test_stationary_summary_counts_the_excluded_paths(self, tmp_path, monkeypatch):
+        # the count per epsilon is the one the ensemble reports, and the CSV does not carry it
+        def sde_excluding(*args, seed, **kwargs):
+            batch = integrate_sde(*args, seed=seed, **kwargs)
+            return dataclasses.replace(batch, excluded=seed)
+
+        monkeypatch.setattr(harness, "integrate_sde", sde_excluding)
+        raw = minimal_config(tmp_path, epsilons=[1e-1, 1e-2], horizon=0.5, n_paths=64)
+        raw["model"] = harness.corpus_model_config("quartic")
+        manifest = run_stationary_check(validate_config(raw))
+        assert manifest.summary["excluded"] == [3, 4]
+        data = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert data["summary"]["excluded"] == [3, 4]
+        with open(tmp_path / "out" / "stationary_check.csv") as fh:
+            assert "excluded" not in fh.readline()
 
 
 class TestCorpus:

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -181,16 +183,21 @@ def _outputs(result):
     return [result.states, result.excluded] + [coupled[key] for key in sorted(coupled)]
 
 
-def _counting_force(spec):
-    """spec with eval_F wrapped to record the shape of every argument."""
-    shapes = []
+def _recording_force(spec, record):
+    """spec with eval_F wrapped to call record(q) first."""
     F = spec.force.eval_F
 
     def eval_F(q):
-        shapes.append(np.shape(q))
+        record(q)
         return F(q)
 
-    return dataclasses.replace(spec, force=dataclasses.replace(spec.force, eval_F=eval_F)), shapes
+    return dataclasses.replace(spec, force=dataclasses.replace(spec.force, eval_F=eval_F))
+
+
+def _counting_force(spec):
+    """spec with eval_F wrapped to record the shape of every argument."""
+    shapes = []
+    return _recording_force(spec, lambda q: shapes.append(np.shape(q))), shapes
 
 
 def _quartic_F(q):
@@ -612,3 +619,86 @@ def test_in_place_kernel_keeps_the_recorded_paths(name):
     batch = run()
     assert batch.excluded == excluded
     assert _sha256(batch.states) == digest
+
+
+@pytest.mark.parametrize(
+    "n, cores, ranges",
+    [
+        (BLOCK + 1, 2, [(0, BLOCK + 1)]),
+        (2 * BLOCK + 1, 2, [(0, BLOCK), (BLOCK, 2 * BLOCK + 1)]),
+        (2 * BLOCK + 1, 3, [(0, BLOCK), (BLOCK, 2 * BLOCK + 1)]),
+        (3 * BLOCK + 5, 2, [(0, 2 * BLOCK), (2 * BLOCK, 3 * BLOCK + 5)]),
+        (3 * BLOCK + 5, 3, [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, 3 * BLOCK + 5)]),
+        (300, 2, [(0, 300)]),
+        (1, 1, [(0, 1)]),
+    ],
+)
+def test_block_ranges_are_contiguous_whole_blocks_of_two_rows_or_more(n, cores, ranges):
+    assert simulate._block_ranges(n, cores) == ranges
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_RUNS))
+def test_splitting_the_blocks_over_threads_keeps_every_path(monkeypatch, kind):
+    # every core count gives the same paths, exclusions and coupled arrays,
+    # bit for bit, with a 1-row tail block and with a 5-row one
+    # (three threads on fewer cores, switching often: a lost or crossed
+    # update between ranges would show as a differing array)
+    run = _KERNEL_RUNS[kind]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for model in ("quartic", "lin2d_rot"):
+            spec = corpus_spec(model)
+            x0 = np.full(2 * spec.dim, 0.4)
+            for n in (2 * BLOCK + 1, 3 * BLOCK + 5):
+                results = []
+                for cores in (1, 2, 3):
+                    monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+                    results.append(_outputs(run(spec, x0, n)))
+                for other in results[1:]:
+                    assert len(other) == len(results[0])
+                    for a, b in zip(results[0], other):
+                        assert np.array_equal(a, b), (model, n)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_each_range_steps_in_a_thread_of_its_own_under_the_callers_errstate(harmonic_spec, monkeypatch):
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 3)
+    calls = []
+    spec = _recording_force(harmonic_spec, lambda q: calls.append((threading.get_ident(), np.geterr()["under"])))
+    before = threading.active_count()
+    with np.errstate(under="raise"):
+        integrate_sde(spec, np.array([0.5, 0.0]), 0.05, 0.01, 3 * BLOCK + 5, seed=1, epsilon=0.05)
+    assert threading.active_count() == before
+    # three ranges, each stepped in its own thread, the first in the calling one
+    threads = {tid for tid, _ in calls}
+    assert len(threads) == 3 and threading.get_ident() in threads
+    assert {under for _, under in calls} == {"raise"}
+
+
+@pytest.mark.parametrize("n, cores", [(300, 1), (2 * BLOCK + 1, 2)])
+def test_overflow_raises_under_the_callers_errstate(harmonic_spec, monkeypatch, n, cores):
+    # F(q) = (1e200 q)^2 overflows at the first step, in every range
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+    spec = dataclasses.replace(harmonic_spec, force=dataclasses.replace(harmonic_spec.force,
+                                                                         eval_F=lambda q: np.square(1e200 * q)))
+    before = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        integrate_sde(spec, np.zeros(2), 1.0, 0.1, n, seed=1, epsilon=1.0)
+    assert threading.active_count() == before
+
+
+def test_an_error_in_another_threads_range_reaches_the_caller(harmonic_spec, monkeypatch):
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+    main = threading.get_ident()
+
+    def fail_off_the_calling_thread(q):
+        if threading.get_ident() != main:
+            raise ValueError(f"force failed on {len(q)} rows")
+
+    spec = _recording_force(harmonic_spec, fail_off_the_calling_thread)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=f"force failed on {BLOCK + 1} rows"):
+        integrate_sde(spec, np.array([0.5, 0.0]), 1.0, 0.01, 2 * BLOCK + 1, seed=1, epsilon=0.05)
+    assert threading.active_count() == before
