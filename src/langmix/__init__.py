@@ -14,6 +14,7 @@ from .model import (
     force_from_config,
     make_gradient_force,
     make_linear_force,
+    select_lambda,
 )
 from .linear_stability import (
     StabilityVerdict,
@@ -21,10 +22,8 @@ from .linear_stability import (
     flow_zero_noise,
     k_matrix,
     lyapunov_H,
-    make_spec,
     quadratic_gronwall_bound,
     relaxation_time_T,
-    select_lambda,
     t_matrix,
     verify_exponential_stability,
 )

@@ -34,10 +34,12 @@ from .harness import (
     exact_gaussian_tv_curve_point, run_cutoff_experiment, validate_config, write_csv,
 )
 from .linear_stability import (
-    classify_linear, lyapunov_H, make_spec, skew_part, symmetric_part, verify_exponential_stability,
+    classify_linear, lyapunov_H, skew_part, symmetric_part, verify_exponential_stability,
 )
 from .matrix_eq import drift_metric, lyapunov_quadrature, sigma_matrix, solve_lyapunov_stable
-from .model import central_difference_jacobian, check_assumption_main, drift_matrix, force_from_config, noise_matrix
+from .model import (
+    ModelSpec, central_difference_jacobian, check_assumption_main, drift_matrix, force_from_config, noise_matrix,
+)
 from .simulate import empirical_tv, integrate_sde
 
 
@@ -100,7 +102,7 @@ def _certificate_exists(force, gamma: float) -> bool:
     for bfrac in (0.5, 0.8, 0.95, 0.99):
         for alpha in (1e-3, 1e-2, 0.1, 0.3, 0.6):
             try:
-                s = make_spec(force, gamma, alpha=alpha, beta=bfrac * gamma)
+                s = ModelSpec(force, gamma, alpha=alpha, beta=bfrac * gamma)
             except ParameterError:
                 continue
             if check_assumption_main(s, radius=2.0, n_samples=128).holds_on_samples:

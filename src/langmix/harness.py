@@ -24,7 +24,7 @@ from .covflow import integrate_covariance
 from .cutoff import mixing_time, profile_D, profile_lambda, profile_lambda_alt, profile_limit_r, spectral_data
 from .errors import ParameterError, StabilityError
 from .gaussian_tv import Gaussian, tv_gaussian
-from .linear_stability import classify_linear, make_spec
+from .linear_stability import classify_linear
 from .matrix_eq import sigma_matrix
 from .model import ModelSpec, certify_coercivity, force_from_config
 from .simulate import check_seed, empirical_tv, integrate_sde
@@ -155,7 +155,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 def spec_from_model_config(model: dict) -> ModelSpec:
     force = force_from_config(model["force"])
-    return make_spec(
+    return ModelSpec(
         force,
         gamma=float(model["gamma"]),
         alpha=float(model["alpha"]),
@@ -385,7 +385,8 @@ def run_stationary_check(cfg: ExperimentConfig) -> RunManifest:
     samples of N(0, 2 eps Sigma) (moment-matched TV plus a classifier
     estimate), and record E|x|^2 / eps.  Emits one CSV table and a summary
     with the decay verdict, the stability of the fitted variance constant
-    and the number of exploded paths excluded at each epsilon.
+    and the number of exploded paths excluded at each epsilon.  Every
+    ensemble starts from the one point of x0; another count is an error.
     A failed run leaves its manifest with status "failed" and the error.
     """
     return _run_pipeline(cfg.config_hash, cfg.out_dir, lambda m: _stationary_check(cfg, m))
@@ -393,6 +394,8 @@ def run_stationary_check(cfg: ExperimentConfig) -> RunManifest:
 
 def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
     spec, _, sigma = _pipeline_start(cfg, "stationary check")
+    if len(cfg.x0) != 1:
+        raise ParameterError(f"the stationary check runs from exactly one x0 point; got {len(cfg.x0)}")
     x0 = np.asarray(cfg.x0[0], dtype=float)
     rows = []
     tvs = []

@@ -3,9 +3,10 @@
 The zero-noise dynamics dq = p dt, dp = -F(q) dt - gamma p dt is linearized by
 the block matrix T_M = [[0, -I], [M, gamma I]]; its spectrum sits in the open
 right half plane exactly when Sp(M) lies inside the parabola
-{a + ib : a > 0, gamma^2 a > b^2}.  The certificate side builds the modified
-energy H and its decay rate lam.  Every zero-noise path, on a grid or up to a
-ball entry, comes from the one adaptive solver `solve_path`.
+{a + ib : a > 0, gamma^2 a > b^2}.  The certificate side evaluates the
+modified energy H and checks its decay along the flow at the rate lam that
+`ModelSpec` derives from (alpha, beta, gamma).  Every zero-noise path, on a
+grid or up to a ball entry, comes from the one adaptive solver `solve_path`.
 """
 
 from __future__ import annotations
@@ -142,54 +143,6 @@ def classify_linear(M, gamma: float) -> StabilityVerdict:
         criterion_trace=trace,
         spectrum_TM=spec_TM,
         spectrum_M=spec_M,
-    )
-
-
-def select_lambda(alpha: float, beta: float, gamma: float) -> float:
-    """Largest admissible Lyapunov rate, shrunk by 0.99 to stay strictly feasible.
-
-    The three scalar conditions lam (gamma - lam)/2 <= alpha,
-    2 lam / (gamma - lam) <= alpha, beta^2 <= gamma (gamma - lam) each give a
-    closed-form upper boundary on lam in (0, gamma); the smallest wins.
-    """
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
-    if not (0.0 < beta < gamma):
-        raise ParameterError("beta must lie in (0, gamma)")
-    if alpha >= gamma**2 / 8.0:
-        b1 = gamma
-    else:
-        b1 = (gamma - math.sqrt(gamma**2 - 8.0 * alpha)) / 2.0
-    b2 = alpha * gamma / (2.0 + alpha)
-    b3 = gamma - beta**2 / gamma
-    lam = 0.99 * min(b1, b2, b3)
-    if lam <= 0:
-        raise ParameterError("no admissible lambda; parameters are inconsistent")
-    return lam
-
-
-def kappa0_constant(gamma: float, lam: float) -> float:
-    """Closed-form norm-equivalence constant from the quadratic sandwich on H."""
-    return max(6.0, 16.0 / (gamma - lam) ** 2, 1.5, 2.0 * gamma**2)
-
-
-def make_spec(
-    force: ForceField,
-    gamma: float,
-    alpha: float,
-    beta: float,
-) -> ModelSpec:
-    """Assemble a ModelSpec with lam, kappa0, kappa derived from (alpha, beta, gamma)."""
-    lam = select_lambda(alpha, beta, gamma)
-    k0 = kappa0_constant(gamma, lam)
-    return ModelSpec(
-        force=force,
-        gamma=gamma,
-        alpha=alpha,
-        beta=beta,
-        lam=lam,
-        kappa0=k0,
-        kappa=k0**2,
     )
 
 

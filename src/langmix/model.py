@@ -9,7 +9,7 @@ axes: F maps (..., d) -> (..., d), DF maps (..., d) -> (..., d, d).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -105,41 +105,61 @@ class ForceField:
         return self.eval_U is not None and self.eval_ell is not None
 
 
+def select_lambda(alpha: float, beta: float, gamma: float) -> float:
+    """Largest admissible Lyapunov rate, shrunk by 0.99 to stay strictly feasible.
+
+    The three scalar conditions lam (gamma - lam)/2 <= alpha,
+    2 lam / (gamma - lam) <= alpha, beta^2 <= gamma (gamma - lam) each give a
+    closed-form upper boundary on lam in (0, gamma); the smallest wins.
+    """
+    if alpha <= 0:
+        raise ParameterError("alpha must be positive")
+    if not (0.0 < beta < gamma):
+        raise ParameterError("beta must lie in (0, gamma)")
+    if alpha >= gamma**2 / 8.0:
+        b1 = gamma
+    else:
+        b1 = (gamma - math.sqrt(gamma**2 - 8.0 * alpha)) / 2.0
+    b2 = alpha * gamma / (2.0 + alpha)
+    b3 = gamma - beta**2 / gamma
+    lam = 0.99 * min(b1, b2, b3)
+    if lam <= 0:
+        raise ParameterError("no admissible lambda; parameters are inconsistent")
+    return lam
+
+
+def kappa0_constant(gamma: float, lam: float) -> float:
+    """Closed-form norm-equivalence constant from the quadratic sandwich on H."""
+    return max(6.0, 16.0 / (gamma - lam) ** 2, 2.0 * gamma**2)
+
+
 @dataclass(eq=False)
 class ModelSpec:
-    """A force field with friction and the derived certificate constants.
+    """A force field with friction gamma and the coercivity constants alpha, beta.
 
     None of them depends on the noise level, which the sampling functions take.
-
-    lam is the exponential decay rate of the Lyapunov function; kappa0 the
-    norm-equivalence constant; kappa = kappa0**2 the stability constant.
+    The certificate constants follow from them once, at construction: lam =
+    select_lambda(alpha, beta, gamma) is the exponential decay rate of the
+    Lyapunov function, kappa0 = kappa0_constant(gamma, lam) the
+    norm-equivalence constant and kappa = kappa0**2 the stability constant.
     """
 
     force: ForceField
     gamma: float
     alpha: float
     beta: float
-    lam: float
-    kappa0: float
-    kappa: float
+    lam: float = field(init=False)
+    kappa0: float = field(init=False)
 
     def __post_init__(self):
-        g, a, b, lam = self.gamma, self.alpha, self.beta, self.lam
-        if g <= 0:
+        if self.gamma <= 0:
             raise ParameterError("friction gamma must be positive")
-        if a <= 0:
-            raise ParameterError("coercivity alpha must be positive")
-        if not (0.0 < b < g):
-            raise ParameterError("beta must lie strictly inside (0, gamma)")
-        if lam <= 0 or lam >= g:
-            raise ParameterError("lam must lie in (0, gamma)")
-        ok = (
-            lam * (g - lam) / 2.0 <= a + 1e-12
-            and 2.0 * lam / (g - lam) <= a + 1e-12
-            and b**2 <= g * (g - lam) + 1e-12
-        )
-        if not ok:
-            raise ParameterError("lam violates one of its three admissibility conditions")
+        self.lam = select_lambda(self.alpha, self.beta, self.gamma)
+        self.kappa0 = kappa0_constant(self.gamma, self.lam)
+
+    @property
+    def kappa(self) -> float:
+        return self.kappa0**2
 
     @property
     def dim(self) -> int:
@@ -266,8 +286,6 @@ class AssumptionReport:
     holds_on_samples: bool
     worst_margin: float
     worst_point: np.ndarray
-    n_samples: int
-    tol: float
     quadratic_variant_holds: Optional[bool] = None
     quadratic_variant_worst_margin: Optional[float] = None
 
@@ -304,8 +322,6 @@ def check_assumption_main(spec: ModelSpec, radius: float, n_samples: int) -> Ass
         holds_on_samples=bool(worst >= -DEFAULT_TOL * scale),
         worst_margin=worst,
         worst_point=pts[i].copy(),
-        n_samples=n_samples,
-        tol=DEFAULT_TOL,
     )
     if force.quadratic_growth:
         margin2 = inner - spec.alpha * q2 - ell2 / spec.beta**2
@@ -366,7 +382,6 @@ class JacobianGrowthReport:
 
     C_hat: float
     rho_hat: float
-    n_samples: int
     max_ratio: float
 
 
@@ -392,7 +407,7 @@ def check_assumption_DF(spec: ModelSpec, radius: float, n_samples: int) -> Jacob
         rho_hat = float(max(slope, 0.0))
         c_hat = float(np.exp(np.max(y)) if rho_hat == 0.0 else np.exp(intercept))
     ratio = float(np.max(norms / (c_hat * np.exp(rho_hat * u))))
-    return JacobianGrowthReport(C_hat=c_hat, rho_hat=rho_hat, n_samples=n_samples, max_ratio=ratio)
+    return JacobianGrowthReport(C_hat=c_hat, rho_hat=rho_hat, max_ratio=ratio)
 
 
 def _polynomial_gradient_force(coeffs) -> ForceField:

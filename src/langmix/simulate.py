@@ -41,15 +41,18 @@ _N_BOOTSTRAP = 16
 
 
 def check_seed(seed: int) -> int:
-    """The seed, once it is a nonnegative integer: the key of every noise stream."""
-    if seed < 0:
-        raise ParameterError(f"seed must be a nonnegative integer; got {seed}")
+    """The seed, once it is a nonnegative integer: the key of every noise stream.
+
+    A Python or numpy integer passes; a bool, a float or a string does not.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer; got {seed!r}")
     return seed
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     # an explicit uint64 key: from a list, numpy converts keys of 2^63 and above through float64
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -337,6 +340,10 @@ def integrate_sde(
     of the zero-noise flow at their respective orders.  Paths that leave
     the ball of radius BLOWUP = 1e12 or turn non-finite are excluded and
     counted.
+    The states are stored at every store_every-th of the n_steps =
+    round(t_end / dt) steps, from step 0.  store_indices, when given,
+    overrides store_every: the states are stored at the distinct steps it
+    lists, each in [0, n_steps], in increasing order, and always at step 0.
     With couple_fluctuation (Euler-Maruyama only) the Gaussian fluctuation Y
     and the surrogate Z share the Brownian increments of the main ensemble;
     Y is then exactly integrate_fluctuation(..., method="em") for the same seed.
@@ -517,9 +524,10 @@ def empirical_tv(
     randomness.
     "classifier_knn" converts the held-out balanced accuracy of a k-nearest
     neighbour two-sample classifier: TV ~ 2 accuracy - 1, clamped to [0, 1].
+    A 1-d array holds n points on the line, as its (n, 1) reshape does.
     """
-    s1 = np.atleast_2d(np.asarray(samples1, dtype=float))
-    s2 = np.atleast_2d(np.asarray(samples2, dtype=float))
+    s1, s2 = (np.asarray(s, dtype=float) for s in (samples1, samples2))
+    s1, s2 = (s[:, None] if s.ndim == 1 else np.atleast_2d(s) for s in (s1, s2))
     if s1.shape[1] != s2.shape[1]:
         raise ParameterError("sample clouds must share a dimension")
     if len(s1) < 4 or len(s2) < 4:

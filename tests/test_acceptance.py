@@ -22,14 +22,13 @@ from langmix.harness import (
 from langmix.linear_stability import (
     classify_linear,
     lyapunov_H,
-    make_spec,
     skew_part,
     symmetric_part,
     t_matrix,
     verify_exponential_stability,
 )
 from langmix.matrix_eq import lyapunov_quadrature, solve_lyapunov_stable
-from langmix.model import make_linear_force
+from langmix.model import ModelSpec, make_linear_force
 
 
 def _report(num: int, name: str, passed: bool, detail: str, elapsed: float, budget: float):
@@ -47,7 +46,7 @@ def test_criterion_01_stationary_covariance_exact():
     worst = 0.0
     for k in (0.3, 0.7, 1.0, 1.9, 3.1):
         for gamma in (0.6, 2.4):
-            spec = make_spec(make_linear_force([[k]]), gamma, alpha=2 / 3, beta=gamma / 2)
+            spec = ModelSpec(make_linear_force([[k]]), gamma, alpha=2 / 3, beta=gamma / 2)
             sig = lm.sigma_matrix(spec)
             ref = np.diag([1.0 / (2 * gamma * k), 1.0 / (2 * gamma)])
             worst = max(worst, float(np.abs(sig - ref).max() / np.abs(ref).max()))

@@ -70,6 +70,19 @@ def test_indeterminate_linear_verdict_exits_3(tmp_path, capsys):
     assert json.loads(out.out)["indeterminate"] is True and out.err == ""
 
 
+def test_stationary_check_with_two_starts_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "seed": 0, "model": corpus_model_config("lin1d_complex"), "epsilons": [1e-1],
+        "x0": [[0.5, 0.0], [3.0, 1.0]], "horizon": 0.5, "n_paths": 64, "out_dir": str(tmp_path / "out"),
+    }))
+    assert cli.main(["stationary-check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("langmix stationary-check: error: ") and err.count("\n") == 1
+    assert "got 2" in err
+    assert json.loads((tmp_path / "out" / "run_manifest.json").read_text())["status"] == "failed"
+
+
 def test_missing_matrix_file_exits_2(tmp_path, capsys):
     assert cli.main(["analyze-linear", "--matrix", str(tmp_path / "nope.txt"), "--gamma", "1.0"]) == 2
     err = capsys.readouterr().err

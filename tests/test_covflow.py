@@ -9,9 +9,8 @@ from langmix.covflow import (
     stationary_gap,
 )
 from langmix.errors import DivergenceError, ParameterError
-from langmix.linear_stability import make_spec
 from langmix.matrix_eq import sigma_matrix
-from langmix.model import _polynomial_gradient_force
+from langmix.model import ModelSpec, _polynomial_gradient_force
 
 
 class TestDriftMatrix:
@@ -51,7 +50,7 @@ class TestIntegrateCovariance:
 
     def test_divergence_and_solver_failure_raise(self, quartic_spec, monkeypatch):
         # inverted quartic U = q^2/2 - q^4/4 blows up after t = 2.5 from (1.2, 0)
-        spec = make_spec(_polynomial_gradient_force([0, 0, 0.5, 0, -0.25]), 1.5, alpha=2 / 3, beta=0.75)
+        spec = ModelSpec(_polynomial_gradient_force([0, 0, 0.5, 0, -0.25]), 1.5, alpha=2 / 3, beta=0.75)
         with pytest.raises(DivergenceError, match="diverged") as blown:
             integrate_covariance(spec, np.array([1.2, 0.0]), 10.0, 0.01)
         assert 2.5 < blown.value.t < 3.0

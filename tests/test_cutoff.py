@@ -20,9 +20,9 @@ from langmix.cutoff import (
 from langmix.errors import DivergenceError, DomainError, ParameterError, StabilityError
 from langmix.gaussian_tv import tv_unit
 from langmix.harness import corpus_model_config
-from langmix.linear_stability import flow_zero_noise, make_spec
+from langmix.linear_stability import flow_zero_noise
 from langmix.matrix_eq import drift_metric_delta, sigma_matrix
-from langmix.model import _polynomial_gradient_force
+from langmix.model import ModelSpec, _polynomial_gradient_force
 
 
 GOLDEN_SLOW = (3 - math.sqrt(5)) / 2
@@ -141,7 +141,7 @@ class TestBallEntrySearch:
 
     def test_never_entered_ball_raises_at_the_horizon(self, monkeypatch):
         # double well U = q^4/4 - q^2/2: from (1.5, 0) the flow settles at (1, 0)
-        spec = make_spec(_polynomial_gradient_force([0, 0, -0.5, 0, 0.25]), 1.5, alpha=2 / 3, beta=0.75)
+        spec = ModelSpec(_polynomial_gradient_force([0, 0, -0.5, 0, 0.25]), 1.5, alpha=2 / 3, beta=0.75)
         # the ball radius and the search horizon read the radius in two modules
         for module in (cutoff, linear_stability):
             monkeypatch.setattr(module, "drift_metric_delta", lambda spec: 0.5)
@@ -151,7 +151,7 @@ class TestBallEntrySearch:
     def test_divergence_reports_the_time_since_the_start(self):
         # inverted quartic U = q^2/2 - q^4/4: past the barrier at q = 1 the
         # path blows up after t = 2.5
-        spec = make_spec(_polynomial_gradient_force([0, 0, 0.5, 0, -0.25]), 1.5, alpha=2 / 3, beta=0.75)
+        spec = ModelSpec(_polynomial_gradient_force([0, 0, 0.5, 0, -0.25]), 1.5, alpha=2 / 3, beta=0.75)
         x = np.array([1.2, 0.0])
         with pytest.raises(DivergenceError) as whole:
             flow_zero_noise(spec, x, 10.0, PATH_DT)

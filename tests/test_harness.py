@@ -314,6 +314,17 @@ class TestCutoffPipeline:
 
 
 class TestStationaryPipeline:
+    def test_refuses_more_than_one_start(self, tmp_path):
+        # the check runs every ensemble from one start; a second one is not silently dropped
+        raw = minimal_config(tmp_path, x0=[[0.5, 0.0], [3.0, 1.0]], horizon=0.5, n_paths=64)
+        cfg = validate_config(raw)
+        with pytest.raises(ParameterError, match="exactly one x0 point; got 2"):
+            run_stationary_check(cfg)
+        data = json.loads(open(os.path.join(cfg.out_dir, "run_manifest.json")).read())
+        assert data["status"] == "failed" and data["passed"] is False
+        assert data["summary"]["error"]["type"] == "ParameterError"
+        assert not os.path.exists(os.path.join(cfg.out_dir, "stationary_check.csv"))
+
     def test_quartic_tv_decays(self, tmp_path):
         raw = {
             "schema_version": 1,

@@ -11,17 +11,14 @@ from langmix.linear_stability import (
     classify_linear,
     flow_zero_noise,
     k_matrix,
-    kappa0_constant,
     lyapunov_H,
-    make_spec,
     quadratic_gronwall_bound,
     relaxation_time_T,
-    select_lambda,
     t_matrix,
     total_energy,
     verify_exponential_stability,
 )
-from langmix.model import ModelSpec, make_linear_force
+from langmix.model import ModelSpec, kappa0_constant, make_linear_force, select_lambda
 
 
 class TestTMatrix:
@@ -142,11 +139,9 @@ class TestSelectLambda:
 class TestLyapunovH:
     def _unit_gap_spec(self):
         # gamma - lam = 1 exactly: gamma=2, lam=1 is admissible for alpha=2, beta=1
-        ff = make_linear_force([[1.0]])
-        return ModelSpec(
-            force=ff, gamma=2.0, alpha=2.0, beta=1.0,
-            lam=1.0, kappa0=kappa0_constant(2.0, 1.0), kappa=kappa0_constant(2.0, 1.0) ** 2,
-        )
+        spec = ModelSpec(make_linear_force([[1.0]]), gamma=2.0, alpha=2.0, beta=1.0)
+        spec.lam, spec.kappa0 = 1.0, kappa0_constant(2.0, 1.0)
+        return spec
 
     def test_zero_at_origin(self, harmonic_spec):
         assert float(lyapunov_H(harmonic_spec, np.zeros(2))) == 0.0
@@ -236,7 +231,7 @@ class TestStabilityCertificate:
 
     def test_unstable_model_flagged(self):
         ff = make_linear_force([[1.0, -2.0], [2.0, 1.0]])
-        spec = make_spec(ff, gamma=1.0, alpha=0.3, beta=0.9)
+        spec = ModelSpec(ff, gamma=1.0, alpha=0.3, beta=0.9)
         rep = verify_exponential_stability(spec, np.array([1.0, 0.0, 0.0, 0.0]), 12.0)
         assert not rep.monotone or not rep.norm_bound_holds
 
@@ -281,12 +276,11 @@ class TestQuadraticGronwall:
 
 
 class TestRelaxationTime:
-    def _spec(self, kappa=4.0, lam=2.0):
-        ff = make_linear_force([[1.0]])
-        return ModelSpec(
-            force=ff, gamma=5.0, alpha=4.0, beta=1.0,
-            lam=lam, kappa0=2.0, kappa=kappa,
-        )
+    def _spec(self):
+        # round constants for a worked value: lam = 2 and kappa = kappa0**2 = 4
+        spec = ModelSpec(make_linear_force([[1.0]]), gamma=5.0, alpha=4.0, beta=1.0)
+        spec.lam, spec.kappa0 = 2.0, 2.0
+        return spec
 
     def test_inside_ball_gives_zero(self):
         spec = self._spec()

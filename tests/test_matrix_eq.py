@@ -5,7 +5,7 @@ from langmix.covflow import drift_matrix, noise_matrix
 from langmix.errors import ParameterError, StabilityError
 from langmix.errors import CertificationUnavailableWarning
 from langmix.harness import STABLE_CORPUS, corpus_spec
-from langmix.linear_stability import classify_linear, make_spec, t_matrix
+from langmix.linear_stability import classify_linear, t_matrix
 from langmix.matrix_eq import (
     _DELTA_CAP,
     _DELTA_DIRECTIONS,
@@ -18,7 +18,7 @@ from langmix.matrix_eq import (
     sigma_matrix,
     solve_lyapunov_stable,
 )
-from langmix.model import make_linear_force, sample_ball
+from langmix.model import ModelSpec, make_linear_force, sample_ball
 
 
 def random_stable_model(rng, d_max=4, eta_min=0.0):
@@ -173,7 +173,7 @@ class TestSigmaMatrix:
         # Sigma = (1/2 gamma) blockdiag(H^{-1}, I) for F = H q with H spd
         H = np.array([[2.0, 0.4], [0.4, 5.0]])
         gamma = 1.3
-        spec = make_spec(make_linear_force(H), gamma, alpha=0.5, beta=0.7)
+        spec = ModelSpec(make_linear_force(H), gamma, alpha=0.5, beta=0.7)
         sig = sigma_matrix(spec)
         expected = np.zeros((4, 4))
         expected[:2, :2] = np.linalg.inv(H) / (2 * gamma)
@@ -181,7 +181,7 @@ class TestSigmaMatrix:
         assert np.allclose(sig, expected, atol=1e-12)
 
     def test_nongradient_spd_with_quadrature(self):
-        spec = make_spec(make_linear_force([[1.0, -1.0], [1.0, 1.0]]), 3.0, alpha=0.45, beta=2.0)
+        spec = ModelSpec(make_linear_force([[1.0, -1.0], [1.0, 1.0]]), 3.0, alpha=0.45, beta=2.0)
         sig = sigma_matrix(spec)
         assert np.min(np.linalg.eigvalsh(sig)) > 0
         A = drift_matrix(spec, np.zeros(2))
@@ -189,7 +189,7 @@ class TestSigmaMatrix:
         assert np.linalg.norm(sig - Xq, "fro") < 1e-10
 
     def test_unstable_model_rejected(self):
-        spec = make_spec(make_linear_force([[1.0, -2.0], [2.0, 1.0]]), 1.0, alpha=0.3, beta=0.9)
+        spec = ModelSpec(make_linear_force([[1.0, -2.0], [2.0, 1.0]]), 1.0, alpha=0.3, beta=0.9)
         with pytest.raises(StabilityError):
             sigma_matrix(spec)
 
@@ -218,7 +218,7 @@ class TestDriftMetricDelta:
         # DF(q) - DF(0) = 3 q^2, so the condition reads 3 delta^2 c = 1/2 with
         # c the metric norm of the unit perturbation pattern
         qspec = corpus_spec("quartic")
-        qspec = make_spec(qspec.force, 2.0, alpha=2 / 3, beta=1.0)
+        qspec = ModelSpec(qspec.force, 2.0, alpha=2 / 3, beta=1.0)
         delta = drift_metric_delta(qspec)
         dm = drift_metric(qspec)
         E = np.array([[0.0, 0.0], [-1.0, 0.0]])

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,17 +12,19 @@ from langmix.errors import (
 )
 from langmix.model import (
     ForceField,
+    ModelSpec,
     central_difference_jacobian,
     check_assumption_DF,
     check_assumption_main,
     certify_coercivity,
     force_from_config,
+    kappa0_constant,
     make_gradient_force,
     make_linear_force,
     sample_ball,
+    select_lambda,
 )
 from langmix.harness import corpus_model_config
-from langmix.linear_stability import make_spec
 
 
 def test_linear_force_symmetric_1d():
@@ -153,7 +157,7 @@ class TestAssumptionMain:
         # M = [[1, -5], [5, 1]] with gamma = 1: gamma^2 a - b^2 = 1 - 25 < 0
         ff = make_linear_force([[1.0, -5.0], [5.0, 1.0]])
         # brute-force check that no admissible margin0 remains at these constants
-        spec = make_spec(ff, gamma=1.0, alpha=0.3, beta=0.9)
+        spec = ModelSpec(ff, gamma=1.0, alpha=0.3, beta=0.9)
         rep = check_assumption_main(spec, radius=2.0, n_samples=400)
         pts = sample_ball(2, 2.0, 400)
         margins = (
@@ -176,7 +180,7 @@ class TestAssumptionMain:
             eval_DF=lambda q: np.ones(np.asarray(q).shape[:-1] + (1, 1)),
             kind="general",
         )
-        spec = make_spec(ff, gamma=1.0, alpha=0.5, beta=0.5)
+        spec = ModelSpec(ff, gamma=1.0, alpha=0.5, beta=0.5)
         with pytest.raises(DecompositionMissingError):
             check_assumption_main(spec, radius=1.0, n_samples=16)
 
@@ -188,7 +192,7 @@ def _margin(spec, q):
 
 
 def _polynomial_spec(coeffs):
-    return make_spec(force_from_config({"type": "polynomial_gradient", "coeffs": coeffs}), 1.5, alpha=2 / 3, beta=0.75)
+    return ModelSpec(force_from_config({"type": "polynomial_gradient", "coeffs": coeffs}), 1.5, alpha=2 / 3, beta=0.75)
 
 
 class TestCertifyCoercivity:
@@ -237,6 +241,39 @@ class TestCertifyCoercivity:
         assert _polynomial_spec([0.0, 0.0, 0.5, 0.0, 0.0]).force.quadratic_growth
 
 
+# lam, kappa0 and kappa of every corpus model, as the four-input constructor derives them
+_CORPUS_CONSTANTS = {
+    "lin1d_complex": (0.2475, 28.255758766459536, 798.3879034683549),
+    "lin1d_real": (0.5371471633212253, 18.0, 324.0),
+    "lin1d_critical": (0.495, 8.0, 64.0),
+    "lin2d_rot": (0.1753531010230276, 18.0, 324.0),
+    "lin2d_nongrad": (0.33472394617639717, 18.0, 324.0),
+    "quartic": (0.37124999999999997, 12.558115007315344, 157.70625253695886),
+}
+
+
+class TestModelSpec:
+    def test_takes_exactly_its_four_inputs(self):
+        assert list(inspect.signature(ModelSpec).parameters) == ["force", "gamma", "alpha", "beta"]
+
+    @pytest.mark.parametrize("name", sorted(_CORPUS_CONSTANTS))
+    def test_derives_the_certificate_constants(self, name):
+        cfg = corpus_model_config(name)
+        spec = ModelSpec(force_from_config(cfg["force"]), cfg["gamma"], cfg["alpha"], cfg["beta"])
+        lam = select_lambda(cfg["alpha"], cfg["beta"], cfg["gamma"])
+        kappa0 = kappa0_constant(cfg["gamma"], lam)
+        assert (spec.lam, spec.kappa0, spec.kappa) == (lam, kappa0, kappa0**2) == _CORPUS_CONSTANTS[name]
+
+    @pytest.mark.parametrize(
+        "gamma, alpha, beta, message",
+        [(0.0, 0.5, 0.5, "friction gamma"), (1.0, 0.0, 0.5, "alpha"), (1.0, 0.5, 1.0, "beta")],
+        ids=["gamma", "alpha", "beta"],
+    )
+    def test_refuses_inputs_without_an_admissible_rate(self, gamma, alpha, beta, message):
+        with pytest.raises(ParameterError, match=message):
+            ModelSpec(make_linear_force([[1.0]]), gamma, alpha, beta)
+
+
 def test_builtin_force_type_is_gone():
     with pytest.raises(ParameterError, match="unknown force type 'builtin'"):
         force_from_config({"type": "builtin", "name": "quartic_well"})
@@ -245,7 +282,7 @@ def test_builtin_force_type_is_gone():
 class TestAssumptionDF:
     def test_linear_constant_jacobian(self):
         M = np.array([[1.0, -2.0], [2.0, 1.0]])
-        spec = make_spec(make_linear_force(M), 3.0, 0.25, 2.6)
+        spec = ModelSpec(make_linear_force(M), 3.0, 0.25, 2.6)
         rep = check_assumption_DF(spec, radius=2.0, n_samples=200)
         assert rep.rho_hat == 0.0
         assert rep.C_hat == pytest.approx(np.linalg.norm(M, 2))

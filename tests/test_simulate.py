@@ -15,9 +15,9 @@ from langmix.covflow import drift_matrix, integrate_covariance, noise_matrix
 from langmix.errors import ParameterError
 from langmix.gaussian_tv import Gaussian, tv_gaussian, tv_unit
 from langmix.harness import corpus_model_config, corpus_spec
-from langmix.linear_stability import BLOWUP, flow_zero_noise, make_spec
+from langmix.linear_stability import BLOWUP, flow_zero_noise
 from langmix.matrix_eq import lyapunov_quadrature, sigma_matrix
-from langmix.model import force_from_config, make_gradient_force, make_linear_force
+from langmix.model import ModelSpec, force_from_config, make_gradient_force, make_linear_force
 from langmix.simulate import (
     BLOCK,
     _block_rng,
@@ -98,7 +98,7 @@ class TestIntegrateSde:
         # enough to cross into a second noise block, with a single path
         # there: a one-row matmul rounds differently from a many-row one.
         # skew is a linear force whose own products round.
-        skew = make_spec(make_linear_force([[1.1, -2.3], [2.3, 0.7]]), 3.0, 0.25, 2.6)
+        skew = ModelSpec(make_linear_force([[1.1, -2.3], [2.3, 0.7]]), 3.0, 0.25, 2.6)
         kw = dict(kw, t_end=0.5, dt=0.01, seed=5, store_every=25)
         for spec in (corpus_spec("lin1d_complex"), corpus_spec("lin2d_rot"), skew):
             x0 = np.full(2 * spec.dim, 0.3)
@@ -128,7 +128,7 @@ class TestIntegrateSde:
 
     def test_explosion_excluded_and_counted(self):
         # inverted potential: F(q) = -q pushes mass away; far starts explode
-        bad = make_spec(make_linear_force([[-1.0]]), 1.0, 2 / 3, 0.5)
+        bad = ModelSpec(make_linear_force([[-1.0]]), 1.0, 2 / 3, 0.5)
         b = integrate_sde(bad, np.array([1.0, 1.0]), 60.0, 0.5, 8, seed=1, epsilon=200.0,
                           store_every=60, scheme="euler_maruyama")
         assert b.excluded > 0
@@ -269,7 +269,7 @@ class TestBatchedKernel:
     def test_exploding_paths_match_per_block_oracle(self, monkeypatch, scheme, expected):
         # inverted potential F(q) = -q: the guard zeroes and excludes the
         # same paths as the per-block loop with its finiteness chain
-        bad = make_spec(make_linear_force([[-1.0]]), 1.0, 2 / 3, 0.5)
+        bad = ModelSpec(make_linear_force([[-1.0]]), 1.0, 2 / 3, 0.5)
         for n, excluded in expected.items():
             kw = dict(seed=1, epsilon=200.0, store_every=60, scheme=scheme)
             batched = integrate_sde(bad, np.array([1.0, 1.0]), 60.0, 0.5, n, **kw)
@@ -320,7 +320,7 @@ class TestBatchedKernel:
         )
         kw = dict(seed=2, epsilon=0.05, scheme=scheme, store_every=10)
         runs = [
-            integrate_sde(make_spec(force, 1.0, 0.5, 0.5), np.array([0.7, 0.1]), 0.5, 0.01, 300, **kw)
+            integrate_sde(ModelSpec(force, 1.0, 0.5, 0.5), np.array([0.7, 0.1]), 0.5, 0.01, 300, **kw)
             for force in (aliased, make_linear_force([[1.0]]))
         ]
         assert np.array_equal(runs[0].states, runs[1].states)
@@ -474,6 +474,13 @@ class TestEmpiricalTV:
             assert est > prev - 0.02
             prev = est
 
+    @pytest.mark.parametrize("method", ["gaussian_momentmatch", "classifier_knn"])
+    def test_a_1d_array_is_points_on_the_line(self, rng, method):
+        a, b = rng.standard_normal(400), rng.standard_normal(400) + 1.0
+        flat = empirical_tv(a, b, method=method, seed=4)
+        column = empirical_tv(a[:, None], b[:, None], method=method, seed=4)
+        assert (flat.estimate, flat.stderr) == (column.estimate, column.stderr)
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ParameterError):
             empirical_tv(rng.standard_normal((10, 1)), rng.standard_normal((10, 2)))
@@ -507,7 +514,7 @@ class TestPinsker:
         # inverted quartic U = q^2/2 - q^4/4: integrate_sde's Euler-Maruyama
         # ensemble excludes 67 of these 200 paths; the bound is then vacuous
         force = force_from_config({"type": "polynomial_gradient", "coeffs": [0.0, 0.0, 0.5, 0.0, -0.25]})
-        spec, x0 = make_spec(force, 1.5, 2 / 3, 0.75), np.array([0.9, 0.0])
+        spec, x0 = ModelSpec(force, 1.5, 2 / 3, 0.75), np.array([0.9, 0.0])
         kw = dict(seed=1, epsilon=0.3)
         b = integrate_sde(spec, x0, 6.0, 0.01, 200, scheme="euler_maruyama", store_every=600, **kw)
         assert b.excluded == 67
@@ -525,6 +532,9 @@ _BAD_RUN_ARGS = {
     "short_x0": dict(x0=np.zeros(1)),
     "zero_store_every": dict(store_every=0),
     "negative_seed": dict(seed=-1),
+    "fractional_seed": dict(seed=2.5),
+    "string_seed": dict(seed="3"),
+    "bool_seed": dict(seed=True),
 }
 
 
@@ -538,11 +548,21 @@ def test_simulators_share_one_argument_check(harmonic_spec, simulator, bad):
         simulator(harmonic_spec, **dict(kw, **_BAD_RUN_ARGS[bad]))
 
 
-@pytest.mark.parametrize("bad", ["no_paths", "zero_dt", "negative_t_end", "short_x0", "negative_seed"])
+@pytest.mark.parametrize(
+    "bad", ["no_paths", "zero_dt", "negative_t_end", "short_x0", "negative_seed", "fractional_seed", "string_seed",
+            "bool_seed"],
+)
 def test_pinsker_takes_the_same_argument_check(harmonic_spec, bad):
     kw = dict(x0=np.array([0.5, 0.0]), t_end=0.1, dt=0.01, n_paths=4, seed=0, epsilon=0.1)
     with pytest.raises(ParameterError):
         pinsker_kl_bound(harmonic_spec, **dict(kw, **_BAD_RUN_ARGS[bad]))
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3)], ids=["int64", "uint64"])
+def test_numpy_integer_seeds_key_the_same_streams(seed):
+    run = lambda seed: integrate_sde(corpus_spec("lin1d_complex"), (0.5, 0.0), 0.5, 0.01, 64, seed=seed,
+                                     epsilon=0.05).states
+    assert np.array_equal(run(seed), run(3))
 
 
 def test_seeds_from_two_to_the_63_keep_their_own_streams():
@@ -571,7 +591,7 @@ def _sha256(a: np.ndarray) -> str:
 
 def _inverted_spec():
     # F(q) = -q: paths from the origin blow up at random times
-    return make_spec(make_linear_force([[-1.0]]), 1.0, 2 / 3, 0.5)
+    return ModelSpec(make_linear_force([[-1.0]]), 1.0, 2 / 3, 0.5)
 
 
 #: name -> (run, sha256 of states, excluded), recorded with the out-of-place
