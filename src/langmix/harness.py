@@ -235,7 +235,7 @@ def _gate_stability(spec: ModelSpec):
     must be certified coercive on all of R^dim by `certify_coercivity`, and a
     refusal names a witness point with a negative margin.
     """
-    if spec.force.kind == "linear":
+    if spec.force.matrix is not None:
         verdict = classify_linear(spec.force.matrix, spec.gamma)
         if not verdict.stable or verdict.indeterminate:
             raise StabilityError(
@@ -328,8 +328,7 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
                 ref = Gaussian(np.zeros(2 * spec.dim), 2.0 * eps * sigma).sample(
                     batch.states.shape[0], np.random.default_rng(cfg.seed + 5000 + i_eps)
                 )
-                stored = np.unique(np.concatenate([[0], [k for _, k in steps]]))
-                pos = {int(s): i for i, s in enumerate(stored)}
+                pos = {int(round(t / cfg.dt)): i for i, t in enumerate(batch.grid)}
                 for _, k in steps:
                     if k not in empirical:
                         est = empirical_tv(

@@ -183,6 +183,8 @@ class FlowPath:
 BLOWUP = 1e12
 #: relative tolerance on increments of exp(lam t) H(X_t) in the decay certificate
 DECAY_TOL = 1e-8
+#: grid step of the zero-noise path along which the decay certificate is checked
+DECAY_DT = 1e-3
 #: relative and absolute tolerances of the adaptive (DOP853) zero-noise path solver
 PATH_RTOL = 1e-11
 PATH_ATOL = 1e-13
@@ -253,17 +255,15 @@ class StabilityCertificateReport:
     max_norm_ratio: float
 
 
-def verify_exponential_stability(
-    spec: ModelSpec, x0, t_end: float, dt: float = 1e-3
-) -> StabilityCertificateReport:
-    """Check that exp(lam t) H(X_t) is non-increasing along the flow.
+def verify_exponential_stability(spec: ModelSpec, x0, t_end: float) -> StabilityCertificateReport:
+    """Check that exp(lam t) H(X_t) is non-increasing along the flow, on the grid of step DECAY_DT.
 
     Also verifies |X_t|^2 <= kappa (|x0|^2 + U(q0)) exp(-lam t).  Violations are
     reported, not raised: an unstable model yields a failing certificate.
     """
     x0 = np.asarray(x0, dtype=float)
     try:
-        path = flow_zero_noise(spec, x0, t_end, dt)
+        path = flow_zero_noise(spec, x0, t_end, DECAY_DT)
     except DivergenceError:
         return StabilityCertificateReport(
             monotone=False, max_violation=np.inf, norm_bound_holds=False, max_norm_ratio=np.inf

@@ -197,17 +197,16 @@ def _cached(spec: ModelSpec, key: str, compute):
 
 def _solve_sigma(spec: ModelSpec) -> LyapunovSolution:
     d = spec.dim
-    DF0 = np.asarray(spec.force.eval_DF(np.zeros(d)), dtype=float).reshape(d, d)
-    if np.any(np.linalg.eigvals(DF0).real <= 0):
-        raise StabilityError(
-            "DF(0) has an eigenvalue with non-positive real part; "
-            "the model fails the linear stability verdict at the origin"
-        )
     return solve_lyapunov_stable(drift_matrix(spec, np.zeros(d)), noise_matrix(d))
 
 
 def sigma_solution(spec: ModelSpec) -> LyapunovSolution:
-    """The Lyapunov solution behind sigma_matrix, with its residual and certificate."""
+    """The Lyapunov solution behind sigma_matrix, with its residual and certificate.
+
+    A model whose A is not Hurwitz raises StabilityError.  That covers an
+    eigenvalue m of DF(0) with Re m <= 0: mu^2 + gamma mu + m = 0 then has a
+    root with Re mu >= 0, and it is an eigenvalue of A.
+    """
     return _cached(spec, "sigma", _solve_sigma)
 
 

@@ -78,10 +78,10 @@ def central_difference_jacobian(f: Callable, q: np.ndarray, h: float = _FD_STEP)
 class ForceField:
     """Drift of the momentum equation together with derivatives and metadata.
 
-    kind is one of "linear", "gradient", "general".  For kind "linear" the
-    matrix attribute holds M with F(q) = M q.  For a polynomial gradient
-    force, coeffs is the (dim, k) table whose row i holds the coefficients,
-    lowest degree first, of the term p_i(q_i) of U(q) = sum_i p_i(q_i).
+    For a linear force, and only for one, matrix holds M with F(q) = M q.
+    For a polynomial gradient force, coeffs is the (dim, k) table whose row
+    i holds the coefficients, lowest degree first, of the term p_i(q_i) of
+    U(q) = sum_i p_i(q_i).
     Either table is what `certify_coercivity` and the linear classification
     read.  eval_U and eval_ell are optional; when both are present they
     satisfy F = grad(U) + ell, so grad(U) is eval_F - eval_ell.
@@ -90,7 +90,6 @@ class ForceField:
     dim: int
     eval_F: Callable[[np.ndarray], np.ndarray]
     eval_DF: Callable[[np.ndarray], np.ndarray]
-    kind: str
     eval_U: Optional[Callable[[np.ndarray], np.ndarray]] = None
     eval_ell: Optional[Callable[[np.ndarray], np.ndarray]] = None
     matrix: Optional[np.ndarray] = None
@@ -228,7 +227,6 @@ def make_linear_force(M) -> ForceField:
         dim=d,
         eval_F=eval_F,
         eval_DF=eval_DF,
-        kind="linear",
         eval_U=eval_U,
         eval_ell=eval_ell,
         matrix=M,
@@ -273,7 +271,6 @@ def make_gradient_force(dim: int, U: Callable, gradU: Callable, hessU: Callable)
         dim=dim,
         eval_F=gradU,
         eval_DF=hessU,
-        kind="gradient",
         eval_U=U,
         eval_ell=eval_ell,
     )

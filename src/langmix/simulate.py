@@ -2,6 +2,8 @@
 
 Every ensemble (the noisy process X, the Gaussian fluctuation Y, the coupled
 X/Y/Z run and the Pinsker bound) runs through one kernel, _run_ensemble.
+Y alone takes the exact frozen-A step of integrate_fluctuation; a coupled
+run steps its Y by Euler-Maruyama on the normals that step X.
 Paths fall into fixed blocks of BLOCK, each drawing its noise from a
 counter-based generator keyed by (seed, block index), so results are bitwise
 reproducible and independent of how blocks are scheduled.  The blocks are
@@ -60,10 +62,10 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 class TrajectoryBatch:
     """Seeded ensemble of sample paths on a fixed output grid.
 
-    states has shape (n_paths, n_times, 2d).  coupled holds the deterministic
-    path "ode" (n_times, 2d), alone from integrate_fluctuation; a coupled
-    integrate_sde run adds the ensembles "Y" and "Z" built from the same
-    Brownian increments, with Z = ode + sqrt(2 eps) Y exactly on the grid.
+    states has shape (n_paths, n_times, 2d).  coupled is None except from a
+    coupled integrate_sde run, where it holds the deterministic path "ode"
+    (n_times, 2d) and the ensembles "Y" and "Z" built from the Brownian
+    increments of states, with Z = ode + sqrt(2 eps) Y exactly on the grid.
     """
 
     grid: np.ndarray
@@ -208,7 +210,7 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
         return run
 
     runs = [range_run(lo, hi) for lo, hi in _block_ranges(n_paths, _usable_cores())]
-    alive = runs[0]() if len(runs) == 1 else np.concatenate(_in_threads(runs, failed))
+    alive = np.concatenate(_in_threads(runs, failed))
     if not alive.all():
         log.warning("excluded %d exploded paths out of %d", int(np.sum(~alive)), n_paths)
     return alive
@@ -285,26 +287,16 @@ def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, s
     return start, step
 
 
-def _fluctuation_step(spec: ModelSpec, ode_states: np.ndarray, dt: float, method: str):
-    """One step (y,) -> (y,) of dY = A(q_t) Y dt + J dB along the zero-noise path.
+def _fluctuation_step(spec: ModelSpec, ode_states: np.ndarray, dt: float):
+    """The exact step (y,) -> (y,) of dY = A(q_t) Y dt + J dB along the zero-noise path, on 2d normals.
 
-    Returns the step and the number of normals it consumes per path.
+    A is frozen at the step's opening point of ode_states, and the step is
+    the Van Loan propagator of the frozen equation; a linear force has one A.
     """
     d = spec.dim
     n_steps = len(ode_states) - 1
-    if method == "em":
-        A_list = [drift_matrix(spec, ode_states[k][:d]) for k in range(n_steps)]
-        sqrt_dt = math.sqrt(dt)
-
-        def step(k, s, xi):
-            dy = dt * (s[0] @ A_list[k - 1].T)
-            dy[:, d:] += sqrt_dt * xi
-            return (s[0] + dy,)
-
-        return step, d
-
     J = noise_matrix(d)
-    if spec.force.kind == "linear":
+    if spec.force.matrix is not None:
         steps = [_vanloan_step_noise(drift_matrix(spec, ode_states[0][:d]), dt, J)] * n_steps
     else:
         steps = [
@@ -316,7 +308,7 @@ def _fluctuation_step(spec: ModelSpec, ode_states: np.ndarray, dt: float, method
         E, L = steps[k - 1]
         return (s[0] @ E.T + xi @ L.T,)
 
-    return step, 2 * d
+    return step
 
 
 def integrate_sde(
@@ -345,8 +337,9 @@ def integrate_sde(
     overrides store_every: the states are stored at the distinct steps it
     lists, each in [0, n_steps], in increasing order, and always at step 0.
     With couple_fluctuation (Euler-Maruyama only) the Gaussian fluctuation Y
-    and the surrogate Z share the Brownian increments of the main ensemble;
-    Y is then exactly integrate_fluctuation(..., method="em") for the same seed.
+    takes the Euler-Maruyama step y + dt y A(q_k)^T + sqrt(dt) [0, xi_k] along
+    the zero-noise path, on the normals xi_k that step X, and the surrogate
+    is Z = ode + sqrt(2 eps) Y; the paths excluded from X leave Y and Z too.
     """
     if scheme not in ("euler_maruyama", "baoab"):
         raise ParameterError(f"unknown scheme {scheme!r}")
@@ -369,8 +362,9 @@ def integrate_sde(
     outs = (states[:, :, :d], states[:, :, d:])
     if couple_fluctuation:
         ode_path = flow_zero_noise(spec, x0, t_end, dt).states
+        A_list = [drift_matrix(spec, q) for q in ode_path[:-1, :d]]
+        sqrt_dt = math.sqrt(dt)
         x_start, x_step = start, step
-        y_step, _ = _fluctuation_step(spec, ode_path, dt, "em")
         y_states = np.empty_like(states)
         # Y follows the Euler-Maruyama state (q, p, F(q), dp, t), whose last
         # three arrays are not stored
@@ -380,7 +374,10 @@ def integrate_sde(
             return x_start(m) + (np.zeros((m, 2 * d)),)
 
         def step(k, s, xi):
-            return x_step(k, s[:-1], xi) + y_step(k, s[-1:], xi)
+            y = s[-1]
+            dy = dt * (y @ A_list[k - 1].T)
+            dy[:, d:] += sqrt_dt * xi
+            return x_step(k, s[:-1], xi) + (y + dy,)
 
     alive = _run_ensemble(n_paths, seed, n_steps, d, start, step, store_idx, outs, guard=True)
 
@@ -425,30 +422,28 @@ def integrate_fluctuation(
     dt: float,
     n_paths: int,
     seed: int,
-    method: str = "exact",
     store_every: int = 1,
 ) -> TrajectoryBatch:
     """Simulate the Gaussian fluctuation dY = A(q_t) Y dt + dB restricted to momenta.
 
-    Y starts at zero and rides along the deterministic path from x0.  The
-    "exact" method freezes A on each step and propagates with the matrix
-    exponential and the exact one-step noise covariance, so the per-time law
-    is unbiased for piecewise-constant A (and exactly right for linear
-    forces); "em" uses shared-increment Euler-Maruyama updates.
+    Y starts at zero and rides along the deterministic path from x0.  Each
+    step freezes A at its opening point and propagates with the matrix
+    exponential and the exact one-step noise covariance (Van Loan), so the
+    per-time law is unbiased for piecewise-constant A and exactly right for
+    linear forces.  The batch has no coupled arrays; integrate_sde's coupled
+    run gives the Euler-Maruyama Y that shares X's increments.
     """
-    if method not in ("exact", "em"):
-        raise ParameterError(f"unknown method {method!r}")
     x0 = _checked_start(spec, x0, t_end, dt, n_paths, store_every, seed)
     d = spec.dim
     ode = flow_zero_noise(spec, x0, t_end, dt)
     n_steps = len(ode.grid) - 1
     store_idx = np.arange(0, n_steps + 1, store_every)
-    step, width = _fluctuation_step(spec, ode.states, dt, method)
+    step = _fluctuation_step(spec, ode.states, dt)
     states = np.empty((n_paths, len(store_idx), 2 * d))
     _run_ensemble(
-        n_paths, seed, n_steps, width, lambda m: (np.zeros((m, 2 * d)),), step, store_idx, (states,)
+        n_paths, seed, n_steps, 2 * d, lambda m: (np.zeros((m, 2 * d)),), step, store_idx, (states,)
     )
-    return TrajectoryBatch(grid=store_idx * dt, states=states, coupled={"ode": ode.states[store_idx]})
+    return TrajectoryBatch(grid=store_idx * dt, states=states)
 
 
 def _omega(n: int, d: int) -> float:

@@ -193,6 +193,13 @@ class TestSigmaMatrix:
         with pytest.raises(StabilityError):
             sigma_matrix(spec)
 
+    @pytest.mark.parametrize("M", [[[0.0]], [[-1.0]]], ids=["zero", "negative"])
+    def test_df0_eigenvalue_without_positive_real_part_rejected(self, M):
+        # A has an eigenvalue mu with mu^2 + gamma mu + m = 0, Re mu >= 0
+        spec = ModelSpec(make_linear_force(M), 1.0, alpha=2 / 3, beta=0.5)
+        with pytest.raises(StabilityError, match="not \\(strictly\\) stable"):
+            sigma_matrix(spec)
+
     def test_cached_per_spec(self, harmonic_spec):
         assert sigma_matrix(harmonic_spec) is sigma_matrix(harmonic_spec)
 

@@ -33,7 +33,7 @@ def test_linear_force_symmetric_1d():
     assert ff.eval_F(q) == pytest.approx([1.3])
     assert float(ff.eval_U(q)) == pytest.approx(1.3**2 / 2)
     assert np.all(ff.eval_ell(q) == 0.0)
-    assert ff.kind == "linear"
+    assert np.array_equal(ff.matrix, [[1.0]])
 
 
 def test_linear_force_hand_decomposition():
@@ -178,7 +178,6 @@ class TestAssumptionMain:
             dim=1,
             eval_F=lambda q: np.asarray(q, dtype=float),
             eval_DF=lambda q: np.ones(np.asarray(q).shape[:-1] + (1, 1)),
-            kind="general",
         )
         spec = ModelSpec(ff, gamma=1.0, alpha=0.5, beta=0.5)
         with pytest.raises(DecompositionMissingError):

@@ -88,10 +88,9 @@ class TestIntegrateSde:
             (integrate_sde, dict(epsilon=0.02, scheme="baoab")),
             (integrate_sde, dict(epsilon=0.02, scheme="euler_maruyama")),
             (integrate_sde, dict(epsilon=0.02, scheme="euler_maruyama", couple_fluctuation=True)),
-            (integrate_fluctuation, dict(method="exact")),
-            (integrate_fluctuation, dict(method="em")),
+            (integrate_fluctuation, {}),
         ],
-        ids=["sde_baoab", "sde_em", "coupled", "fluctuation_exact", "fluctuation_em"],
+        ids=["sde_baoab", "sde_em", "coupled", "fluctuation_exact"],
     )
     def test_path_count_invariance_of_streams(self, run, kw):
         # the leading paths are identical whether one path runs, a few, or
@@ -111,20 +110,40 @@ class TestIntegrateSde:
                     assert np.array_equal(small.coupled["Z"], big.coupled["Z"][:n]), n
 
     def test_coupling_identity_and_restrictions(self):
-        spec = corpus_spec("lin1d_complex")
         eps = 0.01
-        b = integrate_sde(spec, np.array([0.4, 0.1]), 1.0, 0.005, 300, seed=4, epsilon=eps,
-                          scheme="euler_maruyama", store_every=50, couple_fluctuation=True)
-        z = b.coupled["Z"]
-        recon = b.coupled["ode"][None, :, :] + math.sqrt(2 * eps) * b.coupled["Y"]
-        assert np.abs(z - recon).max() == 0.0
-        # the coupled Y is the Euler-Maruyama fluctuation on the same stream
-        y = integrate_fluctuation(spec, np.array([0.4, 0.1]), 1.0, 0.005, 300, seed=4,
-                                  method="em", store_every=50)
-        assert np.array_equal(b.coupled["Y"], y.states)
+        for model, x0 in (("lin1d_complex", (0.4, 0.1)), ("quartic", (0.8, -0.2))):
+            spec = corpus_spec(model)
+            b = integrate_sde(spec, x0, 1.0, 0.005, 300, seed=4, epsilon=eps, scheme="euler_maruyama",
+                              store_every=50, couple_fluctuation=True)
+            recon = b.coupled["ode"][None, :, :] + math.sqrt(2 * eps) * b.coupled["Y"]
+            assert np.abs(b.coupled["Z"] - recon).max() == 0.0
+            # the coupled Y is the Euler-Maruyama fluctuation on X's normals
+            assert np.array_equal(b.coupled["Y"], _em_fluctuation(spec, x0, 1.0, 0.005, 300, seed=4)[:, ::50])
         with pytest.raises(ParameterError):
             integrate_sde(spec, np.zeros(2), 1.0, 0.005, 10, seed=4, epsilon=eps, scheme="baoab",
                           couple_fluctuation=True)
+
+    def test_coupled_run_excludes_the_paths_of_its_x(self, monkeypatch):
+        # the inverted quartic's Euler-Maruyama ensemble excludes 67 of 200
+        # paths; Y and Z drop the same rows as X
+        spec, x0 = _inverted_quartic()
+        eps, kw = 0.3, dict(seed=1, scheme="euler_maruyama", store_every=600)
+        masks, run = [], simulate._run_ensemble
+
+        def recording_run(*args, **kwargs):
+            masks.append(run(*args, **kwargs))
+            return masks[-1]
+
+        monkeypatch.setattr(simulate, "_run_ensemble", recording_run)
+        b = integrate_sde(spec, x0, 6.0, 0.01, 200, epsilon=eps, couple_fluctuation=True, **kw)
+        plain = integrate_sde(spec, x0, 6.0, 0.01, 200, epsilon=eps, **kw)
+        alive = masks[0]
+        assert np.array_equal(alive, masks[1]) and b.excluded == plain.excluded == int(np.sum(~alive)) == 67
+        assert np.array_equal(b.states, plain.states)
+        y, z = b.coupled["Y"], b.coupled["Z"]
+        assert np.array_equal(y, _em_fluctuation(spec, x0, 6.0, 0.01, 200, seed=1)[alive][:, ::600])
+        assert z.shape == y.shape == (133, 2, 2)
+        assert np.array_equal(z, b.coupled["ode"][None, :, :] + math.sqrt(2 * eps) * y)
 
     def test_explosion_excluded_and_counted(self):
         # inverted potential: F(q) = -q pushes mass away; far starts explode
@@ -134,6 +153,29 @@ class TestIntegrateSde:
         assert b.excluded > 0
         assert b.states.shape[0] == 8 - b.excluded
         assert np.all(np.isfinite(b.states))
+
+
+def _inverted_quartic():
+    """The inverted quartic U = q^2/2 - q^4/4 and a start inside its well, (0.9, 0)."""
+    force = force_from_config({"type": "polynomial_gradient", "coeffs": [0.0, 0.0, 0.5, 0.0, -0.25]})
+    return ModelSpec(force, 1.5, 2 / 3, 0.75), np.array([0.9, 0.0])
+
+
+def _em_fluctuation(spec, x0, t_end, dt, n, seed):
+    """Y at every step of y <- y + dt y A(q_k)^T + sqrt(dt) [0, xi_k] along the zero-noise path.
+
+    xi_k is the first n rows of noise block 0's draw at step k, the normals
+    that step X in a coupled run of n <= BLOCK paths.
+    """
+    d = spec.dim
+    rng = _block_rng(seed, 0)
+    y = np.zeros((n, 2 * d))
+    path = [y]
+    for q in flow_zero_noise(spec, x0, t_end, dt).states[:-1, :d]:
+        xi = rng.standard_normal((BLOCK, d))[:n]
+        y = y + (dt * (y @ drift_matrix(spec, q).T) + np.hstack([np.zeros((n, d)), math.sqrt(dt) * xi]))
+        path.append(y)
+    return np.stack(path, axis=1)
 
 
 def _per_block_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, guard=False):
@@ -238,10 +280,7 @@ _KERNEL_RUNS = {
         couple_fluctuation=True,
     ),
     "fluctuation_exact": lambda spec, x0, n: integrate_fluctuation(
-        spec, x0, 0.2, 0.01, n, seed=3, method="exact", store_every=5
-    ),
-    "fluctuation_em": lambda spec, x0, n: integrate_fluctuation(
-        spec, x0, 0.2, 0.01, n, seed=3, method="em", store_every=5
+        spec, x0, 0.2, 0.01, n, seed=3, store_every=5
     ),
     "pinsker": lambda spec, x0, n: pinsker_kl_bound(spec, x0, 0.2, 0.01, n, seed=3, epsilon=0.05),
 }
@@ -360,12 +399,13 @@ class TestFluctuation:
             assert np.all(np.abs(emp - ref) < 4 * se)
 
     def test_em_variant_close_to_exact(self, quartic_spec):
+        # the coupled run's Euler-Maruyama Y against the exact step
         x0 = np.array([0.8, 0.0])
-        kw = dict(t_end=2.0, dt=0.005, n_paths=20000, store_every=400)
-        a = integrate_fluctuation(quartic_spec, x0, seed=3, method="exact", **kw)
-        e = integrate_fluctuation(quartic_spec, x0, seed=3, method="em", **kw)
+        kw = dict(t_end=2.0, dt=0.005, n_paths=20000, seed=3, store_every=400)
+        a = integrate_fluctuation(quartic_spec, x0, **kw)
+        e = integrate_sde(quartic_spec, x0, epsilon=0.01, scheme="euler_maruyama", couple_fluctuation=True, **kw)
         ca = np.cov(a.states[:, -1, :], rowvar=False)
-        ce = np.cov(e.states[:, -1, :], rowvar=False)
+        ce = np.cov(e.coupled["Y"][:, -1, :], rowvar=False)
         assert np.abs(ca - ce).max() < 0.02
 
 
@@ -511,10 +551,9 @@ class TestPinsker:
             pinsker_kl_bound(quartic_spec, np.zeros(2), 1.0, 0.01, 10, seed=0, epsilon=0.0)
 
     def test_exploding_paths_give_an_infinite_bound(self, caplog):
-        # inverted quartic U = q^2/2 - q^4/4: integrate_sde's Euler-Maruyama
-        # ensemble excludes 67 of these 200 paths; the bound is then vacuous
-        force = force_from_config({"type": "polynomial_gradient", "coeffs": [0.0, 0.0, 0.5, 0.0, -0.25]})
-        spec, x0 = ModelSpec(force, 1.5, 2 / 3, 0.75), np.array([0.9, 0.0])
+        # integrate_sde's Euler-Maruyama ensemble excludes 67 of these 200
+        # paths; the bound is then vacuous
+        spec, x0 = _inverted_quartic()
         kw = dict(seed=1, epsilon=0.3)
         b = integrate_sde(spec, x0, 6.0, 0.01, 200, scheme="euler_maruyama", store_every=600, **kw)
         assert b.excluded == 67
