@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.special import chdtrc
 
-from .covflow import _covariance_rhs, integrate_covariance
+from .covflow import _covariance_rhs, _ode_path, integrate_covariance
 from .cutoff import jordan_chains, mixing_time, oscillating_sum, profile_D, spectral_data
 from .errors import ParameterError
 from .gaussian_tv import (
@@ -291,14 +291,18 @@ def _check_covflow_psd_and_oracle() -> CheckResult:
     A = drift_matrix(spec, np.zeros(1))
     J = noise_matrix(1)
     worst = 0.0
-    # (start, horizon, output spacing, times compared with the quadrature)
+    # (start, horizon, output spacing, times compared with the quadrature);
+    # both the closed form of integrate_covariance and the ODE it skips for
+    # a linear force are compared
     for x0, t_end, dt, times in (((0.6, 0.2), 6.0, 0.002, (1.0, 3.0, 6.0)), ((0.4, 0.0), 2.0, 0.001, (0.5, 1.0, 2.0))):
         path = integrate_covariance(spec, np.array(x0), t_end, dt)
         if path.clamp_events > 0:
             return CheckResult(False, float(path.clamp_events), "clamps happened")
+        _, ode_covs = _ode_path(spec, np.array(x0), path.grid)
         for t in times:
+            k = int(round(t / dt))
             Xq = lyapunov_quadrature(A, J, t, n_intervals=2000)
-            worst = max(worst, float(np.abs(path.at(t)[1] - Xq).max()))
+            worst = max(worst, float(np.abs(path.covs[k] - Xq).max()), float(np.abs(ode_covs[k] - Xq).max()))
     return CheckResult(worst < 1e-8, worst, f"max err {worst:.2e}")
 
 

@@ -2,17 +2,22 @@
 
 The Gaussian fluctuation around the deterministic flow has covariance
 Sigma_t solving dSigma/dt = J + A_t Sigma + Sigma A_t^T with Sigma_0 = 0,
-where A_t = A(q_t) is the position-dependent linearization.  This module
-co-integrates the flow and that matrix ODE in one adaptive solve, provides
-the third-order short-time expansion, and quantifies the exponential approach
-to the stationary covariance.
+where A_t = A(q_t) is the position-dependent linearization.  For a linear
+force A_t = A is constant and the path is exact in closed form: the state
+e^{At} x and Sigma_t = Sigma - e^{At} Sigma e^{A^T t}, with e^{At} taken on the
+output grid as a product of two tables of matrix exponentials.  Any other
+force co-integrates the flow and the matrix ODE in one adaptive solve.  The
+module also provides the third-order short-time expansion and quantifies the
+exponential approach to the stationary covariance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import ParameterError
 from .linear_stability import _flow_rhs, solve_path
@@ -52,22 +57,51 @@ def _covariance_rhs(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
     return np.concatenate([_flow_rhs(spec.force, spec.gamma, x), dS.ravel()])
 
 
-def integrate_covariance(spec: ModelSpec, x0, t_end: float, dt: float) -> CovariancePath:
-    """Co-integrate the zero-noise flow and the covariance ODE with one adaptive solve.
+def _ode_path(spec: ModelSpec, x0: np.ndarray, grid: np.ndarray):
+    """(states, raw covariances) on grid from one adaptive solve of the joint ODE; any force."""
+    n = 2 * spec.dim
+    y0 = np.concatenate([x0, np.zeros(n * n)])
+    sol = solve_path(lambda y: _covariance_rhs(spec, y), y0, (0.0, grid[-1]), n, t_eval=grid)
+    return sol.y[:n].T.copy(), sol.y[n:].T.reshape(-1, n, n)
 
-    The path is reported at the output times k dt.  There the covariance is
-    symmetrized and negative eigenvalues (a genuine degeneracy only near
-    t = 0) are clamped to zero; those below -1e-10 max(1, lambda_max) are
-    counted in clamp_events.
+
+def _linear_path(spec: ModelSpec, x0: np.ndarray, grid: np.ndarray):
+    """(states, covariances) of a linear force in closed form on grid = k dt, k = 0 .. N.
+
+    e^{A k dt} = coarse[k // B] @ fine[k % B] with B = ceil(sqrt(N + 1)):
+    two stacked expm calls of about sqrt(N) matrices each.
+    """
+    sigma = sigma_matrix(spec)
+    A = drift_matrix(spec, np.zeros(spec.dim))
+    n_steps, dt = len(grid) - 1, grid[1]
+    B = math.isqrt(n_steps) + 1  # ceil(sqrt(n_steps + 1))
+    fine = expm(A * (np.arange(B) * dt)[:, None, None])
+    coarse = expm(A * (np.arange(n_steps // B + 1) * (B * dt))[:, None, None])
+    k = np.arange(n_steps + 1)
+    E = coarse[k // B] @ fine[k % B]
+    return E @ x0, sigma - E @ sigma @ np.swapaxes(E, 1, 2)
+
+
+def integrate_covariance(spec: ModelSpec, x0, t_end: float, dt: float) -> CovariancePath:
+    """The zero-noise flow and the fluctuation covariance at the output times k dt.
+
+    A linear force gets the exact Gaussian path: e^{A k dt} x0 and
+    Sigma - e^{A k dt} Sigma e^{A^T k dt}, with e^{A k dt} the product of a
+    coarse and a fine table of matrix exponentials (`_linear_path`).  This
+    needs Sigma, so a linear force whose A is not Hurwitz raises
+    StabilityError from `sigma_matrix` before any work; the cov-flow command
+    and `stationary_gap` ask for Sigma anyway.  Any other force co-integrates
+    the flow and the covariance ODE with one adaptive solve (`_ode_path`).
+    The covariance is then symmetrized and negative eigenvalues (a genuine
+    degeneracy only near t = 0) are clamped to zero; those below
+    -1e-10 max(1, lambda_max) are counted in clamp_events.
     """
     if dt <= 0 or round(t_end / dt) < 1:
         raise ParameterError("need dt > 0 and t_end of at least one output step dt")
     x0 = phase_point(spec, x0)
-    n = 2 * spec.dim
     grid = np.arange(int(round(t_end / dt)) + 1) * dt
-    y0 = np.concatenate([x0, np.zeros(n * n)])
-    sol = solve_path(lambda y: _covariance_rhs(spec, y), y0, (0.0, grid[-1]), n, t_eval=grid)
-    S = sol.y[n:].T.reshape(-1, n, n)
+    path_of = _linear_path if spec.force.matrix is not None else _ode_path
+    states, S = path_of(spec, x0, grid)
     S = 0.5 * (S + np.swapaxes(S, 1, 2))
     eigs, vecs = np.linalg.eigh(S)
     clamped = eigs[:, 0] < -1e-10 * np.maximum(1.0, eigs[:, -1])
@@ -75,7 +109,7 @@ def integrate_covariance(spec: ModelSpec, x0, t_end: float, dt: float) -> Covari
     V = vecs[neg]
     C = (V * np.maximum(eigs[neg], 0.0)[:, None, :]) @ np.swapaxes(V, 1, 2)
     S[neg] = 0.5 * (C + np.swapaxes(C, 1, 2))
-    return CovariancePath(grid=grid, covs=S, states=sol.y[:n].T.copy(), clamp_events=int(np.sum(clamped)))
+    return CovariancePath(grid=grid, covs=S, states=states, clamp_events=int(np.sum(clamped)))
 
 
 def short_time_covariance(spec: ModelSpec, x, t: float) -> np.ndarray:

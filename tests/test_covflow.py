@@ -1,16 +1,30 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from langmix import covflow
 from langmix.covflow import (
+    _ode_path,
     drift_matrix,
     integrate_covariance,
     noise_matrix,
     short_time_covariance,
     stationary_gap,
 )
-from langmix.errors import DivergenceError, ParameterError
+from langmix.cutoff import mixing_time, spectral_data
+from langmix.errors import DivergenceError, ParameterError, StabilityError
+from langmix.gaussian_tv import TV_TOL
+from langmix.harness import (
+    UNSTABLE_GAMMA,
+    UNSTABLE_MATRIX,
+    corpus_spec,
+    exact_gaussian_tv_curve_point,
+    spec_from_model_config,
+)
 from langmix.matrix_eq import sigma_matrix
 from langmix.model import ModelSpec, _polynomial_gradient_force
+
+LINEAR_CORPUS = ["lin1d_complex", "lin1d_real", "lin1d_critical", "lin2d_rot", "lin2d_nongrad"]
 
 
 class TestDriftMatrix:
@@ -68,6 +82,59 @@ class TestIntegrateCovariance:
             integrate_covariance(harmonic_spec, np.zeros(2), 1.0, -0.1)
         with pytest.raises(ParameterError):
             integrate_covariance(harmonic_spec, np.zeros(3), 1.0, 0.1)
+
+
+class TestLinearClosedForm:
+    """A linear force gets the exact Gaussian path instead of the covariance ODE."""
+
+    @pytest.mark.parametrize("name", LINEAR_CORPUS)
+    def test_matches_the_ode_oracle(self, name):
+        spec = corpus_spec(name)
+        x0 = np.full(2 * spec.dim, 0.5)
+        path = integrate_covariance(spec, x0, 10.0, 0.005)
+        states, covs = _ode_path(spec, x0, path.grid)
+        assert np.abs(path.states - states).max() <= 1e-10
+        assert np.abs(path.covs - covs).max() <= 1e-10
+        assert np.all(path.covs[0] == 0.0)
+        assert path.clamp_events == 0
+
+    @pytest.mark.parametrize(
+        "name, x0", [("lin1d_complex", (0.6, 0.3)), ("lin2d_rot", (0.5, 0.5, 0.0, 0.0)), ("lin1d_critical", (0.6, 0.3))]
+    )
+    def test_exact_curve_points_hold_at_tiny_noise(self, name, x0):
+        # The mean enters the TV as m_t / sqrt(2 eps), so a path error of
+        # 1e-13 on the state would be a TV error of ~1e-8 at eps = 1e-10.
+        spec = corpus_spec(name)
+        x0 = np.array(x0)
+        sd = spectral_data(spec, x0)
+        sigma = sigma_matrix(spec)
+        A = drift_matrix(spec, np.zeros(spec.dim))
+        epsilons = (1e-8, 1e-10)
+        tmix = {eps: mixing_time(sd, eps) for eps in epsilons}
+        dt = 0.005
+        path = integrate_covariance(spec, x0, max(tmix.values()) + 7.0, dt)
+        worst = 0.0
+        for eps in epsilons:
+            for w in np.arange(-6.0, 6.0 + 1e-12, 0.5):
+                t = int(round((tmix[eps] + w) / dt)) * dt
+                if t < max(sd.tau, 4 * dt):
+                    continue
+                E = sla.expm(A * t)
+                ref = exact_gaussian_tv_curve_point(E @ x0, sigma - E @ sigma @ E.T, sigma, eps)
+                worst = max(worst, abs(exact_gaussian_tv_curve_point(*path.at(t), sigma, eps) - ref))
+        assert worst <= TV_TOL
+
+    def test_unstable_linear_force_raises_before_any_work(self, monkeypatch):
+        model = {"force": {"type": "linear", "matrix": UNSTABLE_MATRIX}, "gamma": UNSTABLE_GAMMA, "alpha": 0.3, "beta": 0.9}
+        spec = spec_from_model_config(model)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("path computed for a model without Sigma")
+
+        monkeypatch.setattr(covflow, "expm", no_work)
+        monkeypatch.setattr(covflow, "solve_path", no_work)
+        with pytest.raises(StabilityError, match=r"not \(strictly\) stable"):
+            integrate_covariance(spec, np.array([0.5, 0.2, 0.0, 0.0]), 10.0, 0.01)
 
 
 class TestShortTime:
