@@ -46,6 +46,8 @@ _TOP_KEYS = {
 }
 _MODEL_KEYS = {"force", "gamma", "alpha", "beta"}
 _WGRID_KEYS = {"min", "max", "step"}
+# longest file name, in bytes, that common file systems accept
+_NAME_MAX = 255
 
 
 @dataclass
@@ -266,6 +268,21 @@ def exact_gaussian_tv_curve_point(
     return tv_gaussian(g1, g2, method="cdf_quadrature").value
 
 
+def _curve_tag(x0, eps: float) -> str:
+    """File tag of one (x0, epsilon) curve, written as cutoff_{tag}.csv.
+
+    The tag is x{coordinates}_eps{eps} with every coordinate of x0 in %g
+    form.  When that file name would pass the 255-byte limit of common file
+    systems, the coordinates give way to 16 hex digits of the SHA-256 of
+    their joined text; the run summary still records x0 in full.
+    """
+    coords = "_".join(f"{v:g}" for v in x0)
+    tag = f"x{coords}_eps{eps:g}"
+    if len(f"cutoff_{tag}.csv".encode()) > _NAME_MAX:
+        tag = f"xsha{hashlib.sha256(coords.encode()).hexdigest()[:16]}_eps{eps:g}"
+    return tag
+
+
 def run_cutoff_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Exact Gaussian cut-off curves, shift profiles, and their sup-differences.
 
@@ -313,6 +330,7 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
                 if k * cfg.dt >= t_floor and k * cfg.dt <= t_max:
                     steps.append((wi, k))
             empirical = {}
+            entry = {"epsilon": eps}
             if cfg.mc_curve and steps:
                 batch = integrate_sde(
                     spec,
@@ -328,6 +346,7 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
                 ref = Gaussian(np.zeros(2 * spec.dim), 2.0 * eps * sigma).sample(
                     batch.states.shape[0], np.random.default_rng(cfg.seed + 5000 + i_eps)
                 )
+                entry["excluded"] = batch.excluded
                 pos = {int(round(t / cfg.dt)): i for i, t in enumerate(batch.grid)}
                 for _, k in steps:
                     if k not in empirical:
@@ -346,14 +365,13 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
                 lam_alt = float(profile_lambda_alt(sd, wi, pl.r)) if pl.exists else float("nan")
                 rows.append((wi, t, curve, d_eps, lam_printed, lam_alt, empirical.get(k, float("nan"))))
                 sup_diff = max(sup_diff, abs(curve - d_eps))
-            tag = f"x{'_'.join(f'{v:g}' for v in x0)}_eps{eps:g}"
             csv_path = write_csv(
-                os.path.join(cfg.out_dir, f"cutoff_{tag}.csv"),
+                os.path.join(cfg.out_dir, f"cutoff_{_curve_tag(x0, eps)}.csv"),
                 ["w", "t", "tv_exact", "D_eps", "Lambda_printed", "Lambda_alt", "tv_empirical"],
                 rows,
             )
             manifest.artifacts.append(csv_path)
-            sup_diffs.append({"epsilon": eps, "sup_diff": sup_diff, "t_mix": tmix[eps]})
+            sup_diffs.append(dict(entry, sup_diff=sup_diff, t_mix=tmix[eps]))
         diffs = [s["sup_diff"] for s in sup_diffs]
         monotone = all(a >= b - 1e-12 for a, b in zip(diffs, diffs[1:]))
         ok = ok and monotone

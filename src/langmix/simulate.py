@@ -4,9 +4,11 @@ Every ensemble (the noisy process X, the Gaussian fluctuation Y, the coupled
 X/Y/Z run and the Pinsker bound) runs through one kernel, _run_ensemble.
 Y alone takes the exact frozen-A step of integrate_fluctuation; a coupled
 run steps its Y by Euler-Maruyama on the normals that step X.
-Paths fall into fixed blocks of BLOCK, each drawing its noise from a
-counter-based generator keyed by (seed, block index), so results are bitwise
-reproducible and independent of how blocks are scheduled.  The blocks are
+Paths fall into fixed blocks of BLOCK.  At step k each block draws its
+noise from a counter-based generator (Philox; Salmon et al. 2011) keyed by
+(seed, block index) and started at counter (0, k, 0, 0), and only as many
+rows as it has paths, so results are bitwise reproducible and independent
+of how many paths run and of how blocks are scheduled.  The blocks are
 split into one contiguous range per usable core, and each range runs its
 own step loop on arrays of its paths, in a thread of its own.  The Langevin
 step carries the force at its closing position into the next step, so BAOAB
@@ -137,16 +139,21 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
 
     start(m) gives the state of m paths as a tuple of arrays with m rows, and
     step(k, state, xi) advances it over step k, in place or not, with xi the
-    (m, width) normals of step k.  At every step, noise block b (paths
-    b*BLOCK to (b+1)*BLOCK) draws a full BLOCK rows from its own generator,
-    keyed by (seed, b), so every path's noise is a pure function of (seed,
-    path, step), independent of how many paths run.  The blocks are split
-    into contiguous ranges (_block_ranges), one per usable core, and each
-    range runs every step on a state of its own rows, the first range in
-    this thread and each other one in a thread of its own; one range starts
-    no thread.  The steps are row-wise, so every path is the same bit for bit
-    however many ranges run; start, step and the outs must then be safe to
-    use from several threads on disjoint rows.  Each range's state, noise
+    (m, width) normals of step k.  At step k, noise block b (paths b*BLOCK
+    to (b+1)*BLOCK) sets its Philox generator, keyed by (seed, b), to counter
+    (0, k, 0, 0) and draws the rows of its paths in the range only: BLOCK
+    for a full block, the rest of the range's rows (two at least) for its
+    last one.  A draw of m rows is the first m rows of a BLOCK-row draw, a
+    step's stream does not depend on what earlier steps drew, and a step
+    advances only counter word 0, by far less than 2^64, so every path's
+    noise is a pure function of (seed, path, step), independent of how many
+    paths run.  The blocks are split into contiguous ranges (_block_ranges),
+    one per usable core, and each range runs every step on a state of its
+    own rows, the first range in this thread and each other one in a thread
+    of its own; one range starts no thread.  The steps are row-wise, so
+    every path is the same bit for bit however many ranges run; start, step
+    and the outs must then be safe to use from several threads on disjoint
+    rows.  Each range's state, noise
     and guard buffers are allocated here, before any thread starts.  A
     state always has at least two rows: on a single row numpy's matmul
     takes a matrix-vector path that rounds differently.  At the i-th index
@@ -166,10 +173,12 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
     def range_run(lo, hi):
         b0, b1 = lo // BLOCK, (hi + BLOCK - 1) // BLOCK
         rngs = [_block_rng(seed, b) for b in range(b0, b1)]
-        noise = np.empty(((b1 - b0) * BLOCK, width))
-        blocks = [noise[i * BLOCK : (i + 1) * BLOCK] for i in range(b1 - b0)]
+        # each block's stream state at counter (0, 0, 0, 0) with no buffered
+        # output; a step sets counter word 1 to its index
+        seeks = [rng.bit_generator.state for rng in rngs]
         rows = max(hi - lo, 2)
-        xi = noise[:rows]
+        xi = np.empty((rows, width))
+        blocks = [xi[i * BLOCK : (i + 1) * BLOCK] for i in range(b1 - b0)]
         alive = np.ones(rows, dtype=bool)
         state = start(rows)
         norm2, p2 = np.empty(rows), np.empty(rows)
@@ -188,7 +197,9 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
             for k in range(1, n_steps + 1):
                 if failed:
                     break
-                for rng, block in zip(rngs, blocks):
+                for rng, seek, block in zip(rngs, seeks, blocks):
+                    seek["state"]["counter"][1] = k
+                    rng.bit_generator.state = seek
                     rng.standard_normal(out=block)
                 s = step(k, s, xi)
                 if guard:

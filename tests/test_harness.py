@@ -312,6 +312,47 @@ class TestCutoffPipeline:
         assert len(results) == 75
         assert all(r.kind == "exact" and r.abserr <= TV_TOL for r in results)
 
+    def test_curve_files_keep_the_coordinate_tag_when_it_fits(self, tmp_path):
+        manifest = run_cutoff_experiment(validate_config(minimal_config(tmp_path, epsilons=[1e-2, 1e-3])))
+        names = sorted(os.path.basename(p) for p in manifest.artifacts if p.endswith(".csv"))
+        assert names == ["cutoff_x0.5_0.2_eps0.001.csv", "cutoff_x0.5_0.2_eps0.01.csv"]
+
+    def test_a_start_too_long_for_a_file_name_writes_its_csvs(self, tmp_path):
+        # 26 generic coordinates: the coordinate tag gives a 276-byte file
+        # name, over the 255-byte limit, so the files take a hashed tag and
+        # the summary keeps x0 in full
+        n = 13
+        chain = 2.5 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        x0 = [-0.1234567 - 0.0111111 * i for i in range(2 * n)]
+        raw = minimal_config(tmp_path, x0=[x0], w_grid={"min": -1.0, "max": 1.0, "step": 1.0}, dt=0.05)
+        raw["model"] = {"force": {"type": "linear", "matrix": chain.tolist()}, "gamma": 1.0, "alpha": 0.3,
+                        "beta": 0.9}
+        manifest = run_cutoff_experiment(validate_config(raw))
+        (csv_path,) = [p for p in manifest.artifacts if p.endswith(".csv")]
+        name = os.path.basename(csv_path)
+        assert re.fullmatch(r"cutoff_xsha[0-9a-f]{16}_eps0\.01\.csv", name)
+        with open(csv_path) as fh:
+            assert fh.readline().startswith("w,t,tv_exact")
+        summary = json.loads(open(os.path.join(raw["out_dir"], "cutoff_summary.json")).read())
+        assert summary["runs"][0]["x0"] == x0
+        assert len(f"cutoff_x{'_'.join(f'{v:g}' for v in x0)}_eps0.01.csv") > 255
+
+    def test_summary_records_the_excluded_paths_of_each_mc_curve_ensemble(self, tmp_path, monkeypatch):
+        # the count per epsilon is the one the ensemble reports; without
+        # mc_curve there is no ensemble and no count
+        def sde_excluding(*args, seed, **kwargs):
+            batch = integrate_sde(*args, seed=seed, **kwargs)
+            return dataclasses.replace(batch, excluded=seed)
+
+        monkeypatch.setattr(harness, "integrate_sde", sde_excluding)
+        raw = minimal_config(tmp_path, epsilons=[1e-2, 1e-3], mc_curve=True, n_paths=64)
+        manifest = run_cutoff_experiment(validate_config(raw))
+        assert [s["excluded"] for s in manifest.summary["runs"][0]["sup_diffs"]] == [3, 4]
+        summary = json.loads(open(os.path.join(raw["out_dir"], "cutoff_summary.json")).read())
+        assert [s["excluded"] for s in summary["runs"][0]["sup_diffs"]] == [3, 4]
+        plain = run_cutoff_experiment(validate_config(dict(raw, mc_curve=False, out_dir=str(tmp_path / "plain"))))
+        assert all("excluded" not in s for s in plain.summary["runs"][0]["sup_diffs"])
+
 
 class TestStationaryPipeline:
     def test_refuses_more_than_one_start(self, tmp_path):

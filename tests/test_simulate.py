@@ -20,7 +20,6 @@ from langmix.matrix_eq import lyapunov_quadrature, sigma_matrix
 from langmix.model import ModelSpec, force_from_config, make_gradient_force, make_linear_force
 from langmix.simulate import (
     BLOCK,
-    _block_rng,
     empirical_tv,
     exp_moment_bound,
     integrate_fluctuation,
@@ -124,7 +123,7 @@ class TestIntegrateSde:
                           couple_fluctuation=True)
 
     def test_coupled_run_excludes_the_paths_of_its_x(self, monkeypatch):
-        # the inverted quartic's Euler-Maruyama ensemble excludes 67 of 200
+        # the inverted quartic's Euler-Maruyama ensemble excludes 83 of 200
         # paths; Y and Z drop the same rows as X
         spec, x0 = _inverted_quartic()
         eps, kw = 0.3, dict(seed=1, scheme="euler_maruyama", store_every=600)
@@ -138,11 +137,11 @@ class TestIntegrateSde:
         b = integrate_sde(spec, x0, 6.0, 0.01, 200, epsilon=eps, couple_fluctuation=True, **kw)
         plain = integrate_sde(spec, x0, 6.0, 0.01, 200, epsilon=eps, **kw)
         alive = masks[0]
-        assert np.array_equal(alive, masks[1]) and b.excluded == plain.excluded == int(np.sum(~alive)) == 67
+        assert np.array_equal(alive, masks[1]) and b.excluded == plain.excluded == int(np.sum(~alive)) == 83
         assert np.array_equal(b.states, plain.states)
         y, z = b.coupled["Y"], b.coupled["Z"]
         assert np.array_equal(y, _em_fluctuation(spec, x0, 6.0, 0.01, 200, seed=1)[alive][:, ::600])
-        assert z.shape == y.shape == (133, 2, 2)
+        assert z.shape == y.shape == (117, 2, 2)
         assert np.array_equal(z, b.coupled["ode"][None, :, :] + math.sqrt(2 * eps) * y)
 
     def test_explosion_excluded_and_counted(self):
@@ -161,18 +160,24 @@ def _inverted_quartic():
     return ModelSpec(force, 1.5, 2 / 3, 0.75), np.array([0.9, 0.0])
 
 
+def _step_normals(seed, b, k, m, width):
+    """The (m, width) normals of noise block b at step k: Philox keyed by (seed, b), from counter (0, k, 0, 0)."""
+    key = np.array([seed, b], dtype=np.uint64)
+    counter = np.array([0, k, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter)).standard_normal((m, width))
+
+
 def _em_fluctuation(spec, x0, t_end, dt, n, seed):
     """Y at every step of y <- y + dt y A(q_k)^T + sqrt(dt) [0, xi_k] along the zero-noise path.
 
-    xi_k is the first n rows of noise block 0's draw at step k, the normals
-    that step X in a coupled run of n <= BLOCK paths.
+    xi_k is noise block 0's draw at step k, the normals that step X in a
+    coupled run of n <= BLOCK paths.
     """
     d = spec.dim
-    rng = _block_rng(seed, 0)
     y = np.zeros((n, 2 * d))
     path = [y]
-    for q in flow_zero_noise(spec, x0, t_end, dt).states[:-1, :d]:
-        xi = rng.standard_normal((BLOCK, d))[:n]
+    for k, q in enumerate(flow_zero_noise(spec, x0, t_end, dt).states[:-1, :d], 1):
+        xi = _step_normals(seed, 0, k, n, d)
         y = y + (dt * (y @ drift_matrix(spec, q).T) + np.hstack([np.zeros((n, d)), math.sqrt(dt) * xi]))
         path.append(y)
     return np.stack(path, axis=1)
@@ -182,22 +187,21 @@ def _per_block_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, o
     """The per-block loop that the batched _run_ensemble replaced, kept as its oracle.
 
     Each block of BLOCK paths takes all its steps before the next block
-    starts, slices its rows from a fresh full-block draw per step, guards
-    with the finiteness chain the single comparison replaced, and zeroes
-    only q and p of the paths it excludes.
+    starts, draws its rows of step k afresh from counter (0, k, 0, 0),
+    guards with the finiteness chain the single comparison replaced, and
+    zeroes only q and p of the paths it excludes.
     """
     alive = np.ones(n_paths, dtype=bool)
     for b in range((n_paths + BLOCK - 1) // BLOCK):
         lo, hi = b * BLOCK, min((b + 1) * BLOCK, n_paths)
         m = hi - lo
-        rng = _block_rng(seed, b)
         state = start(m)
         for out, a in zip(outs, state):
             if out is not None:
                 out[lo:hi, 0] = a
         si = 1
         for k in range(1, n_steps + 1):
-            state = step(k, state, rng.standard_normal((BLOCK, width))[:m])
+            state = step(k, state, _step_normals(seed, b, k, m, width))
             if guard:
                 q, p = state[0], state[1]
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -253,9 +257,8 @@ def _two_force_path(spec, x0, scheme, eps, dt, n, n_steps, seed):
     h, c_ou = 0.5 * dt, math.exp(-g * dt)
     sig_ou = math.sqrt(eps / g * (1.0 - c_ou**2))
     q, p = np.full((n, 1), x0[0]), np.full((n, 1), x0[1])
-    rng = _block_rng(seed, 0)
-    for _ in range(n_steps):
-        xi = rng.standard_normal((BLOCK, 1))[:n]
+    for k in range(1, n_steps + 1):
+        xi = _step_normals(seed, 0, k, n, 1)
         if scheme == "baoab":
             p = p - h * _quartic_F(q)
             q = q + h * p
@@ -303,7 +306,7 @@ class TestBatchedKernel:
                     assert np.array_equal(a, b), (model, n)
 
     @pytest.mark.parametrize(
-        "scheme, expected", [("baoab", {8: 8, 4100: 4100}), ("euler_maruyama", {8: 8, 4100: 4096})]
+        "scheme, expected", [("baoab", {8: 8, 4100: 4100}), ("euler_maruyama", {8: 8, 4100: 4095})]
     )
     def test_exploding_paths_match_per_block_oracle(self, monkeypatch, scheme, expected):
         # inverted potential F(q) = -q: the guard zeroes and excludes the
@@ -551,16 +554,16 @@ class TestPinsker:
             pinsker_kl_bound(quartic_spec, np.zeros(2), 1.0, 0.01, 10, seed=0, epsilon=0.0)
 
     def test_exploding_paths_give_an_infinite_bound(self, caplog):
-        # integrate_sde's Euler-Maruyama ensemble excludes 67 of these 200
+        # integrate_sde's Euler-Maruyama ensemble excludes 83 of these 200
         # paths; the bound is then vacuous
         spec, x0 = _inverted_quartic()
         kw = dict(seed=1, epsilon=0.3)
         b = integrate_sde(spec, x0, 6.0, 0.01, 200, scheme="euler_maruyama", store_every=600, **kw)
-        assert b.excluded == 67
+        assert b.excluded == 83
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert pinsker_kl_bound(spec, x0, 6.0, 0.01, 200, **kw) == math.inf
-        assert "excluded 67 exploded paths out of 200" in caplog.text
+        assert "excluded 83 exploded paths out of 200" in caplog.text
 
 
 _BAD_RUN_ARGS = {
@@ -633,39 +636,40 @@ def _inverted_spec():
     return ModelSpec(make_linear_force([[-1.0]]), 1.0, 2 / 3, 0.5)
 
 
-#: name -> (run, sha256 of states, excluded), recorded with the out-of-place
-#: step that the in-place one replaced (x86-64, numpy 2.4 with OpenBLAS; a
-#: build whose matmul rounds differently would need its own record)
+#: name -> (run, sha256 of states, excluded), recorded with the per-block
+#: oracle _per_block_ensemble on the (seed, block, step) streams (x86-64,
+#: numpy 2.4 with OpenBLAS; a build whose matmul rounds differently would
+#: need its own record)
 _KERNEL_HASHES = {
     "baoab_quartic": (
         lambda: integrate_sde(corpus_spec("quartic"), np.array([0.8, -0.2]), 1.0, 0.01, 300, seed=11,
                               epsilon=0.1, scheme="baoab", store_every=10),
-        "e794b857426bdad8354f48f8729a8c10dcadbfa96abd1eebd2cfec7848204b5b", 0,
+        "7be82374bb97feecff71fa0cf061be04264cea8b719cb3a03b3afe2a36d36870", 0,
     ),
     "em_coupled_lin1d_complex": (
         lambda: integrate_sde(corpus_spec("lin1d_complex"), np.array([0.6, 0.3]), 1.0, 0.01, 300, seed=12,
                               epsilon=0.01, scheme="euler_maruyama", store_every=10, couple_fluctuation=True),
-        "7bdb149506d47baa29b915a92d710ab44fa679413351083c3a458582b5eb4ea3", 0,
+        "726c3757cd696594949c92604006989b84fc42cf9bc9e239f0c7bd5bf07e788a", 0,
     ),
     "lin2d_rot_1_path": (
         lambda: integrate_sde(corpus_spec("lin2d_rot"), np.array([0.5, 0.5, 0.0, 0.0]), 1.0, 0.01, 1, seed=13,
                               epsilon=0.01, scheme="baoab", store_every=10),
-        "4d1a93b8db06776da9c508f2d60427f9b28e211fe4e757ce3b5f919f3eda6f4f", 0,
+        "a44fcfdf89eb746a81029980ed9f4a68cad1aa65b887bb33f1bfd06472723ae1", 0,
     ),
     "lin2d_rot_partial_block": (
         lambda: integrate_sde(corpus_spec("lin2d_rot"), np.array([0.5, 0.5, 0.0, 0.0]), 1.0, 0.01, BLOCK + 1,
                               seed=13, epsilon=0.01, scheme="baoab", store_every=10),
-        "a34c0eccfb073847ae58b5be7269992ecd24efc60da8fdddfb9c8a99c996070f", 0,
+        "b6ef3187a9d2fea2247232a16415f1a38d9b880ab5f26892edcda975b3b48369", 0,
     ),
     "exploding_baoab": (
         lambda: integrate_sde(_inverted_spec(), np.zeros(2), 46.0, 0.5, 300, seed=1, epsilon=1.0,
                               scheme="baoab", store_every=4),
-        "8053db569eb989a0a3ad8d875c819dc7bb3f736d38398befd8b4fcfa442836ae", 158,
+        "74851677c63f02ff486bcbe9bf04a66cfeb28faa47ce6a1137005ed46ce03a09", 155,
     ),
     "exploding_em": (
         lambda: integrate_sde(_inverted_spec(), np.zeros(2), 52.0, 0.5, 300, seed=1, epsilon=1.0,
                               scheme="euler_maruyama", store_every=4),
-        "c5c8d4d2ebb2b79959b4fd73ed8602026ab80ac562951ec061f9e34fbf1754d9", 84,
+        "a4b9c5478b10e745638747ebed7a3e19e79bf902901ee5be2f532827e99ec743", 87,
     ),
 }
 
@@ -678,6 +682,46 @@ def test_in_place_kernel_keeps_the_recorded_paths(name):
     batch = run()
     assert batch.excluded == excluded
     assert _sha256(batch.states) == digest
+
+
+class _RecordingRng:
+    """A block's generator that records the shape of each of its draws under its block index."""
+
+    def __init__(self, rng, b, draws):
+        self.bit_generator, self._rng, self._b, self._draws = rng.bit_generator, rng, b, draws
+
+    def standard_normal(self, out):
+        self._draws.append((self._b, out.shape))
+        return self._rng.standard_normal(out=out)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("n", [1, 300, BLOCK + 5])
+def test_step_k_sees_each_blocks_rows_drawn_from_counter_k(monkeypatch, n, width):
+    # block b gives step k the first rows of the Philox stream keyed by
+    # (seed, b) from counter (0, k, 0, 0), and draws only the rows it runs:
+    # its m paths, or the two rows of a one-path ensemble, never a whole BLOCK
+    seed, n_steps, rows = 9, 4, max(n, 2)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 1)
+    draws, block_rng = [], simulate._block_rng
+    monkeypatch.setattr(simulate, "_block_rng", lambda seed, b: _RecordingRng(block_rng(seed, b), b, draws))
+    seen = []
+
+    def step(k, s, xi):
+        seen.append((k, xi.copy()))
+        return s
+
+    simulate._run_ensemble(n, seed, n_steps, width, lambda m: (np.zeros((m, width)),), step, [0], (None,))
+    blocks = [(b, min(BLOCK, rows - b * BLOCK)) for b in range((rows + BLOCK - 1) // BLOCK)]
+    assert draws == [(b, (m, width)) for _ in range(n_steps) for b, m in blocks]
+    assert [k for k, _ in seen] == list(range(1, n_steps + 1))
+    for k, xi in seen:
+        assert xi.shape == (rows, width)
+        expected = np.vstack([_step_normals(seed, b, k, m, width) for b, m in blocks])
+        assert np.array_equal(xi, expected), k
+    # a draw of m rows is the head of a full block's draw from the same counter
+    m = blocks[-1][1]
+    assert np.array_equal(_step_normals(seed, 0, 1, m, width), _step_normals(seed, 0, 1, BLOCK, width)[:m])
 
 
 @pytest.mark.parametrize(
