@@ -298,7 +298,7 @@ def _check_covflow_psd_and_oracle() -> CheckResult:
         path = integrate_covariance(spec, np.array(x0), t_end, dt)
         if path.clamp_events > 0:
             return CheckResult(False, float(path.clamp_events), "clamps happened")
-        _, ode_covs = _ode_path(spec, np.array(x0), path.grid)
+        _, ode_covs = _ode_path(spec, np.array(x0), path.grid, path.grid[-1])
         for t in times:
             k = int(round(t / dt))
             Xq = lyapunov_quadrature(A, J, t, n_intervals=2000)

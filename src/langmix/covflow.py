@@ -6,7 +6,8 @@ where A_t = A(q_t) is the position-dependent linearization.  For a linear
 force A_t = A is constant and the path is exact in closed form: the state
 e^{At} x and Sigma_t = Sigma - e^{At} Sigma e^{A^T t}, with e^{At} taken on the
 output grid as a product of two tables of matrix exponentials.  Any other
-force co-integrates the flow and the matrix ODE in one adaptive solve.  The
+force co-integrates the flow and the matrix ODE in one adaptive solve.  A
+caller that reads only some grid times asks for those steps alone.  The
 module also provides the third-order short-time expansion and quantifies the
 exponential approach to the stationary covariance.
 """
@@ -29,14 +30,25 @@ GAP_DT = 0.01  # output spacing of the covariance path behind stationary_gap
 
 @dataclass
 class CovariancePath:
-    grid: np.ndarray
+    grid: np.ndarray  # output times k dt, ascending
     covs: np.ndarray  # (n_times, 2d, 2d)
     states: np.ndarray  # (n_times, 2d) zero-noise path
     clamp_events: int
+    dense: bool = True  # grid holds every k dt up to its end, not chosen steps
 
     def at(self, t: float):
-        """Linear interpolation of (state, covariance) at time t within the grid."""
+        """(state, covariance) at time t.
+
+        A dense path interpolates linearly between its two neighbouring grid
+        times.  A path of chosen steps answers only at its grid times, to
+        within 1e-12, and raises ParameterError anywhere else.
+        """
         g = self.grid
+        if not self.dense:
+            hit = np.flatnonzero(np.abs(g - t) <= 1e-12)
+            if not hit.size:
+                raise ParameterError(f"time {t} is not one of the path's {len(g)} evaluated times")
+            return self.states[hit[0]], self.covs[hit[0]]
         if t < g[0] - 1e-12 or t > g[-1] + 1e-12:
             raise ParameterError(f"time {t} outside the integrated range [{g[0]}, {g[-1]}]")
         i = int(np.clip(np.searchsorted(g, t) - 1, 0, len(g) - 2))
@@ -57,33 +69,45 @@ def _covariance_rhs(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
     return np.concatenate([_flow_rhs(spec.force, spec.gamma, x), dS.ravel()])
 
 
-def _ode_path(spec: ModelSpec, x0: np.ndarray, grid: np.ndarray):
-    """(states, raw covariances) on grid from one adaptive solve of the joint ODE; any force."""
+def _ode_path(spec: ModelSpec, x0: np.ndarray, grid: np.ndarray, t_end: float):
+    """(states, raw covariances) at the times of grid from one adaptive solve of the joint ODE
+    over [0, t_end]; any force.  The solver's steps do not depend on which
+    times grid holds, so a time gets the same bits in any grid of one t_end.
+    """
     n = 2 * spec.dim
     y0 = np.concatenate([x0, np.zeros(n * n)])
-    sol = solve_path(lambda y: _covariance_rhs(spec, y), y0, (0.0, grid[-1]), n, t_eval=grid)
-    return sol.y[:n].T.copy(), sol.y[n:].T.reshape(-1, n, n)
+    sol = solve_path(lambda y: _covariance_rhs(spec, y), y0, (0.0, t_end), n, t_eval=grid)
+    y = np.reshape(sol.y, (n + n * n, len(grid)))  # scipy returns a list for an empty grid
+    return y[:n].T.copy(), y[n:].T.reshape(-1, n, n)
 
 
-def _linear_path(spec: ModelSpec, x0: np.ndarray, grid: np.ndarray):
-    """(states, covariances) of a linear force in closed form on grid = k dt, k = 0 .. N.
+def _linear_path(spec: ModelSpec, x0: np.ndarray, k: np.ndarray, dt: float, n_steps: int):
+    """(states, covariances) of a linear force in closed form at the times k dt, 0 <= k <= n_steps.
 
-    e^{A k dt} = coarse[k // B] @ fine[k % B] with B = ceil(sqrt(N + 1)):
-    two stacked expm calls of about sqrt(N) matrices each.
+    e^{A k dt} = coarse[k // B] @ fine[k % B] with B = ceil(sqrt(n_steps + 1)),
+    from two stacked expm calls over the table entries that k uses, about
+    sqrt(n_steps) each at most.  expm and matmul work matrix by matrix, so a
+    time gets the same bits whichever other times k holds.
     """
     sigma = sigma_matrix(spec)
     A = drift_matrix(spec, np.zeros(spec.dim))
-    n_steps, dt = len(grid) - 1, grid[1]
     B = math.isqrt(n_steps) + 1  # ceil(sqrt(n_steps + 1))
-    fine = expm(A * (np.arange(B) * dt)[:, None, None])
-    coarse = expm(A * (np.arange(n_steps // B + 1) * (B * dt))[:, None, None])
-    k = np.arange(n_steps + 1)
-    E = coarse[k // B] @ fine[k % B]
+    jf, fi = np.unique(k % B, return_inverse=True)
+    jc, ci = np.unique(k // B, return_inverse=True)
+    fine = expm(A * (jf * dt)[:, None, None])
+    coarse = expm(A * (jc * (B * dt))[:, None, None])
+    E = coarse[ci] @ fine[fi]
     return E @ x0, sigma - E @ sigma @ np.swapaxes(E, 1, 2)
 
 
-def integrate_covariance(spec: ModelSpec, x0, t_end: float, dt: float) -> CovariancePath:
+def integrate_covariance(spec: ModelSpec, x0, t_end: float, dt: float, steps=None) -> CovariancePath:
     """The zero-noise flow and the fluctuation covariance at the output times k dt.
+
+    The grid is k dt for k = 0 .. N = round(t_end / dt).  With steps (integers
+    in [0, N]) only those k are evaluated, and the path answers `at` those
+    times only (dense False); each of them carries the same bits as in the
+    whole grid.  The cut-off pipeline asks for its window steps this
+    way; cov-flow and `stationary_gap` take the whole grid.
 
     A linear force gets the exact Gaussian path: e^{A k dt} x0 and
     Sigma - e^{A k dt} Sigma e^{A^T k dt}, with e^{A k dt} the product of a
@@ -91,17 +115,30 @@ def integrate_covariance(spec: ModelSpec, x0, t_end: float, dt: float) -> Covari
     needs Sigma, so a linear force whose A is not Hurwitz raises
     StabilityError from `sigma_matrix` before any work; the cov-flow command
     and `stationary_gap` ask for Sigma anyway.  Any other force co-integrates
-    the flow and the covariance ODE with one adaptive solve (`_ode_path`).
-    The covariance is then symmetrized and negative eigenvalues (a genuine
-    degeneracy only near t = 0) are clamped to zero; those below
-    -1e-10 max(1, lambda_max) are counted in clamp_events.
+    the flow and the covariance ODE with one adaptive solve over [0, N dt]
+    (`_ode_path`).  The evaluated covariances are then symmetrized and
+    negative eigenvalues (a genuine degeneracy only near t = 0) are clamped
+    to zero; those below -1e-10 max(1, lambda_max) are counted in
+    clamp_events.
     """
     if dt <= 0 or round(t_end / dt) < 1:
         raise ParameterError("need dt > 0 and t_end of at least one output step dt")
     x0 = phase_point(spec, x0)
-    grid = np.arange(int(round(t_end / dt)) + 1) * dt
-    path_of = _linear_path if spec.force.matrix is not None else _ode_path
-    states, S = path_of(spec, x0, grid)
+    n_steps = int(round(t_end / dt))
+    if steps is None:
+        k = np.arange(n_steps + 1)
+    else:
+        k = np.asarray(steps)
+        if k.ndim != 1 or (k.size and not np.issubdtype(k.dtype, np.integer)):
+            raise ParameterError("steps must be a list of integer grid steps")
+        if k.size and (k.min() < 0 or k.max() > n_steps):
+            raise ParameterError(f"steps must lie in [0, {n_steps}]")
+        k = np.unique(k.astype(np.int64))
+    grid = k * dt
+    if spec.force.matrix is not None:
+        states, S = _linear_path(spec, x0, k, dt, n_steps)
+    else:
+        states, S = _ode_path(spec, x0, grid, n_steps * dt)
     S = 0.5 * (S + np.swapaxes(S, 1, 2))
     eigs, vecs = np.linalg.eigh(S)
     clamped = eigs[:, 0] < -1e-10 * np.maximum(1.0, eigs[:, -1])
@@ -109,7 +146,8 @@ def integrate_covariance(spec: ModelSpec, x0, t_end: float, dt: float) -> Covari
     V = vecs[neg]
     C = (V * np.maximum(eigs[neg], 0.0)[:, None, :]) @ np.swapaxes(V, 1, 2)
     S[neg] = 0.5 * (C + np.swapaxes(C, 1, 2))
-    return CovariancePath(grid=grid, covs=S, states=states, clamp_events=int(np.sum(clamped)))
+    return CovariancePath(grid=grid, covs=S, states=states, clamp_events=int(np.sum(clamped)),
+                          dense=steps is None)
 
 
 def short_time_covariance(spec: ModelSpec, x, t: float) -> np.ndarray:

@@ -121,30 +121,36 @@ _QAWF_MIN_PHASE = 20.0 * math.pi
 
 
 def _interval_union_above_zero(c2: float, c1: float, c0: float):
-    """Solution set {z : c2 z^2 + c1 z + c0 > 0} as a list of (lo, hi) intervals."""
-    tiny = 1e-300
+    """Solution set {z : c2 z^2 + c1 z + c0 > 0} as (lo, hi, outside), or None when empty.
+
+    The set is the interval (lo, hi), or its complement when outside is True;
+    lo and hi may be infinite.
+    """
     if abs(c2) < 1e-14 * (abs(c1) + abs(c0) + 1.0):
-        if abs(c1) < tiny:
-            return [(-np.inf, np.inf)] if c0 > 0 else []
+        if abs(c1) < 1e-300:
+            return (-math.inf, math.inf, False) if c0 > 0 else None
         r = -c0 / c1
-        return [(r, np.inf)] if c1 > 0 else [(-np.inf, r)]
+        return (r, math.inf, False) if c1 > 0 else (-math.inf, r, False)
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc <= 0:
-        return [(-np.inf, np.inf)] if c2 > 0 else []
+        return (-math.inf, math.inf, False) if c2 > 0 else None
     sq = math.sqrt(disc)
     r1 = (-c1 - sq) / (2.0 * c2)
     r2 = (-c1 + sq) / (2.0 * c2)
-    lo, hi = min(r1, r2), max(r1, r2)
-    if c2 > 0:
-        return [(-np.inf, lo), (hi, np.inf)]
-    return [(lo, hi)]
+    return min(r1, r2), max(r1, r2), c2 > 0
 
 
-def _normal_prob_intervals(mean: float, var: float, intervals) -> float:
-    sd = math.sqrt(max(var, 1e-300))
-    total = 0.0
-    for lo, hi in intervals:
-        total += ndtr((hi - mean) / sd) - ndtr((lo - mean) / sd)
+def _normal_prob_intervals(mean: float, sd: float, iv) -> float:
+    """N(mean, sd^2) mass of the set iv of `_interval_union_above_zero`.
+
+    ndtr is called only at finite endpoints: it is exactly 0 and 1 at -inf and inf.
+    """
+    if iv is None:
+        return 0.0
+    lo, hi, outside = iv
+    below = 0.0 if lo == -math.inf else ndtr((lo - mean) / sd)
+    above = 1.0 if hi == math.inf else ndtr((hi - mean) / sd)
+    total = below + (1.0 - above) if outside else above - below
     return float(min(max(total, 0.0), 1.0))
 
 
@@ -173,30 +179,31 @@ def _tv_cdf_2d(g1: Gaussian, g2: Gaussian):
     For fixed second coordinate y the region is a union of at most two
     intervals in the first coordinate, whose conditional normal probability is
     exact; the outer integral over y is one-dimensional adaptive quadrature,
-    whose error estimate is returned with the value.
+    whose error estimate is returned with the value.  The integrand's
+    per-pair constants are taken once.
     """
     Q, l, c0 = _loglr_coefficients(g1, g2)
 
     params = []
-    for g in (g1, g2):
+    for sign, g in zip((1.0, -1.0), (g1, g2)):
         m, S = g.mean, g.cov
         my, vy = float(m[1]), float(S[1, 1])
         slope = float(S[0, 1] / S[1, 1])
-        vcond = float(S[0, 0] - S[0, 1] ** 2 / S[1, 1])
-        params.append((my, vy, float(m[0]), slope, max(vcond, 1e-300)))
+        vcond = max(float(S[0, 0] - S[0, 1] ** 2 / S[1, 1]), 1e-300)
+        params.append((sign, my, vy, math.sqrt(2 * math.pi * vy), float(m[0]), slope, math.sqrt(vcond)))
 
     c2 = 0.5 * float(Q[0, 0])
+    q01, q11h, l0, l1 = float(Q[0, 1]), 0.5 * float(Q[1, 1]), float(l[0]), float(l[1])
 
     def integrand(y: float) -> float:
-        c1 = float(Q[0, 1]) * y + float(l[0])
-        cc0 = 0.5 * float(Q[1, 1]) * y * y + float(l[1]) * y + c0
-        iv = _interval_union_above_zero(c2, c1, cc0)
+        iv = _interval_union_above_zero(c2, q01 * y + l0, q11h * y * y + l1 * y + c0)
+        if iv is None:
+            return 0.0
         out = 0.0
-        for sign, (my, vy, mx, slope, vcond) in zip((1.0, -1.0), params):
-            dens = math.exp(-0.5 * (y - my) ** 2 / vy) / math.sqrt(2 * math.pi * vy)
+        for sign, my, vy, norm, mx, slope, sd in params:
+            dens = math.exp(-0.5 * (y - my) ** 2 / vy) / norm
             if dens > 0.0:
-                mcond = mx + slope * (y - my)
-                out += sign * dens * _normal_prob_intervals(mcond, vcond, iv)
+                out += sign * dens * _normal_prob_intervals(mx + slope * (y - my), sd, iv)
         return out
 
     lo = min(g.mean[1] - 12.0 * math.sqrt(g.cov[1, 1]) for g in (g1, g2))

@@ -305,7 +305,23 @@ def _pipeline_start(cfg: ExperimentConfig, pipeline: str):
     return spec, gate, sigma_matrix(spec)
 
 
+def _check_curve_files(cfg: ExperimentConfig):
+    """Refuse a config in which two (x0, epsilon) curves would write one CSV file."""
+    seen = {}
+    for x0 in cfg.x0:
+        for eps in cfg.epsilons:
+            tag = _curve_tag(x0, eps)
+            if tag in seen:
+                x1, e1 = seen[tag]
+                raise ParameterError(
+                    f"the curves of x0 = {x1}, epsilon = {e1!r} and x0 = {x0}, epsilon = {eps!r} "
+                    f"would both be written to cutoff_{tag}.csv"
+                )
+            seen[tag] = (x0, eps)
+
+
 def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
+    _check_curve_files(cfg)
     spec, gate, sigma = _pipeline_start(cfg, "cutoff experiment")
     w = np.arange(cfg.w_grid["min"], cfg.w_grid["max"] + 1e-12, cfg.w_grid["step"])
 
@@ -317,18 +333,22 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
         pl = profile_limit_r(spec, sd)
         tmix = {e: mixing_time(sd, e) for e in cfg.epsilons}
         t_max = max(tmix.values()) + cfg.w_grid["max"] + 1.0
-        path = integrate_covariance(spec, x0, t_max, cfg.dt)
         t_floor = max(sd.tau, 4 * cfg.dt)
-
-        sup_diffs = []
-        for i_eps, eps in enumerate(cfg.epsilons):
-            # snap window times to the integration grid so the covariance
-            # values carry no interpolation error
-            steps = []
+        # snap window times to the integration grid so the covariance
+        # values carry no interpolation error, and evaluate the path there only
+        windows = {}
+        for eps in cfg.epsilons:
+            windows[eps] = []
             for wi in w:
                 k = int(round((tmix[eps] + wi) / cfg.dt))
                 if k * cfg.dt >= t_floor and k * cfg.dt <= t_max:
-                    steps.append((wi, k))
+                    windows[eps].append((wi, k))
+        needed = sorted({k for steps in windows.values() for _, k in steps})
+        path = integrate_covariance(spec, x0, t_max, cfg.dt, steps=needed)
+
+        sup_diffs = []
+        for i_eps, eps in enumerate(cfg.epsilons):
+            steps = windows[eps]
             empirical = {}
             entry = {"epsilon": eps}
             if cfg.mc_curve and steps:
@@ -383,6 +403,7 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
                 "tau": sd.tau,
                 "r_limit": {"exists": pl.exists, "r": pl.r},
                 "clamp_events": path.clamp_events,
+                "covariance_points": len(path.grid),
                 "sup_diffs": sup_diffs,
                 "sup_diff_monotone": monotone,
             }

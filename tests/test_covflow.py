@@ -92,7 +92,7 @@ class TestLinearClosedForm:
         spec = corpus_spec(name)
         x0 = np.full(2 * spec.dim, 0.5)
         path = integrate_covariance(spec, x0, 10.0, 0.005)
-        states, covs = _ode_path(spec, x0, path.grid)
+        states, covs = _ode_path(spec, x0, path.grid, path.grid[-1])
         assert np.abs(path.states - states).max() <= 1e-10
         assert np.abs(path.covs - covs).max() <= 1e-10
         assert np.all(path.covs[0] == 0.0)
@@ -135,6 +135,53 @@ class TestLinearClosedForm:
         monkeypatch.setattr(covflow, "solve_path", no_work)
         with pytest.raises(StabilityError, match=r"not \(strictly\) stable"):
             integrate_covariance(spec, np.array([0.5, 0.2, 0.0, 0.0]), 10.0, 0.01)
+
+
+class TestChosenSteps:
+    """integrate_covariance(..., steps=S) evaluates only S, with the whole grid's bits."""
+
+    STEPS = [0, 3, 4, 57, 58, 400, 1203, 1204, 1205, 1599]
+
+    @pytest.mark.parametrize(
+        "name, x0", [("lin2d_rot", (0.5, 0.5, 0.0, 0.0)), ("quartic", (1.5, 0.0))], ids=["lin2d_rot", "quartic"]
+    )
+    def test_equals_the_whole_grid_bit_for_bit(self, name, x0):
+        spec = corpus_spec(name)
+        full = integrate_covariance(spec, np.array(x0), 8.0, 0.005)
+        part = integrate_covariance(spec, np.array(x0), 8.0, 0.005, steps=self.STEPS[::-1] + [57])
+        k = self.STEPS
+        assert not part.dense and np.array_equal(part.grid, full.grid[k])
+        assert np.array_equal(part.states, full.states[k])
+        assert np.array_equal(part.covs, full.covs[k])
+        for t in part.grid:
+            x, c = part.at(t)
+            assert np.array_equal(x, full.at(t)[0]) and np.array_equal(c, full.at(t)[1])
+
+    def test_at_answers_only_at_its_evaluated_times(self, harmonic_spec):
+        path = integrate_covariance(harmonic_spec, np.array([0.6, 0.3]), 2.0, 0.01, steps=[10, 12])
+        assert path.grid.tolist() == [10 * 0.01, 12 * 0.01]
+        x, c = path.at(0.12)
+        assert np.array_equal(x, path.states[1]) and np.array_equal(c, path.covs[1])
+        for t in (0.11, 0.1 + 1e-9, 0.5, 0.0, 2.0, 2.5):
+            with pytest.raises(ParameterError):
+                path.at(t)
+        # the whole grid still interpolates between neighbours
+        full = integrate_covariance(harmonic_spec, np.array([0.6, 0.3]), 2.0, 0.01)
+        assert full.dense
+        assert np.allclose(full.at(0.115)[1], 0.5 * (full.covs[11] + full.covs[12]))
+
+    def test_no_steps_give_an_empty_path(self, harmonic_spec, quartic_spec):
+        for spec in (harmonic_spec, quartic_spec):
+            path = integrate_covariance(spec, np.array([0.6, 0.3]), 2.0, 0.01, steps=[])
+            assert path.grid.shape == (0,) and path.states.shape == (0, 2) and path.covs.shape == (0, 2, 2)
+            assert path.clamp_events == 0
+            with pytest.raises(ParameterError):
+                path.at(0.0)
+
+    @pytest.mark.parametrize("steps", [[-1], [201], [0.5, 1.0], [[1, 2]]])
+    def test_steps_off_the_grid_are_refused(self, harmonic_spec, steps):
+        with pytest.raises(ParameterError, match="steps"):
+            integrate_covariance(harmonic_spec, np.array([0.6, 0.3]), 2.0, 0.01, steps=steps)
 
 
 class TestShortTime:

@@ -1,5 +1,7 @@
 import inspect
+import json
 import math
+import os
 import time
 
 import numpy as np
@@ -368,6 +370,32 @@ class TestSaturatedPairs:
         assert bc <= TV_TOL
         res = tv_gaussian(Gaussian(nu, np.diag(lam)), Gaussian(np.zeros(2), np.eye(2)))
         assert (res.value, res.kind) == (1.0, "exact") and res.abserr == pytest.approx(bc, rel=1e-12)
+
+
+def _slicer_pairs() -> list:
+    """Recorded 2-D pairs and the slicer's (value, abserr), all as float.hex strings.
+
+    The pairs are curve points of lin1d_complex, lin1d_real, lin1d_critical
+    and quartic (the first is lin1d_complex from (0.2, -0.4) at eps = 1e-2,
+    w = -2.75) and four hand-made pairs, one for each kind of slice.  The
+    values were recorded before the integrand took its constants once per
+    pair, with the interval helpers called at every y.
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", "tv_cdf_2d_pairs.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _hex_array(values, shape):
+    return np.array([float.fromhex(v) for v in values]).reshape(shape)
+
+
+@pytest.mark.parametrize("pair", _slicer_pairs(), ids=lambda p: p["case"])
+def test_slicer_keeps_its_recorded_bits(pair):
+    g1 = Gaussian(_hex_array(pair["mean1"], 2), _hex_array(pair["cov1"], (2, 2)))
+    g2 = Gaussian(_hex_array(pair["mean2"], 2), _hex_array(pair["cov2"], (2, 2)))
+    value, abserr = gaussian_tv._tv_cdf_2d(g1, g2)
+    assert (value.hex(), abserr.hex()) == (pair["value"], pair["abserr"])
 
 
 class TestGaussianType:

@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import json
 import os
@@ -262,8 +263,8 @@ class TestCutoffPipeline:
     def test_summary_records_clamp_events(self, tmp_path, monkeypatch):
         integrate = harness.integrate_covariance
 
-        def clamped(*args):
-            path = integrate(*args)
+        def clamped(*args, **kwargs):
+            path = integrate(*args, **kwargs)
             path.clamp_events = 7
             return path
 
@@ -272,6 +273,35 @@ class TestCutoffPipeline:
         run_cutoff_experiment(validate_config(raw))
         summary = json.loads(open(os.path.join(raw["out_dir"], "cutoff_summary.json")).read())
         assert [run["clamp_events"] for run in summary["runs"]] == [7, 7]
+
+    def test_the_covariance_path_is_evaluated_only_at_the_window_steps(self, tmp_path, monkeypatch):
+        paths = []
+        integrate = harness.integrate_covariance
+
+        def recorded(*args, **kwargs):
+            paths.append(integrate(*args, **kwargs))
+            return paths[-1]
+
+        monkeypatch.setattr(harness, "integrate_covariance", recorded)
+        raw = minimal_config(tmp_path, epsilons=[1e-2, 1e-3], x0=[[0.5, 0.2], [0.1, -0.3]])
+        manifest = run_cutoff_experiment(validate_config(raw))
+        assert len(paths) == 2
+        for run, path in zip(manifest.summary["runs"], paths):
+            window = set()
+            for eps in raw["epsilons"]:
+                with open(os.path.join(raw["out_dir"], f"cutoff_{harness._curve_tag(run['x0'], eps)}.csv")) as fh:
+                    window |= {round(float(row["t"]) / raw["dt"]) for row in csv.DictReader(fh)}
+            evaluated = np.rint(path.grid / raw["dt"]).astype(int).tolist()
+            assert sorted(set(evaluated)) == evaluated and set(evaluated) == window
+            assert len(window) >= 10 and run["covariance_points"] == len(window)
+
+    def test_two_starts_that_would_share_a_curve_file_are_refused(self, tmp_path):
+        raw = minimal_config(tmp_path, x0=[[0.5, 0.2], [0.1, -0.3], [0.5000001, 0.2]])
+        with pytest.raises(ParameterError, match=r"\[0\.5, 0\.2\].*\[0\.5000001, 0\.2\].*cutoff_x0\.5_0\.2_eps0\.01\.csv"):
+            run_cutoff_experiment(validate_config(raw))
+        assert sorted(os.listdir(raw["out_dir"])) == ["run_manifest.json"]
+        manifest = json.loads(open(os.path.join(raw["out_dir"], "run_manifest.json")).read())
+        assert manifest["status"] == "failed" and manifest["artifacts"] == []
 
     def test_curve_columns_and_branches(self, tmp_path):
         raw = minimal_config(

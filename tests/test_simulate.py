@@ -154,6 +154,30 @@ class TestIntegrateSde:
         assert np.all(np.isfinite(b.states))
 
 
+@pytest.mark.parametrize(
+    "norms, kept",
+    [
+        ([0.1, 0.2, 0.05], [True, True, True]),
+        ([0.8, 0.0, 0.0], [True, True, True]),  # between BLOWUP / sqrt 2 and BLOWUP: kept
+        ([0.6, 0.6, 0.0], [True, True, True]),  # rows' sum over BLOWUP^2 / 2, each row below BLOWUP
+        ([1.2, 0.3, 0.0], [False, True, True]),  # beyond BLOWUP: excluded
+        ([np.inf, 0.0, np.nan], [False, True, False]),
+    ],
+)
+def test_guard_excludes_exactly_the_rows_beyond_blowup(norms, kept):
+    scale = np.array(norms) * BLOWUP
+
+    def step(k, s, xi):
+        q, p = s
+        q[:, 0] = scale * 0.6
+        p[:, 0] = scale * 0.8
+        return q, p
+
+    start = lambda m: (np.zeros((m, 1)), np.zeros((m, 1)))
+    alive = simulate._run_ensemble(len(norms), 0, 2, 1, start, step, [0], (None, None), guard=True)
+    assert alive.tolist() == kept
+
+
 def _inverted_quartic():
     """The inverted quartic U = q^2/2 - q^4/4 and a start inside its well, (0.9, 0)."""
     force = force_from_config({"type": "polynomial_gradient", "coeffs": [0.0, 0.0, 0.5, 0.0, -0.25]})
