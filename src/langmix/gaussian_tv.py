@@ -277,8 +277,9 @@ def _tail_bound(u: np.ndarray, A, log_modulus: np.ndarray) -> np.ndarray:
     a = -np.sort(-np.abs(A), axis=1)  # (2, d), largest first; zeros last
     m = np.arange(1, A.shape[1] + 1)
     with np.errstate(divide="ignore"):
-        factors = (1.0 + 1.0 / (4.0 * u[None, :, None] ** 2 * a[:, None, :] ** 2)) ** 0.25
-    best = np.min(np.cumprod(factors, axis=-1) * 2.0 / m, axis=-1)
+        log_factors = 0.25 * np.log1p(1.0 / (4.0 * u[None, :, None] ** 2 * a[:, None, :] ** 2))
+    # the product over m factors in log space: at d = 128 it overflows as a cumprod
+    best = np.exp(np.min(np.cumsum(log_factors, axis=-1) + np.log(2.0 / m), axis=-1))
     return np.sum(np.exp(log_modulus) * best, axis=0)
 
 

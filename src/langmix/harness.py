@@ -401,6 +401,8 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
                 "eta": sd.eta,
                 "nu": sd.nu,
                 "tau": sd.tau,
+                "jordan_flagged": sd.flagged,
+                "generic_x": sd.generic_x,
                 "r_limit": {"exists": pl.exists, "r": pl.r},
                 "clamp_events": path.clamp_events,
                 "covariance_points": len(path.grid),
@@ -434,6 +436,12 @@ def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
     spec, _, sigma = _pipeline_start(cfg, "stationary check")
     if len(cfg.x0) != 1:
         raise ParameterError(f"the stationary check runs from exactly one x0 point; got {len(cfg.x0)}")
+    n_steps = int(round(cfg.horizon / cfg.dt))
+    if n_steps < 1:
+        raise ParameterError(
+            f"the stationary check needs at least one step; horizon {cfg.horizon:g} and dt {cfg.dt:g} "
+            f"give round(horizon / dt) = {n_steps} steps"
+        )
     x0 = np.asarray(cfg.x0[0], dtype=float)
     rows = []
     tvs = []
@@ -449,7 +457,7 @@ def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
             seed=cfg.seed + i,
             epsilon=eps,
             scheme="baoab",
-            store_every=max(1, int(round(cfg.horizon / cfg.dt))),
+            store_every=n_steps,
         )
         excluded.append(batch.excluded)
         cloud = batch.states[:, -1, :]

@@ -10,10 +10,11 @@ noise from a counter-based generator (Philox; Salmon et al. 2011) keyed by
 rows as it has paths, so results are bitwise reproducible and independent
 of how many paths run and of how blocks are scheduled.  The blocks are
 split into one contiguous range per usable core, and each range runs its
-own step loop on arrays of its paths, in a thread of its own.  The Langevin
-step carries the force at its closing position into the next step, so BAOAB
-and Euler-Maruyama make one force call per step.  Noise enters the momentum
-equation only.
+own step loop on arrays of its paths, in a thread of its own, with a step
+that start builds for that range and that owns its scratch buffers.  The
+Langevin state is (q, p, F(q)) for BAOAB and Euler-Maruyama alike: the step
+carries the force at its closing position into the next step, so both make
+one force call per step.  Noise enters the momentum equation only.
 """
 
 from __future__ import annotations
@@ -134,14 +135,16 @@ def _in_threads(runs: list, failed: list) -> list:
     return results
 
 
-def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, guard=False):
+def _run_ensemble(n_paths, seed, n_steps, width, start, store_idx, outs, guard=False):
     """The one Monte Carlo loop: n_paths paths, n_steps steps, one range of blocks per core.
 
-    start(m) gives the state of m paths as a tuple of arrays with m rows, and
-    step(k, state, xi) advances it over step k, in place or not, with xi the
-    (m, width) normals of step k.  At step k, noise block b (paths b*BLOCK
-    to (b+1)*BLOCK) sets its Philox generator, keyed by (seed, b), to counter
-    (0, k, 0, 0) and draws the rows of its paths in the range only: BLOCK
+    start(m) gives (state, step) for m paths: the state is a tuple of arrays
+    with m rows, and step(k, state, xi) advances it over step k, in place or
+    not, with xi the (m, width) normals of step k.  Each range calls start
+    once, so its step may keep buffers of its own rows in its closure.  At
+    step k, noise block b (paths b*BLOCK to (b+1)*BLOCK) sets its Philox
+    generator, keyed by (seed, b), to counter (0, k, 0, 0) and draws the
+    rows of its paths in the range only: BLOCK
     for a full block, the rest of the range's rows (two at least) for its
     last one.  A draw of m rows is the first m rows of a BLOCK-row draw, a
     step's stream does not depend on what earlier steps drew, and a step
@@ -151,11 +154,11 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
     one per usable core, and each range runs every step on a state of its
     own rows, the first range in this thread and each other one in a thread
     of its own; one range starts no thread.  The steps are row-wise, so
-    every path is the same bit for bit however many ranges run; start, step
-    and the outs must then be safe to use from several threads on disjoint
-    rows.  Each range's state, noise
-    and guard buffers are allocated here, before any thread starts.  A
-    state always has at least two rows: on a single row numpy's matmul
+    every path is the same bit for bit however many ranges run; start, the
+    steps and the outs must then be safe to use from several threads on
+    disjoint rows.  Each range's state, step, noise and guard buffers are
+    built here, before any thread starts, so no two ranges share a buffer.
+    A state always has at least two rows: on a single row numpy's matmul
     takes a matrix-vector path that rounds differently.  At the i-th index
     of store_idx (ascending, starting at 0) each state[j] with outs[j] not
     None is written to outs[j][rows of the range, i].  With guard, state starts
@@ -180,7 +183,7 @@ def _run_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, g
         xi = np.empty((rows, width))
         blocks = [xi[i * BLOCK : (i + 1) * BLOCK] for i in range(b1 - b0)]
         alive = np.ones(rows, dtype=bool)
-        state = start(rows)
+        state, step = start(rows)
         norm2, p2 = np.empty(rows), np.empty(rows)
         ok = np.empty(rows, dtype=bool)
 
@@ -238,39 +241,37 @@ def _checked_start(
 
 
 def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, scheme: str):
-    """Start and step of the noisy dynamics on the state (q, p, F(q), *scratch), from x0.
+    """The start of the noisy dynamics from x0, on the state (q, p, F(q)), for _run_ensemble.
 
-    The step is driven by d standard normals per path and updates q and p in
-    place, through scratch arrays that start(m) allocates once per ensemble
-    range and that ride at the end of the state: temporaries on the paths'
-    scale, freed and faulted back in at every step, cost more than the
-    arithmetic.  BAOAB carries one scratch array and Euler-Maruyama two, and
-    as a step touches no array outside its state, ranges can step at once in
-    separate threads.  Each update is the same operation as its out-of-place
-    form, so the values are too, bit for bit.  The step carries the force at
-    its closing q, which is the next step's opening force, so each step
-    makes one force call.
+    start(m) returns the state of m paths and a step driven by d standard
+    normals per path that updates q and p in place, through scratch arrays
+    of m rows that start allocates with the step and that the step keeps in
+    its closure: temporaries on the paths' scale, freed and faulted back in
+    at every step, cost more than the arithmetic.  BAOAB keeps one scratch
+    array and Euler-Maruyama two; as each range builds its own step, ranges
+    can step at once in separate threads.  Each update is the same
+    operation as its out-of-place form, so the values are too, bit for bit.
+    The step carries the force at its closing q, which is the next step's
+    opening force, so each step makes one force call.
     """
     F = spec.force.eval_F
     d = spec.dim
     g = spec.gamma
-    n_scratch = 1 if scheme == "baoab" else 2
+    h = 0.5 * dt
+    c_ou = math.exp(-g * dt)
+    sig_ou = math.sqrt(max(epsilon / g * (1.0 - c_ou**2), 0.0))
+    sqrt2eps_dt = math.sqrt(2.0 * epsilon * dt)
 
     def force(q):
         return np.asarray(F(q), dtype=float)
 
     def start(m):
         q = np.tile(x0[:d], (m, 1))
-        scratch = tuple(np.empty((m, d)) for _ in range(n_scratch))
-        return (q, np.tile(x0[d:], (m, 1)), force(q)) + scratch
+        t = np.empty((m, d))
+        dp = np.empty((m, d)) if scheme == "euler_maruyama" else None
 
-    if scheme == "baoab":
-        h = 0.5 * dt
-        c_ou = math.exp(-g * dt)
-        sig_ou = math.sqrt(max(epsilon / g * (1.0 - c_ou**2), 0.0))
-
-        def step(k, s, xi):
-            q, p, f, t = s
+        def baoab(k, s, xi):
+            q, p, f = s
             p -= np.multiply(h, f, out=t)
             q += np.multiply(h, p, out=t)
             p *= c_ou
@@ -278,24 +279,23 @@ def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, s
             q += np.multiply(h, p, out=t)
             f = force(q)
             p -= np.multiply(h, f, out=t)
-            return q, p, f, t
+            return q, p, f
 
-        return start, step
+        def euler_maruyama(k, s, xi):
+            # dp = dt * (-f - g * p) + sqrt2eps_dt * xi, one operation at a
+            # time; out= writes into the closure's dp without rebinding it
+            q, p, f = s
+            np.negative(f, out=dp)
+            np.subtract(dp, np.multiply(g, p, out=t), out=dp)
+            np.multiply(dp, dt, out=dp)
+            np.add(dp, np.multiply(sqrt2eps_dt, xi, out=t), out=dp)
+            q += np.multiply(dt, p, out=t)
+            p += dp
+            return q, p, force(q)
 
-    sqrt2eps_dt = math.sqrt(2.0 * epsilon * dt)
+        return (q, np.tile(x0[d:], (m, 1)), force(q)), baoab if scheme == "baoab" else euler_maruyama
 
-    def step(k, s, xi):
-        # dp = dt * (-f - g * p) + sqrt2eps_dt * xi, one operation at a time
-        q, p, f, dp, t = s
-        np.negative(f, out=dp)
-        dp -= np.multiply(g, p, out=t)
-        dp *= dt
-        dp += np.multiply(sqrt2eps_dt, xi, out=t)
-        q += np.multiply(dt, p, out=t)
-        p += dp
-        return q, p, force(q), dp, t
-
-    return start, step
+    return start
 
 
 def _fluctuation_step(spec: ModelSpec, ode_states: np.ndarray, dt: float):
@@ -368,29 +368,30 @@ def integrate_sde(
         if store_idx[0] < 0 or store_idx[-1] > n_steps:
             raise ParameterError("store_indices must lie in [0, n_steps]")
 
-    start, step = _langevin_step(spec, x0, epsilon, dt, scheme)
+    start = _langevin_step(spec, x0, epsilon, dt, scheme)
     states = np.empty((n_paths, len(store_idx), 2 * d))
     outs = (states[:, :, :d], states[:, :, d:])
     if couple_fluctuation:
         ode_path = flow_zero_noise(spec, x0, t_end, dt).states
         A_list = [drift_matrix(spec, q) for q in ode_path[:-1, :d]]
         sqrt_dt = math.sqrt(dt)
-        x_start, x_step = start, step
+        x_start = start
         y_states = np.empty_like(states)
-        # Y follows the Euler-Maruyama state (q, p, F(q), dp, t), whose last
-        # three arrays are not stored
-        outs += (None, None, None, y_states)
+        # the state (q, p, F(q), y): F(q) is not stored
+        outs += (None, y_states)
 
         def start(m):
-            return x_start(m) + (np.zeros((m, 2 * d)),)
+            x, x_step = x_start(m)
 
-        def step(k, s, xi):
-            y = s[-1]
-            dy = dt * (y @ A_list[k - 1].T)
-            dy[:, d:] += sqrt_dt * xi
-            return x_step(k, s[:-1], xi) + (y + dy,)
+            def step(k, s, xi):
+                y = s[3]
+                dy = dt * (y @ A_list[k - 1].T)
+                dy[:, d:] += sqrt_dt * xi
+                return x_step(k, s[:3], xi) + (y + dy,)
 
-    alive = _run_ensemble(n_paths, seed, n_steps, d, start, step, store_idx, outs, guard=True)
+            return x + (np.zeros((m, 2 * d)),), step
+
+    alive = _run_ensemble(n_paths, seed, n_steps, d, start, store_idx, outs, guard=True)
 
     excluded = int(np.sum(~alive))
     if excluded:
@@ -451,9 +452,7 @@ def integrate_fluctuation(
     store_idx = np.arange(0, n_steps + 1, store_every)
     step = _fluctuation_step(spec, ode.states, dt)
     states = np.empty((n_paths, len(store_idx), 2 * d))
-    _run_ensemble(
-        n_paths, seed, n_steps, 2 * d, lambda m: (np.zeros((m, 2 * d)),), step, store_idx, (states,)
-    )
+    _run_ensemble(n_paths, seed, n_steps, 2 * d, lambda m: ((np.zeros((m, 2 * d)),), step), store_idx, (states,))
     return TrajectoryBatch(grid=store_idx * dt, states=states)
 
 
@@ -600,24 +599,24 @@ def pinsker_kl_bound(
         rem = f - lin
         return np.sum(rem * rem, axis=1)
 
-    # state: the Euler-Maruyama state (q, p, F(q), dp, t), led by (q, p) for
-    # the blow-up guard, then the trapezoid sum and the integrand at the last
+    # state: the Euler-Maruyama state (q, p, F(q)), led by (q, p) for the
+    # blow-up guard, then the trapezoid sum and the integrand at the last
     # step; the integrand reads the force the step carries
-    x_start, x_step = _langevin_step(spec, x0, epsilon, dt, "euler_maruyama")
+    x_start = _langevin_step(spec, x0, epsilon, dt, "euler_maruyama")
 
     def start(m):
-        s = x_start(m)
-        return s + (np.zeros(m), integrand(0, s[0], s[2]))
+        x, x_step = x_start(m)
 
-    def step(k, s, xi):
-        x = x_step(k, s[:-2], xi)
-        cur = integrand(k, x[0], x[2])
-        return x + (s[-2] + 0.5 * dt * (s[-1] + cur), cur)
+        def step(k, s, xi):
+            x = x_step(k, s[:3], xi)
+            cur = integrand(k, x[0], x[2])
+            return x + (s[3] + 0.5 * dt * (s[4] + cur), cur)
+
+        return x + (np.zeros(m), integrand(0, x[0], x[2])), step
 
     store_idx = np.unique([0, n_steps])
     acc = np.empty((n_paths, len(store_idx)))
-    outs = (None,) * 5 + (acc,)
-    alive = _run_ensemble(n_paths, seed, n_steps, d, start, step, store_idx, outs, guard=True)
+    alive = _run_ensemble(n_paths, seed, n_steps, d, start, store_idx, (None, None, None, acc), guard=True)
     if not alive.all():  # the ensemble is unbounded, and so is the bound
         return math.inf
     return float(np.sum(acc[:, -1])) / n_paths / (2.0 * epsilon)

@@ -349,6 +349,38 @@ class TestGilPelaez:
         assert res.kind == "estimate" and res.abserr > 1e-20
 
 
+def _tail_bound_by_cumprod(u, A, log_modulus):
+    """The tail bound with its product over m factors taken as a cumprod, which overflows at d = 128."""
+    a = -np.sort(-np.abs(A), axis=1)
+    m = np.arange(1, A.shape[1] + 1)
+    with np.errstate(divide="ignore"):
+        factors = (1.0 + 1.0 / (4.0 * u[None, :, None] ** 2 * a[:, None, :] ** 2)) ** 0.25
+    best = np.min(np.cumprod(factors, axis=-1) * 2.0 / m, axis=-1)
+    return np.sum(np.exp(log_modulus) * best, axis=0)
+
+
+class TestTailBound:
+    def test_dimension_128_does_not_overflow(self):
+        d = 128
+        g1 = Gaussian(0.05 * np.ones(d), np.diag(1.0 + 1e-5 * np.linspace(1.0, 2.0, d)))
+        with np.errstate(over="raise"):
+            res = tv_gaussian(g1, Gaussian(np.zeros(d), np.eye(d)))
+        assert res.kind == "exact" and res.value == pytest.approx(0.22270178115574962, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_matches_the_cumprod_where_it_is_finite(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(5):
+            g1 = Gaussian(rng.standard_normal(d), _spd(rng, d))
+            g2 = Gaussian(rng.standard_normal(d), _spd(rng, d))
+            A, B, C = gaussian_tv._llr_terms(*_whiten(g1, g2))
+            u = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 60)])
+            log_modulus = gaussian_tv._log_cf(u, A, B, C)[0]
+            expected = _tail_bound_by_cumprod(u, A, log_modulus)
+            assert np.isinf(expected[0]) and np.all(np.isfinite(expected[1:]))
+            np.testing.assert_allclose(gaussian_tv._tail_bound(u, A, log_modulus), expected, rtol=1e-12)
+
+
 class TestSaturatedPairs:
     """Pairs whose Bhattacharyya coefficient BC is within TV_TOL: 1 - BC <= d_TV <= 1."""
 

@@ -8,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from langmix import checks, harness, matrix_eq
-from langmix.cutoff import jordan_chains
+from langmix import checks, gaussian_tv, harness, matrix_eq
+from langmix.cutoff import jordan_chains, spectral_data
 from langmix.covflow import drift_matrix, noise_matrix
 from langmix.errors import ParameterError, StabilityError
 from langmix.gaussian_tv import TV_TOL
@@ -384,12 +384,64 @@ class TestCutoffPipeline:
         assert all("excluded" not in s for s in plain.summary["runs"][0]["sup_diffs"])
 
 
+    def test_summary_records_the_jordan_diagnostics(self, tmp_path):
+        raw = minimal_config(tmp_path, x0=[[0.6, 0.3]], model=harness.corpus_model_config("lin1d_critical"))
+        manifest = run_cutoff_experiment(validate_config(raw))
+        sd = spectral_data(corpus_spec("lin1d_critical"), np.array([0.6, 0.3]))
+        summary = json.loads((tmp_path / "out" / "cutoff_summary.json").read_text())
+        for run in (manifest.summary["runs"][0], summary["runs"][0]):
+            assert (run["jordan_flagged"], run["generic_x"]) == (sd.flagged, sd.generic_x)
+
+    def test_critical_damping_window_is_exact_where_gil_pelaez_alone_is_not(self, tmp_path, monkeypatch):
+        # lin1d_critical's Jordan block over eps = 1e-2 .. 1e-8 on the default w-grid:
+        # at 8 window points the Gil-Pelaez head alone misses TV_TOL, and tv_gaussian
+        # answers them exactly from the Bhattacharyya coefficient instead
+        calls = []
+
+        def recording_tv(g1, g2, method="cdf_quadrature"):
+            calls.append((g1, g2, harness_tv(g1, g2, method=method)))
+            return calls[-1][2]
+
+        harness_tv = harness.tv_gaussian
+        monkeypatch.setattr(harness, "tv_gaussian", recording_tv)
+        epsilons = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
+        raw = minimal_config(tmp_path, x0=[[0.6, 0.3]], model=harness.corpus_model_config("lin1d_critical"),
+                             epsilons=epsilons, dt=0.005)
+        del raw["w_grid"]
+        run_cutoff_experiment(validate_config(raw))
+        points = []
+        for eps in epsilons:
+            with open(tmp_path / "out" / f"cutoff_x0.6_0.3_eps{eps:g}.csv") as fh:
+                points += [(eps, round(float(row["t"]) / 0.005)) for row in csv.DictReader(fh)]
+        assert len(points) == len(calls) == 327
+        assert all(res.kind == "exact" for _, _, res in calls)
+        missed = {}
+        for point, (g1, g2, res) in zip(points, calls):
+            if gaussian_tv._tv_gil_pelaez(*gaussian_tv._llr_terms(*gaussian_tv._whiten(g1, g2)))[1] > TV_TOL:
+                missed[point] = res
+        assert set(missed) == {(1e-6, 627), (1e-6, 677), (1e-7, 890), (1e-7, 940), (1e-7, 990),
+                               (1e-8, 1148), (1e-8, 1198), (1e-8, 1248)}
+        assert all((res.value, res.abserr) == (1.0, 0.0) for res in missed.values())
+
+
 class TestStationaryPipeline:
     def test_refuses_more_than_one_start(self, tmp_path):
         # the check runs every ensemble from one start; a second one is not silently dropped
         raw = minimal_config(tmp_path, x0=[[0.5, 0.0], [3.0, 1.0]], horizon=0.5, n_paths=64)
         cfg = validate_config(raw)
         with pytest.raises(ParameterError, match="exactly one x0 point; got 2"):
+            run_stationary_check(cfg)
+        data = json.loads(open(os.path.join(cfg.out_dir, "run_manifest.json")).read())
+        assert data["status"] == "failed" and data["passed"] is False
+        assert data["summary"]["error"]["type"] == "ParameterError"
+        assert not os.path.exists(os.path.join(cfg.out_dir, "stationary_check.csv"))
+
+    def test_refuses_a_horizon_shorter_than_one_step(self, tmp_path):
+        # round(0.001 / 0.02) = 0 steps would compare the unmoved start cloud with the Gibbs law
+        raw = minimal_config(tmp_path, x0=[[0.5, 0.0]], horizon=0.001, dt=0.02, n_paths=2000)
+        raw["model"] = harness.corpus_model_config("quartic")
+        cfg = validate_config(raw)
+        with pytest.raises(ParameterError, match=r"horizon 0.001 and dt 0.02 give round\(horizon / dt\) = 0 steps"):
             run_stationary_check(cfg)
         data = json.loads(open(os.path.join(cfg.out_dir, "run_manifest.json")).read())
         assert data["status"] == "failed" and data["passed"] is False

@@ -173,8 +173,8 @@ def test_guard_excludes_exactly_the_rows_beyond_blowup(norms, kept):
         p[:, 0] = scale * 0.8
         return q, p
 
-    start = lambda m: (np.zeros((m, 1)), np.zeros((m, 1)))
-    alive = simulate._run_ensemble(len(norms), 0, 2, 1, start, step, [0], (None, None), guard=True)
+    start = lambda m: ((np.zeros((m, 1)), np.zeros((m, 1))), step)
+    alive = simulate._run_ensemble(len(norms), 0, 2, 1, start, [0], (None, None), guard=True)
     assert alive.tolist() == kept
 
 
@@ -207,7 +207,7 @@ def _em_fluctuation(spec, x0, t_end, dt, n, seed):
     return np.stack(path, axis=1)
 
 
-def _per_block_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, outs, guard=False):
+def _per_block_ensemble(n_paths, seed, n_steps, width, start, store_idx, outs, guard=False):
     """The per-block loop that the batched _run_ensemble replaced, kept as its oracle.
 
     Each block of BLOCK paths takes all its steps before the next block
@@ -219,7 +219,7 @@ def _per_block_ensemble(n_paths, seed, n_steps, width, start, step, store_idx, o
     for b in range((n_paths + BLOCK - 1) // BLOCK):
         lo, hi = b * BLOCK, min((b + 1) * BLOCK, n_paths)
         m = hi - lo
-        state = start(m)
+        state, step = start(m)
         for out, a in zip(outs, state):
             if out is not None:
                 out[lo:hi, 0] = a
@@ -735,7 +735,7 @@ def test_step_k_sees_each_blocks_rows_drawn_from_counter_k(monkeypatch, n, width
         seen.append((k, xi.copy()))
         return s
 
-    simulate._run_ensemble(n, seed, n_steps, width, lambda m: (np.zeros((m, width)),), step, [0], (None,))
+    simulate._run_ensemble(n, seed, n_steps, width, lambda m: ((np.zeros((m, width)),), step), [0], (None,))
     blocks = [(b, min(BLOCK, rows - b * BLOCK)) for b in range((rows + BLOCK - 1) // BLOCK)]
     assert draws == [(b, (m, width)) for _ in range(n_steps) for b, m in blocks]
     assert [k for k, _ in seen] == list(range(1, n_steps + 1))
