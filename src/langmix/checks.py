@@ -73,7 +73,7 @@ _DETERMINISM_CASES = (
 def _check_fd_convergence() -> CheckResult:
     spec = corpus_spec("quartic")
     q = np.array([0.7])
-    exact = np.asarray(spec.force.eval_DF(q)).reshape(1, 1)
+    exact = spec.force.eval_DF(q)
     ratios = []
     for h1, h2 in ((1e-3, 5e-4), (2e-3, 1e-3)):
         e1, e2 = (float(np.abs(central_difference_jacobian(spec.force.eval_F, q, h) - exact).max()) for h in (h1, h2))
@@ -448,7 +448,7 @@ def _check_gibbs_stationarity() -> CheckResult:
     batch = integrate_sde(spec, np.array([0.3, 0.0]), 25.0, 0.01, n, seed=9, epsilon=eps,
                           scheme="baoab", store_every=2500)
     cloud = batch.states[:, -1, :]
-    v_sim = 0.5 * cloud[:, 1] ** 2 + np.asarray(spec.force.eval_U(cloud[:, :1]))
+    v_sim = 0.5 * cloud[:, 1] ** 2 + spec.force.eval_U(cloud[:, :1])
     # direct Gibbs sampler: p gaussian, q by rejection against exp(-gamma U / eps)
     rng = np.random.default_rng(77)
     p = rng.normal(0.0, math.sqrt(eps / spec.gamma), n)

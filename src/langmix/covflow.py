@@ -160,7 +160,7 @@ def short_time_covariance(spec: ModelSpec, x, t: float) -> np.ndarray:
     d = spec.dim
     x = np.asarray(x, dtype=float)
     q = x[:d]
-    DF = np.asarray(spec.force.eval_DF(q), dtype=float).reshape(d, d)
+    DF = spec.force.eval_DF(q)
     g = spec.gamma
     I = np.eye(d)
     out = np.zeros((2 * d, 2 * d))

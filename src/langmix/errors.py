@@ -10,7 +10,7 @@ class ConsistencyError(ValueError):
 
 
 class DecompositionMissingError(ValueError):
-    """An operation needs the potential / non-gradient split and it is absent."""
+    """The exact coercivity check needs a polynomial coefficient table and the force has none."""
 
 
 class ParameterError(ValueError):

@@ -23,7 +23,7 @@ from . import __version__
 from .covflow import integrate_covariance
 from .cutoff import mixing_time, profile_D, profile_lambda, profile_lambda_alt, profile_limit_r, spectral_data
 from .errors import ParameterError, StabilityError
-from .gaussian_tv import Gaussian, tv_gaussian
+from .gaussian_tv import Gaussian, TVResult, tv_gaussian
 from .linear_stability import classify_linear
 from .matrix_eq import sigma_matrix
 from .model import ModelSpec, certify_coercivity, force_from_config
@@ -253,19 +253,23 @@ def _gate_stability(spec: ModelSpec):
     return {"kind": "certified", "min_s": cert.min_s}
 
 
-def exact_gaussian_tv_curve_point(
-    mean: np.ndarray, cov_t: np.ndarray, sigma: np.ndarray, epsilon: float
-):
-    """d_TV(N(mean, 2 eps cov_t), N(0, 2 eps sigma)), deterministic in every dimension.
+def _curve_point_tv(mean: np.ndarray, cov_t: np.ndarray, sigma: np.ndarray, epsilon: float) -> TVResult:
+    """d_TV(N(mean, 2 eps cov_t), N(0, 2 eps sigma)) with its kind and abserr, deterministic in every dimension.
 
     `tv_gaussian`'s one exact method, "cdf_quadrature", on the pair whitened
     once: the closed form when the whitened gap is within TV_TOL = 1e-9, the
     2-D slicer for 2-d states, or the Gil-Pelaez integral for 4-d and larger
-    states, exact to TV_TOL.
+    states, labelled "exact" when its error estimate is within TV_TOL.
     """
     g1 = Gaussian(mean=mean, cov=2.0 * epsilon * cov_t)
     g2 = Gaussian(mean=np.zeros_like(mean), cov=2.0 * epsilon * sigma)
-    return tv_gaussian(g1, g2, method="cdf_quadrature").value
+    return tv_gaussian(g1, g2, method="cdf_quadrature")
+
+
+def exact_gaussian_tv_curve_point(mean: np.ndarray, cov_t: np.ndarray, sigma: np.ndarray,
+                                  epsilon: float) -> float:
+    """The value of `_curve_point_tv`: one point of the exact cut-off curve."""
+    return _curve_point_tv(mean, cov_t, sigma, epsilon).value
 
 
 def _curve_tag(x0, eps: float) -> str:
@@ -290,8 +294,11 @@ def run_cutoff_experiment(cfg: ExperimentConfig) -> RunManifest:
     total-variation curve t -> d_TV(N(X_t, 2 eps Sigma_t), N(0, 2 eps Sigma))
     on the window grid t = t_mix + w (clipped to t > 0), the shift profile
     D_eps, and both cut-off profiles.  One CSV per (x0, epsilon) plus a JSON
-    summary holding the sup-differences.  A failed run leaves its manifest
-    with status "failed" and the error.
+    summary holding, per curve, the sup-difference, the window points, the
+    points whose TV is not "exact" and the largest TV abserr.  The run
+    passes when each x0's sup-differences do not grow as epsilon falls and
+    every curve has a window point.  A failed run leaves its manifest with
+    status "failed" and the error.
     """
     return _run_pipeline(cfg.config_hash, cfg.out_dir, lambda m: _cutoff_experiment(cfg, m))
 
@@ -376,10 +383,12 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
                         empirical[k] = est.estimate
             rows = []
             sup_diff = 0.0
+            tvs = []
             for wi, k in steps:
                 t = k * cfg.dt
                 mean, cov_t = path.at(t)
-                curve = exact_gaussian_tv_curve_point(mean, cov_t, sigma, eps)
+                tvs.append(_curve_point_tv(mean, cov_t, sigma, eps))
+                curve = tvs[-1].value
                 d_eps = profile_D(spec, sd, t, eps)
                 lam_printed = float(profile_lambda(sd, wi))
                 lam_alt = float(profile_lambda_alt(sd, wi, pl.r)) if pl.exists else float("nan")
@@ -391,10 +400,13 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
                 rows,
             )
             manifest.artifacts.append(csv_path)
-            sup_diffs.append(dict(entry, sup_diff=sup_diff, t_mix=tmix[eps]))
+            sup_diffs.append(dict(entry, sup_diff=sup_diff, t_mix=tmix[eps], window_points=len(steps),
+                                  tv_inexact=sum(tv.kind != "exact" for tv in tvs),
+                                  tv_max_abserr=max((float(tv.abserr) for tv in tvs), default=0.0)))
         diffs = [s["sup_diff"] for s in sup_diffs]
         monotone = all(a >= b - 1e-12 for a, b in zip(diffs, diffs[1:]))
-        ok = ok and monotone
+        # a curve without window points has a sup-diff of 0.0 and no evidence
+        ok = ok and monotone and all(s["window_points"] for s in sup_diffs)
         summary["runs"].append(
             {
                 "x0": list(map(float, x0)),

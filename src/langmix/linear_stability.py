@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DecompositionMissingError, DivergenceError, InternalCheckError, ParameterError
+from .errors import DivergenceError, InternalCheckError, ParameterError
 from .matrix_eq import drift_metric_delta
 from .model import ForceField, ModelSpec, phase_point
 
@@ -153,8 +153,6 @@ def _split_qp(x: np.ndarray, d: int):
 
 def lyapunov_H(spec: ModelSpec, x) -> np.ndarray:
     """Modified energy H(x) = |p|^2/2 + (g-l)/2 <q,p> + (g-l)^2/4 |q|^2 + U(q)."""
-    if spec.force.eval_U is None:
-        raise DecompositionMissingError("H needs the potential U")
     q, p = _split_qp(x, spec.dim)
     g = spec.gamma - spec.lam
     quad = (
@@ -162,15 +160,13 @@ def lyapunov_H(spec: ModelSpec, x) -> np.ndarray:
         + 0.5 * g * np.sum(q * p, axis=-1)
         + 0.25 * g**2 * np.sum(q * q, axis=-1)
     )
-    return quad + np.asarray(spec.force.eval_U(q), dtype=float)
+    return quad + spec.force.eval_U(q)
 
 
 def total_energy(spec: ModelSpec, x) -> np.ndarray:
     """Plain energy |p|^2/2 + U(q); not a Lyapunov function for non-gradient forces."""
-    if spec.force.eval_U is None:
-        raise DecompositionMissingError("energy needs the potential U")
     q, p = _split_qp(x, spec.dim)
-    return 0.5 * np.sum(p * p, axis=-1) + np.asarray(spec.force.eval_U(q), dtype=float)
+    return 0.5 * np.sum(p * p, axis=-1) + spec.force.eval_U(q)
 
 
 @dataclass
@@ -194,7 +190,7 @@ def _flow_rhs(force: ForceField, gamma: float, x: np.ndarray) -> np.ndarray:
     d = force.dim
     q, p = x[..., :d], x[..., d:]
     dq = p
-    dp = -np.asarray(force.eval_F(q), dtype=float) - gamma * p
+    dp = -force.eval_F(q) - gamma * p
     return np.concatenate([dq, dp], axis=-1)
 
 
@@ -276,7 +272,7 @@ def verify_exponential_stability(spec: ModelSpec, x0, t_end: float) -> Stability
     monotone = max_violation <= DECAY_TOL * max(h0, 1e-300)
 
     q0 = x0[: spec.dim]
-    u0 = float(np.asarray(spec.force.eval_U(q0)))
+    u0 = float(spec.force.eval_U(q0))
     bound0 = spec.kappa * (float(x0 @ x0) + u0)
     norms2 = np.sum(path.states**2, axis=-1)
     with np.errstate(over="ignore"):
@@ -322,7 +318,7 @@ def relaxation_time_T(spec: ModelSpec, x) -> float:
     """
     x = np.asarray(x, dtype=float)
     q = x[: spec.dim]
-    u = float(np.asarray(spec.force.eval_U(q))) if spec.force.eval_U is not None else 0.0
+    u = float(spec.force.eval_U(q))
     val = spec.kappa * (float(x @ x) + u) / drift_metric_delta(spec) ** 2
     if val <= 1.0:
         return 0.0

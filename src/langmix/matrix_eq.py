@@ -258,12 +258,9 @@ def _drift_metric_delta(spec: ModelSpec) -> float:
     dirs = sample_ball(d, 1.0, _DELTA_DIRECTIONS + 1)[1:]
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = dirs / np.maximum(norms, 1e-300)
-    D = np.zeros((len(dirs), 2 * d, 2 * d))
 
     def worst(delta: float) -> float:
-        # A(delta u) - A0 is zero outside the -DF block, for all directions at once
-        DF = np.asarray(spec.force.eval_DF(delta * dirs), dtype=float).reshape(-1, d, d)
-        D[:, d:, :d] = -DF - A0[d:, :d]
+        D = drift_matrix(spec, delta * dirs) - A0
         S = np.swapaxes(D, 1, 2) @ G + G @ D
         return float(np.max(np.linalg.norm(S, 2, axis=(1, 2))))
 

@@ -1,9 +1,8 @@
 """Force fields, model parameters, and verification of the standing assumptions.
 
 A force field packages the drift F of the momentum equation together with its
-Jacobian and, when available, the split F = grad(U) + ell into a gradient part
-and a non-gradient part.  All evaluators are pure and broadcast over leading
-axes: F maps (..., d) -> (..., d), DF maps (..., d) -> (..., d, d).
+Jacobian and the split F = grad(U) + ell into a gradient part and a
+non-gradient part, as four pure evaluators that broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -83,15 +82,17 @@ class ForceField:
     i holds the coefficients, lowest degree first, of the term p_i(q_i) of
     U(q) = sum_i p_i(q_i).
     Either table is what `certify_coercivity` and the linear classification
-    read.  eval_U and eval_ell are optional; when both are present they
-    satisfy F = grad(U) + ell, so grad(U) is eval_F - eval_ell.
+    read.  The four evaluators are required, satisfy F = grad(U) + ell, and
+    return float arrays for q of shape (..., d): eval_F and eval_ell of shape
+    (..., d), eval_DF of shape (..., d, d) and eval_U of shape (...).
+    Consumers convert nothing.
     """
 
     dim: int
     eval_F: Callable[[np.ndarray], np.ndarray]
     eval_DF: Callable[[np.ndarray], np.ndarray]
-    eval_U: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    eval_ell: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    eval_U: Callable[[np.ndarray], np.ndarray]
+    eval_ell: Callable[[np.ndarray], np.ndarray]
     matrix: Optional[np.ndarray] = None
     coeffs: Optional[np.ndarray] = None
 
@@ -99,9 +100,6 @@ class ForceField:
     def quadratic_growth(self) -> bool:
         """U grows at most quadratically: a linear force, or a polynomial potential of degree <= 2."""
         return self.matrix is not None or (self.coeffs is not None and not np.any(self.coeffs[:, 3:]))
-
-    def has_decomposition(self) -> bool:
-        return self.eval_U is not None and self.eval_ell is not None
 
 
 def select_lambda(alpha: float, beta: float, gamma: float) -> float:
@@ -174,14 +172,13 @@ def phase_point(spec: ModelSpec, x0) -> np.ndarray:
 
 
 def drift_matrix(spec: ModelSpec, q) -> np.ndarray:
-    """Linearization A(q) = [[0, I], [-DF(q), -gamma I]] of the flow at position q."""
+    """Linearization A(q) = [[0, I], [-DF(q), -gamma I]] of the flow, of shape (..., 2d, 2d) for q (..., d)."""
     d = spec.dim
-    q = np.asarray(q, dtype=float)
-    DF = np.asarray(spec.force.eval_DF(q), dtype=float).reshape(d, d)
-    A = np.zeros((2 * d, 2 * d))
-    A[:d, d:] = np.eye(d)
-    A[d:, :d] = -DF
-    A[d:, d:] = -spec.gamma * np.eye(d)
+    DF = spec.force.eval_DF(q)
+    A = np.zeros(DF.shape[:-2] + (2 * d, 2 * d))
+    A[..., :d, d:] = np.eye(d)
+    A[..., d:, :d] = -DF
+    A[..., d:, d:] = -spec.gamma * np.eye(d)
     return A
 
 
@@ -239,12 +236,18 @@ _PROBE_COUNT = 9
 _PROBE_TOL = 1e-6
 
 
+def _zero_ell(q):
+    return np.zeros_like(np.asarray(q, dtype=float))
+
+
 def make_gradient_force(dim: int, U: Callable, gradU: Callable, hessU: Callable) -> ForceField:
     """Force field F = grad(U) for a user-supplied potential.
 
     The three callables are cross-checked at quasi-random probe points:
     gradU against centered differences of U, and hessU against centered
     differences of gradU.  Inconsistency raises naming the worst point.
+    The evaluators bring what the callables return to the `ForceField`
+    contract: float arrays, with DF reshaped to (..., dim, dim).
     """
     probes = sample_ball(dim, 1.0, _PROBE_COUNT)
     for f, df, what in ((U, gradU, "gradU disagrees with finite differences of U"),
@@ -264,16 +267,16 @@ def make_gradient_force(dim: int, U: Callable, gradU: Callable, hessU: Callable)
     if np.linalg.norm(g0) > _PROBE_TOL:
         raise ConsistencyError("the origin is not a critical point of U: grad U(0) != 0")
 
-    def eval_ell(q):
-        return np.zeros_like(np.asarray(q, dtype=float))
+    def eval_F(q):
+        return np.asarray(gradU(q), dtype=float)
 
-    return ForceField(
-        dim=dim,
-        eval_F=gradU,
-        eval_DF=hessU,
-        eval_U=U,
-        eval_ell=eval_ell,
-    )
+    def eval_DF(q):
+        return np.asarray(hessU(q), dtype=float).reshape(np.shape(q)[:-1] + (dim, dim))
+
+    def eval_U(q):
+        return np.asarray(U(q), dtype=float)
+
+    return ForceField(dim=dim, eval_F=eval_F, eval_DF=eval_DF, eval_U=eval_U, eval_ell=_zero_ell)
 
 
 @dataclass
@@ -300,15 +303,10 @@ def check_assumption_main(spec: ModelSpec, radius: float, n_samples: int) -> Ass
     inequality exactly on all of R^dim.
     """
     force = spec.force
-    if not force.has_decomposition():
-        raise DecompositionMissingError(
-            "assumption check needs both U and ell; declare a decomposition first"
-        )
     pts = sample_ball(force.dim, radius, n_samples)
-    fq = force.eval_F(pts)
-    inner = np.sum(fq * pts, axis=-1)
-    u = np.asarray(force.eval_U(pts), dtype=float)
-    ell = np.asarray(force.eval_ell(pts), dtype=float)
+    inner = np.sum(force.eval_F(pts) * pts, axis=-1)
+    u = force.eval_U(pts)
+    ell = force.eval_ell(pts)
     ell2 = np.sum(ell * ell, axis=-1)
     q2 = np.sum(pts * pts, axis=-1)
     margin = inner - spec.alpha * (q2 + u) - ell2 / spec.beta**2
@@ -392,8 +390,7 @@ def check_assumption_DF(spec: ModelSpec, radius: float, n_samples: int) -> Jacob
     """
     force = spec.force
     pts = sample_ball(force.dim, radius, n_samples)
-    norms = np.array([np.linalg.norm(J, 2) for J in force.eval_DF(pts).reshape(-1, force.dim, force.dim)])
-    norms = np.maximum(norms, 1e-300)
+    norms = np.maximum(np.linalg.norm(force.eval_DF(pts), 2, axis=(1, 2)), 1e-300)
     u = np.sum(pts * pts, axis=-1)
     y = np.log(norms)
     if np.ptp(u) < 1e-14 or np.ptp(y) < 1e-12 * (1.0 + float(np.abs(y).max())):
@@ -439,9 +436,7 @@ def _polynomial_gradient_force(coeffs) -> ForceField:
         q = np.asarray(q, dtype=float)
         return np.polyval(ph, q)[..., None]
 
-    ff = make_gradient_force(1, U, gradU, hessU)
-    ff.coeffs = c[None, :]
-    return ff
+    return ForceField(dim=1, eval_F=gradU, eval_DF=hessU, eval_U=U, eval_ell=_zero_ell, coeffs=c[None, :])
 
 
 def force_from_config(cfg: dict) -> ForceField:

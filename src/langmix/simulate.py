@@ -262,9 +262,6 @@ def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, s
     sig_ou = math.sqrt(max(epsilon / g * (1.0 - c_ou**2), 0.0))
     sqrt2eps_dt = math.sqrt(2.0 * epsilon * dt)
 
-    def force(q):
-        return np.asarray(F(q), dtype=float)
-
     def start(m):
         q = np.tile(x0[:d], (m, 1))
         t = np.empty((m, d))
@@ -277,7 +274,7 @@ def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, s
             p *= c_ou
             p += np.multiply(sig_ou, xi, out=t)
             q += np.multiply(h, p, out=t)
-            f = force(q)
+            f = F(q)
             p -= np.multiply(h, f, out=t)
             return q, p, f
 
@@ -291,9 +288,9 @@ def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, s
             np.add(dp, np.multiply(sqrt2eps_dt, xi, out=t), out=dp)
             q += np.multiply(dt, p, out=t)
             p += dp
-            return q, p, force(q)
+            return q, p, F(q)
 
-        return (q, np.tile(x0[d:], (m, 1)), force(q)), baoab if scheme == "baoab" else euler_maruyama
+        return (q, np.tile(x0[d:], (m, 1)), F(q)), baoab if scheme == "baoab" else euler_maruyama
 
     return start
 
@@ -308,12 +305,9 @@ def _fluctuation_step(spec: ModelSpec, ode_states: np.ndarray, dt: float):
     n_steps = len(ode_states) - 1
     J = noise_matrix(d)
     if spec.force.matrix is not None:
-        steps = [_vanloan_step_noise(drift_matrix(spec, ode_states[0][:d]), dt, J)] * n_steps
+        steps = [_vanloan_step_noise(drift_matrix(spec, ode_states[0, :d]), dt, J)] * n_steps
     else:
-        steps = [
-            _vanloan_step_noise(drift_matrix(spec, ode_states[k][:d]), dt, J)
-            for k in range(n_steps)
-        ]
+        steps = [_vanloan_step_noise(A, dt, J) for A in drift_matrix(spec, ode_states[:-1, :d])]
 
     def step(k, s, xi):
         E, L = steps[k - 1]
@@ -345,8 +339,9 @@ def integrate_sde(
     counted.
     The states are stored at every store_every-th of the n_steps =
     round(t_end / dt) steps, from step 0.  store_indices, when given,
-    overrides store_every: the states are stored at the distinct steps it
-    lists, each in [0, n_steps], in increasing order, and always at step 0.
+    overrides store_every: the states are stored at the distinct integer
+    steps it lists, each in [0, n_steps], in increasing order, and always at
+    step 0.
     With couple_fluctuation (Euler-Maruyama only) the Gaussian fluctuation Y
     takes the Euler-Maruyama step y + dt y A(q_k)^T + sqrt(dt) [0, xi_k] along
     the zero-noise path, on the normals xi_k that step X, and the surrogate
@@ -364,7 +359,10 @@ def integrate_sde(
     if store_indices is None:
         store_idx = np.arange(0, n_steps + 1, store_every)
     else:
-        store_idx = np.unique(np.concatenate([[0], np.asarray(store_indices, dtype=int)]))
+        idx = np.asarray(store_indices)
+        if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+            raise ParameterError("store_indices must be a list of integer steps")
+        store_idx = np.unique(np.concatenate([[0], idx.astype(int)]))
         if store_idx[0] < 0 or store_idx[-1] > n_steps:
             raise ParameterError("store_indices must lie in [0, n_steps]")
 
@@ -373,7 +371,7 @@ def integrate_sde(
     outs = (states[:, :, :d], states[:, :, d:])
     if couple_fluctuation:
         ode_path = flow_zero_noise(spec, x0, t_end, dt).states
-        A_list = [drift_matrix(spec, q) for q in ode_path[:-1, :d]]
+        A_path = drift_matrix(spec, ode_path[:-1, :d])
         sqrt_dt = math.sqrt(dt)
         x_start = start
         y_states = np.empty_like(states)
@@ -385,7 +383,7 @@ def integrate_sde(
 
             def step(k, s, xi):
                 y = s[3]
-                dy = dt * (y @ A_list[k - 1].T)
+                dy = dt * (y @ A_path[k - 1].T)
                 dy[:, d:] += sqrt_dt * xi
                 return x_step(k, s[:3], xi) + (y + dy,)
 
@@ -589,9 +587,8 @@ def pinsker_kl_bound(
     d = spec.dim
     ode = flow_zero_noise(spec, x0, t_end, dt)
     q_det = ode.states[:, :d]
-    F = spec.force.eval_F
-    f_det = np.asarray(F(q_det), dtype=float)
-    DF_det = np.asarray(spec.force.eval_DF(q_det), dtype=float).reshape(-1, d, d)
+    f_det = spec.force.eval_F(q_det)
+    DF_det = spec.force.eval_DF(q_det)
     n_steps = len(ode.grid) - 1
 
     def integrand(k, q, f):

@@ -170,6 +170,12 @@ class TestChosenSteps:
         assert full.dense
         assert np.allclose(full.at(0.115)[1], 0.5 * (full.covs[11] + full.covs[12]))
 
+    @pytest.mark.parametrize("t", [-0.01, 2.0 + 1e-9, 2.5])
+    def test_the_whole_grid_refuses_times_outside_its_range(self, harmonic_spec, t):
+        full = integrate_covariance(harmonic_spec, np.array([0.6, 0.3]), 2.0, 0.01)
+        with pytest.raises(ParameterError, match=r"outside the integrated range \[0\.0, 2\.0\]"):
+            full.at(t)
+
     def test_no_steps_give_an_empty_path(self, harmonic_spec, quartic_spec):
         for spec in (harmonic_spec, quartic_spec):
             path = integrate_covariance(spec, np.array([0.6, 0.3]), 2.0, 0.01, steps=[])

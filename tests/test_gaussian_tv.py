@@ -84,6 +84,13 @@ def tv_by_monte_carlo(g1: Gaussian, g2: Gaussian, n: int, seed: int):
     return float(np.mean(r)), float(np.std(r, ddof=1) / math.sqrt(n))
 
 
+@pytest.mark.parametrize("mean, cov", [(np.zeros(2), np.eye(3)), (np.zeros(1), np.eye(2)), (np.zeros(3), [1.0])],
+                         ids=["3x3_for_2", "2x2_for_1", "scalar_for_3"])
+def test_a_covariance_of_another_size_than_the_mean_is_refused(mean, cov):
+    with pytest.raises(ParameterError, match=f"does not match mean of size {len(mean)}"):
+        Gaussian(mean, cov)
+
+
 class TestTvUnit:
     def test_zero(self):
         assert tv_unit(np.zeros(3)) == 0.0

@@ -383,6 +383,49 @@ class TestCutoffPipeline:
         plain = run_cutoff_experiment(validate_config(dict(raw, mc_curve=False, out_dir=str(tmp_path / "plain"))))
         assert all("excluded" not in s for s in plain.summary["runs"][0]["sup_diffs"])
 
+    def test_a_curve_without_window_points_fails_the_run(self, tmp_path):
+        # the window sits before t_floor at eps = 1e-2, so that curve is empty
+        # and its sup-diff of 0.0 is no evidence of the profile
+        raw = minimal_config(tmp_path, model=harness.corpus_model_config("lin1d_real"), x0=[[0.6, 0.4]],
+                             epsilons=[1e-2, 1e-3], w_grid={"min": -9.5, "max": -8.0, "step": 0.5}, seed=0)
+        manifest = run_cutoff_experiment(validate_config(raw))
+        with open(tmp_path / "out" / "cutoff_x0.6_0.4_eps0.01.csv") as fh:
+            assert fh.read().splitlines() == ["w,t,tv_exact,D_eps,Lambda_printed,Lambda_alt,tv_empirical"]
+        entries = manifest.summary["runs"][0]["sup_diffs"]
+        assert [s["window_points"] for s in entries] == [0, 1]
+        assert [s["sup_diff"] for s in entries] == [0.0, 0.0]
+        assert manifest.summary["runs"][0]["sup_diff_monotone"]
+        assert manifest.passed is False
+
+    def test_summary_records_the_window_points_and_the_tv_labels(self, tmp_path):
+        raw = minimal_config(tmp_path, epsilons=[1e-2, 1e-3])
+        manifest = run_cutoff_experiment(validate_config(raw))
+        for s in manifest.summary["runs"][0]["sup_diffs"]:
+            with open(tmp_path / "out" / f"cutoff_x0.5_0.2_eps{s['epsilon']:g}.csv") as fh:
+                assert s["window_points"] == len(fh.read().splitlines()) - 1 > 0
+            assert s["tv_inexact"] == 0 and 0.0 <= s["tv_max_abserr"] <= TV_TOL
+
+    def test_summary_counts_a_tv_estimate(self, tmp_path, monkeypatch):
+        # one curve point comes back as an estimate: its value still fills
+        # the tv_exact cell, and the summary says so
+        calls = []
+
+        def one_estimate(*args, **kwargs):
+            res = harness_tv(*args, **kwargs)
+            calls.append(res)
+            if len(calls) == 2:
+                res = gaussian_tv.TVResult(value=res.value, kind="estimate", abserr=3e-6)
+            return res
+
+        harness_tv = harness.tv_gaussian
+        monkeypatch.setattr(harness, "tv_gaussian", one_estimate)
+        raw = minimal_config(tmp_path, epsilons=[1e-2, 1e-3])
+        manifest = run_cutoff_experiment(validate_config(raw))
+        summary = json.loads((tmp_path / "out" / "cutoff_summary.json").read_text())
+        for run in (manifest.summary["runs"][0], summary["runs"][0]):
+            first, second = run["sup_diffs"]
+            assert (first["tv_inexact"], first["tv_max_abserr"]) == (1, 3e-6)
+            assert second["tv_inexact"] == 0 and second["tv_max_abserr"] <= TV_TOL
 
     def test_summary_records_the_jordan_diagnostics(self, tmp_path):
         raw = minimal_config(tmp_path, x0=[[0.6, 0.3]], model=harness.corpus_model_config("lin1d_critical"))

@@ -11,7 +11,6 @@ from langmix.errors import (
     ParameterError,
 )
 from langmix.model import (
-    ForceField,
     ModelSpec,
     central_difference_jacobian,
     check_assumption_DF,
@@ -173,16 +172,6 @@ class TestAssumptionMain:
         rep = check_assumption_main(harmonic_spec, radius=2.0, n_samples=64)
         assert rep.quadratic_variant_holds is True
 
-    def test_missing_decomposition_raises(self):
-        ff = ForceField(
-            dim=1,
-            eval_F=lambda q: np.asarray(q, dtype=float),
-            eval_DF=lambda q: np.ones(np.asarray(q).shape[:-1] + (1, 1)),
-        )
-        spec = ModelSpec(ff, gamma=1.0, alpha=0.5, beta=0.5)
-        with pytest.raises(DecompositionMissingError):
-            check_assumption_main(spec, radius=1.0, n_samples=16)
-
 
 def _margin(spec, q):
     """<F(q), q> - alpha (|q|^2 + U(q)) evaluated from the force's own evaluators, at one point."""
@@ -302,6 +291,24 @@ class TestAssumptionDF:
         assert rep.rho_hat == pytest.approx(max(slope, 0.0), rel=1e-10)
         assert rep.C_hat == pytest.approx(np.exp(intercept), rel=1e-10)
         assert rep.rho_hat > 0.2  # genuine growth detected
+
+    def test_one_batched_norm_call_gives_the_bits_of_the_per_matrix_loop(self):
+        # a coupled 2-d quartic: DF(q) = diag(3 q^2 + 1) + the coupling, a 2x2 norm per sample
+        K = np.array([[0.0, 0.25], [0.25, 0.0]])
+        ff = make_gradient_force(
+            2,
+            U=lambda q: np.sum(q**4 / 4 + q**2 / 2, axis=-1) + 0.25 * q[..., 0] * q[..., 1],
+            gradU=lambda q: q**3 + q + q @ K,
+            hessU=lambda q: (3 * q**2 + 1)[..., None] * np.eye(2) + K,
+        )
+        spec = ModelSpec(ff, 1.5, 0.25, 0.75)
+        rep = check_assumption_DF(spec, radius=2.0, n_samples=300)
+        pts = sample_ball(2, 2.0, 300)
+        norms = np.maximum(np.array([np.linalg.norm(J, 2) for J in ff.eval_DF(pts)]), 1e-300)
+        u = np.sum(pts * pts, axis=-1)
+        slope, intercept = np.polyfit(u, np.log(norms), 1)
+        assert rep.rho_hat == max(slope, 0.0) > 0.0 and rep.C_hat == np.exp(intercept)
+        assert rep.max_ratio == np.max(norms / (rep.C_hat * np.exp(rep.rho_hat * u)))
 
 
 def test_force_from_config_rejects_unknown_keys():

@@ -12,7 +12,7 @@ import scipy.linalg as sla
 
 from langmix import cli, simulate
 from langmix.covflow import drift_matrix, integrate_covariance, noise_matrix
-from langmix.errors import ParameterError
+from langmix.errors import MethodError, ParameterError
 from langmix.gaussian_tv import Gaussian, tv_gaussian, tv_unit
 from langmix.harness import corpus_model_config, corpus_spec
 from langmix.linear_stability import BLOWUP, flow_zero_noise
@@ -558,6 +558,16 @@ class TestEmpiricalTV:
         with pytest.raises(ParameterError, match="6 points per cloud"):
             empirical_tv(rng.standard_normal((n, 2)), rng.standard_normal((n, 2)), method="classifier_knn")
 
+    @pytest.mark.parametrize("method", ["gaussian_momentmatch", "classifier_knn"])
+    @pytest.mark.parametrize("n1, n2", [(3, 10), (10, 3)])
+    def test_refuses_clouds_of_fewer_than_4_points(self, rng, method, n1, n2):
+        with pytest.raises(ParameterError, match="at least 4 points per cloud"):
+            empirical_tv(rng.standard_normal((n1, 2)), rng.standard_normal((n2, 2)), method=method)
+
+    def test_unknown_method_is_refused(self, rng):
+        with pytest.raises(MethodError, match="unknown method 'energy_distance'"):
+            empirical_tv(rng.standard_normal((10, 2)), rng.standard_normal((10, 2)), method="energy_distance")
+
     def test_knn_smallest_trainable_clouds(self, rng):
         est = empirical_tv(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)), method="classifier_knn")
         assert 0.0 <= est.estimate <= 1.0
@@ -622,6 +632,26 @@ def test_pinsker_takes_the_same_argument_check(harmonic_spec, bad):
     kw = dict(x0=np.array([0.5, 0.0]), t_end=0.1, dt=0.01, n_paths=4, seed=0, epsilon=0.1)
     with pytest.raises(ParameterError):
         pinsker_kl_bound(harmonic_spec, **dict(kw, **_BAD_RUN_ARGS[bad]))
+
+
+@pytest.mark.parametrize(
+    "store_indices, message",
+    [([2.7, 5.9], "integer steps"), (np.array([2.0, 5.0]), "integer steps"), ([[2, 5]], "integer steps"),
+     ([11], r"lie in \[0, n_steps\]"), ([-1, 4], r"lie in \[0, n_steps\]")],
+    ids=["fractional", "float_array", "nested", "beyond_the_last_step", "negative"],
+)
+def test_store_indices_must_be_integer_steps_on_the_grid(harmonic_spec, store_indices, message):
+    # 10 steps of 0.1: a fractional index used to be truncated to the step below
+    with pytest.raises(ParameterError, match=message):
+        integrate_sde(harmonic_spec, (0.5, 0.0), 1.0, 0.1, 4, seed=0, epsilon=0.1, store_indices=store_indices)
+
+
+def test_store_indices_of_any_integer_type_store_those_steps(harmonic_spec):
+    runs = [integrate_sde(harmonic_spec, (0.5, 0.0), 1.0, 0.1, 4, seed=0, epsilon=0.1, store_indices=idx)
+            for idx in ([5, 2], np.array([2, 5], dtype=np.int32), np.array([5, 2, 2], dtype=np.uint8))]
+    for batch in runs:
+        assert np.allclose(batch.grid, [0.0, 0.2, 0.5])
+        assert np.array_equal(batch.states, runs[0].states)
 
 
 @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3)], ids=["int64", "uint64"])
