@@ -44,6 +44,7 @@ from .covflow import (
 )
 from .cutoff import (
     SpectralData,
+    cutoff_curve,
     mixing_time,
     profile_D,
     profile_lambda,

@@ -24,14 +24,14 @@ import scipy.linalg as sla
 from scipy.special import chdtrc
 
 from .covflow import _covariance_rhs, _ode_path, integrate_covariance
-from .cutoff import jordan_chains, mixing_time, oscillating_sum, profile_D, spectral_data
+from .cutoff import curve_point_tv, jordan_chains, mixing_time, oscillating_sum, profile_D, spectral_data
 from .errors import ParameterError
 from .gaussian_tv import (
     TV_TOL, Gaussian, _llr_terms, _tv_cdf_2d, _tv_gil_pelaez, _whiten, tv_gaussian, tv_unit, tv_unit_linear_bound,
 )
 from .harness import (
-    STABLE_CORPUS, RunManifest, _run_pipeline, corpus_model_config, corpus_spec,
-    exact_gaussian_tv_curve_point, run_cutoff_experiment, validate_config, write_csv,
+    STABLE_CORPUS, RunManifest, _run_pipeline, corpus_model_config, corpus_spec, run_cutoff_experiment,
+    validate_config, write_csv,
 )
 from .linear_stability import (
     classify_linear, lyapunov_H, skew_part, symmetric_part, verify_exponential_stability,
@@ -483,7 +483,7 @@ def _check_cutoff_curve_vs_empirical() -> CheckResult:
         if t < 1.0:
             continue
         mean, cov_t = path.at(float(t))
-        exact = exact_gaussian_tv_curve_point(mean, cov_t, sigma, eps)
+        exact = curve_point_tv(mean, cov_t, sigma, eps).value
         ref = Gaussian(np.zeros(2), 2 * eps * sigma).sample(20000, rng)
         # the linear model is exactly Gaussian in law, so moment matching is sharp
         est = empirical_tv(batch.states[:, i, :], ref, method="gaussian_momentmatch", seed=31)

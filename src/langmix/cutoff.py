@@ -1,4 +1,4 @@
-"""Jordan-structure constants of the linearized flow, mixing time, and cut-off profiles.
+"""Jordan-structure constants of the linearized flow, mixing time, cut-off profiles and curves.
 
 As t grows, the zero-noise path behaves like t^nu exp(-eta t) times an
 almost-periodic combination sum_k exp(i theta_k t) v_k, where eta is the
@@ -6,7 +6,9 @@ smallest decay rate actually excited by the starting point, nu the associated
 polynomial order, and the v_k come from the Jordan expansion of the starting
 point (or of the point where the path first enters the linearization ball,
 with the corresponding time shift tau).  These constants drive the mixing
-time and the shape of the total-variation profile.
+time and the shape of the total-variation profile.  `cutoff_curve` sets the
+exact Gaussian cut-off curve against those profiles on the window around
+each mixing time.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import DomainError, StabilityError
-from .gaussian_tv import tv_unit
+from .covflow import integrate_covariance
+from .errors import DomainError, ParameterError, StabilityError
+from .gaussian_tv import Gaussian, TVResult, tv_gaussian, tv_unit
 from .linear_stability import _flow_rhs, relaxation_time_T, solve_path
-from .matrix_eq import drift_metric_delta, sigma_inv_sqrt
+from .matrix_eq import drift_metric_delta, sigma_inv_sqrt, sigma_matrix
 from .model import ModelSpec, drift_matrix, phase_point
 
 #: relative tolerance for rank decisions in the staircase algorithm
@@ -344,3 +347,99 @@ def profile_limit_r(spec: ModelSpec, sd: SpectralData) -> ProfileLimit:
     osc = float(np.max(tail) - np.min(tail))
     exists = osc <= PROFILE_TOL * max(mean, 1e-300)
     return ProfileLimit(exists=bool(exists), r=mean, oscillation=osc)
+
+
+def curve_point_tv(mean: np.ndarray, cov_t: np.ndarray, sigma: np.ndarray, epsilon: float) -> TVResult:
+    """One point of the exact cut-off curve: d_TV(N(mean, 2 eps cov_t), N(0, 2 eps sigma)).
+
+    `tv_gaussian`'s one exact method, "cdf_quadrature", on the pair whitened
+    once: the closed form when the whitened gap is within TV_TOL = 1e-9, the
+    2-D slicer for 2-d states, or the Gil-Pelaez integral for 4-d and larger
+    states, labelled "exact" when its error estimate is within TV_TOL.
+    """
+    g1 = Gaussian(mean=mean, cov=2.0 * epsilon * cov_t)
+    g2 = Gaussian(mean=np.zeros_like(mean), cov=2.0 * epsilon * sigma)
+    return tv_gaussian(g1, g2, method="cdf_quadrature")
+
+
+@dataclass
+class CutoffCurve:
+    """One epsilon's curve: at window point i, t_mix + w[i] is snapped to step[i], at t[i] = step[i] dt.
+
+    tv[i] is the point's TVResult, D_eps[i] the shift profile at t[i], and
+    Lambda_printed[i], Lambda_alt[i] the cut-off profiles at w[i]
+    (Lambda_alt is nan where the limit r does not exist).
+    """
+
+    epsilon: float
+    t_mix: float
+    w: np.ndarray
+    step: np.ndarray
+    t: np.ndarray
+    tv: list
+    D_eps: np.ndarray
+    Lambda_printed: np.ndarray
+    Lambda_alt: np.ndarray
+
+    def summary(self) -> dict:
+        """t_mix, sup_diff = max |tv - D_eps| (0.0 on an empty window), window_points,
+        tv_inexact (points whose TV is not "exact") and the largest TV abserr."""
+        diffs = np.abs(np.array([tv.value for tv in self.tv]) - self.D_eps)
+        return {"t_mix": self.t_mix, "sup_diff": float(max([0.0, *diffs])), "window_points": len(self.step),
+                "tv_inexact": sum(tv.kind != "exact" for tv in self.tv),
+                "tv_max_abserr": max((float(tv.abserr) for tv in self.tv), default=0.0)}
+
+
+@dataclass
+class CutoffRun:
+    """`cutoff_curve` of one start: its decay constants, profile limit, path diagnostics and curves."""
+
+    spectral: SpectralData
+    profile: ProfileLimit
+    clamp_events: int
+    covariance_points: int
+    curves: list  # one CutoffCurve per epsilon, in the given order
+
+
+def cutoff_curve(spec: ModelSpec, x0, epsilons, w_grid: dict, dt: float) -> CutoffRun:
+    """Exact Gaussian cut-off curves of one start, t -> d_TV(N(X_t, 2 eps Sigma_t), N(0, 2 eps Sigma)).
+
+    The window offsets are w = np.arange(w_grid["min"], w_grid["max"] + 1e-12,
+    w_grid["step"]).  Each time t_mix(eps) + w is snapped to the step
+    k = round((t_mix + w) / dt), so the covariance carries no interpolation
+    error, and kept when max(tau, 4 dt) <= k dt <= t_max, with
+    t_max = max_eps t_mix + w_grid["max"] + 1.  One `integrate_covariance`
+    call up to t_max evaluates the union of the window steps; t_max sets
+    that path's step count, so it comes from the stated max, not the last
+    grid point.  An empty window gives empty columns.  dt <= 0 raises
+    ParameterError; errors of the callees (`spectral_data`, `mixing_time`,
+    `integrate_covariance`) reach the caller unchanged.
+    """
+    if dt <= 0:
+        raise ParameterError("dt must be positive")
+    sd = spectral_data(spec, x0)
+    pl = profile_limit_r(spec, sd)
+    sigma = sigma_matrix(spec)
+    w = np.arange(w_grid["min"], w_grid["max"] + 1e-12, w_grid["step"])
+    tmix = [mixing_time(sd, eps) for eps in epsilons]
+    t_max = max(tmix) + w_grid["max"] + 1.0
+    t_floor = max(sd.tau, 4 * dt)
+    windows = []
+    for tm in tmix:
+        k = np.rint((tm + w) / dt).astype(np.int64)
+        keep = (k * dt >= t_floor) & (k * dt <= t_max)
+        windows.append((w[keep], k[keep]))
+    path = integrate_covariance(spec, x0, t_max, dt, steps=np.concatenate([k for _, k in windows]))
+    curves = []
+    for eps, tm, (w_eps, k) in zip(epsilons, tmix, windows):
+        ts = (k * dt).tolist()
+        curves.append(CutoffCurve(
+            epsilon=eps, t_mix=tm, w=w_eps, step=k, t=k * dt,
+            tv=[curve_point_tv(*path.at(t), sigma, eps) for t in ts],
+            D_eps=np.array([profile_D(spec, sd, t, eps) for t in ts]),
+            Lambda_printed=np.array([profile_lambda(sd, wi) for wi in w_eps]),
+            Lambda_alt=np.array([profile_lambda_alt(sd, wi, pl.r) if pl.exists else np.nan for wi in w_eps],
+                                dtype=float),
+        ))
+    return CutoffRun(spectral=sd, profile=pl, clamp_events=path.clamp_events, covariance_points=len(path.grid),
+                     curves=curves)

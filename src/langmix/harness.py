@@ -3,7 +3,9 @@
 Configs are flat JSON with typed keys and an explicit schema version;
 unknown keys and malformed values are errors.  Every run writes a manifest
 before any long computation starts and atomically finalizes it at the end.
-Curve CSVs are deterministic byte-for-byte for a fixed config (17
+The cut-off pipeline takes its curves from `cutoff.cutoff_curve`; the
+harness adds the `mc_curve` ensembles, writes the files and decides the
+verdict.  Curve CSVs are deterministic byte-for-byte for a fixed config (17
 significant digits, fixed column order).
 """
 
@@ -20,14 +22,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .covflow import integrate_covariance
-from .cutoff import mixing_time, profile_D, profile_lambda, profile_lambda_alt, profile_limit_r, spectral_data
+from .cutoff import cutoff_curve
 from .errors import ParameterError, StabilityError
-from .gaussian_tv import Gaussian, TVResult, tv_gaussian
+from .gaussian_tv import Gaussian
 from .linear_stability import classify_linear
 from .matrix_eq import sigma_matrix
 from .model import ModelSpec, certify_coercivity, force_from_config
-from .simulate import check_seed, empirical_tv, integrate_sde
+from .simulate import KNN_MIN_POINTS, check_seed, empirical_tv, integrate_sde
 
 SCHEMA_VERSION = 1
 
@@ -92,9 +93,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     Every number, the model's gamma, alpha and beta included, is finite;
     epsilons lie in (0, 1/2), strictly decreasing (the verdicts compare
-    neighbours in list order); dt > 0, horizon > 0, n_paths an integer >= 1,
-    a w_grid with min <= max and step > 0, x0 a list of points, mc_curve a
-    bool, out_dir a string, and the seed an explicit integer >= 0."""
+    neighbours in list order); dt > 0, horizon > 0, n_paths an integer of at
+    least KNN_MIN_POINTS = 6 (the stationary check, and the cut-off pipeline
+    with mc_curve, feed each ensemble to the knn TV estimate), a w_grid with
+    min <= max and step > 0, x0 a list of points, mc_curve a bool, out_dir a
+    string, and the seed an explicit integer >= 0."""
     if not isinstance(raw, dict):
         raise ParameterError("config must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
@@ -132,8 +135,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if horizon <= 0:
         raise ParameterError("horizon must be positive")
     n_paths = _expect_type(raw.get("n_paths", 10000), int, "n_paths")
-    if n_paths < 1:
-        raise ParameterError("n_paths must be at least 1")
+    if n_paths < KNN_MIN_POINTS:
+        raise ParameterError(f"n_paths must be at least {KNN_MIN_POINTS}, the knn TV estimate's smallest cloud")
     x0 = [[_finite(c, "x0") for c in _expect_type(v, list, "x0")] for v in _expect_type(raw.get("x0", []), list, "x0")]
     return ExperimentConfig(
         raw=raw,
@@ -253,25 +256,6 @@ def _gate_stability(spec: ModelSpec):
     return {"kind": "certified", "min_s": cert.min_s}
 
 
-def _curve_point_tv(mean: np.ndarray, cov_t: np.ndarray, sigma: np.ndarray, epsilon: float) -> TVResult:
-    """d_TV(N(mean, 2 eps cov_t), N(0, 2 eps sigma)) with its kind and abserr, deterministic in every dimension.
-
-    `tv_gaussian`'s one exact method, "cdf_quadrature", on the pair whitened
-    once: the closed form when the whitened gap is within TV_TOL = 1e-9, the
-    2-D slicer for 2-d states, or the Gil-Pelaez integral for 4-d and larger
-    states, labelled "exact" when its error estimate is within TV_TOL.
-    """
-    g1 = Gaussian(mean=mean, cov=2.0 * epsilon * cov_t)
-    g2 = Gaussian(mean=np.zeros_like(mean), cov=2.0 * epsilon * sigma)
-    return tv_gaussian(g1, g2, method="cdf_quadrature")
-
-
-def exact_gaussian_tv_curve_point(mean: np.ndarray, cov_t: np.ndarray, sigma: np.ndarray,
-                                  epsilon: float) -> float:
-    """The value of `_curve_point_tv`: one point of the exact cut-off curve."""
-    return _curve_point_tv(mean, cov_t, sigma, epsilon).value
-
-
 def _curve_tag(x0, eps: float) -> str:
     """File tag of one (x0, epsilon) curve, written as cutoff_{tag}.csv.
 
@@ -292,7 +276,7 @@ def run_cutoff_experiment(cfg: ExperimentConfig) -> RunManifest:
 
     For each (epsilon, x0): the mixing time from the spectral data, the exact
     total-variation curve t -> d_TV(N(X_t, 2 eps Sigma_t), N(0, 2 eps Sigma))
-    on the window grid t = t_mix + w (clipped to t > 0), the shift profile
+    on the window t = t_mix + w of `cutoff.cutoff_curve`, the shift profile
     D_eps, and both cut-off profiles.  One CSV per (x0, epsilon) plus a JSON
     summary holding, per curve, the sup-difference, the window points, the
     points whose TV is not "exact" and the largest TV abserr.  The run
@@ -330,79 +314,45 @@ def _check_curve_files(cfg: ExperimentConfig):
 def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
     _check_curve_files(cfg)
     spec, gate, sigma = _pipeline_start(cfg, "cutoff experiment")
-    w = np.arange(cfg.w_grid["min"], cfg.w_grid["max"] + 1e-12, cfg.w_grid["step"])
-
     summary = {"gate": gate, "runs": []}
     ok = True
     for x0 in cfg.x0:
-        x0 = np.asarray(x0, dtype=float)
-        sd = spectral_data(spec, x0)
-        pl = profile_limit_r(spec, sd)
-        tmix = {e: mixing_time(sd, e) for e in cfg.epsilons}
-        t_max = max(tmix.values()) + cfg.w_grid["max"] + 1.0
-        t_floor = max(sd.tau, 4 * cfg.dt)
-        # snap window times to the integration grid so the covariance
-        # values carry no interpolation error, and evaluate the path there only
-        windows = {}
-        for eps in cfg.epsilons:
-            windows[eps] = []
-            for wi in w:
-                k = int(round((tmix[eps] + wi) / cfg.dt))
-                if k * cfg.dt >= t_floor and k * cfg.dt <= t_max:
-                    windows[eps].append((wi, k))
-        needed = sorted({k for steps in windows.values() for _, k in steps})
-        path = integrate_covariance(spec, x0, t_max, cfg.dt, steps=needed)
-
+        run = cutoff_curve(spec, x0, cfg.epsilons, cfg.w_grid, cfg.dt)
+        sd, pl = run.spectral, run.profile
         sup_diffs = []
-        for i_eps, eps in enumerate(cfg.epsilons):
-            steps = windows[eps]
+        for i_eps, curve in enumerate(run.curves):
+            eps = curve.epsilon
             empirical = {}
             entry = {"epsilon": eps}
-            if cfg.mc_curve and steps:
+            if cfg.mc_curve and curve.step.size:
                 batch = integrate_sde(
                     spec,
                     x0,
-                    t_end=max(k for _, k in steps) * cfg.dt,
+                    t_end=curve.step.max() * cfg.dt,
                     dt=cfg.dt,
                     n_paths=cfg.n_paths,
                     seed=cfg.seed + i_eps,
                     epsilon=eps,
                     scheme="baoab",
-                    store_indices=[k for _, k in steps],
+                    store_indices=curve.step,
                 )
                 ref = Gaussian(np.zeros(2 * spec.dim), 2.0 * eps * sigma).sample(
                     batch.states.shape[0], np.random.default_rng(cfg.seed + 5000 + i_eps)
                 )
                 entry["excluded"] = batch.excluded
                 pos = {int(round(t / cfg.dt)): i for i, t in enumerate(batch.grid)}
-                for _, k in steps:
-                    if k not in empirical:
-                        est = empirical_tv(
-                            batch.states[:, pos[k], :], ref, method="classifier_knn", seed=cfg.seed
-                        )
-                        empirical[k] = est.estimate
-            rows = []
-            sup_diff = 0.0
-            tvs = []
-            for wi, k in steps:
-                t = k * cfg.dt
-                mean, cov_t = path.at(t)
-                tvs.append(_curve_point_tv(mean, cov_t, sigma, eps))
-                curve = tvs[-1].value
-                d_eps = profile_D(spec, sd, t, eps)
-                lam_printed = float(profile_lambda(sd, wi))
-                lam_alt = float(profile_lambda_alt(sd, wi, pl.r)) if pl.exists else float("nan")
-                rows.append((wi, t, curve, d_eps, lam_printed, lam_alt, empirical.get(k, float("nan"))))
-                sup_diff = max(sup_diff, abs(curve - d_eps))
+                for k in set(curve.step.tolist()):
+                    empirical[k] = empirical_tv(batch.states[:, pos[k], :], ref, method="classifier_knn",
+                                                seed=cfg.seed).estimate
+            rows = zip(curve.w, curve.t, [tv.value for tv in curve.tv], curve.D_eps, curve.Lambda_printed,
+                       curve.Lambda_alt, [empirical.get(k, float("nan")) for k in curve.step.tolist()])
             csv_path = write_csv(
                 os.path.join(cfg.out_dir, f"cutoff_{_curve_tag(x0, eps)}.csv"),
                 ["w", "t", "tv_exact", "D_eps", "Lambda_printed", "Lambda_alt", "tv_empirical"],
                 rows,
             )
             manifest.artifacts.append(csv_path)
-            sup_diffs.append(dict(entry, sup_diff=sup_diff, t_mix=tmix[eps], window_points=len(steps),
-                                  tv_inexact=sum(tv.kind != "exact" for tv in tvs),
-                                  tv_max_abserr=max((float(tv.abserr) for tv in tvs), default=0.0)))
+            sup_diffs.append(dict(entry, **curve.summary()))
         diffs = [s["sup_diff"] for s in sup_diffs]
         monotone = all(a >= b - 1e-12 for a, b in zip(diffs, diffs[1:]))
         # a curve without window points has a sup-diff of 0.0 and no evidence
@@ -416,8 +366,8 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
                 "jordan_flagged": sd.flagged,
                 "generic_x": sd.generic_x,
                 "r_limit": {"exists": pl.exists, "r": pl.r},
-                "clamp_events": path.clamp_events,
-                "covariance_points": len(path.grid),
+                "clamp_events": run.clamp_events,
+                "covariance_points": run.covariance_points,
                 "sup_diffs": sup_diffs,
                 "sup_diff_monotone": monotone,
             }

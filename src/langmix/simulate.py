@@ -41,6 +41,8 @@ BLOCK = 4096
 
 # Neighbours of the knn two-sample classifier; odd, so a vote never ties.
 _KNN_K = 5
+#: smallest cloud of the knn estimator: it trains on half of each of two equal clouds
+KNN_MIN_POINTS = 2 * math.ceil(_KNN_K / 2)
 # Bootstrap resamples behind the stderr of the moment-matched TV estimate.
 _N_BOOTSTRAP = 16
 
@@ -490,7 +492,7 @@ def _knn_tv(s1: np.ndarray, s2: np.ndarray, seed: int) -> TVEstimate:
     if half1 + half2 < _KNN_K:
         raise ParameterError(
             f"the knn classifier trains on half of each cloud and needs {_KNN_K} training "
-            f"points, i.e. {2 * math.ceil(_KNN_K / 2)} points per cloud; got {len(s1)} and {len(s2)}"
+            f"points, i.e. {KNN_MIN_POINTS} points per cloud; got {len(s1)} and {len(s2)}"
         )
     rng = np.random.default_rng(seed)
     i1 = rng.permutation(len(s1))

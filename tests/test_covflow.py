@@ -11,14 +11,13 @@ from langmix.covflow import (
     short_time_covariance,
     stationary_gap,
 )
-from langmix.cutoff import mixing_time, spectral_data
+from langmix.cutoff import curve_point_tv, cutoff_curve
 from langmix.errors import DivergenceError, ParameterError, StabilityError
 from langmix.gaussian_tv import TV_TOL
 from langmix.harness import (
     UNSTABLE_GAMMA,
     UNSTABLE_MATRIX,
     corpus_spec,
-    exact_gaussian_tv_curve_point,
     spec_from_model_config,
 )
 from langmix.matrix_eq import sigma_matrix
@@ -106,22 +105,16 @@ class TestLinearClosedForm:
         # 1e-13 on the state would be a TV error of ~1e-8 at eps = 1e-10.
         spec = corpus_spec(name)
         x0 = np.array(x0)
-        sd = spectral_data(spec, x0)
         sigma = sigma_matrix(spec)
         A = drift_matrix(spec, np.zeros(spec.dim))
-        epsilons = (1e-8, 1e-10)
-        tmix = {eps: mixing_time(sd, eps) for eps in epsilons}
-        dt = 0.005
-        path = integrate_covariance(spec, x0, max(tmix.values()) + 7.0, dt)
+        run = cutoff_curve(spec, x0, [1e-8, 1e-10], {"min": -6.0, "max": 6.0, "step": 0.5}, 0.005)
         worst = 0.0
-        for eps in epsilons:
-            for w in np.arange(-6.0, 6.0 + 1e-12, 0.5):
-                t = int(round((tmix[eps] + w) / dt)) * dt
-                if t < max(sd.tau, 4 * dt):
-                    continue
+        for curve in run.curves:
+            assert curve.step.size
+            for t, tv in zip(curve.t, curve.tv):
                 E = sla.expm(A * t)
-                ref = exact_gaussian_tv_curve_point(E @ x0, sigma - E @ sigma @ E.T, sigma, eps)
-                worst = max(worst, abs(exact_gaussian_tv_curve_point(*path.at(t), sigma, eps) - ref))
+                ref = curve_point_tv(E @ x0, sigma - E @ sigma @ E.T, sigma, curve.epsilon).value
+                worst = max(worst, abs(tv.value - ref))
         assert worst <= TV_TOL
 
     def test_unstable_linear_force_raises_before_any_work(self, monkeypatch):

@@ -6,8 +6,10 @@ import pytest
 from scipy.integrate import quad
 
 from langmix import cli, cutoff, linear_stability
-from langmix.covflow import drift_matrix
+from langmix.covflow import drift_matrix, integrate_covariance
 from langmix.cutoff import (
+    curve_point_tv,
+    cutoff_curve,
     jordan_chains,
     mixing_time,
     profile_D,
@@ -19,7 +21,7 @@ from langmix.cutoff import (
 )
 from langmix.errors import DivergenceError, DomainError, ParameterError, StabilityError
 from langmix.gaussian_tv import tv_unit
-from langmix.harness import corpus_model_config
+from langmix.harness import corpus_model_config, corpus_spec
 from langmix.linear_stability import flow_zero_noise
 from langmix.matrix_eq import drift_metric_delta, sigma_matrix
 from langmix.model import ModelSpec, _polynomial_gradient_force
@@ -238,3 +240,88 @@ class TestProfileLimit:
         pl = profile_limit_r(harmonic_spec, sd)
         assert not pl.exists
         assert pl.oscillation > 0.1
+
+
+def _whole_grid_curves(spec, x0, epsilons, w_grid, dt):
+    """Per epsilon, the window rows (w, step, t, TVResult, D_eps, Lambda_printed, Lambda_alt) from a whole-grid path.
+
+    The window rule as the cut-off pipeline states it: w over np.arange(min, max + 1e-12, step), the
+    time t_mix + w snapped to k dt, kept on [max(tau, 4 dt), t_max] with t_max = max t_mix + w_max + 1.
+    """
+    sd = spectral_data(spec, x0)
+    pl = profile_limit_r(spec, sd)
+    sigma = sigma_matrix(spec)
+    tmix = [mixing_time(sd, eps) for eps in epsilons]
+    t_max = max(tmix) + w_grid["max"] + 1.0
+    path = integrate_covariance(spec, x0, t_max, dt)
+    curves = []
+    for eps, tm in zip(epsilons, tmix):
+        rows = []
+        for w in np.arange(w_grid["min"], w_grid["max"] + 1e-12, w_grid["step"]):
+            k = int(round((tm + w) / dt))
+            t = k * dt
+            if max(sd.tau, 4 * dt) <= t <= t_max:
+                lam_alt = float(profile_lambda_alt(sd, w, pl.r)) if pl.exists else float("nan")
+                rows.append((w, k, t, curve_point_tv(*path.at(t), sigma, eps), profile_D(spec, sd, t, eps),
+                             float(profile_lambda(sd, w)), lam_alt))
+        curves.append(rows)
+    return curves
+
+
+class TestCutoffCurve:
+    @pytest.mark.parametrize(
+        "name, x0, w_grid",
+        [
+            ("lin1d_complex", (0.6, 0.3), {"min": -6.0, "max": 6.0, "step": 0.5}),
+            ("quartic", (1.5, 0.0), {"min": -4.0, "max": 4.0, "step": 1.0}),
+            # 0.7 does not divide 6: the last grid point is 2.6, and a t_max
+            # taken from it would change the path's step count and its bits
+            ("lin2d_rot", (0.5, 0.5, 0.0, 0.0), {"min": -3.0, "max": 3.0, "step": 0.7}),
+            ("quartic", (1.5, 0.0), {"min": -3.0, "max": 3.0, "step": 0.7}),
+        ],
+        ids=["lin1d_complex", "quartic", "lin2d_rot_uneven", "quartic_uneven"],
+    )
+    def test_matches_a_whole_grid_loop_bit_for_bit(self, name, x0, w_grid):
+        spec, epsilons, dt = corpus_spec(name), [1e-2, 1e-3], 0.005
+        run = cutoff_curve(spec, np.array(x0), epsilons, w_grid, dt)
+        oracle = _whole_grid_curves(spec, np.array(x0), epsilons, w_grid, dt)
+        assert [curve.epsilon for curve in run.curves] == epsilons
+        for curve, rows in zip(run.curves, oracle):
+            assert curve.t_mix == mixing_time(run.spectral, curve.epsilon)
+            assert curve.step.size == len(rows) > 0
+            w, k, t, tv, d_eps, lam, lam_alt = zip(*rows)
+            for column, expected in [(curve.w, w), (curve.step, k), (curve.t, t), (curve.D_eps, d_eps),
+                                     (curve.Lambda_printed, lam), (curve.Lambda_alt, lam_alt)]:
+                assert np.array_equal(column, expected, equal_nan=True)
+            assert [(r.value, r.kind, r.abserr) for r in curve.tv] == [(r.value, r.kind, r.abserr) for r in tv]
+            summary = curve.summary()
+            assert summary["sup_diff"] == max(abs(r.value - d) for r, d in zip(tv, d_eps))
+            assert summary["window_points"] == len(rows) and summary["t_mix"] == curve.t_mix
+        assert run.covariance_points == len({k for rows in oracle for _, k, *_ in rows})
+
+    def test_an_empty_window_gives_empty_columns(self):
+        # t_mix is 5.12, so the whole window lies before t = 4 dt, while
+        # t_max = 0.62 still holds a step: nothing to evaluate, and no error
+        run = cutoff_curve(corpus_spec("lin1d_real"), [0.6, 0.4], [1e-2],
+                           {"min": -9.5, "max": -5.5, "step": 0.5}, 0.01)
+        assert run.covariance_points == 0 and run.clamp_events == 0
+        for curve in run.curves:
+            assert curve.tv == []
+            for column in (curve.w, curve.step, curve.t, curve.D_eps, curve.Lambda_printed, curve.Lambda_alt):
+                assert column.shape == (0,)
+            assert curve.summary() == {"t_mix": curve.t_mix, "sup_diff": 0.0, "window_points": 0,
+                                       "tv_inexact": 0, "tv_max_abserr": 0.0}
+
+    @pytest.mark.parametrize(
+        "x0, epsilons, dt, error, match",
+        [
+            ([0.6, 0.3], [1e-2, 0.5], 0.01, DomainError, "epsilon must lie in"),
+            ([0.6, 0.3], [1e-2], 0.0, ParameterError, "dt must be positive"),
+            ([0.6, 0.3], [1e-2], -0.01, ParameterError, "dt must be positive"),
+            ([0.6, 0.3, 0.0], [1e-2], 0.01, ParameterError, r"x0 must have shape \(2,\)"),
+        ],
+        ids=["epsilon_half", "zero_dt", "negative_dt", "long_x0"],
+    )
+    def test_callee_errors_reach_the_caller(self, x0, epsilons, dt, error, match):
+        with pytest.raises(error, match=match):
+            cutoff_curve(corpus_spec("lin1d_complex"), x0, epsilons, {"min": -1.0, "max": 1.0, "step": 1.0}, dt)

@@ -8,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from langmix import checks, gaussian_tv, harness, matrix_eq
-from langmix.cutoff import jordan_chains, spectral_data
+from langmix import checks, cutoff, gaussian_tv, harness, matrix_eq
+from langmix.cutoff import cutoff_curve, jordan_chains, spectral_data
 from langmix.covflow import drift_matrix, noise_matrix
 from langmix.errors import ParameterError, StabilityError
 from langmix.gaussian_tv import TV_TOL
@@ -77,6 +77,7 @@ class TestConfigValidation:
             {"w_grid": {"min": -1.0, "max": float("inf"), "step": 0.5}},
             {"w_grid": [1, 2]},
             {"n_paths": 0},
+            {"n_paths": 5},
             {"n_paths": 1.7},
             {"n_paths": True},
             {"horizon": -1.0},
@@ -98,8 +99,8 @@ class TestConfigValidation:
         ],
         ids=[
             "no_max", "no_step", "zero_step", "negative_step", "max_below_min", "infinite_max", "list_w_grid",
-            "no_paths", "fractional_paths", "bool_paths", "negative_horizon", "infinite_horizon", "nan_dt",
-            "string_dt", "scalar_epsilons", "flat_x0", "string_seed", "negative_seed", "string_mc_curve",
+            "no_paths", "five_paths", "fractional_paths", "bool_paths", "negative_horizon", "infinite_horizon",
+            "nan_dt", "string_dt", "scalar_epsilons", "flat_x0", "string_seed", "negative_seed", "string_mc_curve",
             "increasing_epsilons", "repeated_epsilons", "string_gamma", "bool_gamma", "null_alpha", "nan_beta",
             "int_out_dir",
         ],
@@ -261,14 +262,14 @@ class TestCutoffPipeline:
             assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_summary_records_clamp_events(self, tmp_path, monkeypatch):
-        integrate = harness.integrate_covariance
+        integrate = cutoff.integrate_covariance
 
         def clamped(*args, **kwargs):
             path = integrate(*args, **kwargs)
             path.clamp_events = 7
             return path
 
-        monkeypatch.setattr(harness, "integrate_covariance", clamped)
+        monkeypatch.setattr(cutoff, "integrate_covariance", clamped)
         raw = minimal_config(tmp_path, x0=[[0.5, 0.2], [0.1, -0.3]])
         run_cutoff_experiment(validate_config(raw))
         summary = json.loads(open(os.path.join(raw["out_dir"], "cutoff_summary.json")).read())
@@ -276,13 +277,13 @@ class TestCutoffPipeline:
 
     def test_the_covariance_path_is_evaluated_only_at_the_window_steps(self, tmp_path, monkeypatch):
         paths = []
-        integrate = harness.integrate_covariance
+        integrate = cutoff.integrate_covariance
 
         def recorded(*args, **kwargs):
             paths.append(integrate(*args, **kwargs))
             return paths[-1]
 
-        monkeypatch.setattr(harness, "integrate_covariance", recorded)
+        monkeypatch.setattr(cutoff, "integrate_covariance", recorded)
         raw = minimal_config(tmp_path, epsilons=[1e-2, 1e-3], x0=[[0.5, 0.2], [0.1, -0.3]])
         manifest = run_cutoff_experiment(validate_config(raw))
         assert len(paths) == 2
@@ -320,25 +321,11 @@ class TestCutoffPipeline:
         assert first["tv_exact"] > 0.99
         assert last["tv_exact"] < 0.05
 
-    def test_4d_curve_points_are_exact_within_tolerance(self, tmp_path, monkeypatch):
+    def test_4d_curve_points_are_exact_within_tolerance(self):
         # the cutoff_lin2d benchmark run: 3 noise levels x 25 window points of a 4-d state
-        results = []
-        tv_gaussian = harness.tv_gaussian
-
-        def recorded(*args, **kwargs):
-            results.append(tv_gaussian(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(harness, "tv_gaussian", recorded)
-        raw = minimal_config(
-            tmp_path,
-            epsilons=[1e-2, 1e-3, 1e-4],
-            x0=[[0.5, 0.5, 0.0, 0.0]],
-            w_grid={"min": -6.0, "max": 6.0, "step": 0.5},
-            dt=0.005,
-        )
-        raw["model"] = harness.corpus_model_config("lin2d_rot")
-        run_cutoff_experiment(validate_config(raw))
+        run = cutoff_curve(corpus_spec("lin2d_rot"), [0.5, 0.5, 0.0, 0.0], [1e-2, 1e-3, 1e-4],
+                           {"min": -6.0, "max": 6.0, "step": 0.5}, 0.005)
+        results = [tv for curve in run.curves for tv in curve.tv]
         assert len(results) == 75
         assert all(r.kind == "exact" and r.abserr <= TV_TOL for r in results)
 
@@ -411,14 +398,14 @@ class TestCutoffPipeline:
         calls = []
 
         def one_estimate(*args, **kwargs):
-            res = harness_tv(*args, **kwargs)
+            res = cutoff_tv(*args, **kwargs)
             calls.append(res)
             if len(calls) == 2:
                 res = gaussian_tv.TVResult(value=res.value, kind="estimate", abserr=3e-6)
             return res
 
-        harness_tv = harness.tv_gaussian
-        monkeypatch.setattr(harness, "tv_gaussian", one_estimate)
+        cutoff_tv = cutoff.tv_gaussian
+        monkeypatch.setattr(cutoff, "tv_gaussian", one_estimate)
         raw = minimal_config(tmp_path, epsilons=[1e-2, 1e-3])
         manifest = run_cutoff_experiment(validate_config(raw))
         summary = json.loads((tmp_path / "out" / "cutoff_summary.json").read_text())
@@ -442,11 +429,11 @@ class TestCutoffPipeline:
         calls = []
 
         def recording_tv(g1, g2, method="cdf_quadrature"):
-            calls.append((g1, g2, harness_tv(g1, g2, method=method)))
+            calls.append((g1, g2, cutoff_tv(g1, g2, method=method)))
             return calls[-1][2]
 
-        harness_tv = harness.tv_gaussian
-        monkeypatch.setattr(harness, "tv_gaussian", recording_tv)
+        cutoff_tv = cutoff.tv_gaussian
+        monkeypatch.setattr(cutoff, "tv_gaussian", recording_tv)
         epsilons = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
         raw = minimal_config(tmp_path, x0=[[0.6, 0.3]], model=harness.corpus_model_config("lin1d_critical"),
                              epsilons=epsilons, dt=0.005)

@@ -94,6 +94,13 @@ def test_matrix_eq_does_not_import_gaussian_tv():
     assert "gaussian_tv" not in graph["matrix_eq"]
 
 
+def test_cutoff_imports_neither_harness_nor_simulate():
+    # the cut-off curve is a library routine: files and ensembles stay in the harness
+    graph, _ = _graph()
+    assert "covflow" in graph["cutoff"]
+    assert not {"harness", "simulate"} & graph["cutoff"]
+
+
 # ---------------------------------------------------------------------------
 # scipy.stats stays out of the import graph: loading it costs more than half
 # a second of every run's set-up, for three small uses that scipy.special

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -823,14 +824,22 @@ def test_splitting_the_blocks_over_threads_keeps_every_path(monkeypatch, kind):
 def test_each_range_steps_in_a_thread_of_its_own_under_the_callers_errstate(harmonic_spec, monkeypatch):
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 3)
     calls = []
-    spec = _recording_force(harmonic_spec, lambda q: calls.append((threading.get_ident(), np.geterr()["under"])))
+    # a finished thread's ident may be given to the next one; its thread-local tag is not
+    tags, numbers = threading.local(), itertools.count()
+
+    def thread_tag():
+        if not hasattr(tags, "n"):
+            tags.n = next(numbers)
+        return tags.n
+
+    spec = _recording_force(harmonic_spec, lambda q: calls.append((thread_tag(), np.geterr()["under"])))
     before = threading.active_count()
     with np.errstate(under="raise"):
         integrate_sde(spec, np.array([0.5, 0.0]), 0.05, 0.01, 3 * BLOCK + 5, seed=1, epsilon=0.05)
     assert threading.active_count() == before
     # three ranges, each stepped in its own thread, the first in the calling one
-    threads = {tid for tid, _ in calls}
-    assert len(threads) == 3 and threading.get_ident() in threads
+    threads = {tag for tag, _ in calls}
+    assert len(threads) == 3 and thread_tag() in threads
     assert {under for _, under in calls} == {"raise"}
 
 
