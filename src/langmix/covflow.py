@@ -122,7 +122,9 @@ def integrate_covariance(spec: ModelSpec, x0, t_end: float, dt: float, steps=Non
     clamp_events.
     """
     if dt <= 0 or round(t_end / dt) < 1:
-        raise ParameterError("need dt > 0 and t_end of at least one output step dt")
+        raise ParameterError(
+            f"need dt > 0 and t_end of at least one output step dt; got t_end {t_end:g} and dt {dt:g}"
+        )
     x0 = phase_point(spec, x0)
     n_steps = int(round(t_end / dt))
     if steps is None:

@@ -14,6 +14,7 @@ each mixing time.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -392,13 +393,19 @@ class CutoffCurve:
 
 @dataclass
 class CutoffRun:
-    """`cutoff_curve` of one start: its decay constants, profile limit, path diagnostics and curves."""
+    """`cutoff_curve` of one start: its decay constants, profile limit, path diagnostics and curves.
+
+    seconds holds the wall time of each stage: "spectral" (decay constants,
+    profile limit and Sigma), "covariance" (the path at the window steps) and
+    "tv" (the exact TV of every window point).
+    """
 
     spectral: SpectralData
     profile: ProfileLimit
     clamp_events: int
     covariance_points: int
     curves: list  # one CutoffCurve per epsilon, in the given order
+    seconds: dict
 
 
 def cutoff_curve(spec: ModelSpec, x0, epsilons, w_grid: dict, dt: float) -> CutoffRun:
@@ -411,15 +418,19 @@ def cutoff_curve(spec: ModelSpec, x0, epsilons, w_grid: dict, dt: float) -> Cuto
     t_max = max_eps t_mix + w_grid["max"] + 1.  One `integrate_covariance`
     call up to t_max evaluates the union of the window steps; t_max sets
     that path's step count, so it comes from the stated max, not the last
-    grid point.  An empty window gives empty columns.  dt <= 0 raises
-    ParameterError; errors of the callees (`spectral_data`, `mixing_time`,
-    `integrate_covariance`) reach the caller unchanged.
+    grid point.  An empty window gives empty columns, and when no epsilon
+    keeps a step there is no path to evaluate (covariance_points 0), even
+    where t_max is shorter than dt.  dt <= 0 raises ParameterError; errors of
+    the callees (`spectral_data`, `mixing_time`, `integrate_covariance`)
+    reach the caller unchanged.
     """
     if dt <= 0:
         raise ParameterError("dt must be positive")
+    clock = time.perf_counter()
     sd = spectral_data(spec, x0)
     pl = profile_limit_r(spec, sd)
     sigma = sigma_matrix(spec)
+    seconds = {"spectral": time.perf_counter() - clock}
     w = np.arange(w_grid["min"], w_grid["max"] + 1e-12, w_grid["step"])
     tmix = [mixing_time(sd, eps) for eps in epsilons]
     t_max = max(tmix) + w_grid["max"] + 1.0
@@ -429,17 +440,26 @@ def cutoff_curve(spec: ModelSpec, x0, epsilons, w_grid: dict, dt: float) -> Cuto
         k = np.rint((tm + w) / dt).astype(np.int64)
         keep = (k * dt >= t_floor) & (k * dt <= t_max)
         windows.append((w[keep], k[keep]))
-    path = integrate_covariance(spec, x0, t_max, dt, steps=np.concatenate([k for _, k in windows]))
+    steps = np.concatenate([k for _, k in windows])
+    path, clamp_events, covariance_points = None, 0, 0
+    clock = time.perf_counter()
+    if steps.size:
+        path = integrate_covariance(spec, x0, t_max, dt, steps=steps)
+        clamp_events, covariance_points = path.clamp_events, len(path.grid)
+    seconds["covariance"] = time.perf_counter() - clock
+    clock = time.perf_counter()
+    tvs = [[curve_point_tv(*path.at(t), sigma, eps) for t in (k * dt).tolist()]
+           for eps, (_, k) in zip(epsilons, windows)]
+    seconds["tv"] = time.perf_counter() - clock
     curves = []
-    for eps, tm, (w_eps, k) in zip(epsilons, tmix, windows):
+    for eps, tm, (w_eps, k), tv in zip(epsilons, tmix, windows, tvs):
         ts = (k * dt).tolist()
         curves.append(CutoffCurve(
-            epsilon=eps, t_mix=tm, w=w_eps, step=k, t=k * dt,
-            tv=[curve_point_tv(*path.at(t), sigma, eps) for t in ts],
+            epsilon=eps, t_mix=tm, w=w_eps, step=k, t=k * dt, tv=tv,
             D_eps=np.array([profile_D(spec, sd, t, eps) for t in ts]),
             Lambda_printed=np.array([profile_lambda(sd, wi) for wi in w_eps]),
             Lambda_alt=np.array([profile_lambda_alt(sd, wi, pl.r) if pl.exists else np.nan for wi in w_eps],
                                 dtype=float),
         ))
-    return CutoffRun(spectral=sd, profile=pl, clamp_events=path.clamp_events, covariance_points=len(path.grid),
-                     curves=curves)
+    return CutoffRun(spectral=sd, profile=pl, clamp_events=clamp_events, covariance_points=covariance_points,
+                     curves=curves, seconds=seconds)

@@ -248,21 +248,40 @@ def _log_cf(u: np.ndarray, A, B, C):
     """Log-modulus and phase of phi_k(u) under each row k; each of shape (2, len(u)).
 
     The factor of one direction is (1 - 2iuA)^(-1/2) exp(-u^2 B^2 / (2 (1 - 2iuA))) e^(iuC),
-    whose modulus and phase are real expressions in q = 1 + 4 u^2 A^2.
+    whose modulus and phase are real expressions in q = 1 + 4 u^2 A^2.  The
+    terms are laid out (row, direction, node), so each sum over directions
+    adds whole rows of nodes, in direction order.
     """
-    uu, a, b2 = u[:, None], A[:, None, :], B[:, None, :] ** 2
-    q = 1.0 + 4.0 * (uu * a) ** 2
-    log_modulus = -(0.25 * np.log(q) + 0.5 * uu**2 * b2 / q).sum(axis=-1)
-    phase = (0.5 * np.arctan(2.0 * uu * a) - uu**3 * b2 * a / q).sum(axis=-1)
-    return log_modulus, phase + u * C.sum(axis=1)[:, None]
+    # every temporary is written in place: the sums are cheap, the elementwise terms are the cost
+    a, b2 = A[:, :, None], B[:, :, None] ** 2
+    ua = u * a
+    q = np.square(ua)
+    q *= 4.0
+    q += 1.0
+    terms = np.log(q)
+    terms *= 0.25
+    ratio = np.multiply(0.5 * u**2, b2)
+    ratio /= q
+    terms += ratio
+    log_modulus = -terms.sum(axis=1)
+    ua *= 2.0  # 2 u A, exactly
+    phase_terms = np.arctan(ua, out=ua)
+    phase_terms *= 0.5
+    np.multiply(u**3, b2, out=ratio)
+    ratio *= a
+    ratio /= q
+    phase_terms -= ratio
+    phase = phase_terms.sum(axis=1)
+    phase += u * C.sum(axis=1)[:, None]
+    return log_modulus, phase
 
 
 def _log_cf_speed(u: np.ndarray, A, B, C) -> np.ndarray:
     """|d/du log-modulus| + |d/du phase| of phi_k(u): how fast the integrand turns; shape (2, len(u))."""
-    uu, a, b2 = u[:, None], A[:, None, :], B[:, None, :] ** 2
-    q = 1.0 + 4.0 * (uu * a) ** 2
-    d_modulus = (2.0 * uu * a**2 / q + uu * b2 / q**2).sum(axis=-1)
-    d_phase = (a / q - b2 * a * uu**2 * (2.0 + q) / q**2).sum(axis=-1) + C.sum(axis=1)[:, None]
+    a, b2 = A[:, :, None], B[:, :, None] ** 2
+    q = 1.0 + 4.0 * (u * a) ** 2
+    d_modulus = (2.0 * u * a**2 / q + u * b2 / q**2).sum(axis=1)
+    d_phase = (a / q - b2 * a * u**2 * (2.0 + q) / q**2).sum(axis=1) + C.sum(axis=1)[:, None]
     return d_modulus + np.abs(d_phase)
 
 
@@ -274,12 +293,12 @@ def _tail_bound(u: np.ndarray, A, log_modulus: np.ndarray) -> np.ndarray:
     (u/s)^(1/2) (1 + 1/(4 u^2 A_j^2))^(1/4); integrating (u/s)^(m/2) / s gives
     2/m.  The m largest |A_j| give the smallest factor for each m.
     """
-    a = -np.sort(-np.abs(A), axis=1)  # (2, d), largest first; zeros last
-    m = np.arange(1, A.shape[1] + 1)
+    a = -np.sort(-np.abs(A), axis=1)[:, :, None]  # (2, d, 1), largest first; zeros last
+    m = np.arange(1, A.shape[1] + 1)[:, None]
     with np.errstate(divide="ignore"):
-        log_factors = 0.25 * np.log1p(1.0 / (4.0 * u[None, :, None] ** 2 * a[:, None, :] ** 2))
+        log_factors = 0.25 * np.log1p(1.0 / (4.0 * u**2 * a**2))
     # the product over m factors in log space: at d = 128 it overflows as a cumprod
-    best = np.exp(np.min(np.cumsum(log_factors, axis=-1) + np.log(2.0 / m), axis=-1))
+    best = np.exp(np.min(np.cumsum(log_factors, axis=1) + np.log(2.0 / m), axis=1))
     return np.sum(np.exp(log_modulus) * best, axis=0)
 
 
@@ -356,7 +375,8 @@ def _tv_gil_pelaez(A, B, C):
     x = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
     u = (mid[:, None] + half[:, None] * x).ravel()
     log_modulus, phase = _log_cf(u, A, B, C)
-    im_phi = np.exp(log_modulus) * np.sin(phase)
+    im_phi = np.exp(log_modulus, out=log_modulus)
+    im_phi *= np.sin(phase, out=phase)
     f = ((im_phi[0] - im_phi[1]) / u).reshape(len(mid), len(x)) * half[:, None]
     n_fine = len(_GL_FINE[0])
     value = float(np.sum(f[:, :n_fine] @ _GL_FINE[1]))

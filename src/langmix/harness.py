@@ -170,7 +170,11 @@ def spec_from_model_config(model: dict) -> ModelSpec:
 
 @dataclass
 class RunManifest:
-    """Run metadata; written before long work starts, finalized atomically."""
+    """Run metadata; written before long work starts, finalized atomically.
+
+    stages lists {name, seconds} entries of the pipeline's stages, outside
+    summary, so the summary stays the same for the same config.
+    """
 
     config_hash: str
     code_version: str
@@ -182,6 +186,7 @@ class RunManifest:
     artifacts: list = field(default_factory=list)
     passed: Optional[bool] = None
     summary: dict = field(default_factory=dict)
+    stages: list = field(default_factory=list)
 
     def path(self) -> str:
         return os.path.join(self.out_dir, "run_manifest.json")
@@ -281,8 +286,11 @@ def run_cutoff_experiment(cfg: ExperimentConfig) -> RunManifest:
     summary holding, per curve, the sup-difference, the window points, the
     points whose TV is not "exact" and the largest TV abserr.  The run
     passes when each x0's sup-differences do not grow as epsilon falls and
-    every curve has a window point.  A failed run leaves its manifest with
-    status "failed" and the error.
+    every curve has a window point.  The manifest's stages hold, for each
+    x0 in order, the seconds of its "spectral", "covariance" and "tv" stages
+    (`CutoffRun.seconds`) and, with mc_curve, of its "mc_curve" ensembles and
+    their knn estimates.  A failed run leaves its manifest with status
+    "failed" and the error.
     """
     return _run_pipeline(cfg.config_hash, cfg.out_dir, lambda m: _cutoff_experiment(cfg, m))
 
@@ -320,11 +328,13 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
         run = cutoff_curve(spec, x0, cfg.epsilons, cfg.w_grid, cfg.dt)
         sd, pl = run.spectral, run.profile
         sup_diffs = []
+        mc_seconds = 0.0
         for i_eps, curve in enumerate(run.curves):
             eps = curve.epsilon
             empirical = {}
             entry = {"epsilon": eps}
             if cfg.mc_curve and curve.step.size:
+                clock = time.perf_counter()
                 batch = integrate_sde(
                     spec,
                     x0,
@@ -344,6 +354,7 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
                 for k in set(curve.step.tolist()):
                     empirical[k] = empirical_tv(batch.states[:, pos[k], :], ref, method="classifier_knn",
                                                 seed=cfg.seed).estimate
+                mc_seconds += time.perf_counter() - clock
             rows = zip(curve.w, curve.t, [tv.value for tv in curve.tv], curve.D_eps, curve.Lambda_printed,
                        curve.Lambda_alt, [empirical.get(k, float("nan")) for k in curve.step.tolist()])
             csv_path = write_csv(
@@ -353,6 +364,8 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
             )
             manifest.artifacts.append(csv_path)
             sup_diffs.append(dict(entry, **curve.summary()))
+        stages = list(run.seconds.items()) + ([("mc_curve", mc_seconds)] if cfg.mc_curve else [])
+        manifest.stages += [{"x0": list(map(float, x0)), "name": name, "seconds": seconds} for name, seconds in stages]
         diffs = [s["sup_diff"] for s in sup_diffs]
         monotone = all(a >= b - 1e-12 for a, b in zip(diffs, diffs[1:]))
         # a curve without window points has a sup-diff of 0.0 and no evidence

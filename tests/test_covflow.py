@@ -82,6 +82,11 @@ class TestIntegrateCovariance:
         with pytest.raises(ParameterError):
             integrate_covariance(harmonic_spec, np.zeros(3), 1.0, 0.1)
 
+    @pytest.mark.parametrize("t_end, dt", [(-22.88, 0.01), (0.004, 0.01), (1.0, 0.0)])
+    def test_a_path_without_a_step_names_t_end_and_dt(self, harmonic_spec, t_end, dt):
+        with pytest.raises(ParameterError, match=f"got t_end {t_end:g} and dt {dt:g}$"):
+            integrate_covariance(harmonic_spec, np.array([0.6, 0.4]), t_end, dt)
+
 
 class TestLinearClosedForm:
     """A linear force gets the exact Gaussian path instead of the covariance ODE."""

@@ -312,6 +312,15 @@ class TestCutoffCurve:
             assert curve.summary() == {"t_mix": curve.t_mix, "sup_diff": 0.0, "window_points": 0,
                                        "tv_inexact": 0, "tv_max_abserr": 0.0}
 
+    def test_a_window_before_the_first_step_evaluates_no_path(self, monkeypatch):
+        # t_mix is 5.12, so t_max = 5.12 - 29 + 1 is below dt: no epsilon keeps a step
+        calls = []
+        monkeypatch.setattr(cutoff, "integrate_covariance", lambda *args, **kwargs: calls.append(args))
+        run = cutoff_curve(corpus_spec("lin1d_real"), [0.6, 0.4], [1e-2],
+                           {"min": -30.0, "max": -29.0, "step": 0.5}, 0.01)
+        assert calls == [] and run.covariance_points == 0 and run.clamp_events == 0
+        assert [curve.summary()["window_points"] for curve in run.curves] == [0]
+
     @pytest.mark.parametrize(
         "x0, epsilons, dt, error, match",
         [

@@ -374,7 +374,7 @@ class TestTailBound:
             res = tv_gaussian(g1, Gaussian(np.zeros(d), np.eye(d)))
         assert res.kind == "exact" and res.value == pytest.approx(0.22270178115574962, rel=1e-12)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
     def test_matches_the_cumprod_where_it_is_finite(self, d):
         rng = np.random.default_rng(40 + d)
         for _ in range(5):
@@ -386,6 +386,55 @@ class TestTailBound:
             expected = _tail_bound_by_cumprod(u, A, log_modulus)
             assert np.isinf(expected[0]) and np.all(np.isfinite(expected[1:]))
             np.testing.assert_allclose(gaussian_tv._tail_bound(u, A, log_modulus), expected, rtol=1e-12)
+
+
+def _log_cf_by_node(u, A, B, C):
+    """`_log_cf` with its terms laid out (row, node, direction), each node summing its own directions."""
+    uu, a, b2 = u[:, None], A[:, None, :], B[:, None, :] ** 2
+    q = 1.0 + 4.0 * (uu * a) ** 2
+    log_modulus = -(0.25 * np.log(q) + 0.5 * uu**2 * b2 / q).sum(axis=-1)
+    phase = (0.5 * np.arctan(2.0 * uu * a) - uu**3 * b2 * a / q).sum(axis=-1)
+    return log_modulus, phase + u * C.sum(axis=1)[:, None]
+
+
+def _log_cf_speed_by_node(u, A, B, C):
+    """`_log_cf_speed` with its terms laid out (row, node, direction)."""
+    uu, a, b2 = u[:, None], A[:, None, :], B[:, None, :] ** 2
+    q = 1.0 + 4.0 * (uu * a) ** 2
+    d_modulus = (2.0 * uu * a**2 / q + uu * b2 / q**2).sum(axis=-1)
+    d_phase = (a / q - b2 * a * uu**2 * (2.0 + q) / q**2).sum(axis=-1) + C.sum(axis=1)[:, None]
+    return d_modulus + np.abs(d_phase)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+class TestCharacteristicFunctionLayout:
+    """The direction-major layout keeps every term and the order of each sum, so below d = 8 it keeps the bits."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_matches_the_node_major_formulas_bit_for_bit(self, d):
+        rng = np.random.default_rng(70 + d)
+        for _ in range(5):
+            g1 = Gaussian(rng.standard_normal(d), _spd(rng, d))
+            g2 = Gaussian(rng.standard_normal(d), _spd(rng, d))
+            A, B, C = gaussian_tv._llr_terms(*_whiten(g1, g2))
+            u = np.concatenate([[0.0], np.geomspace(1e-4, 1e8, 97), rng.uniform(0.0, 50.0, 40)])
+            assert u.max() >= 1e6
+            for new, old in zip(gaussian_tv._log_cf(u, A, B, C), _log_cf_by_node(u, A, B, C)):
+                assert new.shape == (2, len(u)) and np.array_equal(_bits(new), _bits(old))
+            speed, expected = gaussian_tv._log_cf_speed(u, A, B, C), _log_cf_speed_by_node(u, A, B, C)
+            assert np.array_equal(_bits(speed), _bits(expected))
+
+    def test_a_direction_with_a_zero_coefficient_keeps_its_bits(self):
+        # lam_j = 1 makes A_j = 0 exactly, the case the tail bound sorts last
+        A, B, C = gaussian_tv._llr_terms(np.array([0.5, 1.0, 2.0, 1.0]), np.array([0.3, -0.2, 0.0, 0.1]))
+        assert np.count_nonzero(A == 0.0) == 4
+        u = np.concatenate([[0.0], np.geomspace(1e-3, 1e7, 41)])
+        for new, old in zip(gaussian_tv._log_cf(u, A, B, C), _log_cf_by_node(u, A, B, C)):
+            assert np.array_equal(_bits(new), _bits(old))
+        assert np.array_equal(_bits(gaussian_tv._log_cf_speed(u, A, B, C)), _bits(_log_cf_speed_by_node(u, A, B, C)))
 
 
 class TestSaturatedPairs:
@@ -435,6 +484,33 @@ def test_slicer_keeps_its_recorded_bits(pair):
     g2 = Gaussian(_hex_array(pair["mean2"], 2), _hex_array(pair["cov2"], (2, 2)))
     value, abserr = gaussian_tv._tv_cdf_2d(g1, g2)
     assert (value.hex(), abserr.hex()) == (pair["value"], pair["abserr"])
+
+
+def _gil_pelaez_pairs() -> list:
+    """Recorded whitened pairs (lam, nu) and `_tv_gil_pelaez`'s (value, abserr), all as float.hex strings.
+
+    Four seeded pairs at each of d = 3, 4, 6, 8 and 16, the first of each
+    with equal means, and 10 of the 75 window points of the cutoff_lin2d
+    benchmark workload (lin2d_rot from (0.5, 0.5, 0, 0), eps = 1e-2, 1e-3,
+    1e-4), recorded while the characteristic-function terms were laid out
+    (row, node, direction).
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", "gil_pelaez_pairs.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("pair", _gil_pelaez_pairs(), ids=lambda p: p["case"])
+def test_gil_pelaez_keeps_its_recorded_bits(pair):
+    lam, nu = (np.array([float.fromhex(v) for v in pair[key]]) for key in ("lam", "nu"))
+    value, abserr = gaussian_tv._tv_gil_pelaez(*gaussian_tv._llr_terms(lam, nu))
+    if len(lam) < 8:
+        assert (value.hex(), abserr.hex()) == (pair["value"], pair["abserr"])
+    else:
+        # from d = 8 numpy sums a contiguous row pairwise, so the node-major
+        # layout grouped the directions differently: rounding moves, nothing else
+        assert abs(value - float.fromhex(pair["value"])) <= 1e-15
+        assert abs(abserr - float.fromhex(pair["abserr"])) <= 1e-15
 
 
 class TestGaussianType:

@@ -384,6 +384,29 @@ class TestCutoffPipeline:
         assert manifest.summary["runs"][0]["sup_diff_monotone"]
         assert manifest.passed is False
 
+    def test_a_window_before_the_first_step_writes_empty_curves(self, tmp_path):
+        # t_max = t_mix + w_grid max + 1 = 5.12 - 29 + 1 is below dt
+        raw = minimal_config(tmp_path, model=harness.corpus_model_config("lin1d_real"), x0=[[0.6, 0.4]],
+                             w_grid={"min": -30.0, "max": -29.0, "step": 0.5}, dt=0.01)
+        manifest = run_cutoff_experiment(validate_config(raw))
+        assert (manifest.status, manifest.passed) == ("done", False)
+        with open(tmp_path / "out" / "cutoff_x0.6_0.4_eps0.01.csv") as fh:
+            assert fh.read().splitlines() == ["w,t,tv_exact,D_eps,Lambda_printed,Lambda_alt,tv_empirical"]
+        run = manifest.summary["runs"][0]
+        assert run["covariance_points"] == 0 and [s["window_points"] for s in run["sup_diffs"]] == [0]
+
+    @pytest.mark.parametrize("mc_curve", [False, True], ids=["exact_only", "mc_curve"])
+    def test_manifest_records_the_seconds_of_each_stage(self, tmp_path, mc_curve):
+        raw = minimal_config(tmp_path, x0=[[0.5, 0.2], [0.1, -0.3]], mc_curve=mc_curve, n_paths=64)
+        manifest = run_cutoff_experiment(validate_config(raw))
+        with open(manifest.path()) as fh:
+            data = json.load(fh)
+        names = ["spectral", "covariance", "tv"] + (["mc_curve"] if mc_curve else [])
+        assert [(s["x0"], s["name"]) for s in data["stages"]] == [(x0, n) for x0 in raw["x0"] for n in names]
+        seconds = [s["seconds"] for s in data["stages"]]
+        assert min(seconds) >= 0.0 and sum(seconds) <= data["wall_clock"]
+        assert "stages" not in data["summary"]
+
     def test_summary_records_the_window_points_and_the_tv_labels(self, tmp_path):
         raw = minimal_config(tmp_path, epsilons=[1e-2, 1e-3])
         manifest = run_cutoff_experiment(validate_config(raw))
