@@ -24,7 +24,8 @@ import scipy.linalg as sla
 from scipy.special import chdtrc
 
 from .covflow import _covariance_rhs, _ode_path, integrate_covariance
-from .cutoff import curve_point_tv, jordan_chains, mixing_time, oscillating_sum, profile_D, spectral_data
+from .cutoff import (curve_point_tv, jordan_chains, mixing_time, oscillating_sum, profile_D, spectral_data,
+                     stationary_law)
 from .errors import ParameterError
 from .gaussian_tv import (
     TV_TOL, Gaussian, _llr_terms, _tv_cdf_2d, _tv_gil_pelaez, _whiten, tv_gaussian, tv_unit, tv_unit_linear_bound,
@@ -473,7 +474,7 @@ def _check_cutoff_curve_vs_empirical() -> CheckResult:
     spec = corpus_spec("lin1d_complex")
     eps = 0.01
     x0 = np.array([0.6, 0.3])
-    sigma = sigma_matrix(spec)
+    stationary = stationary_law(sigma_matrix(spec), eps)
     path = integrate_covariance(spec, x0, 8.0, 0.005)
     batch = integrate_sde(spec, x0, 8.0, 0.005, 20000, seed=31, epsilon=eps, scheme="baoab",
                           store_every=200)
@@ -483,8 +484,8 @@ def _check_cutoff_curve_vs_empirical() -> CheckResult:
         if t < 1.0:
             continue
         mean, cov_t = path.at(float(t))
-        exact = curve_point_tv(mean, cov_t, sigma, eps).value
-        ref = Gaussian(np.zeros(2), 2 * eps * sigma).sample(20000, rng)
+        exact = curve_point_tv(mean, cov_t, stationary, eps).value
+        ref = stationary.sample(20000, rng)
         # the linear model is exactly Gaussian in law, so moment matching is sharp
         est = empirical_tv(batch.states[:, i, :], ref, method="gaussian_momentmatch", seed=31)
         gap = abs(est.estimate - exact)

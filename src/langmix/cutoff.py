@@ -350,17 +350,22 @@ def profile_limit_r(spec: ModelSpec, sd: SpectralData) -> ProfileLimit:
     return ProfileLimit(exists=bool(exists), r=mean, oscillation=osc)
 
 
-def curve_point_tv(mean: np.ndarray, cov_t: np.ndarray, sigma: np.ndarray, epsilon: float) -> TVResult:
-    """One point of the exact cut-off curve: d_TV(N(mean, 2 eps cov_t), N(0, 2 eps sigma)).
+def stationary_law(sigma: np.ndarray, epsilon: float) -> Gaussian:
+    """N(0, 2 eps sigma), the Gaussian stationary approximation at noise level epsilon."""
+    return Gaussian(mean=np.zeros(len(sigma)), cov=2.0 * epsilon * sigma)
 
-    `tv_gaussian`'s one exact method, "cdf_quadrature", on the pair whitened
-    once: the closed form when the whitened gap is within TV_TOL = 1e-9, the
-    2-D slicer for 2-d states, or the Gil-Pelaez integral for 4-d and larger
-    states, labelled "exact" when its error estimate is within TV_TOL.
+
+def curve_point_tv(mean: np.ndarray, cov_t: np.ndarray, stationary: Gaussian, epsilon: float) -> TVResult:
+    """One point of the exact cut-off curve: d_TV(N(mean, 2 eps cov_t), stationary).
+
+    stationary is `stationary_law(sigma, epsilon)`, built once per epsilon
+    by the caller: `tv_gaussian` does not change it.  `tv_gaussian`'s one
+    exact method, "cdf_quadrature", on the pair whitened once: the closed
+    form when the whitened gap is within TV_TOL = 1e-9, the 2-D slicer for
+    2-d states, or the Gil-Pelaez integral for 4-d and larger states,
+    labelled "exact" when its error estimate is within TV_TOL.
     """
-    g1 = Gaussian(mean=mean, cov=2.0 * epsilon * cov_t)
-    g2 = Gaussian(mean=np.zeros_like(mean), cov=2.0 * epsilon * sigma)
-    return tv_gaussian(g1, g2, method="cdf_quadrature")
+    return tv_gaussian(Gaussian(mean=mean, cov=2.0 * epsilon * cov_t), stationary, method="cdf_quadrature")
 
 
 @dataclass
@@ -448,8 +453,10 @@ def cutoff_curve(spec: ModelSpec, x0, epsilons, w_grid: dict, dt: float) -> Cuto
         clamp_events, covariance_points = path.clamp_events, len(path.grid)
     seconds["covariance"] = time.perf_counter() - clock
     clock = time.perf_counter()
-    tvs = [[curve_point_tv(*path.at(t), sigma, eps) for t in (k * dt).tolist()]
-           for eps, (_, k) in zip(epsilons, windows)]
+    tvs = []
+    for eps, (_, k) in zip(epsilons, windows):
+        stationary = stationary_law(sigma, eps)
+        tvs.append([curve_point_tv(*path.at(t), stationary, eps) for t in (k * dt).tolist()])
     seconds["tv"] = time.perf_counter() - clock
     curves = []
     for eps, tm, (w_eps, k), tv in zip(epsilons, tmix, windows, tvs):

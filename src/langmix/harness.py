@@ -22,13 +22,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .cutoff import cutoff_curve
+from .cutoff import cutoff_curve, stationary_law
 from .errors import ParameterError, StabilityError
-from .gaussian_tv import Gaussian
 from .linear_stability import classify_linear
 from .matrix_eq import sigma_matrix
 from .model import ModelSpec, certify_coercivity, force_from_config
-from .simulate import KNN_MIN_POINTS, check_seed, empirical_tv, integrate_sde
+from .simulate import KNN_MIN_POINTS, check_seed, empirical_tv, integrate_sde, integrate_sde_runs
 
 SCHEMA_VERSION = 1
 
@@ -172,8 +171,9 @@ def spec_from_model_config(model: dict) -> ModelSpec:
 class RunManifest:
     """Run metadata; written before long work starts, finalized atomically.
 
-    stages lists {name, seconds} entries of the pipeline's stages, outside
-    summary, so the summary stays the same for the same config.
+    stages lists {name, seconds} entries of the pipeline's stages, with the
+    x0 or epsilon they belong to and any work counts, outside summary, so
+    the summary stays the same for the same config.
     """
 
     config_hash: str
@@ -288,8 +288,12 @@ def run_cutoff_experiment(cfg: ExperimentConfig) -> RunManifest:
     passes when each x0's sup-differences do not grow as epsilon falls and
     every curve has a window point.  The manifest's stages hold, for each
     x0 in order, the seconds of its "spectral", "covariance" and "tv" stages
-    (`CutoffRun.seconds`) and, with mc_curve, of its "mc_curve" ensembles and
-    their knn estimates.  A failed run leaves its manifest with status
+    (`CutoffRun.seconds`).  With mc_curve, every curve with a window point
+    gets an ensemble, and one `integrate_sde_runs` call steps them all: the
+    stage "mc_ensembles" (x0 null) holds its seconds, its loop_steps (the
+    longest ensemble's steps) and its path_steps (paths times steps, summed
+    over the ensembles); then each x0's "mc_curve" stage holds the seconds
+    of its knn estimates.  A failed run leaves its manifest with status
     "failed" and the error.
     """
     return _run_pipeline(cfg.config_hash, cfg.out_dir, lambda m: _cutoff_experiment(cfg, m))
@@ -324,8 +328,24 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
     spec, gate, sigma = _pipeline_start(cfg, "cutoff experiment")
     summary = {"gate": gate, "runs": []}
     ok = True
+    runs = []
     for x0 in cfg.x0:
         run = cutoff_curve(spec, x0, cfg.epsilons, cfg.w_grid, cfg.dt)
+        runs.append(run)
+        manifest.stages += [{"x0": list(map(float, x0)), "name": name, "seconds": seconds}
+                            for name, seconds in run.seconds.items()]
+    batches = iter(())
+    if cfg.mc_curve:
+        # one ensemble per (x0, epsilon) curve with a window point, seeded by its epsilon's place
+        ensembles = [(x0, curve.epsilon, cfg.seed + i_eps, curve.step) for x0, run in zip(cfg.x0, runs)
+                     for i_eps, curve in enumerate(run.curves) if curve.step.size]
+        clock = time.perf_counter()
+        batches = iter(integrate_sde_runs(spec, ensembles, cfg.dt, cfg.n_paths))
+        last_steps = [int(e[3].max()) for e in ensembles]
+        manifest.stages.append({"x0": None, "name": "mc_ensembles", "seconds": time.perf_counter() - clock,
+                                "loop_steps": max(last_steps, default=0),
+                                "path_steps": cfg.n_paths * sum(last_steps)})
+    for x0, run in zip(cfg.x0, runs):
         sd, pl = run.spectral, run.profile
         sup_diffs = []
         mc_seconds = 0.0
@@ -335,18 +355,8 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
             entry = {"epsilon": eps}
             if cfg.mc_curve and curve.step.size:
                 clock = time.perf_counter()
-                batch = integrate_sde(
-                    spec,
-                    x0,
-                    t_end=curve.step.max() * cfg.dt,
-                    dt=cfg.dt,
-                    n_paths=cfg.n_paths,
-                    seed=cfg.seed + i_eps,
-                    epsilon=eps,
-                    scheme="baoab",
-                    store_indices=curve.step,
-                )
-                ref = Gaussian(np.zeros(2 * spec.dim), 2.0 * eps * sigma).sample(
+                batch = next(batches)
+                ref = stationary_law(sigma, eps).sample(
                     batch.states.shape[0], np.random.default_rng(cfg.seed + 5000 + i_eps)
                 )
                 entry["excluded"] = batch.excluded
@@ -364,8 +374,8 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
             )
             manifest.artifacts.append(csv_path)
             sup_diffs.append(dict(entry, **curve.summary()))
-        stages = list(run.seconds.items()) + ([("mc_curve", mc_seconds)] if cfg.mc_curve else [])
-        manifest.stages += [{"x0": list(map(float, x0)), "name": name, "seconds": seconds} for name, seconds in stages]
+        if cfg.mc_curve:
+            manifest.stages.append({"x0": list(map(float, x0)), "name": "mc_curve", "seconds": mc_seconds})
         diffs = [s["sup_diff"] for s in sup_diffs]
         monotone = all(a >= b - 1e-12 for a, b in zip(diffs, diffs[1:]))
         # a curve without window points has a sup-diff of 0.0 and no evidence
@@ -402,7 +412,10 @@ def run_stationary_check(cfg: ExperimentConfig) -> RunManifest:
     with the decay verdict, the stability of the fitted variance constant
     and the number of exploded paths excluded at each epsilon.  Every
     ensemble starts from the one point of x0; another count is an error.
-    A failed run leaves its manifest with status "failed" and the error.
+    The manifest's stages hold, for each epsilon in order, the seconds of
+    its "ensemble" (with its path_steps), "tv_momentmatch" (with the
+    reference sample) and "tv_knn" stages.  A failed run leaves its manifest
+    with status "failed" and the error.
     """
     return _run_pipeline(cfg.config_hash, cfg.out_dir, lambda m: _stationary_check(cfg, m))
 
@@ -423,6 +436,7 @@ def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
     cs = []
     excluded = []
     for i, eps in enumerate(cfg.epsilons):
+        clock = time.perf_counter()
         batch = integrate_sde(
             spec,
             x0,
@@ -434,13 +448,19 @@ def _stationary_check(cfg: ExperimentConfig, manifest: RunManifest):
             scheme="baoab",
             store_every=n_steps,
         )
+        stages = [{"name": "ensemble", "seconds": time.perf_counter() - clock, "path_steps": cfg.n_paths * n_steps}]
         excluded.append(batch.excluded)
         cloud = batch.states[:, -1, :]
-        ref = Gaussian(np.zeros(2 * spec.dim), 2.0 * eps * sigma).sample(
+        clock = time.perf_counter()
+        ref = stationary_law(sigma, eps).sample(
             len(cloud), np.random.default_rng(cfg.seed + 1000 + i)
         )
         mm = empirical_tv(cloud, ref, method="gaussian_momentmatch", seed=cfg.seed)
+        stages.append({"name": "tv_momentmatch", "seconds": time.perf_counter() - clock})
+        clock = time.perf_counter()
         knn = empirical_tv(cloud, ref, method="classifier_knn", seed=cfg.seed)
+        stages.append({"name": "tv_knn", "seconds": time.perf_counter() - clock})
+        manifest.stages += [dict(stage, epsilon=eps) for stage in stages]
         mean_sq = float(np.mean(np.sum(cloud**2, axis=1)))
         rows.append((eps, mm.estimate, mm.stderr, knn.estimate, knn.stderr, mean_sq, mean_sq / eps))
         tvs.append(mm.estimate)

@@ -4,17 +4,19 @@ Every ensemble (the noisy process X, the Gaussian fluctuation Y, the coupled
 X/Y/Z run and the Pinsker bound) runs through one kernel, _run_ensemble.
 Y alone takes the exact frozen-A step of integrate_fluctuation; a coupled
 run steps its Y by Euler-Maruyama on the normals that step X.
+integrate_sde_runs steps several ensembles of one model (each its own
+start, noise level, seed and length) as the rows of one loop.
 Paths fall into fixed blocks of BLOCK.  At step k each block draws its
 noise from a counter-based generator (Philox; Salmon et al. 2011) keyed by
 (seed, block index) and started at counter (0, k, 0, 0), and only as many
 rows as it has paths, so results are bitwise reproducible and independent
-of how many paths run and of how blocks are scheduled.  The blocks are
-split into one contiguous range per usable core, and each range runs its
-own step loop on arrays of its paths, in a thread of its own, with a step
-that start builds for that range and that owns its scratch buffers.  The
-Langevin state is (q, p, F(q)) for BAOAB and Euler-Maruyama alike: the step
-carries the force at its closing position into the next step, so both make
-one force call per step.  Noise enters the momentum equation only.
+of how many paths and ensembles run and of how blocks are scheduled.  The
+blocks are split into one contiguous range per usable core, and each range
+runs its own step loop on arrays of its paths, in a thread of its own, with
+a step that start builds for that range and that owns its scratch buffers.
+The Langevin state is (q, p, F(q)) for BAOAB and Euler-Maruyama alike: the
+step carries the force at its closing position into the next step, so both
+make one force call per step.  Noise enters the momentum equation only.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ _KNN_K = 5
 KNN_MIN_POINTS = 2 * math.ceil(_KNN_K / 2)
 # Bootstrap resamples behind the stderr of the moment-matched TV estimate.
 _N_BOOTSTRAP = 16
+# The guard's bound on the sum of a range's squared norms: below it, rounding
+# cannot lift any one row's norm to BLOWUP^2.
+_GUARD_SUM = BLOWUP**2 / 2
 
 
 def check_seed(seed: int) -> int:
@@ -89,17 +94,21 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _block_ranges(n_paths: int, n_ranges: int) -> list:
-    """Row ranges (lo, hi) of whole noise blocks, at most n_ranges of them, about equal in rows.
+def _block_ranges(sizes, n_ranges: int) -> list:
+    """Row ranges (lo, hi) of whole noise blocks over runs of sizes paths laid end to end.
 
-    Each range ends at the block boundary nearest to its share of the rows,
-    the last one at n_paths.  A range keeps at least two rows, so a 1-row
-    tail joins the range before it.
+    Each run's paths fall into blocks of BLOCK from its own first path.
+    There are at most min(n_ranges, ceil(total / BLOCK)) ranges, about equal
+    in rows: each range ends at the block boundary nearest to its share of
+    the rows, the last one at the total.  A range keeps at least two rows,
+    so a 1-row tail joins the range before it.
     """
-    n_blocks = (n_paths + BLOCK - 1) // BLOCK
-    k = min(n_ranges, n_blocks)
-    cuts = dict.fromkeys([round(i * n_paths / (k * BLOCK)) for i in range(k)] + [n_blocks])
-    bounds = [c * BLOCK for c in cuts][:-1] + [n_paths]
+    edges, total = [0], 0
+    for n in sizes:
+        edges += [total + min(b + BLOCK, n) for b in range(0, n, BLOCK)]
+        total += n
+    k = min(n_ranges, -(-total // BLOCK))
+    bounds = list(dict.fromkeys([min(edges, key=lambda e: abs(k * e - i * total)) for i in range(k)] + [total]))
     if len(bounds) > 2 and bounds[-1] - bounds[-2] < 2:
         del bounds[-2]
     return list(zip(bounds, bounds[1:]))
@@ -137,98 +146,124 @@ def _in_threads(runs: list, failed: list) -> list:
     return results
 
 
-def _run_ensemble(n_paths, seed, n_steps, width, start, store_idx, outs, guard=False):
-    """The one Monte Carlo loop: n_paths paths, n_steps steps, one range of blocks per core.
+def _run_ensemble(runs, width, start, guard=False):
+    """The one Monte Carlo loop: the paths of every run stepped together, one range of blocks per core.
 
-    start(m) gives (state, step) for m paths: the state is a tuple of arrays
-    with m rows, and step(k, state, xi) advances it over step k, in place or
-    not, with xi the (m, width) normals of step k.  Each range calls start
-    once, so its step may keep buffers of its own rows in its closure.  At
-    step k, noise block b (paths b*BLOCK to (b+1)*BLOCK) sets its Philox
-    generator, keyed by (seed, b), to counter (0, k, 0, 0) and draws the
-    rows of its paths in the range only: BLOCK
-    for a full block, the rest of the range's rows (two at least) for its
-    last one.  A draw of m rows is the first m rows of a BLOCK-row draw, a
-    step's stream does not depend on what earlier steps drew, and a step
-    advances only counter word 0, by far less than 2^64, so every path's
-    noise is a pure function of (seed, path, step), independent of how many
-    paths run.  The blocks are split into contiguous ranges (_block_ranges),
-    one per usable core, and each range runs every step on a state of its
-    own rows, the first range in this thread and each other one in a thread
-    of its own; one range starts no thread.  The steps are row-wise, so
-    every path is the same bit for bit however many ranges run; start, the
-    steps and the outs must then be safe to use from several threads on
-    disjoint rows.  Each range's state, step, noise and guard buffers are
-    built here, before any thread starts, so no two ranges share a buffer.
-    A state always has at least two rows: on a single row numpy's matmul
-    takes a matrix-vector path that rounds differently.  At the i-th index
-    of store_idx (ascending, starting at 0) each state[j] with outs[j] not
-    None is written to outs[j][rows of the range, i].  With guard, state starts
-    with (q, p), and the paths a step leaves with |q|^2 + |p|^2 not below
-    BLOWUP^2 (NaN and inf fail the comparison too) are zeroed in every
-    state array.  The squared norms go into row buffers allocated once, so
-    the guard makes no temporaries on the paths' scale; einsum may round a
-    sum of three or more squares differently in the last bit, which only
-    the comparison reads.  Returns the mask of the paths never zeroed, and
-    logs how many were; an exception in any range is raised once every
-    range has stopped.
+    runs lists one (n_paths, seed, n_steps, store_idx, outs) per run, and
+    the runs' paths are the rows of one ensemble, laid end to end in run
+    order.  start(owner) gives (state, step) for the rows whose runs the
+    integer array owner lists: the state is a tuple of arrays with
+    len(owner) rows, and step(k, state, xi) advances it over step k, in
+    place or not, with xi the (rows, width) normals of step k.  Each range
+    calls start once, so its step may keep buffers of its own rows in its
+    closure.  Each run's paths fall into noise blocks of BLOCK from its own
+    first path.  At step k, noise block b of a run (its paths b*BLOCK to
+    (b+1)*BLOCK) sets its Philox generator, keyed by (the run's seed, b), to
+    counter (0, k, 0, 0) and draws the rows of its paths in the range only:
+    BLOCK for a full block, fewer for the run's last one.  A draw of m rows
+    is the first m rows of a BLOCK-row draw, a step's stream does not depend
+    on what earlier steps drew, and a step advances only counter word 0, by
+    far less than 2^64, so every path's noise is a pure function of (seed,
+    path, step), independent of how many paths and runs step together.  A
+    run draws at steps 1 to its n_steps only; after its last step its rows
+    step on without fresh noise, unread, and the guard no longer excludes
+    them, so nothing a run reports depends on the runs beside it.  The
+    blocks are split into contiguous ranges (_block_ranges), one per usable
+    core, and each range runs the steps of its longest run on a state of
+    its own rows, the first range in this thread and each other one in a
+    thread of its own; one range starts no thread.  The steps are row-wise, so every
+    path is the same bit for bit however many ranges run; start, the steps
+    and the outs must then be safe to use from several threads on disjoint
+    rows.  Each range's state, step, noise and guard buffers are built here,
+    before any thread starts, so no two ranges share a buffer.  A state
+    always has at least two rows: on a single row numpy's matmul takes a
+    matrix-vector path that rounds differently, so a 1-row range steps a
+    second path of its block's stream beside its own.  At the i-th step of
+    a run's store_idx (ascending, distinct) each state[j] with outs[j] not
+    None is written to outs[j][rows of the run, i].  With guard, state
+    starts with (q, p), and the paths a step leaves with |q|^2 + |p|^2 not
+    below BLOWUP^2 (NaN and inf fail the comparison too) are zeroed in every
+    state array.  A range first compares the sum over all its rows with
+    BLOWUP^2 / 2: a sum below that keeps every row's rounded norm below
+    BLOWUP^2, so the per-row pass runs only when the sum is not below it,
+    NaN and inf included.  The per-row norms go into row buffers allocated
+    once; einsum may round a sum of three or more squares differently in
+    the last bit, which only the comparison reads.  Returns the mask of the
+    rows of all runs never excluded, and logs how many were; an exception
+    in any range is raised once every range has stopped.
     """
     failed = []
+    units, first = [], 0  # (run, block, lo, hi): block b of run j holds rows lo:hi of the ensemble
+    for j, (n_paths, *_) in enumerate(runs):
+        units += [(j, b // BLOCK, first + b, first + min(b + BLOCK, n_paths)) for b in range(0, n_paths, BLOCK)]
+        first += n_paths
 
     def range_run(lo, hi):
-        b0, b1 = lo // BLOCK, (hi + BLOCK - 1) // BLOCK
-        rngs = [_block_rng(seed, b) for b in range(b0, b1)]
-        # each block's stream state at counter (0, 0, 0, 0) with no buffered
-        # output; a step sets counter word 1 to its index
-        seeks = [rng.bit_generator.state for rng in rngs]
+        mine = [u for u in units if lo <= u[2] < hi]
         rows = max(hi - lo, 2)
         xi = np.empty((rows, width))
-        blocks = [xi[i * BLOCK : (i + 1) * BLOCK] for i in range(b1 - b0)]
+        owner = np.empty(rows, dtype=np.intp)
         alive = np.ones(rows, dtype=bool)
-        state, step = start(rows)
+        last = np.empty(rows, dtype=np.int64)  # the last step of each row's run
+        draws, stores = [], {}
+        for j, b, u_lo, u_hi in mine:
+            _, seed, n_steps, store_idx, outs = runs[j]
+            r0, r1 = u_lo - lo, u_hi - lo
+            block = xi[r0 : rows if u_hi == hi else r1]
+            owner[r0 : r0 + len(block)], last[r0 : r0 + len(block)] = j, n_steps
+            rng = _block_rng(seed, b)
+            # the stream state at counter (0, 0, 0, 0) with no buffered
+            # output; a step sets counter word 1 to its index
+            draws.append((n_steps, rng, rng.bit_generator.state, block))
+            o0 = b * BLOCK
+            for i, k in enumerate(map(int, store_idx)):
+                stores.setdefault(k, []).append((i, outs, r0, r1, o0, o0 + r1 - r0))
+        state, step = start(owner)
         norm2, p2 = np.empty(rows), np.empty(rows)
         ok = np.empty(rows, dtype=bool)
+        n_max = max(n_steps for n_steps, *_ in draws)
 
-        def store(i, s):
-            for out, a in zip(outs, s):
-                if out is not None:
-                    out[lo:hi, i] = a[: hi - lo]
+        def store(k, s):
+            for i, outs, r0, r1, o0, o1 in stores.get(k, ()):
+                for out, a in zip(outs, s):
+                    if out is not None:
+                        out[o0:o1, i] = a[r0:r1]
 
         def run():
             nonlocal state
             s, state = state, None  # no reference to arrays the step replaces
             store(0, s)
-            si = 1
-            for k in range(1, n_steps + 1):
+            for k in range(1, n_max + 1):
                 if failed:
                     break
-                for rng, seek, block in zip(rngs, seeks, blocks):
-                    seek["state"]["counter"][1] = k
-                    rng.bit_generator.state = seek
-                    rng.standard_normal(out=block)
+                for n_steps, rng, seek, block in draws:
+                    if k <= n_steps:
+                        seek["state"]["counter"][1] = k
+                        rng.bit_generator.state = seek
+                        rng.standard_normal(out=block)
                 s = step(k, s, xi)
                 if guard:
                     q, p = s[0], s[1]
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        np.einsum("ij,ij->i", q, q, out=norm2)
-                        np.add(norm2, np.einsum("ij,ij->i", p, p, out=p2), out=norm2)
-                        np.less(norm2, BLOWUP**2, out=ok)
-                    if not ok.all():
-                        bad = ~ok
-                        alive[bad] = False
-                        for a in s:
-                            a[bad] = 0.0
-                if si < len(store_idx) and k == store_idx[si]:
-                    store(si, s)
-                    si += 1
+                    # Python floats: their sum overflows to inf without a floating-point error
+                    if not float(np.einsum("ij,ij->", q, q)) + float(np.einsum("ij,ij->", p, p)) < _GUARD_SUM:
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            np.einsum("ij,ij->i", q, q, out=norm2)
+                            np.add(norm2, np.einsum("ij,ij->i", p, p, out=p2), out=norm2)
+                            np.less(norm2, BLOWUP**2, out=ok)
+                        if not ok.all():
+                            bad = ~ok
+                            alive[bad & (last >= k)] = False
+                            for a in s:
+                                a[bad] = 0.0
+                store(k, s)
             return alive[: hi - lo]
 
         return run
 
-    runs = [range_run(lo, hi) for lo, hi in _block_ranges(n_paths, _usable_cores())]
-    alive = np.concatenate(_in_threads(runs, failed))
+    ranges = _block_ranges([n_paths for n_paths, *_ in runs], _usable_cores())
+    alive = np.concatenate(_in_threads([range_run(lo, hi) for lo, hi in ranges], failed))
     if not alive.all():
-        log.warning("excluded %d exploded paths out of %d", int(np.sum(~alive)), n_paths)
+        log.warning("excluded %d exploded paths out of %d", int(np.sum(~alive)), len(alive))
     return alive
 
 
@@ -242,39 +277,53 @@ def _checked_start(
     return phase_point(spec, x0)
 
 
-def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, scheme: str):
-    """The start of the noisy dynamics from x0, on the state (q, p, F(q)), for _run_ensemble.
+def _row_factor(values: np.ndarray, owner: np.ndarray):
+    """values[owner] as a column, or as one float when every row shares it.
 
-    start(m) returns the state of m paths and a step driven by d standard
-    normals per path that updates q and p in place, through scratch arrays
-    of m rows that start allocates with the step and that the step keeps in
-    its closure: temporaries on the paths' scale, freed and faulted back in
-    at every step, cost more than the arithmetic.  BAOAB keeps one scratch
+    A product with a column of equal values is the same IEEE product as
+    with the one scalar, but on a large ensemble it reads a second array.
+    """
+    column = values[owner, None]
+    return float(column[0, 0]) if (column == column[0, 0]).all() else column
+
+
+def _langevin_step(spec: ModelSpec, x0s: np.ndarray, epsilons, dt: float, scheme: str):
+    """The start of the noisy dynamics of runs from x0s[j] at noise level epsilons[j], on the state (q, p, F(q)).
+
+    start(owner), for _run_ensemble, returns the state of the rows of the
+    runs owner lists, each at its run's x0, and a step driven by d standard
+    normals per row that updates q and p in place, through scratch arrays
+    that start allocates with the step and that the step keeps in its
+    closure: temporaries on the paths' scale, freed and faulted back in at
+    every step, cost more than the arithmetic.  BAOAB keeps one scratch
     array and Euler-Maruyama two; as each range builds its own step, ranges
-    can step at once in separate threads.  Each update is the same
-    operation as its out-of-place form, so the values are too, bit for bit.
-    The step carries the force at its closing q, which is the next step's
-    opening force, so each step makes one force call.
+    can step at once in separate threads.  A row's noise factor is its
+    run's (_row_factor).  Each update is the same operation as its
+    out-of-place form, so the values are too, bit for bit.  The step
+    carries the force at its closing q, which is the next step's opening
+    force, so each step makes one force call.
     """
     F = spec.force.eval_F
     d = spec.dim
     g = spec.gamma
     h = 0.5 * dt
     c_ou = math.exp(-g * dt)
-    sig_ou = math.sqrt(max(epsilon / g * (1.0 - c_ou**2), 0.0))
-    sqrt2eps_dt = math.sqrt(2.0 * epsilon * dt)
+    eps = np.asarray(epsilons, dtype=float)
+    sig_ou = np.sqrt(np.maximum(eps / g * (1.0 - c_ou**2), 0.0))
+    sqrt2eps_dt = np.sqrt(2.0 * eps * dt)
 
-    def start(m):
-        q = np.tile(x0[:d], (m, 1))
-        t = np.empty((m, d))
-        dp = np.empty((m, d)) if scheme == "euler_maruyama" else None
+    def start(owner):
+        q = x0s[owner, :d]
+        t = np.empty_like(q)
+        dp = np.empty_like(q) if scheme == "euler_maruyama" else None
+        sig, noise = _row_factor(sig_ou, owner), _row_factor(sqrt2eps_dt, owner)
 
         def baoab(k, s, xi):
             q, p, f = s
             p -= np.multiply(h, f, out=t)
             q += np.multiply(h, p, out=t)
             p *= c_ou
-            p += np.multiply(sig_ou, xi, out=t)
+            p += np.multiply(sig, xi, out=t)
             q += np.multiply(h, p, out=t)
             f = F(q)
             p -= np.multiply(h, f, out=t)
@@ -287,12 +336,12 @@ def _langevin_step(spec: ModelSpec, x0: np.ndarray, epsilon: float, dt: float, s
             np.negative(f, out=dp)
             np.subtract(dp, np.multiply(g, p, out=t), out=dp)
             np.multiply(dp, dt, out=dp)
-            np.add(dp, np.multiply(sqrt2eps_dt, xi, out=t), out=dp)
+            np.add(dp, np.multiply(noise, xi, out=t), out=dp)
             q += np.multiply(dt, p, out=t)
             p += dp
             return q, p, F(q)
 
-        return (q, np.tile(x0[d:], (m, 1)), F(q)), baoab if scheme == "baoab" else euler_maruyama
+        return (q, x0s[owner, d:], F(q)), baoab if scheme == "baoab" else euler_maruyama
 
     return start
 
@@ -316,6 +365,27 @@ def _fluctuation_step(spec: ModelSpec, ode_states: np.ndarray, dt: float):
         return (s[0] @ E.T + xi @ L.T,)
 
     return step
+
+
+def _check_sde(scheme: str, epsilon: float):
+    if scheme not in ("euler_maruyama", "baoab"):
+        raise ParameterError(f"unknown scheme {scheme!r}")
+    if epsilon < 0:
+        raise ParameterError("noise level epsilon must be nonnegative")
+
+
+def _store_steps(store_indices, n_steps=None) -> np.ndarray:
+    """The distinct integer steps of store_indices and step 0, ascending, once each lies in [0, n_steps].
+
+    With n_steps None the steps need only be nonnegative: the last one is the run's last step.
+    """
+    idx = np.asarray(store_indices)
+    if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+        raise ParameterError("store_indices must be a list of integer steps")
+    store_idx = np.unique(np.concatenate([[0], idx.astype(int)]))
+    if store_idx[0] < 0 or (n_steps is not None and store_idx[-1] > n_steps):
+        raise ParameterError("store_indices must lie in [0, n_steps]")
+    return store_idx
 
 
 def integrate_sde(
@@ -349,39 +419,62 @@ def integrate_sde(
     the zero-noise path, on the normals xi_k that step X, and the surrogate
     is Z = ode + sqrt(2 eps) Y; the paths excluded from X leave Y and Z too.
     """
-    if scheme not in ("euler_maruyama", "baoab"):
-        raise ParameterError(f"unknown scheme {scheme!r}")
+    _check_sde(scheme, epsilon)
     if couple_fluctuation and scheme != "euler_maruyama":
         raise ParameterError("coupled fluctuation runs require the euler_maruyama scheme")
-    if epsilon < 0:
-        raise ParameterError("noise level epsilon must be nonnegative")
     x0 = _checked_start(spec, x0, t_end, dt, n_paths, store_every, seed)
-    d = spec.dim
     n_steps = int(round(t_end / dt))
     if store_indices is None:
         store_idx = np.arange(0, n_steps + 1, store_every)
     else:
-        idx = np.asarray(store_indices)
-        if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
-            raise ParameterError("store_indices must be a list of integer steps")
-        store_idx = np.unique(np.concatenate([[0], idx.astype(int)]))
-        if store_idx[0] < 0 or store_idx[-1] > n_steps:
-            raise ParameterError("store_indices must lie in [0, n_steps]")
+        store_idx = _store_steps(store_indices, n_steps)
+    ode_path = flow_zero_noise(spec, x0, t_end, dt).states if couple_fluctuation else None
+    return _sde_runs(spec, [(x0, epsilon, seed, store_idx, n_steps)], dt, n_paths, scheme, ode_path)[0]
 
-    start = _langevin_step(spec, x0, epsilon, dt, scheme)
-    states = np.empty((n_paths, len(store_idx), 2 * d))
-    outs = (states[:, :, :d], states[:, :, d:])
-    if couple_fluctuation:
-        ode_path = flow_zero_noise(spec, x0, t_end, dt).states
+
+def integrate_sde_runs(spec: ModelSpec, runs, dt: float, n_paths: int, scheme: str = "baoab") -> list:
+    """Several integrate_sde ensembles of one model, stepped together in one loop.
+
+    Each run is (x0, epsilon, seed, store_indices): n_paths paths from x0 at
+    noise level epsilon on the noise streams of seed, stored at step 0 and
+    the distinct nonnegative integer steps store_indices lists, the last of
+    which is the run's last step.  Returns one TrajectoryBatch per run, in
+    order, equal bit for bit to integrate_sde(spec, x0, t_end, dt, n_paths,
+    seed, epsilon, scheme, store_indices=store_indices) with t_end the last
+    step times dt: each run draws its own noise and reports only the paths
+    excluded up to its last step.  Every run's stored states are held at
+    once.
+    """
+    checked = []
+    for x0, epsilon, seed, store_indices in runs:
+        _check_sde(scheme, epsilon)
+        store_idx = _store_steps(store_indices)
+        n_steps = int(store_idx[-1])
+        checked.append((_checked_start(spec, x0, n_steps * dt, dt, n_paths, 1, seed), epsilon, seed, store_idx,
+                        n_steps))
+    return _sde_runs(spec, checked, dt, n_paths, scheme) if checked else []
+
+
+def _sde_runs(spec: ModelSpec, runs: list, dt: float, n_paths: int, scheme: str, ode_path=None) -> list:
+    """One TrajectoryBatch per checked run (x0, epsilon, seed, store_idx, n_steps), from one _run_ensemble call.
+
+    With ode_path, the zero-noise path from the x0 of the one run at every
+    step, the batch also carries the coupled fluctuation of integrate_sde.
+    """
+    d = spec.dim
+    start = _langevin_step(spec, np.array([r[0] for r in runs]), [r[1] for r in runs], dt, scheme)
+    states = [np.empty((n_paths, len(r[3]), 2 * d)) for r in runs]
+    outs = [(s[:, :, :d], s[:, :, d:]) for s in states]
+    if ode_path is not None:
         A_path = drift_matrix(spec, ode_path[:-1, :d])
         sqrt_dt = math.sqrt(dt)
         x_start = start
-        y_states = np.empty_like(states)
+        y_states = np.empty_like(states[0])
         # the state (q, p, F(q), y): F(q) is not stored
-        outs += (None, y_states)
+        outs[0] += (None, y_states)
 
-        def start(m):
-            x, x_step = x_start(m)
+        def start(owner):
+            x, x_step = x_start(owner)
 
             def step(k, s, xi):
                 y = s[3]
@@ -389,22 +482,22 @@ def integrate_sde(
                 dy[:, d:] += sqrt_dt * xi
                 return x_step(k, s[:3], xi) + (y + dy,)
 
-            return x + (np.zeros((m, 2 * d)),), step
+            return x + (np.zeros((len(owner), 2 * d)),), step
 
-    alive = _run_ensemble(n_paths, seed, n_steps, d, start, store_idx, outs, guard=True)
-
-    excluded = int(np.sum(~alive))
-    if excluded:
-        states = states[alive]
-        if couple_fluctuation:
-            y_states = y_states[alive]
-
-    coupled = None
-    if couple_fluctuation:
-        ode_stored = ode_path[store_idx]
-        z = ode_stored[None, :, :] + math.sqrt(2.0 * epsilon) * y_states
-        coupled = {"ode": ode_stored, "Y": y_states, "Z": z}
-    return TrajectoryBatch(grid=store_idx * dt, states=states, excluded=excluded, coupled=coupled)
+    alive = _run_ensemble([(n_paths, seed, n_steps, store_idx, out)
+                           for (_, _, seed, store_idx, n_steps), out in zip(runs, outs)], d, start, guard=True)
+    batches = []
+    for j, ((_, epsilon, _, store_idx, _), run_states) in enumerate(zip(runs, states)):
+        kept = alive[j * n_paths : (j + 1) * n_paths]
+        excluded = int(np.sum(~kept))
+        coupled = None
+        if ode_path is not None:
+            y = y_states[kept] if excluded else y_states
+            ode_stored = ode_path[store_idx]
+            coupled = {"ode": ode_stored, "Y": y, "Z": ode_stored[None, :, :] + math.sqrt(2.0 * epsilon) * y}
+        batches.append(TrajectoryBatch(grid=store_idx * dt, states=run_states[kept] if excluded else run_states,
+                                       excluded=excluded, coupled=coupled))
+    return batches
 
 
 def _vanloan_step_noise(A: np.ndarray, dt: float, J: np.ndarray):
@@ -452,7 +545,8 @@ def integrate_fluctuation(
     store_idx = np.arange(0, n_steps + 1, store_every)
     step = _fluctuation_step(spec, ode.states, dt)
     states = np.empty((n_paths, len(store_idx), 2 * d))
-    _run_ensemble(n_paths, seed, n_steps, 2 * d, lambda m: ((np.zeros((m, 2 * d)),), step), store_idx, (states,))
+    _run_ensemble([(n_paths, seed, n_steps, store_idx, (states,))], 2 * d,
+                  lambda owner: ((np.zeros((len(owner), 2 * d)),), step))
     return TrajectoryBatch(grid=store_idx * dt, states=states)
 
 
@@ -601,21 +695,21 @@ def pinsker_kl_bound(
     # state: the Euler-Maruyama state (q, p, F(q)), led by (q, p) for the
     # blow-up guard, then the trapezoid sum and the integrand at the last
     # step; the integrand reads the force the step carries
-    x_start = _langevin_step(spec, x0, epsilon, dt, "euler_maruyama")
+    x_start = _langevin_step(spec, x0[None, :], [epsilon], dt, "euler_maruyama")
 
-    def start(m):
-        x, x_step = x_start(m)
+    def start(owner):
+        x, x_step = x_start(owner)
 
         def step(k, s, xi):
             x = x_step(k, s[:3], xi)
             cur = integrand(k, x[0], x[2])
             return x + (s[3] + 0.5 * dt * (s[4] + cur), cur)
 
-        return x + (np.zeros(m), integrand(0, x[0], x[2])), step
+        return x + (np.zeros(len(owner)), integrand(0, x[0], x[2])), step
 
     store_idx = np.unique([0, n_steps])
     acc = np.empty((n_paths, len(store_idx)))
-    alive = _run_ensemble(n_paths, seed, n_steps, d, start, store_idx, (None, None, None, acc), guard=True)
+    alive = _run_ensemble([(n_paths, seed, n_steps, store_idx, (None, None, None, acc))], d, start, guard=True)
     if not alive.all():  # the ensemble is unbounded, and so is the bound
         return math.inf
     return float(np.sum(acc[:, -1])) / n_paths / (2.0 * epsilon)

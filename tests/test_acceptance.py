@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 
 import langmix as lm
 from langmix.covflow import noise_matrix
-from langmix.cutoff import curve_point_tv
+from langmix.cutoff import curve_point_tv, stationary_law
 from langmix.gaussian_tv import Gaussian
 from langmix.harness import (
     STABLE_CORPUS,
@@ -247,7 +247,7 @@ def test_criterion_08_cutoff_curve():
             if t < 0.02:
                 continue
             mean, cov_t = path.at(t)
-            curve = curve_point_tv(mean, cov_t, sigma, eps).value
+            curve = curve_point_tv(mean, cov_t, stationary_law(sigma, eps), eps).value
             sup = max(sup, abs(curve - lm.profile_D(spec, sd, t, eps)))
             if eps == 1e-5 and w in (-6.0, 6.0):
                 ends[w] = curve

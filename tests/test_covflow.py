@@ -11,7 +11,7 @@ from langmix.covflow import (
     short_time_covariance,
     stationary_gap,
 )
-from langmix.cutoff import curve_point_tv, cutoff_curve
+from langmix.cutoff import curve_point_tv, cutoff_curve, stationary_law
 from langmix.errors import DivergenceError, ParameterError, StabilityError
 from langmix.gaussian_tv import TV_TOL
 from langmix.harness import (
@@ -118,7 +118,8 @@ class TestLinearClosedForm:
             assert curve.step.size
             for t, tv in zip(curve.t, curve.tv):
                 E = sla.expm(A * t)
-                ref = curve_point_tv(E @ x0, sigma - E @ sigma @ E.T, sigma, curve.epsilon).value
+                stationary = stationary_law(sigma, curve.epsilon)
+                ref = curve_point_tv(E @ x0, sigma - E @ sigma @ E.T, stationary, curve.epsilon).value
                 worst = max(worst, abs(tv.value - ref))
         assert worst <= TV_TOL
 

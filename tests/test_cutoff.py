@@ -18,6 +18,7 @@ from langmix.cutoff import (
     profile_limit_r,
     profile_vector,
     spectral_data,
+    stationary_law,
 )
 from langmix.errors import DivergenceError, DomainError, ParameterError, StabilityError
 from langmix.gaussian_tv import tv_unit
@@ -262,7 +263,8 @@ def _whole_grid_curves(spec, x0, epsilons, w_grid, dt):
             t = k * dt
             if max(sd.tau, 4 * dt) <= t <= t_max:
                 lam_alt = float(profile_lambda_alt(sd, w, pl.r)) if pl.exists else float("nan")
-                rows.append((w, k, t, curve_point_tv(*path.at(t), sigma, eps), profile_D(spec, sd, t, eps),
+                tv = curve_point_tv(*path.at(t), stationary_law(sigma, eps), eps)
+                rows.append((w, k, t, tv, profile_D(spec, sd, t, eps),
                              float(profile_lambda(sd, w)), lam_alt))
         curves.append(rows)
     return curves
@@ -298,6 +300,23 @@ class TestCutoffCurve:
             assert summary["sup_diff"] == max(abs(r.value - d) for r, d in zip(tv, d_eps))
             assert summary["window_points"] == len(rows) and summary["t_mix"] == curve.t_mix
         assert run.covariance_points == len({k for rows in oracle for _, k, *_ in rows})
+
+    def test_builds_the_stationary_law_once_per_epsilon(self, monkeypatch):
+        # every window point of an epsilon reads the one N(0, 2 eps Sigma) of that epsilon
+        builds, gaussian = [], cutoff.Gaussian
+
+        def recording(mean, cov):
+            builds.append(np.array(cov))
+            return gaussian(mean=mean, cov=cov)
+
+        monkeypatch.setattr(cutoff, "Gaussian", recording)
+        spec, epsilons = corpus_spec("lin2d_rot"), [1e-2, 1e-3]
+        run = cutoff_curve(spec, np.array([0.5, 0.5, 0.0, 0.0]), epsilons, {"min": -2.0, "max": 2.0, "step": 1.0},
+                           0.005)
+        sigma = sigma_matrix(spec)
+        for eps in epsilons:
+            assert sum(np.array_equal(cov, 2.0 * eps * sigma) for cov in builds) == 1
+        assert len(builds) == sum(curve.step.size for curve in run.curves) + len(epsilons)
 
     def test_an_empty_window_gives_empty_columns(self):
         # t_mix is 5.12, so the whole window lies before t = 4 dt, while

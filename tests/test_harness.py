@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from langmix import checks, cutoff, gaussian_tv, harness, matrix_eq
+from langmix import checks, cutoff, gaussian_tv, harness, matrix_eq, simulate
 from langmix.cutoff import cutoff_curve, jordan_chains, spectral_data
 from langmix.covflow import drift_matrix, noise_matrix
 from langmix.errors import ParameterError, StabilityError
@@ -24,7 +24,7 @@ from langmix.harness import (
     write_csv,
 )
 from langmix.matrix_eq import sigma_solution
-from langmix.simulate import integrate_sde
+from langmix.simulate import integrate_sde, integrate_sde_runs
 
 
 _MODEL = {"force": {"type": "linear", "matrix": [[1.0]]}, "gamma": 1.0, "alpha": 2 / 3, "beta": 0.5}
@@ -357,11 +357,11 @@ class TestCutoffPipeline:
     def test_summary_records_the_excluded_paths_of_each_mc_curve_ensemble(self, tmp_path, monkeypatch):
         # the count per epsilon is the one the ensemble reports; without
         # mc_curve there is no ensemble and no count
-        def sde_excluding(*args, seed, **kwargs):
-            batch = integrate_sde(*args, seed=seed, **kwargs)
-            return dataclasses.replace(batch, excluded=seed)
+        def sde_excluding(spec, runs, *args, **kwargs):
+            batches = integrate_sde_runs(spec, runs, *args, **kwargs)
+            return [dataclasses.replace(batch, excluded=seed) for batch, (_, _, seed, _) in zip(batches, runs)]
 
-        monkeypatch.setattr(harness, "integrate_sde", sde_excluding)
+        monkeypatch.setattr(harness, "integrate_sde_runs", sde_excluding)
         raw = minimal_config(tmp_path, epsilons=[1e-2, 1e-3], mc_curve=True, n_paths=64)
         manifest = run_cutoff_experiment(validate_config(raw))
         assert [s["excluded"] for s in manifest.summary["runs"][0]["sup_diffs"]] == [3, 4]
@@ -401,11 +401,26 @@ class TestCutoffPipeline:
         manifest = run_cutoff_experiment(validate_config(raw))
         with open(manifest.path()) as fh:
             data = json.load(fh)
-        names = ["spectral", "covariance", "tv"] + (["mc_curve"] if mc_curve else [])
-        assert [(s["x0"], s["name"]) for s in data["stages"]] == [(x0, n) for x0 in raw["x0"] for n in names]
+        names = [(x0, n) for x0 in raw["x0"] for n in ("spectral", "covariance", "tv")]
+        if mc_curve:
+            names += [(None, "mc_ensembles")] + [(x0, "mc_curve") for x0 in raw["x0"]]
+        assert [(s["x0"], s["name"]) for s in data["stages"]] == names
         seconds = [s["seconds"] for s in data["stages"]]
         assert min(seconds) >= 0.0 and sum(seconds) <= data["wall_clock"]
         assert "stages" not in data["summary"]
+
+    def test_one_kernel_loop_steps_every_mc_curve_ensemble(self, tmp_path, monkeypatch):
+        # two starts and two epsilons: four ensembles, one _run_ensemble call
+        calls = _count_calls(monkeypatch, simulate, "_run_ensemble")
+        raw = minimal_config(tmp_path, x0=[[0.5, 0.2], [0.1, -0.3]], epsilons=[1e-2, 1e-3], mc_curve=True,
+                             n_paths=64)
+        manifest = run_cutoff_experiment(validate_config(raw))
+        assert len(calls) == 1 and [n_paths for n_paths, *_ in calls[0][0]] == [64] * 4
+        last_steps = [n_steps for _, _, n_steps, *_ in calls[0][0]]
+        (stage,) = [s for s in manifest.stages if s["name"] == "mc_ensembles"]
+        assert stage["x0"] is None and stage["loop_steps"] == max(last_steps)
+        assert stage["path_steps"] == 64 * sum(last_steps)
+        assert len(set(last_steps)) > 1
 
     def test_summary_records_the_window_points_and_the_tv_labels(self, tmp_path):
         raw = minimal_config(tmp_path, epsilons=[1e-2, 1e-3])
@@ -523,6 +538,19 @@ class TestStationaryPipeline:
         assert manifest.summary["tv_decreasing"]
         assert manifest.summary["c_ratio"] < 2.0
         assert manifest.summary["excluded"] == [0, 0]
+
+    def test_manifest_records_the_seconds_of_each_stage(self, tmp_path):
+        raw = minimal_config(tmp_path, epsilons=[1e-1, 1e-2], horizon=0.5, n_paths=64)
+        raw["model"] = harness.corpus_model_config("quartic")
+        manifest = run_stationary_check(validate_config(raw))
+        with open(manifest.path()) as fh:
+            data = json.load(fh)
+        names = [(eps, n) for eps in raw["epsilons"] for n in ("ensemble", "tv_momentmatch", "tv_knn")]
+        assert [(s["epsilon"], s["name"]) for s in data["stages"]] == names
+        assert [s.get("path_steps") for s in data["stages"]] == [64 * 50, None, None] * 2
+        seconds = [s["seconds"] for s in data["stages"]]
+        assert min(seconds) >= 0.0 and sum(seconds) <= data["wall_clock"]
+        assert "stages" not in data["summary"]
 
     def test_stationary_summary_counts_the_excluded_paths(self, tmp_path, monkeypatch):
         # the count per epsilon is the one the ensemble reports, and the CSV does not carry it

@@ -25,6 +25,7 @@ from langmix.simulate import (
     exp_moment_bound,
     integrate_fluctuation,
     integrate_sde,
+    integrate_sde_runs,
     moment_bound,
     pinsker_kl_bound,
 )
@@ -163,6 +164,8 @@ class TestIntegrateSde:
         ([0.6, 0.6, 0.0], [True, True, True]),  # rows' sum over BLOWUP^2 / 2, each row below BLOWUP
         ([1.2, 0.3, 0.0], [False, True, True]),  # beyond BLOWUP: excluded
         ([np.inf, 0.0, np.nan], [False, True, False]),
+        ([0.5, 0.5, 0.5], [True, True, True]),  # each row a quarter of BLOWUP^2, their sum over half
+        ([np.nan, 0.1, 0.2], [False, True, True]),  # NaN fails the sum test and its row's
     ],
 )
 def test_guard_excludes_exactly_the_rows_beyond_blowup(norms, kept):
@@ -174,8 +177,8 @@ def test_guard_excludes_exactly_the_rows_beyond_blowup(norms, kept):
         p[:, 0] = scale * 0.8
         return q, p
 
-    start = lambda m: ((np.zeros((m, 1)), np.zeros((m, 1))), step)
-    alive = simulate._run_ensemble(len(norms), 0, 2, 1, start, [0], (None, None), guard=True)
+    start = lambda owner: ((np.zeros((len(owner), 1)), np.zeros((len(owner), 1))), step)
+    alive = simulate._run_ensemble([(len(norms), 0, 2, [0], (None, None))], 1, start, guard=True)
     assert alive.tolist() == kept
 
 
@@ -208,42 +211,46 @@ def _em_fluctuation(spec, x0, t_end, dt, n, seed):
     return np.stack(path, axis=1)
 
 
-def _per_block_ensemble(n_paths, seed, n_steps, width, start, store_idx, outs, guard=False):
+def _per_block_ensemble(runs, width, start, guard=False):
     """The per-block loop that the batched _run_ensemble replaced, kept as its oracle.
 
-    Each block of BLOCK paths takes all its steps before the next block
-    starts, draws its rows of step k afresh from counter (0, k, 0, 0),
-    guards with the finiteness chain the single comparison replaced, and
-    zeroes only q and p of the paths it excludes.
+    Each block of BLOCK paths of each run, in run order, takes all its
+    run's steps before the next block starts, draws its rows of step k
+    afresh from counter (0, k, 0, 0), guards with the finiteness chain the
+    single comparison replaced, and zeroes only q and p of the paths it
+    excludes.
     """
-    alive = np.ones(n_paths, dtype=bool)
-    for b in range((n_paths + BLOCK - 1) // BLOCK):
-        lo, hi = b * BLOCK, min((b + 1) * BLOCK, n_paths)
-        m = hi - lo
-        state, step = start(m)
-        for out, a in zip(outs, state):
-            if out is not None:
-                out[lo:hi, 0] = a
-        si = 1
-        for k in range(1, n_steps + 1):
-            state = step(k, state, _step_normals(seed, b, k, m, width))
-            if guard:
-                q, p = state[0], state[1]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    bad = ~(
-                        np.all(np.isfinite(q), axis=1)
-                        & np.all(np.isfinite(p), axis=1)
-                        & (np.sum(q * q, axis=1) + np.sum(p * p, axis=1) < BLOWUP**2)
-                    )
-                if np.any(bad):
-                    alive[lo:hi] &= ~bad
-                    q[bad] = 0.0
-                    p[bad] = 0.0
-            if si < len(store_idx) and k == store_idx[si]:
-                for out, a in zip(outs, state):
-                    if out is not None:
-                        out[lo:hi, si] = a
-                si += 1
+    alive = np.ones(sum(run[0] for run in runs), dtype=bool)
+    first = 0
+    for j, (n_paths, seed, n_steps, store_idx, outs) in enumerate(runs):
+        for b in range((n_paths + BLOCK - 1) // BLOCK):
+            lo, hi = b * BLOCK, min((b + 1) * BLOCK, n_paths)
+            m = hi - lo
+            state, step = start(np.full(m, j))
+            for out, a in zip(outs, state):
+                if out is not None:
+                    out[lo:hi, 0] = a
+            si = 1
+            for k in range(1, n_steps + 1):
+                state = step(k, state, _step_normals(seed, b, k, m, width))
+                if guard:
+                    q, p = state[0], state[1]
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        bad = ~(
+                            np.all(np.isfinite(q), axis=1)
+                            & np.all(np.isfinite(p), axis=1)
+                            & (np.sum(q * q, axis=1) + np.sum(p * p, axis=1) < BLOWUP**2)
+                        )
+                    if np.any(bad):
+                        alive[first + lo : first + hi] &= ~bad
+                        q[bad] = 0.0
+                        p[bad] = 0.0
+                if si < len(store_idx) and k == store_idx[si]:
+                    for out, a in zip(outs, state):
+                        if out is not None:
+                            out[lo:hi, si] = a
+                    si += 1
+        first += n_paths
     return alive
 
 
@@ -766,7 +773,8 @@ def test_step_k_sees_each_blocks_rows_drawn_from_counter_k(monkeypatch, n, width
         seen.append((k, xi.copy()))
         return s
 
-    simulate._run_ensemble(n, seed, n_steps, width, lambda m: ((np.zeros((m, width)),), step), [0], (None,))
+    simulate._run_ensemble([(n, seed, n_steps, [0], (None,))], width,
+                           lambda owner: ((np.zeros((len(owner), width)),), step))
     blocks = [(b, min(BLOCK, rows - b * BLOCK)) for b in range((rows + BLOCK - 1) // BLOCK)]
     assert draws == [(b, (m, width)) for _ in range(n_steps) for b, m in blocks]
     assert [k for k, _ in seen] == list(range(1, n_steps + 1))
@@ -792,7 +800,7 @@ def test_step_k_sees_each_blocks_rows_drawn_from_counter_k(monkeypatch, n, width
     ],
 )
 def test_block_ranges_are_contiguous_whole_blocks_of_two_rows_or_more(n, cores, ranges):
-    assert simulate._block_ranges(n, cores) == ranges
+    assert simulate._block_ranges([n], cores) == ranges
 
 
 @pytest.mark.parametrize("kind", sorted(_KERNEL_RUNS))
@@ -868,3 +876,98 @@ def test_an_error_in_another_threads_range_reaches_the_caller(harmonic_spec, mon
     with pytest.raises(ValueError, match=f"force failed on {BLOCK + 1} rows"):
         integrate_sde(spec, np.array([0.5, 0.0]), 1.0, 0.01, 2 * BLOCK + 1, seed=1, epsilon=0.05)
     assert threading.active_count() == before
+
+
+def _mixed_runs(spec):
+    """Three (x0, epsilon, seed, store_indices) runs of different starts, noise levels, seeds and lengths."""
+    n = 2 * spec.dim
+    return [
+        (np.full(n, 0.4), 0.05, 3, [7, 2, 30]),
+        (np.linspace(-0.5, 0.5, n), 0.2, 11, [12]),
+        (np.full(n, -0.3), 1e-3, 3, [0, 19, 19, 5]),
+    ]
+
+
+def _solo(spec, run, dt, n, scheme):
+    x0, eps, seed, idx = run
+    return integrate_sde(spec, x0, max(idx) * dt, dt, n, seed=seed, epsilon=eps, scheme=scheme, store_indices=idx)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("n", [1, 300, BLOCK + 5])
+@pytest.mark.parametrize("scheme", ["baoab", "euler_maruyama"])
+@pytest.mark.parametrize("model", ["quartic", "lin2d_rot"])
+def test_each_run_of_one_loop_equals_its_own_integrate_sde(monkeypatch, model, scheme, n, cores):
+    # rows of different runs share the loop's arrays, and BLOCK + 5 paths
+    # split over two cores cut one run between the ranges
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+    spec = corpus_spec(model)
+    runs = _mixed_runs(spec)
+    together = integrate_sde_runs(spec, runs, 0.01, n, scheme=scheme)
+    assert len(together) == len(runs)
+    for batch, run in zip(together, runs):
+        solo = _solo(spec, run, 0.01, n, scheme)
+        assert np.array_equal(batch.grid, solo.grid)
+        assert np.array_equal(batch.states, solo.states), run
+        assert batch.excluded == solo.excluded and batch.coupled is None
+
+
+@pytest.mark.parametrize("scheme", ["baoab", "euler_maruyama"])
+def test_a_run_counts_only_the_paths_it_excludes_by_its_last_step(scheme):
+    # F(q) = -q from the origin: the 20-step run's paths explode after its
+    # last step, as the 104-step run of the same seed shows; stepped on in
+    # the shared loop they are zeroed but not excluded
+    spec, x0 = _inverted_spec(), np.zeros(2)
+    runs = [(x0, 1.0, 1, [10, 20]), (x0, 1.0, 1, [52, 104])]
+    short, long = integrate_sde_runs(spec, runs, 0.5, 300, scheme=scheme)
+    solo_short, solo_long = (_solo(spec, run, 0.5, 300, scheme) for run in runs)
+    assert short.excluded == solo_short.excluded == 0 < solo_long.excluded == long.excluded
+    assert np.array_equal(short.states, solo_short.states)
+    assert np.array_equal(long.states, solo_long.states)
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_runs_of_any_sizes_match_the_per_block_oracle(monkeypatch, cores):
+    # BLOCK, 1 and BLOCK + 3 paths: on three cores the 1-path run is a range
+    # of its own, which steps a second row beside it
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+    spec = corpus_spec("lin2d_rot")
+    d = spec.dim
+    sizes, seeds, steps = [BLOCK, 1, BLOCK + 3], [5, 6, 5], [6, 9, 4]
+    x0s = np.array([[0.4, 0.1, 0.0, 0.2], [-0.3, 0.2, 0.1, 0.0], [0.1, 0.1, 0.1, 0.1]])
+    start = simulate._langevin_step(spec, x0s, [0.05, 0.2, 1e-3], 0.01, "baoab")
+
+    def outputs(kernel):
+        states = [np.empty((n, 3, 2 * d)) for n in sizes]
+        runs = [(n, seed, k, np.array([0, k // 2, k]), (s[:, :, :d], s[:, :, d:]))
+                for n, seed, k, s in zip(sizes, seeds, steps, states)]
+        return [kernel(runs, d, start, guard=True)] + states
+
+    if cores == 3:
+        assert simulate._block_ranges(sizes, cores) == [(0, BLOCK), (BLOCK, BLOCK + 1), (BLOCK + 1, 2 * BLOCK + 4)]
+    for a, b in zip(outputs(simulate._run_ensemble), outputs(_per_block_ensemble)):
+        assert np.array_equal(a, b)
+
+
+def test_one_loop_checks_every_run_and_takes_none():
+    spec, x0 = corpus_spec("quartic"), np.array([0.5, 0.0])
+    assert integrate_sde_runs(spec, [], 0.01, 8) == []
+    for run, match in [((x0, -0.1, 0, [3]), "nonnegative"), ((x0, 0.1, -1, [3]), "seed"),
+                       ((x0, 0.1, 0, [2.5]), "integer steps"), ((x0, 0.1, 0, [-1, 3]), r"lie in"),
+                       ((np.zeros(1), 0.1, 0, [3]), None)]:
+        with pytest.raises(ParameterError, match=match):
+            integrate_sde_runs(spec, [(x0, 0.1, 0, [4]), run], 0.01, 8)
+    with pytest.raises(ParameterError, match="unknown scheme"):
+        integrate_sde_runs(spec, [(x0, 0.1, 0, [4])], 0.01, 8, scheme="rk4")
+
+
+def test_a_run_draws_nothing_after_its_last_step(monkeypatch):
+    # the 2-step run's one block draws at steps 1 and 2; the 4-step run's
+    # two blocks draw at every step, each only the rows of its own paths
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 1)
+    draws, block_rng = [], simulate._block_rng
+    monkeypatch.setattr(simulate, "_block_rng", lambda seed, b: _RecordingRng(block_rng(seed, b), (seed, b), draws))
+    runs = [(3, 7, 2, [0], (None,)), (BLOCK + 2, 8, 4, [0], (None,))]
+    simulate._run_ensemble(runs, 1, lambda owner: ((np.zeros((len(owner), 1)),), lambda k, s, xi: s))
+    long_run = [((8, 0), (BLOCK, 1)), ((8, 1), (2, 1))]
+    assert draws == ([((7, 0), (3, 1))] + long_run) * 2 + long_run * 2
