@@ -27,7 +27,7 @@ from .errors import ParameterError, StabilityError
 from .linear_stability import classify_linear
 from .matrix_eq import sigma_matrix
 from .model import ModelSpec, certify_coercivity, force_from_config
-from .simulate import KNN_MIN_POINTS, check_seed, empirical_tv, integrate_sde, integrate_sde_runs
+from .simulate import KNN_MIN_POINTS, check_seed, empirical_tv, integrate_sde, integrate_sde_runs, runs_per_loop
 
 SCHEMA_VERSION = 1
 
@@ -289,12 +289,15 @@ def run_cutoff_experiment(cfg: ExperimentConfig) -> RunManifest:
     every curve has a window point.  The manifest's stages hold, for each
     x0 in order, the seconds of its "spectral", "covariance" and "tv" stages
     (`CutoffRun.seconds`).  With mc_curve, every curve with a window point
-    gets an ensemble, and one `integrate_sde_runs` call steps them all: the
-    stage "mc_ensembles" (x0 null) holds its seconds, its loop_steps (the
-    longest ensemble's steps) and its path_steps (paths times steps, summed
-    over the ensembles); then each x0's "mc_curve" stage holds the seconds
-    of its knn estimates.  A failed run leaves its manifest with status
-    "failed" and the error.
+    gets an ensemble, and each `integrate_sde_runs` call steps
+    `runs_per_loop(n_paths)` of them in one loop, all of them when their
+    paths fill at most one noise block; each batch is dropped once its knn
+    estimates are done.  The stage "mc_ensembles" (x0 null) holds the
+    seconds of the calls, their loop_steps (each loop's longest ensemble's
+    steps, summed over the loops) and their path_steps (paths times steps,
+    summed over the ensembles); then each x0's "mc_curve" stage holds the
+    seconds of its knn estimates.  A failed run leaves its manifest with
+    status "failed" and the error.
     """
     return _run_pipeline(cfg.config_hash, cfg.out_dir, lambda m: _cutoff_experiment(cfg, m))
 
@@ -323,6 +326,16 @@ def _check_curve_files(cfg: ExperimentConfig):
             seen[tag] = (x0, eps)
 
 
+def _knn_curve(batch, law, steps: np.ndarray, cfg: ExperimentConfig, i_eps: int):
+    """(excluded, {step: knn TV estimate}) of one mc_curve ensemble against a sample of its stationary law."""
+    ref = law.sample(batch.states.shape[0], np.random.default_rng(cfg.seed + 5000 + i_eps))
+    pos = {int(round(t / cfg.dt)): i for i, t in enumerate(batch.grid)}
+    return batch.excluded, {
+        k: empirical_tv(batch.states[:, pos[k], :], ref, method="classifier_knn", seed=cfg.seed).estimate
+        for k in set(steps.tolist())
+    }
+
+
 def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
     _check_curve_files(cfg)
     spec, gate, sigma = _pipeline_start(cfg, "cutoff experiment")
@@ -334,37 +347,38 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
         runs.append(run)
         manifest.stages += [{"x0": list(map(float, x0)), "name": name, "seconds": seconds}
                             for name, seconds in run.seconds.items()]
-    batches = iter(())
+    mc, mc_seconds = {}, [0.0] * len(runs)  # (x0 index, epsilon index) -> (excluded, {step: knn TV})
     if cfg.mc_curve:
         # one ensemble per (x0, epsilon) curve with a window point, seeded by its epsilon's place
-        ensembles = [(x0, curve.epsilon, cfg.seed + i_eps, curve.step) for x0, run in zip(cfg.x0, runs)
+        ensembles = [(i_x0, i_eps, (x0, curve.epsilon, cfg.seed + i_eps, curve.step))
+                     for i_x0, (x0, run) in enumerate(zip(cfg.x0, runs))
                      for i_eps, curve in enumerate(run.curves) if curve.step.size]
-        clock = time.perf_counter()
-        batches = iter(integrate_sde_runs(spec, ensembles, cfg.dt, cfg.n_paths))
-        last_steps = [int(e[3].max()) for e in ensembles]
-        manifest.stages.append({"x0": None, "name": "mc_ensembles", "seconds": time.perf_counter() - clock,
-                                "loop_steps": max(last_steps, default=0),
+        last_steps = [int(e[2][3].max()) for e in ensembles]
+        per_loop = runs_per_loop(cfg.n_paths)
+        seconds = 0.0
+        for g in range(0, len(ensembles), per_loop):
+            group = ensembles[g : g + per_loop]
+            clock = time.perf_counter()
+            batches = integrate_sde_runs(spec, [e[2] for e in group], cfg.dt, cfg.n_paths)
+            seconds += time.perf_counter() - clock
+            for i_x0, i_eps, (_, eps, _, steps) in group:
+                clock = time.perf_counter()
+                # each batch is dropped once its knn estimates are done
+                mc[i_x0, i_eps] = _knn_curve(batches.pop(0), stationary_law(sigma, eps), steps, cfg, i_eps)
+                mc_seconds[i_x0] += time.perf_counter() - clock
+        manifest.stages.append({"x0": None, "name": "mc_ensembles", "seconds": seconds,
+                                "loop_steps": sum(max(last_steps[g : g + per_loop])
+                                                  for g in range(0, len(ensembles), per_loop)),
                                 "path_steps": cfg.n_paths * sum(last_steps)})
-    for x0, run in zip(cfg.x0, runs):
+    for i_x0, (x0, run) in enumerate(zip(cfg.x0, runs)):
         sd, pl = run.spectral, run.profile
         sup_diffs = []
-        mc_seconds = 0.0
         for i_eps, curve in enumerate(run.curves):
             eps = curve.epsilon
             empirical = {}
             entry = {"epsilon": eps}
-            if cfg.mc_curve and curve.step.size:
-                clock = time.perf_counter()
-                batch = next(batches)
-                ref = stationary_law(sigma, eps).sample(
-                    batch.states.shape[0], np.random.default_rng(cfg.seed + 5000 + i_eps)
-                )
-                entry["excluded"] = batch.excluded
-                pos = {int(round(t / cfg.dt)): i for i, t in enumerate(batch.grid)}
-                for k in set(curve.step.tolist()):
-                    empirical[k] = empirical_tv(batch.states[:, pos[k], :], ref, method="classifier_knn",
-                                                seed=cfg.seed).estimate
-                mc_seconds += time.perf_counter() - clock
+            if (i_x0, i_eps) in mc:
+                entry["excluded"], empirical = mc[i_x0, i_eps]
             rows = zip(curve.w, curve.t, [tv.value for tv in curve.tv], curve.D_eps, curve.Lambda_printed,
                        curve.Lambda_alt, [empirical.get(k, float("nan")) for k in curve.step.tolist()])
             csv_path = write_csv(
@@ -375,7 +389,7 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
             manifest.artifacts.append(csv_path)
             sup_diffs.append(dict(entry, **curve.summary()))
         if cfg.mc_curve:
-            manifest.stages.append({"x0": list(map(float, x0)), "name": "mc_curve", "seconds": mc_seconds})
+            manifest.stages.append({"x0": list(map(float, x0)), "name": "mc_curve", "seconds": mc_seconds[i_x0]})
         diffs = [s["sup_diff"] for s in sup_diffs]
         monotone = all(a >= b - 1e-12 for a, b in zip(diffs, diffs[1:]))
         # a curve without window points has a sup-diff of 0.0 and no evidence

@@ -277,16 +277,6 @@ def _checked_start(
     return phase_point(spec, x0)
 
 
-def _row_factor(values: np.ndarray, owner: np.ndarray):
-    """values[owner] as a column, or as one float when every row shares it.
-
-    A product with a column of equal values is the same IEEE product as
-    with the one scalar, but on a large ensemble it reads a second array.
-    """
-    column = values[owner, None]
-    return float(column[0, 0]) if (column == column[0, 0]).all() else column
-
-
 def _langevin_step(spec: ModelSpec, x0s: np.ndarray, epsilons, dt: float, scheme: str):
     """The start of the noisy dynamics of runs from x0s[j] at noise level epsilons[j], on the state (q, p, F(q)).
 
@@ -298,8 +288,10 @@ def _langevin_step(spec: ModelSpec, x0s: np.ndarray, epsilons, dt: float, scheme
     every step, cost more than the arithmetic.  BAOAB keeps one scratch
     array and Euler-Maruyama two; as each range builds its own step, ranges
     can step at once in separate threads.  A row's noise factor is its
-    run's (_row_factor).  Each update is the same operation as its
-    out-of-place form, so the values are too, bit for bit.  The step
+    run's, in a column: a product with a column of equal values is the
+    same IEEE product as with the one scalar.  Each update is the same
+    operation as its out-of-place form, so the values are too, bit for
+    bit.  The step
     carries the force at its closing q, which is the next step's opening
     force, so each step makes one force call.
     """
@@ -316,7 +308,7 @@ def _langevin_step(spec: ModelSpec, x0s: np.ndarray, epsilons, dt: float, scheme
         q = x0s[owner, :d]
         t = np.empty_like(q)
         dp = np.empty_like(q) if scheme == "euler_maruyama" else None
-        sig, noise = _row_factor(sig_ou, owner), _row_factor(sqrt2eps_dt, owner)
+        sig, noise = sig_ou[owner, None], sqrt2eps_dt[owner, None]
 
         def baoab(k, s, xi):
             q, p, f = s
@@ -443,7 +435,8 @@ def integrate_sde_runs(spec: ModelSpec, runs, dt: float, n_paths: int, scheme: s
     seed, epsilon, scheme, store_indices=store_indices) with t_end the last
     step times dt: each run draws its own noise and reports only the paths
     excluded up to its last step.  Every run's stored states are held at
-    once.
+    once, so a caller with more runs than runs_per_loop(n_paths) passes
+    them that many at a time.
     """
     checked = []
     for x0, epsilon, seed, store_indices in runs:
@@ -453,6 +446,17 @@ def integrate_sde_runs(spec: ModelSpec, runs, dt: float, n_paths: int, scheme: s
         checked.append((_checked_start(spec, x0, n_steps * dt, dt, n_paths, 1, seed), epsilon, seed, store_idx,
                         n_steps))
     return _sde_runs(spec, checked, dt, n_paths, scheme) if checked else []
+
+
+def runs_per_loop(n_paths: int) -> int:
+    """How many ensembles of n_paths paths one integrate_sde_runs loop should step: as many as fill one noise block, at least one.
+
+    Below a block a step's cost is mostly numpy's per-call overhead, which
+    the runs of one loop pay once.  Beyond it the arithmetic dominates, and
+    a shared loop saves little but holds every run's stored states at once
+    and steps a finished run's rows until its longest run ends.
+    """
+    return max(1, BLOCK // n_paths)
 
 
 def _sde_runs(spec: ModelSpec, runs: list, dt: float, n_paths: int, scheme: str, ode_path=None) -> list:

@@ -422,6 +422,25 @@ class TestCutoffPipeline:
         assert stage["path_steps"] == 64 * sum(last_steps)
         assert len(set(last_steps)) > 1
 
+    def test_ensembles_beyond_one_loop_step_a_loop_at_a_time_with_the_same_outputs(self, tmp_path, monkeypatch):
+        # four ensembles two to a loop: two _run_ensemble calls, and the
+        # files and summary of the run that steps them in one loop
+        raw = minimal_config(tmp_path / "one", x0=[[0.5, 0.2], [0.1, -0.3]], epsilons=[1e-2, 1e-3],
+                             mc_curve=True, n_paths=64)
+        one = run_cutoff_experiment(validate_config(raw))
+        monkeypatch.setattr(harness, "runs_per_loop", lambda n_paths: 2)
+        calls = _count_calls(monkeypatch, simulate, "_run_ensemble")
+        two = run_cutoff_experiment(validate_config(dict(raw, out_dir=str(tmp_path / "two"))))
+        last_steps = [[n_steps for _, _, n_steps, *_ in call[0]] for call in calls]
+        assert [len(steps) for steps in last_steps] == [2, 2]
+        (stage,) = [s for s in two.stages if s["name"] == "mc_ensembles"]
+        assert stage["loop_steps"] == sum(map(max, last_steps)) < sum(map(sum, last_steps))
+        assert stage["path_steps"] == 64 * sum(map(sum, last_steps))
+        assert two.summary == one.summary and len(one.artifacts) == len(two.artifacts) == 5
+        for a, b in zip(one.artifacts, two.artifacts):
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert os.path.basename(a) == os.path.basename(b) and fa.read() == fb.read()
+
     def test_summary_records_the_window_points_and_the_tv_labels(self, tmp_path):
         raw = minimal_config(tmp_path, epsilons=[1e-2, 1e-3])
         manifest = run_cutoff_experiment(validate_config(raw))

@@ -795,6 +795,7 @@ def test_step_k_sees_each_blocks_rows_drawn_from_counter_k(monkeypatch, n, width
         (2 * BLOCK + 1, 3, [(0, BLOCK), (BLOCK, 2 * BLOCK + 1)]),
         (3 * BLOCK + 5, 2, [(0, 2 * BLOCK), (2 * BLOCK, 3 * BLOCK + 5)]),
         (3 * BLOCK + 5, 3, [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, 3 * BLOCK + 5)]),
+        (3 * BLOCK, 2, [(0, BLOCK), (BLOCK, 3 * BLOCK)]),  # a tie: the lower of two nearest edges
         (300, 2, [(0, 300)]),
         (1, 1, [(0, 1)]),
     ],
@@ -947,6 +948,11 @@ def test_runs_of_any_sizes_match_the_per_block_oracle(monkeypatch, cores):
         assert simulate._block_ranges(sizes, cores) == [(0, BLOCK), (BLOCK, BLOCK + 1), (BLOCK + 1, 2 * BLOCK + 4)]
     for a, b in zip(outputs(simulate._run_ensemble), outputs(_per_block_ensemble)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_paths, runs", [(1, BLOCK), (256, 16), (BLOCK // 2, 2), (BLOCK // 2 + 1, 1), (BLOCK + 5, 1)])
+def test_a_loop_takes_the_runs_that_fill_one_noise_block(n_paths, runs):
+    assert simulate.runs_per_loop(n_paths) == runs
 
 
 def test_one_loop_checks_every_run_and_takes_none():
