@@ -255,8 +255,8 @@ def _check_tv_gil_pelaez_vs_slicer() -> CheckResult:
     gap = 0.0
     for _ in range(_TV_SLICER_CASES):
         g1, g2 = _random_gaussian(rng, 2, 0.3), _random_gaussian(rng, 2, 0.3)
-        gil_pelaez = _tv_gil_pelaez(*_llr_terms(*_whiten(g1, g2)))[0]
-        gap = max(gap, abs(gil_pelaez - _tv_cdf_2d(g1, g2)[0]))
+        gil_pelaez = _tv_gil_pelaez(*_llr_terms(*_whiten(g1, g2)))[0][0]
+        gap = max(gap, abs(gil_pelaez - _tv_cdf_2d(g1.mean, g1.cov, g2.mean, g2.cov)[0]))
     triangle = all(_triangle_holds(rng, dim, 0.3) for dim in (3, 4) for _ in range(_TV_TRIANGLE_CASES_PER_DIM))
     detail = f"max gap to the slicer {gap:.1e}" + ("" if triangle else "; triangle violated at d = 3 or 4")
     return CheckResult(gap <= TV_TOL and triangle, gap, detail)

@@ -6,13 +6,15 @@ requested checks pass, 1 for a failed verdict, 2 for bad input or an
 unreadable file (with one stderr line), 3 for an indeterminate
 `analyze-linear` verdict, and 141 (128 + SIGPIPE), silently, when the reader
 of stdout has gone.  All inputs come from flags and config files, never from
-the environment.
+the environment.  --log-level (default warning) sets the level of the
+`langmix` logger, whose records go to stderr while the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -152,6 +154,7 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="langmix", description=__doc__)
     parser.add_argument("--version", action="version", version=f"langmix {__version__}")
+    parser.add_argument("--log-level", choices=["debug", "info", "warning", "error"], default="warning")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze-linear", help="stability verdict for a linear force matrix")
@@ -203,6 +206,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
+    logger, handler = logging.getLogger("langmix"), logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s %(levelname)s: %(message)s"))
+    level = logger.level
+    logger.setLevel(args.log_level.upper())
+    logger.addHandler(handler)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
@@ -214,6 +222,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # every langmix input error is a ValueError, as are the parsers'
         print(f"langmix {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

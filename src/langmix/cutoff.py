@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -363,7 +364,8 @@ def curve_point_tv(mean: np.ndarray, cov_t: np.ndarray, stationary: Gaussian, ep
     exact method, "cdf_quadrature", on the pair whitened once: the closed
     form when the whitened gap is within TV_TOL = 1e-9, the 2-D slicer for
     2-d states, or the Gil-Pelaez integral for 4-d and larger states,
-    labelled "exact" when its error estimate is within TV_TOL.
+    labelled "exact" when its error estimate is within TV_TOL.  It is the
+    one-row case of the stacked call `cutoff_curve` makes per epsilon.
     """
     return tv_gaussian(Gaussian(mean=mean, cov=2.0 * epsilon * cov_t), stationary, method="cdf_quadrature")
 
@@ -402,7 +404,9 @@ class CutoffRun:
 
     seconds holds the wall time of each stage: "spectral" (decay constants,
     profile limit and Sigma), "covariance" (the path at the window steps) and
-    "tv" (the exact TV of every window point).
+    "tv" (the exact TV of every window point).  tv_counts counts the tv
+    stage's points, those of each `TVResult.route` branch, the Gil-Pelaez
+    "full_grid" points and "qawf_tails", and the "clamped" first laws.
     """
 
     spectral: SpectralData
@@ -411,6 +415,7 @@ class CutoffRun:
     covariance_points: int
     curves: list  # one CutoffCurve per epsilon, in the given order
     seconds: dict
+    tv_counts: dict
 
 
 def cutoff_curve(spec: ModelSpec, x0, epsilons, w_grid: dict, dt: float) -> CutoffRun:
@@ -425,9 +430,12 @@ def cutoff_curve(spec: ModelSpec, x0, epsilons, w_grid: dict, dt: float) -> Cuto
     that path's step count, so it comes from the stated max, not the last
     grid point.  An empty window gives empty columns, and when no epsilon
     keeps a step there is no path to evaluate (covariance_points 0), even
-    where t_max is shorter than dt.  dt <= 0 raises ParameterError; errors of
-    the callees (`spectral_data`, `mixing_time`, `integrate_covariance`)
-    reach the caller unchanged.
+    where t_max is shorter than dt.  Each epsilon makes one `tv_gaussian`
+    call: the stack of its window points' laws N(X_t, 2 eps Sigma_t) against
+    N(0, 2 eps Sigma), each point's TVResult bit for bit that of
+    `curve_point_tv`.  dt <= 0 raises ParameterError; errors of the callees
+    (`spectral_data`, `mixing_time`, `integrate_covariance`) reach the
+    caller unchanged.
     """
     if dt <= 0:
         raise ParameterError("dt must be positive")
@@ -453,11 +461,20 @@ def cutoff_curve(spec: ModelSpec, x0, epsilons, w_grid: dict, dt: float) -> Cuto
         clamp_events, covariance_points = path.clamp_events, len(path.grid)
     seconds["covariance"] = time.perf_counter() - clock
     clock = time.perf_counter()
-    tvs = []
+    tvs, clamped = [], 0
     for eps, (_, k) in zip(epsilons, windows):
-        stationary = stationary_law(sigma, eps)
-        tvs.append([curve_point_tv(*path.at(t), stationary, eps) for t in (k * dt).tolist()])
+        if not k.size:
+            tvs.append([])
+            continue
+        means, covs = zip(*(path.at(t) for t in (k * dt).tolist()))
+        law = Gaussian(mean=np.array(means), cov=2.0 * eps * np.array(covs))
+        tvs.append(tv_gaussian(law, stationary_law(sigma, eps), method="cdf_quadrature"))
+        clamped += int(np.count_nonzero(law.clamped))
     seconds["tv"] = time.perf_counter() - clock
+    routes = Counter(tag for tv in tvs for res in tv for tag in res.route)
+    tv_counts = dict(points=sum(map(len, tvs)), closed_form=routes["closed_form"], saturated=routes["saturated"],
+                     one_d=routes["one_d"], slicer=routes["slicer"], gil_pelaez=routes["gil_pelaez"],
+                     full_grid=routes["full_grid"], qawf_tails=routes["qawf_tail"], clamped=clamped)
     curves = []
     for eps, tm, (w_eps, k), tv in zip(epsilons, tmix, windows, tvs):
         ts = (k * dt).tolist()
@@ -469,4 +486,4 @@ def cutoff_curve(spec: ModelSpec, x0, epsilons, w_grid: dict, dt: float) -> Cuto
                                 dtype=float),
         ))
     return CutoffRun(spectral=sd, profile=pl, clamp_events=clamp_events, covariance_points=covariance_points,
-                     curves=curves, seconds=seconds)
+                     curves=curves, seconds=seconds, tv_counts=tv_counts)

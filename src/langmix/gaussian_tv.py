@@ -8,7 +8,8 @@ Bhattacharyya coefficient is (so 1 - TV_TOL <= d_TV), the closed form in 1-D,
 slices of the log-likelihood-ratio region into per-line intervals with exact
 conditional normal probabilities in 2-D, and in dimension >= 3 one Gil-Pelaez
 inversion of its characteristic functions, exact to TV_TOL.  The bound is
-the whitened gap, the 3/2 Frobenius-norm upper bound for equal means.
+the whitened gap, the 3/2 Frobenius-norm upper bound for equal means.  The
+first law may be a stack, reduced at once and read row by row.
 """
 
 from __future__ import annotations
@@ -33,7 +34,13 @@ _EIG_RTOL = 1e-12
 
 @dataclass(eq=False)
 class Gaussian:
-    """Mean / covariance pair; `clamped` and `regularized` record repairs of the covariance, not inputs."""
+    """Mean / covariance pair, or a stack of them: mean (P, n) and cov (P, n, n).
+
+    `clamped` and `regularized` record repairs of the covariance, not
+    inputs; for a stack `clamped` holds one flag per law.  Each law of a
+    stack is checked and repaired as it would be alone.  `chol` and `sample`
+    take a single law.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -43,28 +50,32 @@ class Gaussian:
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        n = self.mean.shape[0]
-        if cov.shape != (n, n):
+        n = self.mean.shape[-1]
+        if self.mean.ndim > 2 or cov.shape != self.mean.shape + (n,):
             raise ParameterError(f"covariance shape {cov.shape} does not match mean of size {n}")
-        scale = max(1.0, float(np.linalg.norm(cov, "fro")))
-        if np.linalg.norm(cov - cov.T, "fro") > _SYM_RTOL * scale * 10:
+        scale = np.maximum(1.0, np.linalg.norm(cov, "fro", axis=(-2, -1)))
+        if np.any(np.linalg.norm(cov - np.swapaxes(cov, -1, -2), "fro", axis=(-2, -1)) > _SYM_RTOL * scale * 10):
             raise ParameterError("covariance is not symmetric")
-        cov = 0.5 * (cov + cov.T)
+        cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
         eigs, vecs = np.linalg.eigh(cov)
-        floor = -_EIG_RTOL * max(np.trace(cov) / n, 1e-300)
-        if eigs[0] < floor * 10:
-            raise ParameterError(f"covariance has eigenvalue {eigs[0]:.3e} below the clamping floor")
-        if eigs[0] < 0:
-            eigs = np.maximum(eigs, 0.0)
-            cov = (vecs * eigs) @ vecs.T
-            cov = 0.5 * (cov + cov.T)
-            self.clamped = True
-            log.debug("clamped negative covariance eigenvalue to zero")
+        low = eigs[..., 0]
+        floor = -_EIG_RTOL * np.maximum(np.trace(cov, axis1=-2, axis2=-1) / n, 1e-300)
+        below = low < floor * 10
+        if np.any(below):
+            raise ParameterError(f"covariance has eigenvalue {np.min(low[below]):.3e} below the clamping floor")
+        clamped = low < 0
+        if np.any(clamped):
+            vecs = vecs[clamped]
+            repaired = (vecs * np.maximum(eigs[clamped], 0.0)[:, None, :]) @ np.swapaxes(vecs, -1, -2)
+            cov[clamped] = 0.5 * (repaired + np.swapaxes(repaired, -1, -2))
+            log.debug("clamped negative covariance eigenvalues to zero in %d of %d laws",
+                      np.count_nonzero(clamped), clamped.size)
+        self.clamped = clamped if self.mean.ndim == 2 else bool(clamped)
         self.cov = cov
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor, regularizing near-singular covariances with a logged flag."""
@@ -98,6 +109,7 @@ class TVResult:
     value: float
     kind: str  # "exact" | "upper_bound" | "estimate"
     abserr: Optional[float] = None  # quadrature error estimate; 0.0 for a closed form
+    route: tuple = ()  # how cdf_quadrature reached the value; see `tv_gaussian`
 
 
 #: absolute tolerance of every value that cdf_quadrature reports as "exact"
@@ -106,6 +118,7 @@ TV_TOL = 1e-9
 #: coarser rule whose gap to it is the head's error estimate
 _GL_FINE = np.polynomial.legendre.leggauss(16)
 _GL_COARSE = np.polynomial.legendre.leggauss(8)
+_GL_NODES = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
 #: change of phase plus log-modulus, in radians, that one head panel spans
 _PANEL_SPAN = 2.0
 #: head panels before the oscillatory tail is left to QAWF
@@ -114,6 +127,8 @@ _MAX_PANELS = 400
 #: and the points of it tried first
 _ENVELOPE_GRID = np.exp2(np.arange(-32, 385) / 4.0)
 _ENVELOPE_FIRST = 81
+#: most terms (rows x 2 x d x grid points) that one envelope temporary holds
+_ENVELOPE_ELEMENTS = 1 << 18
 #: below this log-modulus a characteristic function cannot move the integral
 _LOG_CF_FLOOR = math.log(1e-17)
 #: QAWF starts only where omega U spans this many radians
@@ -154,15 +169,15 @@ def _normal_prob_intervals(mean: float, sd: float, iv) -> float:
     return float(min(max(total, 0.0), 1.0))
 
 
-def _loglr_coefficients(g1: Gaussian, g2: Gaussian):
-    """Quadratic form of log(phi1 / phi2): returns (Q, l, c0)."""
-    S1i = np.linalg.inv(g1.cov)
-    S2i = np.linalg.inv(g2.cov)
+def _loglr_coefficients(m1, S1, m2, S2):
+    """Quadratic form of log(phi1 / phi2) for N(m1, S1) and N(m2, S2): returns (Q, l, c0)."""
+    S1i = np.linalg.inv(S1)
+    S2i = np.linalg.inv(S2)
     Q = S2i - S1i
-    l = S1i @ g1.mean - S2i @ g2.mean
-    _, ld1 = np.linalg.slogdet(g1.cov)
-    _, ld2 = np.linalg.slogdet(g2.cov)
-    c0 = 0.5 * (g2.mean @ S2i @ g2.mean - g1.mean @ S1i @ g1.mean) + 0.5 * (ld2 - ld1)
+    l = S1i @ m1 - S2i @ m2
+    _, ld1 = np.linalg.slogdet(S1)
+    _, ld2 = np.linalg.slogdet(S2)
+    c0 = 0.5 * (m2 @ S2i @ m2 - m1 @ S1i @ m1) + 0.5 * (ld2 - ld1)
     return Q, l, float(c0)
 
 
@@ -173,8 +188,8 @@ def _tv_cdf_1d(A, B, C) -> float:
     return max(p1 - p2, 0.0)
 
 
-def _tv_cdf_2d(g1: Gaussian, g2: Gaussian):
-    """TV as P1(loglr > 0) - P2(loglr > 0), slicing the region along lines.
+def _tv_cdf_2d(m1, S1, m2, S2):
+    """TV of N(m1, S1) and N(m2, S2) as P1(loglr > 0) - P2(loglr > 0), slicing the region along lines.
 
     For fixed second coordinate y the region is a union of at most two
     intervals in the first coordinate, whose conditional normal probability is
@@ -182,11 +197,10 @@ def _tv_cdf_2d(g1: Gaussian, g2: Gaussian):
     whose error estimate is returned with the value.  The integrand's
     per-pair constants are taken once.
     """
-    Q, l, c0 = _loglr_coefficients(g1, g2)
+    Q, l, c0 = _loglr_coefficients(m1, S1, m2, S2)
 
     params = []
-    for sign, g in zip((1.0, -1.0), (g1, g2)):
-        m, S = g.mean, g.cov
+    for sign, m, S in ((1.0, m1, S1), (-1.0, m2, S2)):
         my, vy = float(m[1]), float(S[1, 1])
         slope = float(S[0, 1] / S[1, 1])
         vcond = max(float(S[0, 0] - S[0, 1] ** 2 / S[1, 1]), 1e-300)
@@ -206,9 +220,9 @@ def _tv_cdf_2d(g1: Gaussian, g2: Gaussian):
                 out += sign * dens * _normal_prob_intervals(mx + slope * (y - my), sd, iv)
         return out
 
-    lo = min(g.mean[1] - 12.0 * math.sqrt(g.cov[1, 1]) for g in (g1, g2))
-    hi = max(g.mean[1] + 12.0 * math.sqrt(g.cov[1, 1]) for g in (g1, g2))
-    mid_points = sorted({float(g1.mean[1]), float(g2.mean[1])})
+    lo = min(m[1] - 12.0 * math.sqrt(S[1, 1]) for m, S in ((m1, S1), (m2, S2)))
+    hi = max(m[1] + 12.0 * math.sqrt(S[1, 1]) for m, S in ((m1, S1), (m2, S2)))
+    mid_points = sorted({float(m1[1]), float(m2[1])})
     val, abserr = quad(
         integrand, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=800, points=mid_points, full_output=1
     )[:2]
@@ -219,87 +233,99 @@ def _whiten(g1: Gaussian, g2: Gaussian):
     """(lam, nu) with d_TV(g1, g2) = d_TV(N(nu, diag(lam)), N(0, I)); a singular pair raises LinAlgError.
 
     Whitening by g2's Cholesky factor L, then rotating to the eigenbasis of L^{-1} S1 L^{-T},
-    leaves its ascending eigenvalues lam and the rotated mean nu.
+    leaves its ascending eigenvalues lam and the rotated mean nu.  For a stack g1,
+    lam and nu hold one row per law; g2 is one law, factored once.
     """
     # L^{-1} from LAPACK trtri: scipy's triangular solve wakes a second BLAS
     # thread even for 4 x 4 blocks, which then spins for the rest of the run
     Li = sla.lapack.dtrtri(np.linalg.cholesky(g2.cov), lower=1)[0]
-    mu = Li @ (g1.mean - g2.mean)
+    mu = Li @ (g1.mean - g2.mean)[..., None]
     K = Li @ g1.cov @ Li.T
-    lam, V = np.linalg.eigh(0.5 * (K + K.T))
-    if lam[0] <= 0.0:
+    lam, V = np.linalg.eigh(0.5 * (K + np.swapaxes(K, -1, -2)))
+    if np.any(lam[..., 0] <= 0.0):
         raise np.linalg.LinAlgError("first covariance is singular")
-    return lam, V.T @ mu
+    return lam, (np.swapaxes(V, -1, -2) @ mu)[..., 0]
 
 
 def _llr_terms(lam: np.ndarray, nu: np.ndarray):
     """Rows (under g1, under g2) of A, B, C with log(p1/p2) = sum_j A_j xi_j^2 + B_j xi_j + C_j.
 
-    In the coordinates of `_whiten` the xi_j are independent standard normals under either Gaussian.
+    In the coordinates of `_whiten` the xi_j are independent standard normals
+    under either Gaussian.  Each is (..., 2, d) for lam and nu of shape (..., d).
     """
     half_logdet = 0.5 * np.log(lam)
-    A = np.array([0.5 * (lam - 1.0), 0.5 * (1.0 - 1.0 / lam)])
-    B = np.array([nu * np.sqrt(lam), nu / lam])
-    C = np.array([0.5 * nu**2 - half_logdet, -0.5 * nu**2 / lam - half_logdet])
+    A = np.stack([0.5 * (lam - 1.0), 0.5 * (1.0 - 1.0 / lam)], axis=-2)
+    B = np.stack([nu * np.sqrt(lam), nu / lam], axis=-2)
+    C = np.stack([0.5 * nu**2 - half_logdet, -0.5 * nu**2 / lam - half_logdet], axis=-2)
     return A, B, C
 
 
-def _log_cf(u: np.ndarray, A, B, C):
-    """Log-modulus and phase of phi_k(u) under each row k; each of shape (2, len(u)).
+def _log_modulus(u: np.ndarray, A, B):
+    """Log-modulus of phi_k(u) under each row k, and q = 1 + 4 u^2 A^2 of each term.
 
-    The factor of one direction is (1 - 2iuA)^(-1/2) exp(-u^2 B^2 / (2 (1 - 2iuA))) e^(iuC),
-    whose modulus and phase are real expressions in q = 1 + 4 u^2 A^2.  The
-    terms are laid out (row, direction, node), so each sum over directions
-    adds whole rows of nodes, in direction order.
+    The terms are laid out (..., row, direction, node), so each sum over
+    directions adds whole rows of nodes, in direction order: u holds the
+    nodes on its last axis and broadcasts against A[..., None].  Every
+    temporary is written in place.
     """
-    # every temporary is written in place: the sums are cheap, the elementwise terms are the cost
-    a, b2 = A[:, :, None], B[:, :, None] ** 2
-    ua = u * a
-    q = np.square(ua)
+    a = A[..., None]
+    q = np.square(u * a)
     q *= 4.0
     q += 1.0
     terms = np.log(q)
     terms *= 0.25
-    ratio = np.multiply(0.5 * u**2, b2)
+    ratio = np.multiply(0.5 * u**2, B[..., None] ** 2)
     ratio /= q
     terms += ratio
-    log_modulus = -terms.sum(axis=1)
-    ua *= 2.0  # 2 u A, exactly
-    phase_terms = np.arctan(ua, out=ua)
+    return -terms.sum(axis=-2), q
+
+
+def _log_cf(u: np.ndarray, A, B, C):
+    """Log-modulus and phase of phi_k(u) under each row k, laid out as in `_log_modulus`.
+
+    The factor of one direction is (1 - 2iuA)^(-1/2) exp(-u^2 B^2 / (2 (1 - 2iuA))) e^(iuC),
+    whose modulus and phase are real expressions in q = 1 + 4 u^2 A^2.
+    """
+    # the sums are cheap, the elementwise terms are the cost
+    log_modulus, q = _log_modulus(u, A, B)
+    a = A[..., None]
+    phase_terms = u * a
+    phase_terms *= 2.0  # 2 u A, exactly
+    np.arctan(phase_terms, out=phase_terms)
     phase_terms *= 0.5
-    np.multiply(u**3, b2, out=ratio)
+    ratio = np.multiply(u**3, B[..., None] ** 2)
     ratio *= a
     ratio /= q
     phase_terms -= ratio
-    phase = phase_terms.sum(axis=1)
-    phase += u * C.sum(axis=1)[:, None]
+    phase = phase_terms.sum(axis=-2)
+    phase += u * C.sum(axis=-1)[..., None]
     return log_modulus, phase
 
 
 def _log_cf_speed(u: np.ndarray, A, B, C) -> np.ndarray:
-    """|d/du log-modulus| + |d/du phase| of phi_k(u): how fast the integrand turns; shape (2, len(u))."""
-    a, b2 = A[:, :, None], B[:, :, None] ** 2
+    """|d/du log-modulus| + |d/du phase| of phi_k(u): how fast the integrand turns; laid out as `_log_modulus`."""
+    a, b2 = A[..., None], B[..., None] ** 2
     q = 1.0 + 4.0 * (u * a) ** 2
-    d_modulus = (2.0 * u * a**2 / q + u * b2 / q**2).sum(axis=1)
-    d_phase = (a / q - b2 * a * u**2 * (2.0 + q) / q**2).sum(axis=1) + C.sum(axis=1)[:, None]
+    d_modulus = (2.0 * u * a**2 / q + u * b2 / q**2).sum(axis=-2)
+    d_phase = (a / q - b2 * a * u**2 * (2.0 + q) / q**2).sum(axis=-2) + C.sum(axis=-1)[..., None]
     return d_modulus + np.abs(d_phase)
 
 
 def _tail_bound(u: np.ndarray, A, log_modulus: np.ndarray) -> np.ndarray:
-    """Rigorous bound on int_u^inf (|phi_1| + |phi_2|)(s) / s ds at every u.
+    """Rigorous bound on int_u^inf (|phi_1| + |phi_2|)(s) / s ds at every u, laid out as `_log_modulus`.
 
     For s >= u each factor's modulus is nonincreasing, and for any m of the
     directions with A_j != 0, (1 + 4 s^2 A_j^2)^(-1/4) <= (1 + 4 u^2 A_j^2)^(-1/4)
     (u/s)^(1/2) (1 + 1/(4 u^2 A_j^2))^(1/4); integrating (u/s)^(m/2) / s gives
     2/m.  The m largest |A_j| give the smallest factor for each m.
     """
-    a = -np.sort(-np.abs(A), axis=1)[:, :, None]  # (2, d, 1), largest first; zeros last
-    m = np.arange(1, A.shape[1] + 1)[:, None]
+    a = -np.sort(-np.abs(A), axis=-1)[..., None]  # (..., 2, d, 1), largest first; zeros last
+    m = np.arange(1, A.shape[-1] + 1)[:, None]
     with np.errstate(divide="ignore"):
         log_factors = 0.25 * np.log1p(1.0 / (4.0 * u**2 * a**2))
     # the product over m factors in log space: at d = 128 it overflows as a cumprod
-    best = np.exp(np.min(np.cumsum(log_factors, axis=1) + np.log(2.0 / m), axis=1))
-    return np.sum(np.exp(log_modulus) * best, axis=0)
+    best = np.exp(np.min(np.cumsum(log_factors, axis=-2) + np.log(2.0 / m), axis=-2))
+    return np.sum(np.exp(log_modulus) * best, axis=-2)
 
 
 def _oscillatory_tail(U: float, A, B, C):
@@ -338,8 +364,38 @@ def _oscillatory_tail(U: float, A, B, C):
     return value, err
 
 
-def _tv_gil_pelaez(A, B, C):
-    """TV and an absolute error bound from one Gil-Pelaez integral of the `_llr_terms` rows, in any dimension.
+def _envelope(grid: np.ndarray, scale: np.ndarray, A, B, C):
+    """(panels, bound, stop, settled) of the `_llr_terms` stacks A, B, C on their envelope grids (rows, n).
+
+    panels[i, j] counts the head panels that [0, grid[i, j]] needs and
+    bound[i, j] is the tail bound there; only the log-modulus is taken.
+    stop[i] is the first point whose bound is below the tolerance (settled)
+    or else the last point within _MAX_PANELS panels.  The rows go through
+    in chunks of at most _ENVELOPE_ELEMENTS terms.
+    """
+    step = max(1, _ENVELOPE_ELEMENTS // (2 * A.shape[-1] * grid.shape[1]))
+    panels, bound = np.empty_like(grid), np.empty_like(grid)
+    for lo in range(0, len(grid), step):
+        rows = slice(lo, lo + step)
+        g, u = grid[rows], grid[rows, None, None, :]
+        log_modulus = _log_modulus(u, A[rows], B[rows])[0]
+        live = log_modulus > _LOG_CF_FLOOR
+        with np.errstate(divide="ignore"):
+            speed = np.where(live, _log_cf_speed(u, A[rows], B[rows], C[rows]), 0.0).sum(axis=-2)
+            speed += np.minimum(scale[rows, None], 3.0 / g)  # panels below 2u/3 wide resolve the 1/u factor
+        panels[rows, 0] = 0.0
+        np.cumsum(0.5 * (speed[:, 1:] + speed[:, :-1]) * np.diff(g), axis=-1, out=panels[rows, 1:])
+        panels[rows] /= _PANEL_SPAN
+        bound[rows] = _tail_bound(u, A[rows], log_modulus)
+    # panels never decrease along a row, so the points within _MAX_PANELS panels are a prefix
+    last = np.count_nonzero(panels <= _MAX_PANELS, axis=1) - 1
+    done = (bound <= np.pi * TV_TOL / 8.0) & (np.arange(grid.shape[1]) <= last[:, None])
+    settled = done.any(axis=1)
+    return panels, bound, np.where(settled, done.argmax(axis=1), last), settled
+
+
+def _tv_gil_pelaez(A, B, C) -> list:
+    """Per row of the `_llr_terms` stacks A, B, C, of shape (..., 2, d): (TV, absolute error bound, route).
 
     With phi_k the characteristic function of log(p1/p2) under g_k,
     d_TV = P_1(LLR > 0) - P_2(LLR > 0) = (1/pi) int_0^inf Im[phi_1 - phi_2](u) / u du
@@ -348,50 +404,50 @@ def _tv_gil_pelaez(A, B, C):
     modulus; its error estimate is the gap to a coarser rule on the same
     panels.  U is the first envelope-grid point whose rigorous tail bound is
     below the tolerance; when the head would need more than _MAX_PANELS panels
-    first, it stops there and QAWF integrates the oscillatory tail.
+    first, it stops there and QAWF integrates the oscillatory tail.  The
+    envelope takes all rows at once, on the full grid only for the rows
+    whose first _ENVELOPE_FIRST points neither settle U nor reach
+    _MAX_PANELS; each row runs its own head and tail.  route is
+    ("gil_pelaez",) plus "full_grid" and "qawf_tail" where they ran.
     """
-    scale = math.sqrt(float(np.max(np.sum(2.0 * A**2 + B**2, axis=1))))  # sd of the LLR
-    full = np.concatenate([[0.0], _ENVELOPE_GRID / scale])
-    for size in (_ENVELOPE_FIRST, len(full)):  # the full grid only when its start does not settle U
-        grid = full[:size]
-        log_modulus = _log_cf(grid, A, B, C)[0]
-        live = log_modulus > _LOG_CF_FLOOR
-        with np.errstate(divide="ignore"):
-            speed = np.where(live, _log_cf_speed(grid, A, B, C), 0.0).sum(axis=0)
-            speed += np.minimum(scale, 3.0 / grid)  # panels below 2u/3 wide resolve the 1/u factor
-        panels = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(grid))])
-        panels /= _PANEL_SPAN
-        last = int(np.searchsorted(panels, _MAX_PANELS, side="right")) - 1
-        bound = _tail_bound(grid, A, log_modulus)
-        done = np.nonzero(bound[: last + 1] <= np.pi * TV_TOL / 8.0)[0]
-        if len(done) or last < size - 1:
-            break
-    stop = int(done[0]) if len(done) else last
+    A, B, C = (x.reshape(-1, 2, x.shape[-1]) for x in (A, B, C))
+    scale = np.sqrt(np.max(np.sum(2.0 * A**2 + B**2, axis=-1), axis=-1))  # sd of each row's LLR
+    full = np.concatenate([np.zeros((len(A), 1)), _ENVELOPE_GRID / scale[:, None]], axis=1)
+    rows = list(zip(full[:, :_ENVELOPE_FIRST], *_envelope(full[:, :_ENVELOPE_FIRST], scale, A, B, C)))
+    wide = [i for i, (*_, stop, settled) in enumerate(rows) if not settled and stop == _ENVELOPE_FIRST - 1]
+    for i, row in zip(wide, zip(full[wide], *_envelope(full[wide], scale[wide], A[wide], B[wide], C[wide]))):
+        rows[i] = row
 
-    n_panels = max(int(math.ceil(panels[stop])), 1)
-    edges = np.interp(np.linspace(0.0, panels[stop], n_panels + 1), panels[: stop + 1], grid[: stop + 1])
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-
-    x = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
-    u = (mid[:, None] + half[:, None] * x).ravel()
-    log_modulus, phase = _log_cf(u, A, B, C)
-    im_phi = np.exp(log_modulus, out=log_modulus)
-    im_phi *= np.sin(phase, out=phase)
-    f = ((im_phi[0] - im_phi[1]) / u).reshape(len(mid), len(x)) * half[:, None]
+    out = []
     n_fine = len(_GL_FINE[0])
-    value = float(np.sum(f[:, :n_fine] @ _GL_FINE[1]))
-    err = abs(value - float(np.sum(f[:, n_fine:] @ _GL_COARSE[1])))
-    tail = None if len(done) else _oscillatory_tail(float(grid[stop]), A, B, C)
-    if tail is None:
-        err += float(bound[stop])
-    else:
-        value, err = value + tail[0], err + tail[1]
-    return float(min(max(value / np.pi, 0.0), 1.0)), err / np.pi
+    for i, (grid, panels, bound, stop, settled) in enumerate(rows):
+        n_panels = max(int(math.ceil(panels[stop])), 1)
+        edges = np.interp(np.linspace(0.0, panels[stop], n_panels + 1), panels[: stop + 1], grid[: stop + 1])
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+        log_modulus, phase = _log_cf(u, A[i], B[i], C[i])
+        im_phi = np.exp(log_modulus, out=log_modulus)
+        im_phi *= np.sin(phase, out=phase)
+        f = ((im_phi[0] - im_phi[1]) / u).reshape(len(mid), len(_GL_NODES)) * half[:, None]
+        value = float(np.sum(f[:, :n_fine] @ _GL_FINE[1]))
+        err = abs(value - float(np.sum(f[:, n_fine:] @ _GL_COARSE[1])))
+        tail = None if settled else _oscillatory_tail(float(grid[stop]), A[i], B[i], C[i])
+        if tail is None:
+            err += float(bound[stop])
+        else:
+            value, err = value + tail[0], err + tail[1]
+        route = ("gil_pelaez",) + ("full_grid",) * (i in wide) + ("qawf_tail",) * (tail is not None)
+        out.append((float(min(max(value / np.pi, 0.0), 1.0)), err / np.pi, route))
+    return out
 
 
-def tv_gaussian(g1: Gaussian, g2: Gaussian, method: str = "cdf_quadrature") -> TVResult:
-    """Total variation distance between two Gaussians.
+def tv_gaussian(g1: Gaussian, g2: Gaussian, method: str = "cdf_quadrature"):
+    """Total variation distance between two Gaussians, or between each law of a stack g1 and g2.
 
+    Returns one TVResult, or for a stack g1 a list of them, one per law in
+    order; each equals the result of its law alone, bit for bit.  The stack
+    is validated, whitened against g2 and split into its branches at once;
+    the Gil-Pelaez rows share their envelope, and each runs its own head.
     Both methods read `_whiten(g1, g2) = (lam, nu)` and the gap (3/2) ||lam - 1||_2,
     which is (3/2) ||C - I||_F for the whitened first covariance C.  A
     singular pair raises numpy's LinAlgError.
@@ -408,34 +464,49 @@ def tv_gaussian(g1: Gaussian, g2: Gaussian, method: str = "cdf_quadrature") -> T
         is within TV_TOL, the pair is saturated: 1 - BC <= d_TV <= 1, so
         the value is 1.0 with `abserr` BC.  Returns the error estimate as `abserr` (0.0
         for the 1-D closed form) and kind "exact" when it is within
-        TV_TOL = 1e-9, "estimate" otherwise.
+        TV_TOL = 1e-9, "estimate" otherwise.  `route` names the branch
+        ("closed_form", "saturated", "one_d", "slicer" or "gil_pelaez"),
+        then "full_grid" and "qawf_tail" where the Gil-Pelaez envelope took
+        its full grid and QAWF integrated its tail.
       - "frobenius_bound": the gap, valid for a common mean; returned as an
         upper bound (Devroye, Mehrabian & Reddad 2018).
     """
     if g1.dim != g2.dim:
         raise ParameterError("dimension mismatch")
+    if g2.mean.ndim != 1:
+        raise ParameterError("the second law must be a single Gaussian")
     if method == "frobenius_bound":
-        scale = 1.0 + float(np.linalg.norm(g1.mean) + np.linalg.norm(g2.mean))
-        if np.linalg.norm(g1.mean - g2.mean) > 1e-9 * scale:
+        scale = 1.0 + np.linalg.norm(g1.mean, axis=-1) + np.linalg.norm(g2.mean)
+        if np.any(np.linalg.norm(g1.mean - g2.mean, axis=-1) > 1e-9 * scale):
             raise MethodError("the Frobenius bound applies to a common mean")
     elif method != "cdf_quadrature":
         raise MethodError(f"unknown method {method!r}")
     lam, nu = _whiten(g1, g2)
-    gap = 1.5 * float(np.linalg.norm(lam - 1.0))
+    d = g1.dim
+    lam, nu, means, covs = lam.reshape(-1, d), nu.reshape(-1, d), g1.mean.reshape(-1, d), g1.cov.reshape(-1, d, d)
+    gaps = [1.5 * float(np.linalg.norm(row - 1.0)) for row in lam]
     if method == "frobenius_bound":
-        return TVResult(value=gap, kind="upper_bound")
+        results = [TVResult(value=gap, kind="upper_bound") for gap in gaps]
+        return results if g1.mean.ndim == 2 else results[0]
     # Bhattacharyya coefficient of the whitened pair; 1 - BC <= d_TV <= 1
-    bc = math.exp(float(np.sum(0.5 * np.log(2.0 * np.sqrt(lam) / (1.0 + lam)) - nu**2 / (4.0 * (1.0 + lam)))))
-    if gap <= TV_TOL:
-        # d_TV(N(nu, diag(lam)), N(nu, I)) <= gap, so the equal-covariance closed form is off by at most gap
-        value, abserr = tv_unit(nu), gap
-    elif bc <= TV_TOL:
-        value, abserr = 1.0, bc
-    elif g1.dim == 1:
-        value, abserr = _tv_cdf_1d(*_llr_terms(lam, nu)), 0.0
-    elif g1.dim == 2:
-        value, abserr = _tv_cdf_2d(g1, g2)
-    else:
-        value, abserr = _tv_gil_pelaez(*_llr_terms(lam, nu))
-    kind = "exact" if abserr <= TV_TOL else "estimate"
-    return TVResult(value=value, kind=kind, abserr=abserr)
+    log_bc = np.sum(0.5 * np.log(2.0 * np.sqrt(lam) / (1.0 + lam)) - nu**2 / (4.0 * (1.0 + lam)), axis=-1)
+    A, B, C = _llr_terms(lam, nu)
+    found, gil_pelaez = [None] * len(lam), []
+    for i, (gap, bc) in enumerate(zip(gaps, (math.exp(float(x)) for x in log_bc))):
+        if gap <= TV_TOL:
+            # d_TV(N(nu, diag(lam)), N(nu, I)) <= gap, so the equal-covariance closed form is off by at most gap
+            found[i] = tv_unit(nu[i]), gap, ("closed_form",)
+        elif bc <= TV_TOL:
+            found[i] = 1.0, bc, ("saturated",)
+        elif d == 1:
+            found[i] = _tv_cdf_1d(A[i], B[i], C[i]), 0.0, ("one_d",)
+        elif d == 2:
+            found[i] = (*_tv_cdf_2d(means[i], covs[i], g2.mean, g2.cov), ("slicer",))
+        else:
+            gil_pelaez.append(i)
+    if gil_pelaez:
+        for i, row in zip(gil_pelaez, _tv_gil_pelaez(A[gil_pelaez], B[gil_pelaez], C[gil_pelaez])):
+            found[i] = row
+    results = [TVResult(value=value, kind="exact" if abserr <= TV_TOL else "estimate", abserr=abserr, route=route)
+               for value, abserr, route in found]
+    return results if g1.mean.ndim == 2 else results[0]

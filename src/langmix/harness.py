@@ -288,15 +288,15 @@ def run_cutoff_experiment(cfg: ExperimentConfig) -> RunManifest:
     passes when each x0's sup-differences do not grow as epsilon falls and
     every curve has a window point.  The manifest's stages hold, for each
     x0 in order, the seconds of its "spectral", "covariance" and "tv" stages
-    (`CutoffRun.seconds`).  With mc_curve, every curve with a window point
-    gets an ensemble, and each `integrate_sde_runs` call steps
-    `runs_per_loop(n_paths)` of them in one loop, all of them when their
-    paths fill at most one noise block; each batch is dropped once its knn
-    estimates are done.  The stage "mc_ensembles" (x0 null) holds the
-    seconds of the calls, their loop_steps (each loop's longest ensemble's
-    steps, summed over the loops) and their path_steps (paths times steps,
-    summed over the ensembles); then each x0's "mc_curve" stage holds the
-    seconds of its knn estimates.  A failed run leaves its manifest with
+    (`CutoffRun.seconds`), the "tv" stage with `CutoffRun.tv_counts`.  With
+    mc_curve, every curve with a window point gets an ensemble, and each
+    `integrate_sde_runs` call steps `runs_per_loop(n_paths)` of them in one
+    loop, all of them when their paths fill at most one noise block; each
+    batch is dropped once its knn estimates are done.  The stage
+    "mc_ensembles" (x0 null) holds the seconds of the calls, their
+    loop_steps (each loop's longest ensemble's steps, summed over the loops)
+    and their path_steps (paths times steps, summed over the ensembles);
+    then each x0's "mc_curve" stage holds the seconds of its knn estimates.  A failed run leaves its manifest with
     status "failed" and the error.
     """
     return _run_pipeline(cfg.config_hash, cfg.out_dir, lambda m: _cutoff_experiment(cfg, m))
@@ -345,7 +345,8 @@ def _cutoff_experiment(cfg: ExperimentConfig, manifest: RunManifest):
     for x0 in cfg.x0:
         run = cutoff_curve(spec, x0, cfg.epsilons, cfg.w_grid, cfg.dt)
         runs.append(run)
-        manifest.stages += [{"x0": list(map(float, x0)), "name": name, "seconds": seconds}
+        manifest.stages += [{"x0": list(map(float, x0)), "name": name, "seconds": seconds,
+                             **(run.tv_counts if name == "tv" else {})}
                             for name, seconds in run.seconds.items()]
     mc, mc_seconds = {}, [0.0] * len(runs)  # (x0 index, epsilon index) -> (excluded, {step: knn TV})
     if cfg.mc_curve:

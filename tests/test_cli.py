@@ -2,15 +2,19 @@
 an indeterminate linear verdict in 3, and a closed stdout quietly in 141."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from langmix import checks, cli
+from langmix.cutoff import spectral_data
 from langmix.errors import InternalCheckError
+from langmix.gaussian_tv import Gaussian
 from langmix.harness import corpus_model_config
 
 
@@ -59,6 +63,21 @@ def test_runtime_errors_keep_their_traceback(quartic_config, monkeypatch):
     monkeypatch.setattr(cli, "spectral_data", disagree)
     with pytest.raises(InternalCheckError):
         cli.main(["mixing-time", "--config", quartic_config, "--x", "1.5,0", "--epsilon", "0.01"])
+
+
+@pytest.mark.parametrize("flags, shown", [(["--log-level", "debug"], True), ([], False)], ids=["debug", "default"])
+def test_log_level_sets_what_the_langmix_logger_shows(quartic_config, capsys, monkeypatch, flags, shown):
+    # no pipeline clamps a covariance on its own, so the command builds one clamped law first
+    def clamping_then_spectral_data(spec, x):
+        assert Gaussian(np.zeros(2), np.diag([1.0, -1e-14])).clamped
+        return spectral_data(spec, x)
+
+    monkeypatch.setattr(cli, "spectral_data", clamping_then_spectral_data)
+    argv = [*flags, "mixing-time", "--config", quartic_config, "--x", "1.5,0", "--epsilon", "0.01"]
+    assert cli.main(argv) == 0
+    line = "langmix.gaussian_tv DEBUG: clamped negative covariance eigenvalues to zero in 1 of 1 laws\n"
+    assert capsys.readouterr().err == (line if shown else "")
+    assert logging.getLogger("langmix").level == logging.NOTSET and not logging.getLogger("langmix").handlers
 
 
 def test_indeterminate_linear_verdict_exits_3(tmp_path, capsys):

@@ -482,7 +482,7 @@ def _hex_array(values, shape):
 def test_slicer_keeps_its_recorded_bits(pair):
     g1 = Gaussian(_hex_array(pair["mean1"], 2), _hex_array(pair["cov1"], (2, 2)))
     g2 = Gaussian(_hex_array(pair["mean2"], 2), _hex_array(pair["cov2"], (2, 2)))
-    value, abserr = gaussian_tv._tv_cdf_2d(g1, g2)
+    value, abserr = gaussian_tv._tv_cdf_2d(g1.mean, g1.cov, g2.mean, g2.cov)
     assert (value.hex(), abserr.hex()) == (pair["value"], pair["abserr"])
 
 
@@ -503,14 +503,119 @@ def _gil_pelaez_pairs() -> list:
 @pytest.mark.parametrize("pair", _gil_pelaez_pairs(), ids=lambda p: p["case"])
 def test_gil_pelaez_keeps_its_recorded_bits(pair):
     lam, nu = (np.array([float.fromhex(v) for v in pair[key]]) for key in ("lam", "nu"))
-    value, abserr = gaussian_tv._tv_gil_pelaez(*gaussian_tv._llr_terms(lam, nu))
-    if len(lam) < 8:
+    [(value, abserr, _)] = gaussian_tv._tv_gil_pelaez(*gaussian_tv._llr_terms(lam, nu))
+    _assert_recorded_bits(pair, value, abserr)
+
+
+def _assert_recorded_bits(pair: dict, value: float, abserr: float):
+    if len(pair["lam"]) < 8:
         assert (value.hex(), abserr.hex()) == (pair["value"], pair["abserr"])
     else:
         # from d = 8 numpy sums a contiguous row pairwise, so the node-major
         # layout grouped the directions differently: rounding moves, nothing else
         assert abs(value - float.fromhex(pair["value"])) <= 1e-15
         assert abs(abserr - float.fromhex(pair["abserr"])) <= 1e-15
+
+
+def _results_bits(res) -> tuple:
+    return res.value.hex(), float(res.abserr).hex(), res.kind, res.route
+
+
+def _stack(laws) -> Gaussian:
+    return Gaussian(np.array([m for m, _ in laws]), np.array([S for _, S in laws]))
+
+
+def _assert_stack_is_each_law_alone(laws, g2):
+    stacked = tv_gaussian(_stack(laws), g2)
+    assert isinstance(stacked, list) and len(stacked) == len(laws)
+    for res, (m, S) in zip(stacked, laws):
+        assert _results_bits(res) == _results_bits(tv_gaussian(Gaussian(m, S), g2))
+    return stacked
+
+
+class TestStackedCall:
+    """A stack of first laws against one second law: each result is that law's result alone, bit for bit."""
+
+    @pytest.mark.parametrize("d, branch", [(1, "one_d"), (2, "slicer"), (4, "gil_pelaez")])
+    def test_every_branch_keeps_its_bits(self, d, branch):
+        rng = np.random.default_rng(90 + d)
+        T = _spd(rng, d)
+        laws = [
+            (rng.standard_normal(d), T),  # equal covariances: the closed form
+            (80.0 * np.sqrt(np.diag(T)), 1.01 * T),  # 80 sd apart: saturated
+            (rng.standard_normal(d), _spd(rng, d)),
+            (np.zeros(d), _spd(rng, d)),
+        ]
+        stacked = _assert_stack_is_each_law_alone(laws, Gaussian(np.zeros(d), T))
+        assert [res.route[0] for res in stacked] == ["closed_form", "saturated", branch, branch]
+
+    def test_a_clamped_law_is_repaired_as_it_would_be_alone(self):
+        rng = np.random.default_rng(6)
+        clamped = []
+        for _ in range(2):
+            Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            S = Q @ np.diag([1.0, 0.5, 0.3, -1e-14]) @ Q.T
+            clamped.append(0.5 * (S + S.T))
+        laws = [(np.zeros(4), _spd(rng, 4)), (np.full(4, 40.0), clamped[0]), (np.ones(4), _spd(rng, 4)),
+                (np.zeros(4), clamped[1])]
+        stack, alone = _stack(laws), [Gaussian(m, S) for m, S in laws]
+        assert stack.clamped.tolist() == [g.clamped for g in alone] == [False, True, False, True]
+        for S, g in zip(stack.cov, alone):
+            assert np.array_equal(_bits(S), _bits(g.cov))
+        laws, stack, alone = laws[:3], _stack(laws[:3]), alone[:3]
+        g2 = Gaussian(np.zeros(4), np.eye(4))
+        try:  # the repaired law is singular to rounding: whitening may find it singular, alone and stacked
+            single = tv_gaussian(alone[1], g2)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                tv_gaussian(stack, g2)
+        else:
+            assert single.route == ("saturated",)
+            _assert_stack_is_each_law_alone(laws, g2)
+
+    def test_the_second_law_is_one_law(self):
+        stack = Gaussian(np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
+        with pytest.raises(ParameterError, match="the second law must be a single Gaussian"):
+            tv_gaussian(Gaussian(np.zeros(3), np.eye(3)), stack)
+
+    def test_a_one_row_stack_is_the_single_call(self):
+        rng = np.random.default_rng(3)
+        m, S, g2 = rng.standard_normal(4), _spd(rng, 4), Gaussian(np.zeros(4), _spd(rng, 4))
+        [res] = tv_gaussian(Gaussian(m[None], S[None]), g2)
+        assert _results_bits(res) == _results_bits(tv_gaussian(Gaussian(m, S), g2))
+
+    def test_a_stack_without_a_gil_pelaez_row_never_integrates(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no row needs the Gil-Pelaez integral")
+
+        rng = np.random.default_rng(4)
+        T = _spd(rng, 4)
+        laws = [(rng.standard_normal(4), T), (np.full(4, 60.0), 1.02 * T), (np.zeros(4), T)]
+        monkeypatch.setattr(gaussian_tv, "_tv_gil_pelaez", refuse)
+        stacked = _assert_stack_is_each_law_alone(laws, Gaussian(np.zeros(4), T))
+        assert [res.route for res in stacked] == [("closed_form",), ("saturated",), ("closed_form",)]
+
+    def test_a_stack_of_dimension_64_spans_two_envelope_chunks(self):
+        d, rng = 64, np.random.default_rng(64)
+        rows = gaussian_tv._ENVELOPE_ELEMENTS // (2 * d * gaussian_tv._ENVELOPE_FIRST) + 2
+        laws = []
+        for _ in range(rows):
+            E = 0.02 * rng.standard_normal((d, d))
+            laws.append((0.05 * rng.standard_normal(d), np.eye(d) + 0.5 * (E + E.T)))
+        stacked = _assert_stack_is_each_law_alone(laws, Gaussian(np.zeros(d), np.eye(d)))
+        assert all(res.route == ("gil_pelaez",) and res.kind == "exact" for res in stacked)
+
+    def test_the_recorded_pairs_keep_their_bits_as_one_stack_per_dimension(self):
+        pairs, routes = _gil_pelaez_pairs(), []
+        for d in sorted({len(p["lam"]) for p in pairs}):
+            group = [p for p in pairs if len(p["lam"]) == d]
+            lam, nu = (np.array([[float.fromhex(v) for v in p[key]] for p in group]) for key in ("lam", "nu"))
+            stacked = gaussian_tv._tv_gil_pelaez(*gaussian_tv._llr_terms(lam, nu))
+            for pair, (value, abserr, route) in zip(group, stacked):
+                _assert_recorded_bits(pair, value, abserr)
+                routes.append(route)
+        assert len(routes) == 30
+        assert sum("full_grid" in r for r in routes) == 1 and sum("qawf_tail" in r for r in routes) == 9
 
 
 class TestGaussianType:

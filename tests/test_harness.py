@@ -455,10 +455,10 @@ class TestCutoffPipeline:
         calls = []
 
         def one_estimate(*args, **kwargs):
-            res = cutoff_tv(*args, **kwargs)
+            res = cutoff_tv(*args, **kwargs)  # one call per epsilon, one result per window point
             calls.append(res)
-            if len(calls) == 2:
-                res = gaussian_tv.TVResult(value=res.value, kind="estimate", abserr=3e-6)
+            if len(calls) == 1:
+                res[1] = gaussian_tv.TVResult(value=res[1].value, kind="estimate", abserr=3e-6)
             return res
 
         cutoff_tv = cutoff.tv_gaussian
@@ -470,6 +470,34 @@ class TestCutoffPipeline:
             first, second = run["sup_diffs"]
             assert (first["tv_inexact"], first["tv_max_abserr"]) == (1, 3e-6)
             assert second["tv_inexact"] == 0 and second["tv_max_abserr"] <= TV_TOL
+
+    @pytest.mark.parametrize(
+        "name, x0, epsilons, w_grid, counts",
+        [
+            ("lin2d_rot", [0.5, 0.5, 0.0, 0.0], [1e-2, 1e-3], {"min": -2.0, "max": 2.0, "step": 1.0},
+             {"points": 10, "gil_pelaez": 10}),
+            ("quartic", [1.5, 0.0], [1e-2, 1e-3], {"min": -2.0, "max": 2.0, "step": 1.0},
+             {"points": 10, "slicer": 10}),
+            # a 1-d position is a 2-d state, so the 1-D branch stays at 0: here the
+            # whitened gap and the Bhattacharyya coefficient decide some points
+            ("lin1d_critical", [0.6, 0.3], [1e-2, 1e-6, 1e-8], {"min": -3.0, "max": 3.0, "step": 0.25},
+             {"points": 75, "closed_form": 4, "saturated": 9, "slicer": 62}),
+        ],
+        ids=["gil_pelaez", "slicer", "closed_form_and_saturated"],
+    )
+    def test_the_tv_stage_counts_its_points_by_branch(self, tmp_path, name, x0, epsilons, w_grid, counts):
+        raw = minimal_config(tmp_path, x0=[x0], model=harness.corpus_model_config(name), epsilons=epsilons,
+                             w_grid=w_grid, dt=0.005)
+        manifest = run_cutoff_experiment(validate_config(raw))
+        on_disk = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        keys = ["points", "closed_form", "saturated", "one_d", "slicer", "gil_pelaez", "full_grid", "qawf_tails",
+                "clamped"]
+        expected = dict(dict.fromkeys(keys, 0), **counts)
+        for stages in (manifest.stages, on_disk["stages"]):
+            [tv] = [stage for stage in stages if stage["name"] == "tv"]
+            assert {key: tv[key] for key in keys} == expected
+        assert counts["points"] == sum(s["window_points"] for s in manifest.summary["runs"][0]["sup_diffs"])
+        assert "gil_pelaez" not in json.dumps(manifest.summary)
 
     def test_summary_records_the_jordan_diagnostics(self, tmp_path):
         raw = minimal_config(tmp_path, x0=[[0.6, 0.3]], model=harness.corpus_model_config("lin1d_critical"))
@@ -500,11 +528,16 @@ class TestCutoffPipeline:
         for eps in epsilons:
             with open(tmp_path / "out" / f"cutoff_x0.6_0.3_eps{eps:g}.csv") as fh:
                 points += [(eps, round(float(row["t"]) / 0.005)) for row in csv.DictReader(fh)]
-        assert len(points) == len(calls) == 327
-        assert all(res.kind == "exact" for _, _, res in calls)
+        # one call per epsilon, whose first law is the stack of that epsilon's window points
+        results = [res for _, _, stack in calls for res in stack]
+        alone = [row for g1, g2, _ in calls
+                 for row in gaussian_tv._tv_gil_pelaez(*gaussian_tv._llr_terms(*gaussian_tv._whiten(g1, g2)))]
+        assert len(calls) == len(epsilons)
+        assert len(points) == len(results) == len(alone) == 327
+        assert all(res.kind == "exact" for res in results)
         missed = {}
-        for point, (g1, g2, res) in zip(points, calls):
-            if gaussian_tv._tv_gil_pelaez(*gaussian_tv._llr_terms(*gaussian_tv._whiten(g1, g2)))[1] > TV_TOL:
+        for point, res, (_, abserr, _) in zip(points, results, alone):
+            if abserr > TV_TOL:
                 missed[point] = res
         assert set(missed) == {(1e-6, 627), (1e-6, 677), (1e-7, 890), (1e-7, 940), (1e-7, 990),
                                (1e-8, 1148), (1e-8, 1198), (1e-8, 1248)}
